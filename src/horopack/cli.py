@@ -146,6 +146,8 @@ def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
 
 
 def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     fam = family(args.tiling, args.family)
     lo, hi = fam.s_range
     if args.s_range is not None:

@@ -28,6 +28,7 @@ from .lorentz import (
     PointClass,
     ProjectivePoint,
     bilinear_form,
+    bilinear_matrix,
     boost_to_origin,
     classify,
 )
@@ -182,7 +183,9 @@ class Cell:
     lists, for each vertex, the adjacent vertex indices in cyclic order around
     the vertex (as seen from outside the model ball).  ``volume`` is the
     closed-form hyperbolic cell volume, orthoschemes_per_cell times the
-    characteristic orthoscheme volume.
+    characteristic orthoscheme volume.  ``gram`` is the vertex table
+    K_ij = -<E_i, E_j> (zero diagonal), ``face_bounds`` and ``bound_faces``
+    hold each vertex's face-tangency level H_v and the face that sets it.
     """
 
     schlafli: SchlafliSymbol
@@ -195,10 +198,13 @@ class Cell:
     orthoschemes_per_cell: int
     volume: float
     incenter: ProjectivePoint
+    gram: np.ndarray
+    face_bounds: np.ndarray
+    bound_faces: tuple
 
     def kappa(self, i: int, j: int) -> float:
         """-<E_i, E_j> on chart-normalized vertices; 2 sinh^2 of the half gap."""
-        return -bilinear_form(self.vertices[i], self.vertices[j])
+        return float(self.gram[i, j])
 
     def face_bound(self, vertex: int) -> tuple:
         """(H, face_position) tightest non-adjacent face constraint for a ball.
@@ -206,17 +212,7 @@ class Cell:
         A horoball at the vertex with chart Busemann level h stays off every
         non-adjacent face plane iff h <= H.
         """
-        best = None
-        best_face = -1
-        v = self.vertices[vertex].coords
-        for k, face in enumerate(self.faces):
-            if vertex in face.indices:
-                continue
-            margin = bilinear_form(v, face.plane.normal)
-            if best is None or margin < best:
-                best = margin
-                best_face = k
-        return float(best), best_face
+        return float(self.face_bounds[vertex]), self.bound_faces[vertex]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +296,8 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
         if classify(v) is not PointClass.ABSOLUTE:
             raise GeometryError(f"cell vertex {v} is not ideal")
 
-    incenter = _incenter(chart_pts)
     raw_faces = _merged_faces(chart_pts)
+    incenter = _incenter(chart_pts, raw_faces)
     faces = []
     for idx, b in raw_faces:
         if bilinear_form(b, incenter) < 0:
@@ -325,6 +321,17 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
         _cyclic_order(chart_pts, i, adj[i]) for i in range(len(vertices))
     )
 
+    coords = np.stack([v.coords for v in vertices])
+    gram = -bilinear_matrix(coords, coords)
+    # face margins <E_v, b_f>; a vertex's own faces never bound it
+    margins = bilinear_matrix(coords, np.stack([f.plane.normal for f in faces]))
+    for k, face in enumerate(faces):
+        margins[list(face.indices), k] = math.inf
+    bound_faces = np.argmin(margins, axis=1)
+    face_bounds = margins[np.arange(len(vertices)), bound_faces]
+    for table in (gram, face_bounds):
+        table.setflags(write=False)
+
     vol = count * _volume.orthoscheme_volume(ortho_symbol).value
     return Cell(
         schlafli=as_symbol(symbol),
@@ -337,12 +344,14 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
         orthoschemes_per_cell=count,
         volume=vol,
         incenter=incenter,
+        gram=gram,
+        face_bounds=face_bounds,
+        bound_faces=tuple(int(k) for k in bound_faces),
     )
 
 
-def _incenter(chart_pts) -> ProjectivePoint:
+def _incenter(chart_pts, faces) -> ProjectivePoint:
     """Interior point equidistant from all facet planes (solve <x,b_f> = t)."""
-    faces = _merged_faces(chart_pts)
     rows = []
     centroid = np.concatenate(([1.0], np.mean(chart_pts, axis=0)))
     for _, b in faces:

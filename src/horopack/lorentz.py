@@ -136,6 +136,20 @@ def bilinear_form(x, y) -> float:
     return float(-xv[0] * yv[0] + xv[1] * yv[1] + xv[2] * yv[2] + xv[3] * yv[3])
 
 
+def bilinear_matrix(xs, ys) -> np.ndarray:
+    """Table of <x_i, y_j> over the rows of two (n, 4) and (m, 4) arrays.
+
+    Products are summed in bilinear_form's order, so every entry equals the
+    scalar form bit for bit.
+    """
+    return (
+        -np.outer(xs[:, 0], ys[:, 0])
+        + np.outer(xs[:, 1], ys[:, 1])
+        + np.outer(xs[:, 2], ys[:, 2])
+        + np.outer(xs[:, 3], ys[:, 3])
+    )
+
+
 def classify(x, tol: float = ABSOLUTE_TOL) -> PointClass:
     """Interior, Absolute or Outer by the sign of <x,x>, scale invariant."""
     v = as_vector(x)

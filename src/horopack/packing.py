@@ -14,8 +14,12 @@ these families.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
+
+import numpy as np
 
 from .coxeter import Cell, SchlafliSymbol, as_symbol, build_cell
 from .horoball import (
@@ -25,7 +29,7 @@ from .horoball import (
     ray_crossing,
     vertex_sector_volume,
 )
-from .lorentz import GeometryError, ProjectivePoint, bilinear_form
+from .lorentz import GeometryError, ProjectivePoint
 
 # slack on pair gaps and face tangency when validating, and the gap size
 # below which two balls are recorded as tangent
@@ -64,11 +68,28 @@ class PackingConfiguration:
     cell: Cell
     assignment: tuple[float, ...]
     levels: tuple[float, ...]
-    tangencies: tuple[Tangency, ...]
     label: Optional[str] = None
 
     def horoball(self, vertex: int) -> Horoball:
         return horoball_level(self.cell.vertices[vertex], self.levels[vertex])
+
+    @cached_property
+    def tangencies(self) -> tuple[Tangency, ...]:
+        """Tangent vertex pairs and their contact points on the joining line.
+
+        Every vertex pair is scanned (axis tangencies between non-adjacent
+        vertices included); computed when first read.
+        """
+        cell, levels = self.cell, self.levels
+        return tuple(
+            Tangency(
+                pair=(i, j),
+                contact=ray_crossing(self.horoball(i), cell.vertices[j]),
+            )
+            for i in range(cell.n_vertices)
+            for j in range(i + 1, cell.n_vertices)
+            if abs(ball_gap(cell, levels, i, j)) <= TANGENCY_TOL
+        )
 
 
 @dataclass(frozen=True)
@@ -86,8 +107,7 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
     negative when the balls overlap.  Defined for any vertex pair, not just
     cell edges.
     """
-    kappa = -bilinear_form(cell.vertices[i], cell.vertices[j])
-    return math.log(kappa / (2.0 * levels[i] * levels[j]))
+    return math.log(cell.kappa(i, j) / (2.0 * levels[i] * levels[j]))
 
 
 def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
@@ -101,12 +121,7 @@ def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
 
 
 def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfiguration:
-    """Build a configuration from per-vertex levels, recording tangencies.
-
-    Tangent pairs are detected over all vertex pairs (axis tangencies between
-    non-adjacent vertices included) and their contact points computed on the
-    joining line.
-    """
+    """Build a configuration from finite, positive per-vertex levels."""
     symbol = as_symbol(tiling)
     cell = build_cell(symbol)
     levels = tuple(float(h) for h in levels)
@@ -114,23 +129,16 @@ def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfigu
         raise GeometryError(
             f"{symbol.weights} needs {cell.n_vertices} levels, got {len(levels)}"
         )
+    if not all(map(math.isfinite, levels)):
+        raise GeometryError(f"horoball levels must be finite, got {levels}")
     if min(levels) <= 0.0:
         raise GeometryError("horoball levels must be positive")
     assignment = tuple((1.0 - h * h) / (1.0 + h * h) for h in levels)
-    tangencies = []
-    for i in range(cell.n_vertices):
-        for j in range(i + 1, cell.n_vertices):
-            if abs(ball_gap(cell, levels, i, j)) <= TANGENCY_TOL:
-                contact = ray_crossing(
-                    horoball_level(cell.vertices[i], levels[i]), cell.vertices[j]
-                )
-                tangencies.append(Tangency(pair=(i, j), contact=contact))
     return PackingConfiguration(
         tiling=symbol,
         cell=cell,
         assignment=assignment,
         levels=levels,
-        tangencies=tuple(tangencies),
         label=label,
     )
 
@@ -141,38 +149,45 @@ def validate_packing(config: PackingConfiguration) -> Optional[Violation]:
     Valid means (a) on every shared edge the two balls' crossings do not
     interleave, which is exactly gap >= 0 for the pair, and (b) no ball
     exceeds the tangency bound of its nearest non-adjacent face plane.
+    Both tests read the cell tables K and H; a NaN gap or level fails them.
     """
     cell, levels = config.cell, config.levels
-    for i, j in cell.edges:
-        gap = ball_gap(cell, levels, i, j)
-        if gap < -PAIR_TOL:
-            return Violation(
-                kind="pair",
-                indices=(i, j),
-                detail=f"balls at vertices {i},{j} overlap along their edge "
-                f"(gap {gap:.6g})",
-            )
-    for v in range(cell.n_vertices):
+    h = np.array(levels)
+    first, second = _edge_index(cell)
+    gaps = np.log(cell.gram[first, second] / (2.0 * h[first] * h[second]))
+    overlaps = np.flatnonzero(~(gaps >= -PAIR_TOL))
+    if overlaps.size:
+        k = overlaps[0]
+        i, j = cell.edges[k]
+        return Violation(
+            kind="pair",
+            indices=(i, j),
+            detail=f"balls at vertices {i},{j} overlap along their edge "
+            f"(gap {gaps[k]:.6g})",
+        )
+    overflows = np.flatnonzero(~(h <= cell.face_bounds + PAIR_TOL))
+    if overflows.size:
+        v = int(overflows[0])
         bound, face_idx = cell.face_bound(v)
-        if levels[v] > bound + PAIR_TOL:
-            return Violation(
-                kind="face",
-                indices=(v, face_idx),
-                detail=f"ball at vertex {v} (level {levels[v]:.12g}) crosses "
-                f"non-adjacent face {face_idx} (bound {bound:.12g})",
-            )
+        return Violation(
+            kind="face",
+            indices=(v, face_idx),
+            detail=f"ball at vertex {v} (level {levels[v]:.12g}) crosses "
+            f"non-adjacent face {face_idx} (bound {bound:.12g})",
+        )
     return None
 
 
 def density(config: PackingConfiguration) -> DensityReport:
-    """Sector-volume sum over the cell volume (packing density in one cell)."""
+    """Sector-volume sum over the cell volume (packing density in one cell).
+
+    Sector volumes come from the closed-form law Vol(B ∩ P) = C_v h_v^2.
+    """
     violation = validate_packing(config)
     if violation is not None:
         raise InvalidPackingError(violation.detail)
-    sectors = tuple(
-        vertex_sector_volume(config.horoball(v), config.cell, v)
-        for v in range(config.cell.n_vertices)
-    )
+    h = np.array(config.levels)
+    sectors = tuple((_sector_coefficients(config.cell) * h**2).tolist())
     return DensityReport(
         density=sum(sectors) / config.cell.volume,
         sector_volumes=sectors,
@@ -183,9 +198,36 @@ def density(config: PackingConfiguration) -> DensityReport:
 
 def sector_coefficient(cell: Cell, vertex: int) -> float:
     """C with Vol(B(h) ∩ cell) = C h^2 for every admissible level h."""
+    return float(_sector_coefficients(cell)[vertex])
+
+
+# per-cell packing tables, filled on first use so build_cell does not pay for them
+_COEFFICIENTS: "weakref.WeakKeyDictionary[Cell, np.ndarray]" = weakref.WeakKeyDictionary()
+_EDGE_INDEX: "weakref.WeakKeyDictionary[Cell, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _sector_coefficients(cell: Cell) -> np.ndarray:
+    """Every vertex's C, each derived once from a Heron sector volume."""
+    table = _COEFFICIENTS.get(cell)
+    if table is None:
+        table = np.array([_heron_coefficient(cell, v) for v in range(cell.n_vertices)])
+        table.setflags(write=False)
+        _COEFFICIENTS[cell] = table
+    return table
+
+
+def _heron_coefficient(cell: Cell, vertex: int) -> float:
     h = 0.5 * min(math.sqrt(0.5 * cell.kappa(vertex, j)) for j in cell.neighbors[vertex])
     ball = horoball_level(cell.vertices[vertex], h)
     return vertex_sector_volume(ball, cell, vertex) / (h * h)
+
+
+def _edge_index(cell: Cell) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint index arrays of the cell edges, in ``cell.edges`` order."""
+    index = _EDGE_INDEX.get(cell)
+    if index is None:
+        index = _EDGE_INDEX[cell] = tuple(np.array(cell.edges).T)
+    return index
 
 
 def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
@@ -358,11 +400,16 @@ def _families_344(symbol: SchlafliSymbol) -> tuple[Family, ...]:
 
 
 def _families_436(symbol: SchlafliSymbol) -> tuple[Family, ...]:
+    # vertex roles depend only on the cell: look them up once, not per s
+    cell = build_cell(symbol)
+    pole = 3
+    anti = _partners(cell, pole, 2.0, range(cell.n_vertices))[0]
+    upper = cell.neighbors[pole]
+    lower = cell.neighbors[anti]
+    # alternating vertex tetrad of the cube containing the pole
+    tetra = (pole,) + _partners(cell, pole, 4.0 / 3.0, range(cell.n_vertices))
+
     def polar_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        pole = 3
-        anti = _partners(cell, pole, 2.0, range(cell.n_vertices))[0]
-        upper = cell.neighbors[pole]
-        lower = cell.neighbors[anti]
         h3 = _hs(s)
         hu = 0.5 * cell.kappa(pole, upper[0]) / h3
         # the opposite ball matches the anchor type until the contact
@@ -378,10 +425,9 @@ def _families_436(symbol: SchlafliSymbol) -> tuple[Family, ...]:
         return tuple(levels)
 
     def tetra_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        # alternating vertex tetrad of the cube shares the anchor type
-        tetra = (3,) + _partners(cell, 3, 4.0 / 3.0, range(cell.n_vertices))
+        # the tetrad shares the anchor type
         ht = _hs(s)
-        other = 0.5 * cell.kappa(3, cell.neighbors[3][0]) / ht
+        other = 0.5 * cell.kappa(pole, upper[0]) / ht
         return tuple(ht if v in tetra else other for v in range(cell.n_vertices))
 
     return (
@@ -409,25 +455,34 @@ def _families_436(symbol: SchlafliSymbol) -> tuple[Family, ...]:
 
 
 def _families_536(symbol: SchlafliSymbol) -> tuple[Family, ...]:
+    # vertex roles depend only on the cell: look them up once, not per s
+    cell = build_cell(symbol)
+    cube = _cube_orbit(cell)
+    pole = 3
+    anti = _partners(cell, pole, 2.0, cube)[0]
+    mates = _partners(cell, pole, 4.0 / 3.0, cube)  # pole's tetrad mates
+    ring = _partners(cell, pole, 2.0 / 3.0, cube)
+    tetra = {pole} | set(mates)
+    caps = set(cell.neighbors[pole]) | set(cell.neighbors[anti])
+    outer = tuple(
+        (v, tuple(u for u in cell.neighbors[v] if u in cube))
+        for v in range(8, cell.n_vertices)
+    )
+
     # kappa on dodecahedral edges; cube-orbit pairs use 2/3 and 4/3
     def edge_kappa(cell: Cell) -> float:
         return cell.kappa(*cell.edges[0])
 
     def cube_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        cube = _cube_orbit(cell)
         ke = edge_kappa(cell)
         h = _hs(s)
         hn = 0.5 * ke / h
         return tuple(h if v in cube else hn for v in range(cell.n_vertices))
 
     def polar_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        cube = _cube_orbit(cell)
         ke = edge_kappa(cell)
-        pole = 3
-        anti = _partners(cell, pole, 2.0, cube)[0]
         hp = _hs(s)
         hr = 0.5 * (2.0 / 3.0) / hp  # ring balls touch a pole between cells
-        caps = set(cell.neighbors[pole]) | set(cell.neighbors[anti])
         levels = [0.0] * cell.n_vertices
         for v in range(cell.n_vertices):
             if v in (pole, anti):
@@ -441,9 +496,7 @@ def _families_536(symbol: SchlafliSymbol) -> tuple[Family, ...]:
         return tuple(levels)
 
     def tetra_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        cube = _cube_orbit(cell)
         ke = edge_kappa(cell)
-        tetra = {3} | set(_partners(cell, 3, 4.0 / 3.0, cube))
         ht = _hs(s)
         hc = 0.5 * (2.0 / 3.0) / ht
         levels = [0.0] * cell.n_vertices
@@ -457,26 +510,22 @@ def _families_536(symbol: SchlafliSymbol) -> tuple[Family, ...]:
         return tuple(levels)
 
     def apex_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        cube = _cube_orbit(cell)
         ke = edge_kappa(cell)
-        apex = 3
         h3 = _hs(s)
-        partners = _partners(cell, apex, 4.0 / 3.0, cube)  # apex tetrad mates
-        anti = _partners(cell, apex, 2.0, cube)[0]
         levels = [0.0] * cell.n_vertices
-        levels[apex] = h3
-        for v in partners:
+        levels[pole] = h3
+        for v in mates:
             levels[v] = 0.5 * (4.0 / 3.0) / h3
-        levels[anti] = 0.5 * (2.0 / 3.0) / levels[partners[0]]
-        for v in _partners(cell, apex, 2.0 / 3.0, cube):
+        levels[anti] = 0.5 * (2.0 / 3.0) / levels[mates[0]]
+        for v in ring:
             levels[v] = 0.5 * (2.0 / 3.0) / h3
-        for v in range(8, cell.n_vertices):
+        for v, cube_neighbors in outer:
             # each outer ball touches the larger of its two cube neighbors
-            levels[v] = 0.5 * ke / max(levels[u] for u in cell.neighbors[v] if u in cube)
+            levels[v] = 0.5 * ke / max(levels[u] for u in cube_neighbors)
         return tuple(levels)
 
     s_star = (2.0 - (3.0 - math.sqrt(5.0)) / 3.0) / (2.0 + (3.0 - math.sqrt(5.0)) / 3.0)
-    edge = (3, build_cell(symbol).neighbors[3][0])
+    edge = (pole, cell.neighbors[pole][0])
     return (
         Family(
             name="cube",

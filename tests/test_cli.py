@@ -120,6 +120,9 @@ def test_sweep_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "535", "--family", "main"])
     assert exc.value.code == 2
+    for steps in ("0", "-3"):
+        assert main(["sweep", "336", "--family", "main", "--steps", steps]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_volumes_subcommand(tmp_path, capsys):

@@ -206,6 +206,27 @@ def test_face_bounds(symbol):
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
+def test_cell_tables_match_scalar_forms(symbol):
+    # the cached K and H tables against the scalar form they replace
+    cell = build_cell(symbol)
+    for i in range(cell.n_vertices):
+        for j in range(cell.n_vertices):
+            if i != j:
+                expected = -bilinear_form(cell.vertices[i], cell.vertices[j])
+                assert cell.kappa(i, j) == pytest.approx(expected, abs=0)
+        best, best_face = None, -1
+        for k, face in enumerate(cell.faces):
+            if i in face.indices:
+                continue
+            margin = bilinear_form(cell.vertices[i].coords, face.plane.normal)
+            if best is None or margin < best:
+                best, best_face = margin, k
+        bound, face_idx = cell.face_bound(i)
+        assert bound == pytest.approx(best, abs=0)
+        assert face_idx == best_face
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
 def test_incenter(symbol):
     cell = build_cell(symbol)
     assert np.allclose(cell.incenter.chart(), INCENTER_CHART[symbol], atol=1e-12)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from horopack.coxeter import build_cell
-from horopack.horoball import pencil_value
+from horopack.horoball import pencil_value, vertex_sector_volume
 from horopack.lorentz import GeometryError
 from horopack.packing import (
     AdmissibilityError,
     InvalidPackingError,
+    PackingConfiguration,
     admissible_interval,
     all_pair_gaps,
     balanced_levels,
@@ -111,6 +112,14 @@ def test_tangency_bookkeeping():
             assert abs(pencil_value(config.horoball(j), t.contact.coords)) < 1e-9
 
 
+def test_tangencies_computed_on_first_read():
+    config = catalog((3, 3, 6))[0]
+    fresh = configuration(config.tiling, config.levels)
+    assert "tangencies" not in vars(fresh)
+    assert [t.pair for t in fresh.tangencies] == [t.pair for t in config.tangencies]
+    assert "tangencies" in vars(fresh)
+
+
 def test_ball_gap_values():
     cell = build_cell((3, 3, 6))
     levels = catalog((3, 3, 6))[1].levels  # (1/2, 1/2, 1/2, 1)
@@ -141,6 +150,43 @@ def test_validate_packing_pair_violation():
     assert len(violation.indices) == 2
     with pytest.raises(InvalidPackingError):
         density(bad)
+
+
+@pytest.mark.parametrize("levels", [[math.nan] * 4, [0.5, 0.5, math.nan, 1.0],
+                                    [math.inf] * 4, [0.5, 0.5, 0.5, math.inf]])
+def test_configuration_rejects_non_finite_levels(levels):
+    with pytest.raises(GeometryError, match="finite"):
+        configuration((3, 3, 6), levels)
+
+
+def test_validate_packing_flags_nan_levels():
+    # a configuration assembled without configuration() still fails validation
+    good = catalog((3, 3, 6))[0]
+    for levels in ((math.nan,) * 4, good.levels[:3] + (math.nan,)):
+        config = PackingConfiguration(
+            tiling=good.tiling, cell=good.cell, assignment=levels, levels=levels
+        )
+        assert validate_packing(config) is not None
+        with pytest.raises(InvalidPackingError):
+            density(config)
+
+
+def _coefficient_path_states(symbol):
+    yield from catalog(symbol)
+    for fam in families(symbol):
+        lo, hi = fam.s_range
+        for s in (lo, hi, *np.linspace(lo, hi, 5)[1:-1]):
+            yield fam.at(float(s))
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_coefficient_path_matches_heron(symbol):
+    # density's C_v h_v^2 against the Heron sector volume at the same level
+    for config in _coefficient_path_states(symbol):
+        report = density(config)
+        for v, volume in enumerate(report.sector_volumes):
+            heron = vertex_sector_volume(config.horoball(v), config.cell, v)
+            assert volume == pytest.approx(heron, rel=1e-12)
 
 
 def test_sector_coefficients():
