@@ -1,7 +1,7 @@
 """Horosphere and horoball geometry in the Klein chart.
 
 A horoball is parameterized by its ideal center c (chart-normalized, on the
-absolute) and the scalar type parameter s < 1: for the canonical center
+absolute) and the scalar type parameter -1 < s < 1: for the canonical center
 (1,0,0,1) the horosphere passes through S(1,0,0,s) on the model axis, with
 s = 0 giving the horosphere through the origin and s -> 1 the degenerate
 ball.  Internally the chart Busemann level
@@ -57,46 +57,35 @@ CartesianForm = namedtuple("CartesianForm", ["coeff_xy", "coeff_z", "center_z"])
 
 @dataclass(frozen=True, eq=False)
 class Horoball:
-    """Horoball at an ideal center with type parameter s (see module docs).
-
-    ``form`` holds the quadric coefficients of the horosphere, scaled so that
-    for the canonical center (1,0,0,1) the matrix is exactly
-
-        [[-2s, 0,   0,   s+1],
-         [0,   s-1, 0,   0  ],
-         [0,   0,   s-1, 0  ],
-         [s+1, 0,   0,   -2 ]].
-    """
+    """Horoball at a chart-normalized ideal center with type parameter s and
+    chart Busemann level h (see module docs); membership is the sign of the
+    pencil form Q (pencil_value, contains)."""
 
     center: ProjectivePoint
     s: float
     h: float
-    form: np.ndarray
 
 
 def horoball_at(center, s: float) -> Horoball:
-    """Horoball from its ideal center and type parameter s < 1."""
+    """Horoball from its ideal center and type parameter -1 < s < 1."""
     s = float(s)
-    if s >= 1.0:
-        raise GeometryError(f"type parameter s = {s} degenerates the horoball")
+    if not -1.0 < s < 1.0:
+        raise GeometryError(f"type parameter s = {s} must lie in (-1, 1)")
     h = math.sqrt((1.0 - s) / (1.0 + s))
     return horoball_level(center, h)
 
 
 def horoball_level(center, h: float) -> Horoball:
-    """Horoball from its ideal center and chart Busemann level h > 0."""
+    """Horoball from its ideal center and finite chart Busemann level h > 0."""
     h = float(h)
-    if h <= 0.0:
-        raise GeometryError(f"level h = {h} must be positive")
+    if not 0.0 < h < math.inf:
+        raise GeometryError(f"level h = {h} must be positive and finite")
     pt = center if isinstance(center, ProjectivePoint) else ProjectivePoint(center)
     if classify(pt) is not PointClass.ABSOLUTE:
         raise GeometryError(f"horoball center must lie on the absolute, got {pt}")
     pt = pt.chart_normalized()
     s = (1.0 - h * h) / (1.0 + h * h)
-    w = MINKOWSKI @ pt.coords
-    form = -(1.0 + s) * (np.outer(w, w) + h * h * MINKOWSKI)
-    form.setflags(write=False)
-    return Horoball(center=pt, s=s, h=h, form=form)
+    return Horoball(center=pt, s=s, h=h)
 
 
 def pushed(hb: Horoball, x: float) -> Horoball:
@@ -108,15 +97,6 @@ def pencil_value(hb: Horoball, x) -> float:
     """Q(x) = <x,c>^2 + h^2 <x,x> at the given representative of x."""
     v = as_vector(x)
     return bilinear_form(v, hb.center) ** 2 + hb.h * hb.h * bilinear_form(v, v)
-
-
-def evaluate_form(hb: Horoball, x) -> float:
-    """Stored quadric evaluated at the chart-normalized representative."""
-    v = as_vector(x)
-    if abs(v[0]) < 1e-300:
-        raise GeometryError("cannot chart-normalize a point with x0 = 0")
-    v = v / v[0]
-    return float(v @ hb.form @ v)
 
 
 def contains(hb: Horoball, x, tol: float = SURFACE_TOL) -> bool:

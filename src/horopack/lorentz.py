@@ -23,9 +23,6 @@ import numpy as np
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 MINKOWSKI.setflags(write=False)
 
-# Sectional curvature convention: k = 1 everywhere.
-CURVATURE_K = 1.0
-
 # Relative tolerance on <x,x>/|x|^2 deciding membership in the absolute.
 # Ideal vertices are exact in all reference coordinates; this only absorbs
 # rounding from rotations and boosts.

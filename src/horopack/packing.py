@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -305,30 +305,42 @@ def contact_offset(config: PackingConfiguration, edge) -> float:
 # One-parameter families
 
 
-def _hs(s: float) -> float:
-    return math.sqrt((1.0 - s) / (1.0 + s))
-
-
 @dataclass(frozen=True)
 class Family:
-    """One-parameter configuration family driven by the anchor ball's s."""
+    """One-parameter configuration family driven by the anchors' type s.
+
+    The anchor balls take type s, h = sqrt((1 - s) / (1 + s)).  Every other
+    level follows from the tangency cascade: an ordered tuple of links
+    (target, source, kappa / 2), each shrinking the target ball to
+    min(h_target, kappa / (2 h_source)), with +inf off the anchors.
+    """
 
     name: str
     tiling: SchlafliSymbol
     s_range: tuple[float, float]
-    anchor: int
     primary_edge: tuple[int, int]
     description: str
-    rule: Callable[[Cell, float], tuple[float, ...]]
+    anchors: tuple[int, ...]
+    cascade: tuple[tuple[int, int, float], ...]
 
     def levels(self, cell: Cell, s: float) -> tuple[float, ...]:
+        """Per-vertex levels at anchor type s on ``cell``, the tiling's cell
+        (the cascade already holds its kappa values)."""
         lo, hi = self.s_range
         if not (lo - DOMAIN_TOL <= s <= hi + DOMAIN_TOL):
             raise GeometryError(
                 f"family {self.name!r} of {self.tiling.weights} needs "
                 f"s in [{lo:.12g}, {hi:.12g}], got {s:.12g}"
             )
-        return self.rule(cell, s)
+        h = [math.inf] * cell.n_vertices
+        anchor = math.sqrt((1.0 - s) / (1.0 + s))
+        for v in self.anchors:
+            h[v] = anchor
+        for t, p, half_kappa in self.cascade:
+            level = half_kappa / h[p]
+            if level < h[t]:
+                h[t] = level
+        return tuple(h)
 
     def at(self, s: float, label: Optional[str] = None) -> PackingConfiguration:
         cell = build_cell(self.tiling)
@@ -355,246 +367,131 @@ def _cube_orbit(cell: Cell) -> tuple[int, ...]:
     return cube
 
 
-def _families_336(symbol: SchlafliSymbol) -> tuple[Family, ...]:
-    def rule(cell: Cell, s: float) -> tuple[float, ...]:
-        # apex 3 drives; base balls tangent to it along the lateral edges
-        h3 = _hs(s)
-        base = 0.5 * cell.kappa(0, 3) / h3
-        return (base, base, base, h3)
-
-    return (
-        Family(
-            name="main",
-            tiling=symbol,
-            s_range=(0.0, 0.5),
-            anchor=3,
-            primary_edge=(3, 0),
-            description="apex ball of type s, base balls tangent to it",
-            rule=rule,
-        ),
-    )
+# Vertex roles: the pole is vertex 3 of every cell; ring, mates and anti are
+# the pole's partners at the listed kappa within the cube orbit (its nearest
+# vertices, its alternating-tetrad mates, its antipode through the center).
+# The cube orbit is the inscribed cube of the dodecahedral cell, whose other
+# twelve vertices are the outer role, and the whole cell otherwise.
+_POLE = 3
+_ROLE_KAPPAS = {
+    (3, 3, 6): {"ring": 1.0},
+    (3, 4, 4): {"ring": 1.0, "anti": 2.0},
+    (4, 3, 6): {"ring": 2.0 / 3.0, "mates": 4.0 / 3.0, "anti": 2.0},
+    (5, 3, 6): {"ring": 2.0 / 3.0, "mates": 4.0 / 3.0, "anti": 2.0},
+}
 
 
-def _families_344(symbol: SchlafliSymbol) -> tuple[Family, ...]:
-    def rule(cell: Cell, s: float) -> tuple[float, ...]:
-        # north pole 3 drives; equator tangent to it; south pole grows to
-        # the first contact (equator balls, or the north ball through the
-        # center along the polar axis)
-        h3 = _hs(s)
-        he = 0.5 * cell.kappa(0, 3) / h3
-        h5 = min(0.5 * cell.kappa(0, 5) / he, 0.5 * cell.kappa(3, 5) / h3)
-        return (he, he, he, h3, he, h5)
-
-    return (
-        Family(
-            name="main",
-            tiling=symbol,
-            s_range=(-1.0 / 3.0, 1.0 / 3.0),
-            anchor=3,
-            primary_edge=(3, 0),
-            description="polar ball of type s, equator tangent, opposite "
-            "pole grown to first contact",
-            rule=rule,
-        ),
-    )
+def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
+    n = cell.n_vertices
+    cube = _cube_orbit(cell) if cell.schlafli.weights == (5, 3, 6) else tuple(range(n))
+    roles = {
+        "pole": (_POLE,),
+        "cube": cube,
+        "outer": tuple(v for v in range(n) if v not in cube),
+    }
+    for role, kappa in _ROLE_KAPPAS[cell.schlafli.weights].items():
+        roles[role] = _partners(cell, _POLE, kappa, cube)
+    return roles
 
 
-def _families_436(symbol: SchlafliSymbol) -> tuple[Family, ...]:
-    # vertex roles depend only on the cell: look them up once, not per s
-    cell = build_cell(symbol)
-    pole = 3
-    anti = _partners(cell, pole, 2.0, range(cell.n_vertices))[0]
-    upper = cell.neighbors[pole]
-    lower = cell.neighbors[anti]
-    # alternating vertex tetrad of the cube containing the pole
-    tetra = (pole,) + _partners(cell, pole, 4.0 / 3.0, range(cell.n_vertices))
+# kappa of a dodecahedral edge; the cube family ends at the uniform state
+# 2 h^2 = kappa
+_KAPPA_536 = (3.0 - math.sqrt(5.0)) / 3.0
 
-    def polar_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        h3 = _hs(s)
-        hu = 0.5 * cell.kappa(pole, upper[0]) / h3
+# Per tiling: (name, s_range, primary_edge, anchors, steps, description).
+# Anchors and the (targets, sources) of each step are role names.  Steps run
+# in order; each target links to the sources nearest to it (smallest kappa),
+# so a ball ends up touching the largest of its nearest neighbours.
+_CASCADES = {
+    (3, 3, 6): (
+        ("main", (0.0, 0.5), (3, 0), "pole", (("ring", "pole"),),
+         "apex ball of type s, base balls tangent to it"),
+    ),
+    (3, 4, 4): (
+        # the south pole meets the north ball through the center or the
+        # equator balls, whichever comes first
+        ("main", (-1.0 / 3.0, 1.0 / 3.0), (3, 0), "pole",
+         (("ring anti", "pole"), ("anti", "ring")),
+         "polar ball of type s, equator tangent, opposite pole grown to "
+         "first contact"),
+    ),
+    (4, 3, 6): (
         # the opposite ball matches the anchor type until the contact
         # through the cell center forces it smaller
-        h7 = min(h3, 0.5 * cell.kappa(pole, anti) / h3)
-        hl = 0.5 * cell.kappa(anti, lower[0]) / h7
-        levels = [0.0] * cell.n_vertices
-        levels[pole], levels[anti] = h3, h7
-        for u in upper:
-            levels[u] = hu
-        for u in lower:
-            levels[u] = hl
-        return tuple(levels)
-
-    def tetra_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        # the tetrad shares the anchor type
-        ht = _hs(s)
-        other = 0.5 * cell.kappa(pole, upper[0]) / ht
-        return tuple(ht if v in tetra else other for v in range(cell.n_vertices))
-
-    return (
-        Family(
-            name="polar",
-            tiling=symbol,
-            s_range=(-1.0 / 3.0, 0.5),
-            anchor=3,
-            primary_edge=(3, 0),
-            description="ball at one cube vertex of type s, neighbors "
-            "tangent, opposite ball grown to first contact",
-            rule=polar_rule,
-        ),
-        Family(
-            name="tetra",
-            tiling=symbol,
-            s_range=(0.2, 0.5),
-            anchor=3,
-            primary_edge=(3, 0),
-            description="alternating vertex tetrad of type s, the other "
-            "four balls tangent along the edges",
-            rule=tetra_rule,
-        ),
-    )
-
-
-def _families_536(symbol: SchlafliSymbol) -> tuple[Family, ...]:
-    # vertex roles depend only on the cell: look them up once, not per s
-    cell = build_cell(symbol)
-    cube = _cube_orbit(cell)
-    pole = 3
-    anti = _partners(cell, pole, 2.0, cube)[0]
-    mates = _partners(cell, pole, 4.0 / 3.0, cube)  # pole's tetrad mates
-    ring = _partners(cell, pole, 2.0 / 3.0, cube)
-    tetra = {pole} | set(mates)
-    caps = set(cell.neighbors[pole]) | set(cell.neighbors[anti])
-    outer = tuple(
-        (v, tuple(u for u in cell.neighbors[v] if u in cube))
-        for v in range(8, cell.n_vertices)
-    )
-
-    # kappa on dodecahedral edges; cube-orbit pairs use 2/3 and 4/3
-    def edge_kappa(cell: Cell) -> float:
-        return cell.kappa(*cell.edges[0])
-
-    def cube_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        ke = edge_kappa(cell)
-        h = _hs(s)
-        hn = 0.5 * ke / h
-        return tuple(h if v in cube else hn for v in range(cell.n_vertices))
-
-    def polar_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        ke = edge_kappa(cell)
-        hp = _hs(s)
-        hr = 0.5 * (2.0 / 3.0) / hp  # ring balls touch a pole between cells
-        levels = [0.0] * cell.n_vertices
-        for v in range(cell.n_vertices):
-            if v in (pole, anti):
-                levels[v] = hp
-            elif v in cube:
-                levels[v] = hr
-            elif v in caps:
-                levels[v] = 0.5 * ke / hp
-            else:
-                levels[v] = 0.5 * ke / hr
-        return tuple(levels)
-
-    def tetra_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        ke = edge_kappa(cell)
-        ht = _hs(s)
-        hc = 0.5 * (2.0 / 3.0) / ht
-        levels = [0.0] * cell.n_vertices
-        for v in range(cell.n_vertices):
-            if v in tetra:
-                levels[v] = ht
-            elif v in cube:
-                levels[v] = hc
-            else:
-                levels[v] = 0.5 * ke / ht  # tangent to the tetrad neighbor
-        return tuple(levels)
-
-    def apex_rule(cell: Cell, s: float) -> tuple[float, ...]:
-        ke = edge_kappa(cell)
-        h3 = _hs(s)
-        levels = [0.0] * cell.n_vertices
-        levels[pole] = h3
-        for v in mates:
-            levels[v] = 0.5 * (4.0 / 3.0) / h3
-        levels[anti] = 0.5 * (2.0 / 3.0) / levels[mates[0]]
-        for v in ring:
-            levels[v] = 0.5 * (2.0 / 3.0) / h3
-        for v, cube_neighbors in outer:
-            # each outer ball touches the larger of its two cube neighbors
-            levels[v] = 0.5 * ke / max(levels[u] for u in cube_neighbors)
-        return tuple(levels)
-
-    s_star = (2.0 - (3.0 - math.sqrt(5.0)) / 3.0) / (2.0 + (3.0 - math.sqrt(5.0)) / 3.0)
-    edge = (pole, cell.neighbors[pole][0])
-    return (
-        Family(
-            name="cube",
-            tiling=symbol,
-            s_range=(0.5, s_star),
-            anchor=3,
-            primary_edge=edge,
-            description="inscribed-cube orbit of type s, the twelve other "
-            "balls tangent along the edges",
-            rule=cube_rule,
-        ),
-        Family(
-            name="polar",
-            tiling=symbol,
-            s_range=(0.0, 0.5),
-            anchor=3,
-            primary_edge=edge,
-            description="two antipodal cube balls of type s, remaining cube "
-            "balls tangent to a pole, outer balls tangent to their largest "
-            "neighbor",
-            rule=polar_rule,
-        ),
-        Family(
-            name="tetra",
-            tiling=symbol,
-            s_range=(0.2, 0.5),
-            anchor=3,
-            primary_edge=edge,
-            description="alternating cube tetrad of type s, the other cube "
-            "balls tangent to it, outer balls tangent to the tetrad",
-            rule=tetra_rule,
-        ),
-        Family(
-            name="apex",
-            tiling=symbol,
-            s_range=(0.0, 0.2),
-            anchor=3,
-            primary_edge=edge,
-            description="single anchor ball of type s with six derived "
-            "types cascading through the tangency graph",
-            rule=apex_rule,
-        ),
-    )
-
-
-_FAMILY_BUILDERS = {
-    (3, 3, 6): _families_336,
-    (3, 4, 4): _families_344,
-    (4, 3, 6): _families_436,
-    (5, 3, 6): _families_536,
+        ("polar", (-1.0 / 3.0, 0.5), (3, 0), "pole anti",
+         (("anti", "pole"), ("ring mates", "pole anti")),
+         "ball at one cube vertex of type s, neighbors tangent, opposite "
+         "ball grown to first contact"),
+        ("tetra", (0.2, 0.5), (3, 0), "pole mates", (("ring anti", "pole mates"),),
+         "alternating vertex tetrad of type s, the other four balls tangent "
+         "along the edges"),
+    ),
+    (5, 3, 6): (
+        ("cube", (0.5, (2.0 - _KAPPA_536) / (2.0 + _KAPPA_536)), (3, 15), "cube",
+         (("outer", "cube"),),
+         "inscribed-cube orbit of type s, the twelve other balls tangent "
+         "along the edges"),
+        ("polar", (0.0, 0.5), (3, 15), "pole anti",
+         (("ring mates", "pole anti"), ("outer", "cube")),
+         "two antipodal cube balls of type s, remaining cube balls tangent "
+         "to a pole, outer balls tangent to their largest neighbor"),
+        ("tetra", (0.2, 0.5), (3, 15), "pole mates",
+         (("ring anti", "pole mates"), ("outer", "pole mates")),
+         "alternating cube tetrad of type s, the other cube balls tangent "
+         "to it, outer balls tangent to the tetrad"),
+        ("apex", (0.0, 0.2), (3, 15), "pole",
+         (("ring mates", "pole"), ("anti", "mates"), ("outer", "cube")),
+         "single anchor ball of type s with six derived types cascading "
+         "through the tangency graph"),
+    ),
 }
+
+
+def _links(cell: Cell, targets, sources):
+    """(target, source, kappa / 2) for each target's nearest sources."""
+    for t in targets:
+        kappas = {p: cell.kappa(t, p) for p in sources}
+        nearest = min(kappas.values())
+        for p, kappa in kappas.items():
+            if kappa <= nearest + 1e-9:
+                yield t, p, 0.5 * kappa
 
 
 def families(tiling) -> tuple[Family, ...]:
     """The cataloged one-parameter configuration families of a tiling."""
     symbol = as_symbol(tiling)
-    try:
-        builder = _FAMILY_BUILDERS[symbol.weights]
-    except KeyError:
+    if symbol.weights not in _CASCADES:
         raise GeometryError(
             f"no packing families for {symbol.weights}; supported: "
-            f"{sorted(_FAMILY_BUILDERS)}"
-        ) from None
-    fams = builder(symbol)
+            f"{sorted(_CASCADES)}"
+        )
+    return _resolve_families(symbol.weights)
+
+
+@lru_cache(maxsize=None)
+def _resolve_families(weights) -> tuple[Family, ...]:
+    """The declared families of a tiling, their steps resolved into links."""
+    symbol = SchlafliSymbol(weights)
     cell = build_cell(symbol)
-    for fam in fams:
-        if fam.primary_edge not in cell.edges and tuple(reversed(fam.primary_edge)) not in cell.edges:
-            raise GeometryError(f"family {fam.name!r} primary edge is not a cell edge")
-    return fams
+    roles = _roles(cell)
+
+    def vertices(names: str) -> tuple[int, ...]:
+        return tuple(v for role in names.split() for v in roles[role])
+
+    fams = []
+    for name, s_range, edge, anchor_roles, steps, description in _CASCADES[weights]:
+        if edge not in cell.edges and edge[::-1] not in cell.edges:
+            raise GeometryError(f"family {name!r} primary edge is not a cell edge")
+        anchors = vertices(anchor_roles)
+        cascade = tuple(
+            link
+            for targets, sources in steps
+            for link in _links(cell, vertices(targets), vertices(sources))
+        )
+        if set(anchors) | {t for t, _, _ in cascade} != set(range(cell.n_vertices)):
+            raise GeometryError(f"family {name!r} leaves a vertex without a level")
+        fams.append(Family(name, symbol, s_range, edge, description, anchors, cascade))
+    return tuple(fams)
 
 
 def family(tiling, name: str) -> Family:

@@ -112,14 +112,6 @@ def orthoscheme_volume(symbol) -> VolumeResult:
     return VolumeResult(value=vol, method=VolumeMethod.CLOSED_FORM)
 
 
-def cell_volume(cell) -> VolumeResult:
-    """orthoschemes_per_cell times the characteristic orthoscheme volume."""
-    base = orthoscheme_volume(cell.orthoscheme_symbol)
-    return VolumeResult(
-        value=cell.orthoschemes_per_cell * base.value, method=base.method
-    )
-
-
 # --- Monte Carlo oracle -----------------------------------------------------
 
 _MC_CHUNK = 1 << 20
@@ -155,6 +147,8 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         raise GeometryError("region needs at least 4 chart points in 3-space")
     if samples < 10_000:
         raise GeometryError("need at least 10^4 samples")
+    if seed < 0:
+        raise GeometryError(f"seed must be non-negative, got {seed}")
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

@@ -140,6 +140,11 @@ def test_volumes_subcommand(tmp_path, capsys):
     assert manifest["seed"] == 20240816
 
 
+def test_volumes_negative_seed(capsys):
+    assert main(["volumes", "--samples", "10000", "--seed", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def parse_obj_objects(text):
     objects = {}
     current = None

@@ -56,6 +56,47 @@ FAMILY_NAMES = {
     (5, 3, 6): ["cube", "polar", "tetra", "apex"],
 }
 
+# Family.levels at lo, mid and hi of each family, recorded from the closure
+# builders the tangency cascades replaced: a vertex -> group pattern and each
+# group's level at the three points
+FAMILY_LEVELS = {
+    ((3, 3, 6), "main"): ("0001", (
+        (0.5, 1.0),
+        (0.6454972243679028, 0.7745966692414834),
+        (0.8660254037844387, 0.5773502691896257))),
+    ((3, 4, 4), "main"): ("000102", (
+        (0.3535533905932738, 1.414213562373095, 0.7071067811865476),
+        (0.5, 1.0, 1.0),
+        (0.7071067811865475, 0.7071067811865476, 0.7071067811865476))),
+    ((4, 3, 6), "polar"): ("01121003", (
+        (0.2357022603955159, 0.4714045207910317, 1.414213562373095, 0.7071067811865476),
+        (0.3623715376697394, 0.3623715376697394, 0.9198662110077999, 0.9198662110077999),
+        (0.5773502691896258, 0.5773502691896258, 0.5773502691896257, 0.5773502691896257))),
+    ((4, 3, 6), "tetra"): ("01111000", (
+        (0.4082482904638631, 0.816496580927726),
+        (0.4803844614152614, 0.693888666488711),
+        (0.5773502691896258, 0.5773502691896257))),
+    ((5, 3, 6), "cube"): ("00000000111111111111", (
+        (0.5773502691896257, 0.22052817941653585),
+        (0.47085434467224513, 0.27040634793050927),
+        (0.35682208977308993, 0.35682208977308993))),
+    ((5, 3, 6), "polar"): ("00010001223332233322", (
+        (0.3333333333333333, 1.0, 0.38196601125010515, 0.12732200375003505),
+        (0.4303314829119352, 0.7745966692414834, 0.29586960007778645, 0.16437200004321467),
+        (0.5773502691896257, 0.5773502691896257, 0.22052817941653585, 0.22052817941653585))),
+    ((5, 3, 6), "tetra"): ("01111000222222222222", (
+        (0.408248290463863, 0.816496580927726, 0.1559369711081561),
+        (0.48038446141526137, 0.693888666488711, 0.18349053659331743),
+        (0.5773502691896257, 0.5773502691896257, 0.22052817941653585))),
+    ((5, 3, 6), "apex"): ("01121003445444455444", (
+        (0.3333333333333333, 0.6666666666666666, 1.0, 0.5,
+         0.19098300562505258, 0.12732200375003505),
+        (0.3685138655950444, 0.7370277311900888, 0.9045340337332909,
+         0.45226701686664544, 0.1727506284525366, 0.14075977133169648),
+        (0.408248290463863, 0.816496580927726, 0.816496580927726,
+         0.408248290463863, 0.1559369711081561, 0.1559369711081561))),
+}
+
 OPTIMAL_LABELS = {
     (3, 3, 6): {"B1", "B2"},
     (3, 4, 4): {"B1", "B2", "B3"},
@@ -318,6 +359,37 @@ def test_family_listing(symbol):
             assert abs(
                 ball_gap(cell, config.levels, *fam.primary_edge)
             ) < 1e-9
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_LEVELS))
+def test_family_levels_pinned(key):
+    symbol, name = key
+    pattern, values = FAMILY_LEVELS[key]
+    fam = family(symbol, name)
+    cell = build_cell(symbol)
+    lo, hi = fam.s_range
+    for s, groups in zip((lo, 0.5 * (lo + hi), hi), values):
+        expected = [groups[int(g)] for g in pattern]
+        assert fam.levels(cell, s) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_family_cascade_tangencies(symbol):
+    # each ball off the anchors touches one of the nearest sources it was
+    # derived from, and no ball overlaps any of its sources
+    cell = build_cell(symbol)
+    for fam in families(symbol):
+        sources = {}
+        for t, p, _ in fam.cascade:
+            sources.setdefault(t, []).append(p)
+        assert set(fam.anchors) | set(sources) == set(range(cell.n_vertices))
+        for s in np.linspace(*fam.s_range, 7):
+            levels = fam.levels(cell, float(s))
+            for t, ps in sources.items():
+                gaps = [ball_gap(cell, levels, t, p) for p in ps]
+                assert min(gaps) >= -1e-12
+                if t not in fam.anchors:
+                    assert min(map(abs, gaps)) <= 1e-12
 
 
 def test_family_domains():

@@ -14,7 +14,6 @@ from horopack.volume import (
     VolumeMethod,
     bf_constant,
     bf_series_tail_bound,
-    cell_volume,
     hyperbolic_ball_volume,
     lobachevsky,
     monte_carlo_volume,
@@ -82,15 +81,14 @@ def test_orthoscheme_volume(symbol):
 
 @pytest.mark.parametrize("symbol", sorted(CELL_VOLUMES))
 def test_cell_volume(symbol):
-    res = cell_volume(build_cell(symbol))
-    assert res.value == pytest.approx(CELL_VOLUMES[symbol], rel=1e-13)
+    assert build_cell(symbol).volume == pytest.approx(CELL_VOLUMES[symbol], rel=1e-13)
 
 
 def test_cell_volumes_against_classical_constants():
     # ideal regular tetrahedron: 2 Lob(pi/6); ideal regular octahedron: 4 G
-    tetra = cell_volume(build_cell((3, 3, 6))).value
+    tetra = build_cell((3, 3, 6)).volume
     assert tetra == pytest.approx(2.0 * lobachevsky(math.pi / 6), abs=1e-13)
-    octa = cell_volume(build_cell((3, 4, 4))).value
+    octa = build_cell((3, 4, 4)).volume
     assert octa == pytest.approx(4.0 * CATALAN, abs=1e-12)
     assert orthoscheme_volume((3, 6, 3)).value == pytest.approx(
         lobachevsky(math.pi / 6) / 3.0, abs=1e-14
