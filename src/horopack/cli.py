@@ -240,12 +240,22 @@ def _grid_faces(base: int, theta_steps: int, phi_steps: int) -> list[tuple[int, 
     return faces
 
 
+def _distinct_levels(levels) -> list[float]:
+    """Sorted levels with values within a relative 1e-12 of a smaller listed
+    one dropped, so congruent balls that differ by rounding are listed once."""
+    distinct = []
+    for h in sorted(levels):
+        if not distinct or h > distinct[-1] * (1.0 + 1e-12):
+            distinct.append(h)
+    return distinct
+
+
 def _cmd_scene(args) -> tuple[int, tuple, list, dict]:
     configs = catalog(args.tiling)
     labels = [c.label for c in configs]
     if args.label not in labels:
         listing = "\n".join(
-            f"  {c.label}: levels " + ", ".join(_fmt(h) for h in sorted(set(c.levels)))
+            f"  {c.label}: levels " + ", ".join(_fmt(h) for h in _distinct_levels(c.levels))
             for c in configs
         )
         raise UsageError(

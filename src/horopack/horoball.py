@@ -28,7 +28,6 @@ import numpy as np
 
 from .lorentz import (
     GeometryError,
-    MINKOWSKI,
     PointClass,
     ProjectivePoint,
     as_vector,
@@ -345,14 +344,34 @@ def same_type_level(cell, vertex: int) -> float:
     return math.sqrt(0.5 * kmin)
 
 
-def _ball_predicate(hb: Horoball):
-    w = MINKOWSKI @ hb.center.coords
-    h2 = hb.h * hb.h
+def _cusp_balls(cell) -> list:
+    """Per vertex, the same-type horoball shrunk by 0.1%: pairwise disjoint
+    and inside its face bound, so each one's cell sector is exact."""
+    return [
+        horoball_level(v, 0.999 * same_type_level(cell, i))
+        for i, v in enumerate(cell.vertices)
+    ]
+
+
+def _union_predicate(balls):
+    """Membership in any of the horoballs, for an (n, 3) array of chart points.
+
+    A point p of the open unit ball lies in the ball with chart center c and
+    level h when Q = (1 - p.c)^2 - h^2 (1 - |p|^2) <= 0.  As 1 - p.c > 0 there,
+    that is (1 - p.c) / h <= sqrt(1 - |p|^2), so one (k x 3) @ (3 x n) product
+    and a minimum over the k balls test them all.  Points on or outside the
+    unit sphere are in no ball.
+    """
+    inv_h = np.array([1.0 / hb.h for hb in balls])[:, None]
+    scaled = np.array([hb.center.chart() for hb in balls]) * inv_h
 
     def predicate(pts: np.ndarray) -> np.ndarray:
-        lin = w[0] + pts @ w[1:]
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        return lin * lin + h2 * (r2 - 1.0) <= 0.0
+        q = pts.T
+        depth = scaled @ q
+        np.subtract(inv_h, depth, out=depth)
+        r2 = np.einsum("ij,ij->j", q, q)
+        with np.errstate(invalid="ignore"):
+            return depth.min(axis=0) <= np.sqrt(1.0 - r2)
 
     return predicate
 
@@ -360,15 +379,15 @@ def _ball_predicate(hb: Horoball):
 def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     """Monte Carlo volume of a fully asymptotic cell with sound error bars.
 
-    Naive rejection sampling of the chart volume element has infinite
-    variance at the ideal vertices, so each cusp is carved out by a slightly
-    shrunk same-type horoball whose cell sector is known exactly (half the
-    horospheric polygon area); only the compact remainder is sampled.
+    Sampling the chart volume element has infinite variance at the ideal
+    vertices, so the cusps are carved out by slightly shrunk same-type
+    horoballs whose cell sectors are known exactly (half the horospheric
+    polygon area); only the compact remainder is sampled.  The balls form one
+    carve-out, tested together by a fused predicate.
     """
-    carve_outs = []
-    for vertex in range(cell.n_vertices):
-        hb = horoball_level(cell.vertices[vertex], 0.999 * same_type_level(cell, vertex))
-        exact = vertex_sector_volume(hb, cell, vertex)
-        carve_outs.append((_ball_predicate(hb), exact))
+    balls = _cusp_balls(cell)
+    exact = math.fsum(vertex_sector_volume(hb, cell, v) for v, hb in enumerate(balls))
     region = [v.chart() for v in cell.vertices]
-    return monte_carlo_volume(region, samples, seed, carve_outs=carve_outs)
+    return monte_carlo_volume(
+        region, samples, seed, carve_outs=[(_union_predicate(balls), exact)]
+    )

@@ -23,7 +23,6 @@ import numpy as np
 
 from .coxeter import Cell, SchlafliSymbol, as_symbol, build_cell
 from .horoball import (
-    FaceOverflowError,
     Horoball,
     horoball_level,
     ray_crossing,

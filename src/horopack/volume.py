@@ -25,9 +25,18 @@ class VolumeMethod(Enum):
 
 @dataclass(frozen=True)
 class VolumeResult:
+    """A volume with its standard error (0 for closed forms).
+
+    Monte Carlo results also account for every sample drawn:
+    ``accepted + carved + rejected == samples``.
+    """
+
     value: float
     method: VolumeMethod
     stderr: float = 0.0
+    accepted: int = 0
+    rejected: int = 0
+    carved: int = 0
 
 
 # --- Lobachevsky function ---------------------------------------------------
@@ -114,7 +123,9 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 
 # --- Monte Carlo oracle -----------------------------------------------------
 
-_MC_CHUNK = 1 << 20
+# Points per chunk.  The largest array of a chunk, the (balls x points) table
+# of the dodecahedral cell's 20-ball carve-out, then takes 10 MB.
+_MC_CHUNK = 1 << 16
 
 
 def hyperbolic_ball_volume(klein_radius: float) -> float:
@@ -123,20 +134,46 @@ def hyperbolic_ball_volume(klein_radius: float) -> float:
     return math.pi * (math.sinh(2.0 * rho) - 2.0 * rho)
 
 
+def _hull_fan(pts: np.ndarray):
+    """Tetrahedral fan of the convex hull of ``pts`` from its vertex mean.
+
+    Returns the apex, per-tetrahedron step matrices and Euclidean volumes.
+    For sorted uniforms lo <= mid <= hi, apex + steps[k] @ (lo, mid, hi) is
+    uniform in tetrahedron k: its barycentric weights (lo, mid - lo,
+    hi - mid, 1 - hi) on the corners (P0, P1, P2, apex) are the spacings of
+    three uniforms, which are uniform on the simplex.
+    """
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise GeometryError(f"degenerate region: {exc}") from exc
+    if hull.volume <= 0.0:
+        raise GeometryError("degenerate region: zero Euclidean volume")
+    apex = pts[hull.vertices].mean(axis=0)
+    p0, p1, p2 = (pts[hull.simplices[:, i]] for i in range(3))
+    steps = np.stack((p0 - p1, p1 - p2, p2 - apex), axis=2)
+    volumes = np.abs(np.linalg.det(np.stack((p0, p1, p2), axis=1) - apex)) / 6.0
+    return apex, steps, volumes
+
+
 def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> VolumeResult:
-    """Rejection-sampled hyperbolic volume of a convex region in the Klein chart.
+    """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
     ``region`` is a vertex set given as chart 3-vectors (or projective points
-    with x0 = 1).  Samples the Euclidean bounding box, keeps points inside the
-    convex hull and the unit ball, and averages the chart volume element
-    1/(1 - x^2 - y^2 - z^2)^2.  Deterministic for a fixed (seed, samples).
+    with x0 = 1).  Draws points uniformly in the convex hull, through a
+    tetrahedral fan from the vertex mean (each chunk splits its points among
+    the tetrahedra by a multinomial draw weighted by volume), and averages the
+    chart volume element 1/(1 - x^2 - y^2 - z^2)^2 times the hull's Euclidean
+    volume.  Points on or outside the unit sphere count as rejected and
+    contribute 0.  Deterministic for a fixed (seed, samples).
 
     ``carve_outs`` is a sequence of (predicate, exact_volume) pairs: points
     where predicate(points) is True are excluded from the sampled region and
-    exact_volume is added back to the estimate.  Carved regions must be
-    pairwise disjoint subsets of the region.  This keeps the sampled integrand
-    bounded when the region has ideal vertices, where naive sampling has
-    infinite variance and a meaningless standard error.
+    exact_volume is added back to the estimate.  ``points`` is an (n, 3)
+    array.  Carved regions must be pairwise disjoint subsets of the region.
+    This keeps the sampled integrand bounded when the region has ideal
+    vertices, where naive sampling has infinite variance and a meaningless
+    standard error.
     """
     pts = []
     for p in region:
@@ -149,44 +186,53 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise GeometryError(f"degenerate region: {exc}") from exc
-    if hull.volume <= 0.0:
-        raise GeometryError("degenerate region: zero Euclidean volume")
-
-    normals = hull.equations[:, :3]
-    offsets = hull.equations[:, 3]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    box_vol = float(np.prod(hi - lo))
+    apex, steps, volumes = _hull_fan(pts)
+    hull_vol = float(volumes.sum())
+    weights = volumes / hull_vol
 
     rng = np.random.Generator(np.random.PCG64(seed))
     total = 0.0
     total_sq = 0.0
+    accepted = carved = 0
     remaining = int(samples)
     while remaining > 0:
         n = min(_MC_CHUNK, remaining)
         remaining -= n
-        x = rng.random((n, 3)) * (hi - lo) + lo
-        r2 = np.einsum("ij,ij->i", x, x)
+        counts = rng.multinomial(n, weights)
+        a, b, c = rng.random((3, n))
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        # rows: the smallest, the median and the largest of a, b, c
+        ranked = np.stack(
+            (np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c))
+        )
+        x = np.empty((3, n))  # one point per column, grouped by tetrahedron
+        end = 0
+        for k, count in enumerate(counts):
+            start, end = end, end + count
+            x[:, start:end] = steps[k] @ ranked[:, start:end]
+        x += apex[:, None]
+        r2 = np.einsum("ij,ij->j", x, x)
         inside = r2 < 1.0
-        inside &= np.all(x @ normals.T + offsets <= 0.0, axis=1)
+        cut = np.zeros(n, dtype=bool)
         for predicate, _ in carve_outs:
-            inside &= ~predicate(x)
-        f = np.zeros(n)
-        f[inside] = 1.0 / (1.0 - r2[inside]) ** 2
+            cut |= predicate(x.T)
+        cut &= inside
+        keep = inside & ~cut
+        f = 1.0 / (1.0 - r2[keep]) ** 2
         total += float(f.sum())
-        total_sq += float((f * f).sum())
+        total_sq += float(f @ f)
+        accepted += f.size
+        carved += int(np.count_nonzero(cut))
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    est = box_vol * mean
-    stderr = box_vol * math.sqrt(var / samples)
+    est = hull_vol * mean
+    stderr = hull_vol * math.sqrt(var / samples)
     for _, exact in carve_outs:
         est += exact
-    return VolumeResult(value=est, method=VolumeMethod.MONTE_CARLO, stderr=stderr)
+    rejected = int(samples) - accepted - carved
+    return VolumeResult(est, VolumeMethod.MONTE_CARLO, stderr, accepted, rejected, carved)
 
 
 # --- series constant ---------------------------------------------------------

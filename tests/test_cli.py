@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -200,6 +199,17 @@ def test_scene_unknown_label(capsys):
     err = capsys.readouterr().err
     assert "B1" in err and "B2" in err
     assert main(["scene", "336", "--out", "/tmp/unused.obj"]) == 2
+
+
+def test_scene_unknown_label_lists_congruent_levels_once(tmp_path, capsys):
+    # the uniform dodecahedral arrangement B1 has one level, although its
+    # balls' computed levels differ in the last bits
+    assert main(["scene", "536", "--label", "X", "--out", str(tmp_path / "x.obj")]) == 2
+    err = capsys.readouterr().err
+    b1 = next(line for line in err.splitlines() if line.strip().startswith("B1:"))
+    assert b1.split("levels ")[1] == "0.356822089773089"
+    b2 = next(line for line in err.splitlines() if line.strip().startswith("B2:"))
+    assert b2.split("levels ")[1] == "0.220528179416536, 0.577350269189626"
 
 
 def test_scene_bad_grid():

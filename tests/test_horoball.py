@@ -28,8 +28,10 @@ from horopack.horoball import (
     same_type_level,
     sector_volume,
     vertex_sector_volume,
+    _cusp_balls,
+    _union_predicate,
 )
-from horopack.lorentz import GeometryError, ProjectivePoint, distance
+from horopack.lorentz import MINKOWSKI, GeometryError, ProjectivePoint, distance
 
 CANONICAL = ProjectivePoint((1.0, 0.0, 0.0, 1.0))
 
@@ -265,3 +267,33 @@ def test_cell_volume_oracle_tetrahedron():
     assert res.stderr > 0
     assert abs(res.value - cell.volume) < 3.0 * res.stderr
     assert res.stderr < 0.01 * cell.volume
+
+
+def _ball_predicate(hb):
+    # one ball's membership, straight from the pencil form Q <= 0
+    w = MINKOWSKI @ hb.center.coords
+    h2 = hb.h * hb.h
+
+    def predicate(pts):
+        lin = w[0] + pts @ w[1:]
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        return lin * lin + h2 * (r2 - 1.0) <= 0.0
+
+    return predicate
+
+
+@pytest.mark.parametrize("symbol", [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)])
+def test_union_predicate_matches_separate_balls(symbol):
+    cell = build_cell(symbol)
+    balls = _cusp_balls(cell)
+    assert len(balls) == cell.n_vertices
+    chart = np.array([v.chart() for v in cell.vertices])
+    # small Dirichlet weights put many of the points near the cusps
+    rng = np.random.default_rng(2024)
+    pts = rng.dirichlet(np.full(len(chart), 1.0 / len(chart)), size=100_000) @ chart
+    fused = _union_predicate(balls)(pts)
+    separate = np.zeros(len(pts), dtype=bool)
+    for hb in balls:
+        separate |= _ball_predicate(hb)(pts)
+    assert np.array_equal(fused, separate)
+    assert 0.05 < fused.mean() < 0.95

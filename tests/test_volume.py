@@ -154,6 +154,53 @@ def test_monte_carlo_carve_out_additivity():
     assert abs(carved.value - CUBE_ORACLE) < 4.0 * carved.stderr
 
 
+def cube_pieces(normal, offset, a=0.3):
+    """Vertex sets of the two pieces of the cube cut by normal . x = offset."""
+    corners = np.array(cube_region(a))
+    side = corners @ np.asarray(normal, dtype=float) - offset
+    cuts = []
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if np.count_nonzero(corners[i] != corners[j]) == 1 and side[i] * side[j] < 0:
+                t = side[i] / (side[i] - side[j])
+                cuts.append(corners[i] + t * (corners[j] - corners[i]))
+    return list(corners[side < 0]) + cuts, list(corners[side > 0]) + cuts
+
+
+def test_monte_carlo_asymmetric_pieces_sum_to_cube():
+    # an oblique cut that misses the centre leaves two irregular pieces whose
+    # fan tetrahedra differ in volume; wrong fan weights bias both estimates
+    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
+    assert len(below) > 4 and len(above) > 4
+    lo = monte_carlo_volume(below, samples=200_000, seed=31)
+    hi = monte_carlo_volume(above, samples=200_000, seed=32)
+    sigma = math.hypot(lo.stderr, hi.stderr)
+    assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
+    assert sigma < 0.01 * CUBE_ORACLE
+
+
+def test_monte_carlo_sample_accounting():
+    # the cube of half-width 0.7 pokes out of the unit ball, so some samples
+    # are rejected; a ball of Klein radius 0.3 at the origin carves out others
+    def in_ball(pts):
+        return np.einsum("ij,ij->i", pts, pts) <= 0.3**2
+
+    samples = 150_001
+    res = monte_carlo_volume(
+        cube_region(0.7), samples=samples, seed=5,
+        carve_outs=[(in_ball, hyperbolic_ball_volume(0.3))],
+    )
+    assert res.accepted + res.carved + res.rejected == samples
+    assert min(res.accepted, res.carved, res.rejected) > 0
+    # samples are uniform in the cube: the carved share is the ball's share
+    ball_share = 4.0 / 3.0 * math.pi * 0.3**3 / 1.4**3
+    assert res.carved / samples == pytest.approx(ball_share, rel=0.1)
+    plain = monte_carlo_volume(cube_region(), samples=20_000, seed=5)
+    assert (plain.accepted, plain.carved, plain.rejected) == (20_000, 0, 0)
+    closed = orthoscheme_volume((4, 3, 6))
+    assert (closed.accepted, closed.carved, closed.rejected) == (0, 0, 0)
+
+
 def test_monte_carlo_validation():
     with pytest.raises(GeometryError):
         monte_carlo_volume(cube_region(), samples=500, seed=1)
