@@ -355,7 +355,21 @@ def _s_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI, got {text!r}"
         ) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
     return lo, hi
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and non-negative, got {text!r}"
+        )
+    return tol
 
 
 def _grid_spec(text: str) -> tuple[int, int]:
@@ -377,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table2", help="optimal densities for all four tilings")
-    p.add_argument("--tol", type=float, default=None, help="override per-row tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override per-row tolerance")
     _output_flags(p)
 
     p = sub.add_parser("sweep", help="density along a one-parameter family")

@@ -16,11 +16,24 @@ boundary points x satisfy -<x/|x|, c> = h, a ball pushed in by hyperbolic
 distance t has level h e^(-t), and two horoballs with centers c1, c2 are
 tangent exactly when 2 h1 h2 = kappa with kappa = -<c1, c2> (their boundary
 gap along the joining line is log(kappa / (2 h1 h2))).
+
+Sector volumes come from one float kernel, ``_fan_sector``: the part of a
+ball inside a cone of rays from its center is half the Heron area of the
+horospheric polygon the rays cut out.  It takes the center, the level and the
+ray targets as tuples of Python floats, computes each crossing c + mu w,
+checks that it lies on the horosphere and inside the model, and sums the
+Heron areas of the fan from the first crossing, with chords 2 sinh(d/2).
+Vertex and cone sectors, the packing layer's volume law and the Monte Carlo
+carve-outs all call it, reading each cell's vertices and cyclic neighbour
+lists from a float table built on first use.  ``ray_crossing``,
+``horospheric_chord_length`` and ``heron_area`` wrap the same formulas for
+ProjectivePoint arguments.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -167,15 +180,28 @@ def ray_crossing(hb: Horoball, target) -> ProjectivePoint:
     -<c, w>; works for ideal and interior targets alike (for a target inside
     the ball the crossing lies beyond it on the same ray).
     """
-    w = as_vector(target)
-    kappa = -bilinear_form(hb.center, w)
+    return ProjectivePoint(_crossing(_floats(hb.center), hb.h, _floats(target)))
+
+
+def _floats(x) -> tuple:
+    return tuple(as_vector(x).tolist())
+
+
+def _crossing(c, h: float, w) -> tuple:
+    """ray_crossing on float 4-tuples, returned chart-normalized."""
+    b = -w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+    kappa = -b
     if kappa <= 0.0:
         raise GeometryError("ray target is not on the interior side of the center")
-    qw = pencil_value(hb, w)
+    qw = b**2 + h * h * (-w[0] * w[0] + w[1] * w[1] + w[2] * w[2] + w[3] * w[3])
     if abs(qw) < 1e-300:
-        return ProjectivePoint(w).chart_normalized()
-    mu = 2.0 * hb.h * hb.h * kappa / qw
-    return ProjectivePoint(hb.center.coords + mu * w).chart_normalized()
+        x = w
+    else:
+        mu = 2.0 * h * h * kappa / qw
+        x = (c[0] + mu * w[0], c[1] + mu * w[1], c[2] + mu * w[2], c[3] + mu * w[3])
+    if abs(x[0]) < 1e-300:
+        raise GeometryError("point at infinity of the chart (x0 = 0)")
+    return (1.0, x[1] / x[0], x[2] / x[0], x[3] / x[0])
 
 
 def edge_intersection(hb: Horoball, a, b):
@@ -230,20 +256,29 @@ def edge_intersection(hb: Horoball, a, b):
 
 def horospheric_chord_length(hb: Horoball, p, q) -> float:
     """Intrinsic horospherical distance 2 sinh(d(p,q)/2) of two surface points."""
-    for x in (p, q):
-        if abs(pencil_value(hb, _chartify(x))) > SURFACE_TOL:
-            raise GeometryError("point is not on the horosphere")
-    pv, qv = _chartify(p), _chartify(q)
-    qp, qq = bilinear_form(pv, pv), bilinear_form(qv, qv)
-    if qp >= 0 or qq >= 0:
+    c = _floats(hb.center)
+    pv, qv = (tuple((v / v[0]).tolist()) for v in map(as_vector, (p, q)))
+    return _chord(pv, qv, _surface_norm(c, hb.h, pv), _surface_norm(c, hb.h, qv))
+
+
+def _surface_norm(c, h: float, x) -> float:
+    """<x, x> of a chart-normalized point x, checked to lie on the horosphere
+    (|Q(x)| <= SURFACE_TOL) and inside the model."""
+    xx = -x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+    b = -x[0] * c[0] + x[1] * c[1] + x[2] * c[2] + x[3] * c[3]
+    if abs(b**2 + h * h * xx) > SURFACE_TOL:
+        raise GeometryError("point is not on the horosphere")
+    if xx >= 0:
         raise GeometryError("chord endpoints must be interior points")
-    cosh_d = abs(bilinear_form(pv, qv)) / math.sqrt(qp * qq)
+    return xx
+
+
+def _chord(p, q, pp: float, qq: float) -> float:
+    """2 sinh(d/2) = sqrt(2 (cosh d - 1)) of interior points p, q with <p,p> =
+    pp and <q,q> = qq."""
+    pq = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
+    cosh_d = abs(pq) / math.sqrt(pp * qq)
     return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
-
-
-def _chartify(x) -> np.ndarray:
-    v = as_vector(x)
-    return v / v[0]
 
 
 def bolyai_arc_length(x: float) -> float:
@@ -267,7 +302,10 @@ class HorosphericTriangle:
 
 
 def heron_area(tri: HorosphericTriangle) -> float:
-    a, b, c = tri.a, tri.b, tri.c
+    return _heron(tri.a, tri.b, tri.c)
+
+
+def _heron(a: float, b: float, c: float) -> float:
     slack = 1e-12 * max(a, b, c, 1.0)
     if a + b < c - slack or b + c < a - slack or c + a < b - slack:
         raise GeometryError(f"triangle inequality violated: {(a, b, c)}")
@@ -282,19 +320,20 @@ def sector_volume(area: float) -> float:
     return 0.5 * area
 
 
-def _fan_volume(hb: Horoball, crossings) -> float:
-    chords = {}
-
-    def chord(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in chords:
-            chords[key] = horospheric_chord_length(hb, crossings[i], crossings[j])
-        return chords[key]
-
+def _fan_sector(c, h: float, targets) -> float:
+    """Vol(B ∩ cone) for the ball of level h at c and the cone of rays from c
+    through ``targets`` (float 4-tuples in convex cyclic order): half the
+    Heron area of the crossing polygon, fanned from the first crossing."""
+    pts = [_crossing(c, h, w) for w in targets]
+    norms = [_surface_norm(c, h, x) for x in pts]
+    first, n0 = pts[0], norms[0]
     total = 0.0
-    for t in range(1, len(crossings) - 1):
-        tri = HorosphericTriangle(chord(0, t), chord(t, t + 1), chord(0, t + 1))
-        total += heron_area(tri)
+    spoke = _chord(first, pts[1], n0, norms[1])
+    for t in range(1, len(pts) - 1):
+        rim = _chord(pts[t], pts[t + 1], norms[t], norms[t + 1])
+        next_spoke = _chord(first, pts[t + 1], n0, norms[t + 1])
+        total += _heron(spoke, rim, next_spoke)
+        spoke = next_spoke
     return sector_volume(total)
 
 
@@ -306,18 +345,36 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     ideal center, so it cuts the horosphere in an intrinsic straight line and
     the crossing points bound a Euclidean polygon triangulated by Heron.
     """
-    targets = list(ray_targets)
+    targets = [_floats(t) for t in ray_targets]
     if len(targets) < 3:
         raise GeometryError("a solid cone needs at least three rays")
-    crossings = [ray_crossing(hb, t) for t in targets]
-    return _fan_volume(hb, crossings)
+    return _fan_sector(_floats(hb.center), hb.h, targets)
+
+
+# per-cell fan tables, filled on first use so build_cell does not pay for them
+_FANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _fan_table(cell) -> tuple:
+    """Per vertex, its coordinates and its neighbours' in cyclic order, as
+    float 4-tuples.  Cell vertices are chart-normalized, so one tuple serves
+    as a ball center and as a ray target."""
+    table = _FANS.get(cell)
+    if table is None:
+        coords = [tuple(v.coords.tolist()) for v in cell.vertices]
+        table = _FANS[cell] = tuple(
+            (coords[v], tuple(coords[j] for j in cell.neighbors[v]))
+            for v in range(cell.n_vertices)
+        )
+    return table
 
 
 def vertex_sector_volume(hb: Horoball, cell, vertex: int) -> float:
     """Volume of the horoball inside its cell, Vol(B ∩ P).
 
-    The horoball must be centered at cell vertex ``vertex``.  For a ball
-    within the face-tangency bound the intersection with the cell equals the
+    The horoball must be centered at cell vertex ``vertex`` (to 1e-9 in the
+    chart; it is measured from the vertex itself).  For a ball within the
+    face-tangency bound the intersection with the cell equals the
     intersection with the vertex cone, whose horospheric cross-section is the
     convex polygon over the incident-edge crossings; the volume is half its
     Heron area.  Crossing a non-adjacent face raises FaceOverflowError with
@@ -326,15 +383,23 @@ def vertex_sector_volume(hb: Horoball, cell, vertex: int) -> float:
     v = cell.vertices[vertex]
     if np.max(np.abs(hb.center.chart() - v.chart())) > 1e-9:
         raise GeometryError("horoball is not centered at the requested vertex")
+    return _cell_sector_volume(cell, vertex, hb.h)
+
+
+def _cell_sector_volume(cell, vertex: int, h: float) -> float:
+    """vertex_sector_volume of the ball of level h at the vertex, without
+    building the ball."""
     bound, face_idx = cell.face_bound(vertex)
-    if hb.h > bound + FACE_TOL:
+    if h > bound + FACE_TOL:
         raise FaceOverflowError(
-            f"horoball level {hb.h:.12g} at vertex {vertex} crosses "
+            f"horoball level {h:.12g} at vertex {vertex} crosses "
             f"non-adjacent face {face_idx} (bound {bound:.12g})",
             face_index=face_idx,
         )
-    crossings = [ray_crossing(hb, cell.vertices[j]) for j in cell.neighbors[vertex]]
-    return _fan_volume(hb, crossings)
+    if not h > 0.0:
+        raise GeometryError(f"level h = {h} must be positive")
+    center, targets = _fan_table(cell)[vertex]
+    return _fan_sector(center, h, targets)
 
 
 def same_type_level(cell, vertex: int) -> float:
@@ -386,7 +451,7 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     carve-out, tested together by a fused predicate.
     """
     balls = _cusp_balls(cell)
-    exact = math.fsum(vertex_sector_volume(hb, cell, v) for v, hb in enumerate(balls))
+    exact = math.fsum(_cell_sector_volume(cell, v, hb.h) for v, hb in enumerate(balls))
     region = [v.chart() for v in cell.vertices]
     return monte_carlo_volume(
         region, samples, seed, carve_outs=[(_union_predicate(balls), exact)]

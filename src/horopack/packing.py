@@ -22,12 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import Cell, SchlafliSymbol, as_symbol, build_cell
-from .horoball import (
-    Horoball,
-    horoball_level,
-    ray_crossing,
-    vertex_sector_volume,
-)
+from .horoball import Horoball, _cell_sector_volume, horoball_level, ray_crossing
 from .lorentz import GeometryError, ProjectivePoint
 
 # slack on pair gaps and face tangency when validating, and the gap size
@@ -217,8 +212,7 @@ def _sector_coefficients(cell: Cell) -> np.ndarray:
 
 def _heron_coefficient(cell: Cell, vertex: int) -> float:
     h = 0.5 * min(math.sqrt(0.5 * cell.kappa(vertex, j)) for j in cell.neighbors[vertex])
-    ball = horoball_level(cell.vertices[vertex], h)
-    return vertex_sector_volume(ball, cell, vertex) / (h * h)
+    return _cell_sector_volume(cell, vertex, h) / (h * h)
 
 
 def _edge_index(cell: Cell) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +266,8 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     x is the hyperbolic distance of the contact point from the balanced
     point (positive toward edge[1]); the pair stays tangent while one ball
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
-    Both sector volumes are recomputed geometrically at the slid levels.
+    Both sector volumes are recomputed geometrically (Heron) at the slid
+    levels; NaN and infinite offsets fail the interval check.
     """
     i, j = edge
     cell = config.cell
@@ -288,9 +283,9 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
             interval=(lo, hi),
         )
     hi0, hj0 = balanced_levels(cell, (i, j))
-    ball_i = horoball_level(cell.vertices[i], hi0 * math.exp(x))
-    ball_j = horoball_level(cell.vertices[j], hj0 * math.exp(-x))
-    return vertex_sector_volume(ball_i, cell, i) + vertex_sector_volume(ball_j, cell, j)
+    return _cell_sector_volume(cell, i, hi0 * math.exp(x)) + _cell_sector_volume(
+        cell, j, hj0 * math.exp(-x)
+    )
 
 
 def contact_offset(config: PackingConfiguration, edge) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def test_table2_strict_tolerance_fails(capsys):
     # the published targets are 6-digit roundings, so 1e-9 must miss
     assert main(["table2", "--tol", "1e-9"]) == 1
     assert "MISS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_table2_rejects_bad_tolerance(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and repr(tol) in captured.err
+    assert "MISS" not in captured.out
 
 
 def test_table2_json_and_manifest(tmp_path, capsys):
@@ -122,6 +133,17 @@ def test_sweep_errors(capsys):
     for steps in ("0", "-3"):
         assert main(["sweep", "336", "--family", "main", "--steps", steps]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["inf:inf", "nan:0.3", "0.1:-inf"])
+def test_sweep_rejects_non_finite_range(bounds, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "336", "--family", "main", f"--s-range={bounds}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(bounds) in err
 
 
 def test_volumes_subcommand(tmp_path, capsys):
