@@ -6,10 +6,11 @@ comparison), ``sweep`` (one-parameter family sweeps as CSV/JSON), ``volumes``
 cataloged arrangement), ``bf`` (the packing-density upper-bound constant).
 
 Exit codes: 0 all requested checks pass, 1 a tolerance check failed, 2 usage
-error.  Machine outputs (``--out``) are byte-identical across identical
-invocations; each output file gets a ``<out>.manifest.json`` sidecar holding
-the command line, seed, tolerances, library version, and wall time (the wall
-time lives only in the sidecar to keep the data files reproducible).
+error (bad input, or an output path that cannot be written).  Machine outputs
+(``--out``) are byte-identical across identical invocations; each output file
+gets a ``<out>.manifest.json`` sidecar holding the command line, seed,
+tolerances, library version, and wall time (the wall time lives only in the
+sidecar to keep the data files reproducible).
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .coxeter import build_cell, build_orthoscheme
+from .coxeter import FULLY_ASYMPTOTIC_TILINGS, build_cell, build_orthoscheme
 from .horoball import cell_volume_oracle, pencil_value, polar_point
 from .lorentz import GeometryError
 from .packing import (
     catalog,
     certify_optimum,
     contact_offset,
-    families,
     family,
     sweep,
 )
@@ -42,7 +42,7 @@ DEFAULT_SEED = 20240816
 DEFAULT_SAMPLES = 200_000
 BOUND_MATCH_TOL = 1e-6
 
-SUPPORTED = ((3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6))
+SUPPORTED = FULLY_ASYMPTOTIC_TILINGS
 
 # published optimal densities and the digits they are printed to
 TABLE2_TARGETS = {
@@ -440,19 +440,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, columns, rows, tolerances = _DISPATCH[args.command](args)
-    except (GeometryError, UsageError) as exc:
+        out = getattr(args, "out", None)
+        if out is not None:
+            if args.command != "scene":
+                meta = {"command": args.command, "version": __version__}
+                _write_machine(out, args.format, columns, rows, meta)
+                print(f"wrote {out}")
+            _write_manifest(out, args, started, tolerances)
+    except (GeometryError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = getattr(args, "out", None)
-    if out is not None:
-        if args.command != "scene":
-            meta = {"command": args.command, "version": __version__}
-            _write_machine(out, args.format, columns, rows, meta)
-            print(f"wrote {out}")
-        _write_manifest(out, args, started, tolerances)
     return code
 
 

@@ -2,18 +2,15 @@
 
 Covers the linear (orthoscheme) schemes of rank 4: the symbol (n1, n2, n3)
 yields the tridiagonal Gram matrix of the characteristic simplex, vertex
-distances through its inverse, the classification of the 3-dimensional
-Coxeter tilings into proper / fully asymptotic / infinite-center rows, and
-explicit projective coordinates for the four fully asymptotic honeycombs
-(3,3,6), (3,4,4), (4,3,6), (5,3,6) together with their characteristic
-orthoschemes.
+distances through its inverse, and explicit projective coordinates for the
+four fully asymptotic honeycombs (3,3,6), (3,4,4), (4,3,6), (5,3,6)
+together with their characteristic orthoschemes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +18,6 @@ from scipy.spatial import ConvexHull
 
 from . import volume as _volume
 from .lorentz import (
-    ABSOLUTE_TOL,
     GeometryError,
     Hyperplane,
     MINKOWSKI,
@@ -29,7 +25,6 @@ from .lorentz import (
     ProjectivePoint,
     bilinear_form,
     bilinear_matrix,
-    boost_to_origin,
     classify,
 )
 
@@ -42,13 +37,6 @@ INFINITE = math.inf
 
 class UnsupportedSymbolError(GeometryError):
     """Symbol outside the scope of the requested construction."""
-
-
-class TilingClass(Enum):
-    PROPER_CENTERS_AND_VERTICES = "proper centers and vertices"
-    FULLY_ASYMPTOTIC = "fully asymptotic cells"
-    INFINITE_CENTERS = "infinite cell centers"
-    UNSUPPORTED = "unsupported"
 
 
 @dataclass(frozen=True)
@@ -79,42 +67,6 @@ def as_symbol(s) -> SchlafliSymbol:
     return SchlafliSymbol(tuple(s))
 
 
-# Classification of the rank-4 linear Coxeter tilings.  Row membership is
-# decided by the vertex figure and cell: a cell is fully asymptotic exactly
-# when its vertex figure is Euclidean while the cell itself is compact.
-_TABLE_ROWS = {
-    TilingClass.PROPER_CENTERS_AND_VERTICES: (
-        (3, 5, 3),
-        (4, 3, 5),
-        (5, 3, 4),
-        (5, 3, 5),
-    ),
-    TilingClass.FULLY_ASYMPTOTIC: ((3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)),
-    TilingClass.INFINITE_CENTERS: (
-        (3, 6, 3),
-        (4, 4, 4),
-        (6, 3, 6),
-        (4, 4, 3),
-        (6, 3, 3),
-        (6, 3, 4),
-        (6, 3, 5),
-    ),
-}
-
-FULLY_ASYMPTOTIC_TILINGS = _TABLE_ROWS[TilingClass.FULLY_ASYMPTOTIC]
-
-
-def classify_tiling(s) -> TilingClass:
-    """Row of the rank-4 hyperbolic Coxeter tiling classification table."""
-    sym = as_symbol(s)
-    if len(sym.weights) != 3:
-        return TilingClass.UNSUPPORTED
-    for row, members in _TABLE_ROWS.items():
-        if sym.weights in members:
-            return row
-    return TilingClass.UNSUPPORTED
-
-
 @dataclass(frozen=True, eq=False)
 class CoxeterMatrix:
     """Gram matrix b of the orthoscheme wall normals and its inverse a."""
@@ -122,13 +74,6 @@ class CoxeterMatrix:
     symbol: SchlafliSymbol
     b: np.ndarray
     a: np.ndarray
-    cond: float
-
-    @property
-    def signature(self):
-        """(negative, positive) eigenvalue counts of b."""
-        eig = np.linalg.eigvalsh(self.b)
-        return int(np.sum(eig < 0)), int(np.sum(eig > 0))
 
 
 def coxeter_matrix(s) -> CoxeterMatrix:
@@ -140,10 +85,7 @@ def coxeter_matrix(s) -> CoxeterMatrix:
         c = -math.cos(math.pi / n)
         b[i, i + 1] = c
         b[i + 1, i] = c
-    cond = float(np.linalg.cond(b))
-    a = np.linalg.inv(b)
-    mat = CoxeterMatrix(symbol=sym, b=b, a=a, cond=cond)
-    return mat
+    return CoxeterMatrix(symbol=sym, b=b, a=np.linalg.inv(b))
 
 
 def vertex_distance(m: CoxeterMatrix, i: int, j: int) -> float:
@@ -469,6 +411,8 @@ _CELL_RECIPES = {
     (5, 3, 6): (_dodecahedron_charts, (5, 3, 6), 120),
 }
 
+FULLY_ASYMPTOTIC_TILINGS = tuple(_CELL_RECIPES)
+
 
 @lru_cache(maxsize=None)
 def _build_cell_cached(weights) -> Cell:
@@ -485,23 +429,6 @@ def build_cell(s) -> Cell:
             + ", ".join(str(w) for w in sorted(_CELL_RECIPES))
         )
     return _build_cell_cached(sym.weights)
-
-
-def recenter_cell(cell: Cell) -> Cell:
-    """Equivalent cell boosted so the incenter sits at the model origin.
-
-    In a centered chart the cell symmetries act as Euclidean rotations, so
-    all edges share one value of -<E_i, E_j> on chart-normalized vertices.
-    """
-    boost = boost_to_origin(cell.incenter)
-    charts = []
-    for v in cell.vertices:
-        image = boost @ v.coords
-        charts.append(image[1:] / image[0])
-    recipe = _CELL_RECIPES[cell.schlafli.weights]
-    return _assemble_cell(
-        cell.schlafli.weights, np.asarray(charts), recipe[1], recipe[2]
-    )
 
 
 _ORTHOSCHEME_EXPLICIT = {

@@ -33,9 +33,8 @@ ProjectivePoint arguments.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,14 +63,11 @@ class FaceOverflowError(GeometryError):
         self.face_index = face_index
 
 
-CartesianForm = namedtuple("CartesianForm", ["coeff_xy", "coeff_z", "center_z"])
-
-
 @dataclass(frozen=True, eq=False)
 class Horoball:
     """Horoball at a chart-normalized ideal center with type parameter s and
     chart Busemann level h (see module docs); membership is the sign of the
-    pencil form Q (pencil_value, contains)."""
+    pencil form Q (pencil_value)."""
 
     center: ProjectivePoint
     s: float
@@ -100,49 +96,10 @@ def horoball_level(center, h: float) -> Horoball:
     return Horoball(center=pt, s=s, h=h)
 
 
-def pushed(hb: Horoball, x: float) -> Horoball:
-    """Horoball pushed in toward its center by hyperbolic distance x."""
-    return horoball_level(hb.center, hb.h * math.exp(-x))
-
-
 def pencil_value(hb: Horoball, x) -> float:
     """Q(x) = <x,c>^2 + h^2 <x,x> at the given representative of x."""
     v = as_vector(x)
     return bilinear_form(v, hb.center) ** 2 + hb.h * hb.h * bilinear_form(v, v)
-
-
-def contains(hb: Horoball, x, tol: float = SURFACE_TOL) -> bool:
-    v = as_vector(x)
-    if abs(v[0]) > 1e-300:
-        v = v / v[0]
-    return pencil_value(hb, v) <= tol
-
-
-def busemann_level(hb: Horoball, x) -> float:
-    """-<x_hat, c> on the unit hyperboloid; equals h exactly on the boundary."""
-    v = as_vector(x)
-    q = bilinear_form(v, v)
-    if q >= 0:
-        raise GeometryError("Busemann level needs an interior point")
-    v = v / math.sqrt(-q)
-    if v[0] < 0:
-        v = -v
-    return -bilinear_form(v, hb.center)
-
-
-def cartesian_form(hb: Horoball) -> CartesianForm:
-    """Affine ellipsoid of the horosphere for the canonical center (1,0,0,1):
-
-        coeff_xy (x^2 + y^2) + coeff_z (z - center_z)^2 = 1
-    """
-    if np.max(np.abs(hb.center.coords - np.array([1.0, 0.0, 0.0, 1.0]))) > 1e-12:
-        raise GeometryError("cartesian_form is defined in the canonical chart")
-    s = hb.s
-    return CartesianForm(
-        coeff_xy=2.0 / (1.0 - s),
-        coeff_z=4.0 / (1.0 - s) ** 2,
-        center_z=(1.0 + s) / 2.0,
-    )
 
 
 def polar_point(hb: Horoball, theta: float, phi: float) -> ProjectivePoint:
@@ -204,56 +161,6 @@ def _crossing(c, h: float, w) -> tuple:
     return (1.0, x[1] / x[0], x[2] / x[0], x[3] / x[0])
 
 
-def edge_intersection(hb: Horoball, a, b):
-    """Intersection of the chart segment ab with the horosphere, or None.
-
-    Solves the restriction of the quadric to the segment.  A tangential
-    double root is returned as a single point; with two crossings the one on
-    the horoball center's side (nearer the deeper endpoint) is returned.
-    Roots at the ideal center itself are not crossings and are discarded.
-    """
-    pa = (a if isinstance(a, ProjectivePoint) else ProjectivePoint(a)).chart_normalized()
-    pb = (b if isinstance(b, ProjectivePoint) else ProjectivePoint(b)).chart_normalized()
-
-    def q_at(t: float) -> float:
-        return pencil_value(hb, (1.0 - t) * pa.coords + t * pb.coords)
-
-    q0, qh, q1 = q_at(0.0), q_at(0.5), q_at(1.0)
-    # exact quadratic through three samples
-    ca = 2.0 * q0 - 4.0 * qh + 2.0 * q1
-    cb = q1 - q0 - ca
-    cc = q0
-    tol = 1e-12
-    if abs(ca) < 1e-14 * max(abs(cb), abs(cc), 1.0):
-        roots = [] if abs(cb) < 1e-300 else [-cc / cb]
-    else:
-        disc = cb * cb - 4.0 * ca * cc
-        if disc < -1e-12 * max(cb * cb, abs(4.0 * ca * cc), 1e-30):
-            return None
-        sq = math.sqrt(max(disc, 0.0))
-        roots = [(-cb - sq) / (2.0 * ca), (-cb + sq) / (2.0 * ca)]
-        if abs(roots[0] - roots[1]) < 1e-9:
-            roots = [0.5 * (roots[0] + roots[1])]
-
-    center_chart = hb.center.chart()
-    points = []
-    for t in roots:
-        if not (-tol <= t <= 1.0 + tol):
-            continue
-        x = (1.0 - t) * pa.coords + t * pb.coords
-        if np.max(np.abs(x[1:] / x[0] - center_chart)) < 1e-9:
-            continue  # the center lies on the closure of its own horosphere
-        points.append((t, ProjectivePoint(x).chart_normalized()))
-    if not points:
-        return None
-    if len(points) == 1:
-        return points[0][1]
-    # two genuine crossings: enter from the endpoint deeper inside the ball
-    t_near = 0.0 if q0 <= q1 else 1.0
-    points.sort(key=lambda item: abs(item[0] - t_near))
-    return points[0][1]
-
-
 def horospheric_chord_length(hb: Horoball, p, q) -> float:
     """Intrinsic horospherical distance 2 sinh(d(p,q)/2) of two surface points."""
     c = _floats(hb.center)
@@ -279,17 +186,6 @@ def _chord(p, q, pp: float, qq: float) -> float:
     pq = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
     cosh_d = abs(pq) / math.sqrt(pp * qq)
     return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
-
-
-def bolyai_arc_length(x: float) -> float:
-    """Horocyclic arc length l(x) = sinh(x) subtended by a chord of length x.
-
-    The chord convention used for Heron inputs elsewhere is 2 sinh(d/2);
-    this is the companion arc form, exposed separately.
-    """
-    if x < 0:
-        raise GeometryError("arc length needs a nonnegative chord")
-    return math.sinh(x)
 
 
 @dataclass(frozen=True)
@@ -351,22 +247,18 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     return _fan_sector(_floats(hb.center), hb.h, targets)
 
 
-# per-cell fan tables, filled on first use so build_cell does not pay for them
-_FANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
+# per-cell fan tables, filled on first use so build_cell does not pay for them;
+# build_cell keeps one Cell per tiling for the run, so the cache stays small
+@cache
 def _fan_table(cell) -> tuple:
     """Per vertex, its coordinates and its neighbours' in cyclic order, as
     float 4-tuples.  Cell vertices are chart-normalized, so one tuple serves
     as a ball center and as a ray target."""
-    table = _FANS.get(cell)
-    if table is None:
-        coords = [tuple(v.coords.tolist()) for v in cell.vertices]
-        table = _FANS[cell] = tuple(
-            (coords[v], tuple(coords[j] for j in cell.neighbors[v]))
-            for v in range(cell.n_vertices)
-        )
-    return table
+    coords = [tuple(v.coords.tolist()) for v in cell.vertices]
+    return tuple(
+        (coords[v], tuple(coords[j] for j in cell.neighbors[v]))
+        for v in range(cell.n_vertices)
+    )
 
 
 def vertex_sector_volume(hb: Horoball, cell, vertex: int) -> float:

@@ -25,7 +25,7 @@ MINKOWSKI.setflags(write=False)
 
 # Relative tolerance on <x,x>/|x|^2 deciding membership in the absolute.
 # Ideal vertices are exact in all reference coordinates; this only absorbs
-# rounding from rotations and boosts.
+# rounding from rotations.
 ABSOLUTE_TOL = 1e-10
 
 
@@ -93,9 +93,9 @@ class ProjectivePoint:
 class Hyperplane:
     """Projective plane {x : <normal, x> = 0}.
 
-    ``normal`` is the Lorentzian normal vector; the covector of the incidence
-    form is MINKOWSKI @ normal.  Spacelike normals (<b,b> > 0) are stored
-    normalized to <b,b> = 1 so that reflections are immediate.
+    ``normal`` is the Lorentzian normal vector.  Spacelike normals
+    (<b,b> > 0) are stored normalized to <b,b> = 1 so that reflections are
+    immediate.
     """
 
     normal: np.ndarray
@@ -111,16 +111,6 @@ class Hyperplane:
             b = b / math.sqrt(bb)
         b.setflags(write=False)
         object.__setattr__(self, "normal", b)
-
-    @property
-    def covector(self) -> np.ndarray:
-        """Row form f with incidence f . x = 0 (plain dot product)."""
-        return MINKOWSKI @ self.normal
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        v = as_vector(x)
-        scale = float(np.linalg.norm(self.normal) * np.linalg.norm(v))
-        return abs(bilinear_form(self.normal, v)) <= tol * scale
 
     def is_spacelike(self, tol: float = 1e-12) -> bool:
         return abs(float(self.normal @ MINKOWSKI @ self.normal) - 1.0) <= tol
@@ -159,27 +149,6 @@ def classify(x, tol: float = ABSOLUTE_TOL) -> PointClass:
     return PointClass.INTERIOR if q < 0 else PointClass.OUTER
 
 
-def polar(x) -> Hyperplane:
-    """Polar hyperplane of a point: {y : <x, y> = 0}.
-
-    For an absolute point this is the tangent plane of the absolute at the
-    point itself (the point lies on its own polar).
-    """
-    return Hyperplane(as_vector(x))
-
-
-def normalize_interior(x) -> np.ndarray:
-    """Scale an interior vector onto the hyperboloid <x,x> = -1, x0 > 0."""
-    v = as_vector(x)
-    q = bilinear_form(v, v)
-    if q >= 0:
-        raise GeometryError("not an interior point")
-    v = v / math.sqrt(-q)
-    if v[0] < 0:
-        v = -v
-    return v
-
-
 def distance(x, y) -> float:
     """Hyperbolic distance arcosh(-<x,y>/sqrt(<x,x><y,y>)) of interior points."""
     xv, yv = as_vector(x), as_vector(y)
@@ -190,32 +159,6 @@ def distance(x, y) -> float:
     # Sign ambiguity of homogeneous representatives: distance is |.|.
     c = abs(c)
     return math.acosh(max(c, 1.0))
-
-
-def foot_on_line(p, a, b) -> ProjectivePoint:
-    """Orthogonal projection of interior point p onto the line through a, b.
-
-    Solves the 2x2 Lorentzian Gram system for the component of p in
-    span{a, b}; the residual p - foot is <,>-orthogonal to the line, which
-    makes the foot the distance minimizer.  The line must meet the interior.
-    """
-    pv, av, bv = as_vector(p), as_vector(a), as_vector(b)
-    if classify(pv) is not PointClass.INTERIOR:
-        raise GeometryError("foot_on_line requires an interior point p")
-    gram = np.array(
-        [
-            [bilinear_form(av, av), bilinear_form(av, bv)],
-            [bilinear_form(av, bv), bilinear_form(bv, bv)],
-        ]
-    )
-    rhs = np.array([bilinear_form(av, pv), bilinear_form(bv, pv)])
-    if abs(np.linalg.det(gram)) < 1e-14 * (1.0 + float(np.abs(gram).max()) ** 2):
-        raise GeometryError("degenerate line: a and b are projectively equal")
-    alpha, beta = np.linalg.solve(gram, rhs)
-    q = alpha * av + beta * bv
-    if bilinear_form(q, q) >= 0:
-        raise GeometryError("line does not meet the interior near p")
-    return ProjectivePoint(q).chart_normalized()
 
 
 def reflect(h: Hyperplane, x):
@@ -231,29 +174,6 @@ def reflect(h: Hyperplane, x):
     if isinstance(x, ProjectivePoint):
         return ProjectivePoint(image)
     return image
-
-
-def boost_to_origin(center) -> np.ndarray:
-    """Lorentz boost matrix sending the interior point ``center`` to (1,0,0,0).
-
-    Preserves MINKOWSKI exactly up to rounding; used to re-center cells whose
-    reference chart is not centered at the model origin.
-    """
-    c = normalize_interior(center)
-    u = c[1:]
-    r = float(np.linalg.norm(u))
-    if r < 1e-15:
-        return np.eye(4)
-    n = u / r
-    # cosh(phi) = c0 on the hyperboloid; boost by -phi along n.
-    ch = c[0]
-    sh = r
-    mat = np.eye(4)
-    mat[0, 0] = ch
-    mat[0, 1:] = -sh * n
-    mat[1:, 0] = -sh * n
-    mat[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    return mat
 
 
 def rotation_from_z(direction) -> np.ndarray:

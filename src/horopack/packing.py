@@ -14,9 +14,8 @@ these families.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -195,18 +194,14 @@ def sector_coefficient(cell: Cell, vertex: int) -> float:
     return float(_sector_coefficients(cell)[vertex])
 
 
-# per-cell packing tables, filled on first use so build_cell does not pay for them
-_COEFFICIENTS: "weakref.WeakKeyDictionary[Cell, np.ndarray]" = weakref.WeakKeyDictionary()
-_EDGE_INDEX: "weakref.WeakKeyDictionary[Cell, tuple]" = weakref.WeakKeyDictionary()
-
-
+# per-cell packing tables, filled on first use so build_cell does not pay for
+# them; build_cell keeps one Cell per tiling for the run, so each cache holds
+# at most four entries
+@cache
 def _sector_coefficients(cell: Cell) -> np.ndarray:
     """Every vertex's C, each derived once from a Heron sector volume."""
-    table = _COEFFICIENTS.get(cell)
-    if table is None:
-        table = np.array([_heron_coefficient(cell, v) for v in range(cell.n_vertices)])
-        table.setflags(write=False)
-        _COEFFICIENTS[cell] = table
+    table = np.array([_heron_coefficient(cell, v) for v in range(cell.n_vertices)])
+    table.setflags(write=False)
     return table
 
 
@@ -215,12 +210,10 @@ def _heron_coefficient(cell: Cell, vertex: int) -> float:
     return _cell_sector_volume(cell, vertex, h) / (h * h)
 
 
+@cache
 def _edge_index(cell: Cell) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint index arrays of the cell edges, in ``cell.edges`` order."""
-    index = _EDGE_INDEX.get(cell)
-    if index is None:
-        index = _EDGE_INDEX[cell] = tuple(np.array(cell.edges).T)
-    return index
+    return tuple(np.array(cell.edges).T)
 
 
 def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
@@ -245,8 +238,12 @@ def admissible_interval(cell: Cell, edge) -> tuple[float, float]:
     the same factor); the interval ends where either ball reaches its face
     bound.
     """
+    return _offset_interval(cell, edge, *balanced_levels(cell, edge))
+
+
+def _offset_interval(cell: Cell, edge, hi0: float, hj0: float) -> tuple[float, float]:
+    """admissible_interval from the edge's balanced levels hi0, hj0."""
     i, j = edge
-    hi0, hj0 = balanced_levels(cell, edge)
     hi_max, _ = cell.face_bound(i)
     hj_max, _ = cell.face_bound(j)
     return -math.log(hj_max / hj0), math.log(hi_max / hi0)
@@ -275,14 +272,14 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
         raise InvalidPackingError(
             f"volume function needs tangent balls on edge {i},{j}"
         )
-    lo, hi = admissible_interval(cell, (i, j))
+    hi0, hj0 = balanced_levels(cell, (i, j))
+    lo, hi = _offset_interval(cell, (i, j), hi0, hj0)
     if not (lo - DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
         raise AdmissibilityError(
             f"offset x = {x:.12g} outside admissible interval "
             f"[{lo:.12g}, {hi:.12g}] for edge {i},{j}",
             interval=(lo, hi),
         )
-    hi0, hj0 = balanced_levels(cell, (i, j))
     return _cell_sector_volume(cell, i, hi0 * math.exp(x)) + _cell_sector_volume(
         cell, j, hj0 * math.exp(-x)
     )

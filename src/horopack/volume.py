@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -16,11 +15,6 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.special import zeta
 
 from .lorentz import GeometryError
-
-
-class VolumeMethod(Enum):
-    CLOSED_FORM = "closed form"
-    MONTE_CARLO = "monte carlo"
 
 
 @dataclass(frozen=True)
@@ -32,7 +26,6 @@ class VolumeResult:
     """
 
     value: float
-    method: VolumeMethod
     stderr: float = 0.0
     accepted: int = 0
     rejected: int = 0
@@ -118,7 +111,7 @@ def orthoscheme_volume(symbol) -> VolumeResult:
     )
     if vol <= 0.0:
         raise GeometryError(f"symbol {ws} has no positive hyperbolic volume")
-    return VolumeResult(value=vol, method=VolumeMethod.CLOSED_FORM)
+    return VolumeResult(value=vol)
 
 
 # --- Monte Carlo oracle -----------------------------------------------------
@@ -126,12 +119,6 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 # Points per chunk.  The largest array of a chunk, the (balls x points) table
 # of the dodecahedral cell's 20-ball carve-out, then takes 10 MB.
 _MC_CHUNK = 1 << 16
-
-
-def hyperbolic_ball_volume(klein_radius: float) -> float:
-    """Closed-form volume pi*(sinh(2 rho) - 2 rho) of a ball of Klein radius r."""
-    rho = math.atanh(klein_radius)
-    return math.pi * (math.sinh(2.0 * rho) - 2.0 * rho)
 
 
 def _hull_fan(pts: np.ndarray):
@@ -232,7 +219,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     for _, exact in carve_outs:
         est += exact
     rejected = int(samples) - accepted - carved
-    return VolumeResult(est, VolumeMethod.MONTE_CARLO, stderr, accepted, rejected, carved)
+    return VolumeResult(est, stderr, accepted, rejected, carved)
 
 
 # --- series constant ---------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy.integrate import quad
 
 from horopack.coxeter import Cell

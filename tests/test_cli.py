@@ -257,3 +257,20 @@ def test_bf_subcommand(tmp_path, capsys):
     assert value == pytest.approx(0.85327609, abs=1e-7)
     assert diff <= 1e-6
     assert bound < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2"],
+        ["sweep", "336", "--family", "main", "--steps", "3"],
+        ["volumes", "--samples", "10000"],
+        ["bf"],
+    ],
+    ids=["table2", "sweep", "volumes", "bf"],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
