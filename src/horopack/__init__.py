@@ -22,13 +22,9 @@ from .coxeter import (
 from .horoball import (
     FaceOverflowError,
     Horoball,
-    HorosphericTriangle,
     cell_volume_oracle,
     cone_sector_volume,
-    heron_area,
-    horoball_at,
     horoball_level,
-    horospheric_chord_length,
     polar_point,
     sector_volume,
     vertex_sector_volume,
@@ -79,7 +75,6 @@ __all__ = [
     "Family",
     "GeometryError",
     "Horoball",
-    "HorosphericTriangle",
     "Hyperplane",
     "InvalidPackingError",
     "MINKOWSKI",
@@ -107,10 +102,7 @@ __all__ = [
     "distance",
     "families",
     "family",
-    "heron_area",
-    "horoball_at",
     "horoball_level",
-    "horospheric_chord_length",
     "lobachevsky",
     "monte_carlo_volume",
     "orthoscheme_volume",

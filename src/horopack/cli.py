@@ -11,12 +11,16 @@ error (bad input, or an output path that cannot be written).  Machine outputs
 gets a ``<out>.manifest.json`` sidecar holding the command line, seed,
 tolerances, library version, and wall time (the wall time lives only in the
 sidecar to keep the data files reproducible).
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by later calls; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -28,14 +32,8 @@ from . import __version__
 from .coxeter import FULLY_ASYMPTOTIC_TILINGS, build_cell, build_orthoscheme
 from .horoball import cell_volume_oracle, pencil_value, polar_point
 from .lorentz import GeometryError
-from .packing import (
-    catalog,
-    certify_optimum,
-    contact_offset,
-    family,
-    sweep,
-)
-from .volume import bf_constant, bf_series_tail_bound
+from .packing import balanced_levels, catalog, certify_optimum, family, sweep
+from .volume import MIN_SAMPLES, bf_constant, bf_series_tail_bound
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240816
@@ -99,8 +97,7 @@ def _write_machine(path: str, fmt: str, columns, rows, meta) -> None:
             ],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_path: str, args, started: float, tolerances) -> None:
@@ -114,8 +111,7 @@ def _write_manifest(out_path: str, args, started: float, tolerances) -> None:
         "wall_time_s": time.perf_counter() - started,
     }
     with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
@@ -156,12 +152,13 @@ def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
             raise GeometryError(f"empty s range [{lo}, {hi}]")
     grid = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     reports = sweep(args.tiling, fam, grid)
-    n = reports[0].config.cell.n_vertices
-    columns = ("s", "x", "density") + tuple(f"V{v}" for v in range(n))
-    rows = []
-    for s, report in zip(grid, reports):
-        x = contact_offset(report.config, fam.primary_edge)
-        rows.append((float(s), x, report.density) + report.sector_volumes)
+    cell = reports[0].config.cell
+    columns = ("s", "x", "density") + tuple(f"V{v}" for v in range(cell.n_vertices))
+    i, balanced = fam.primary_edge[0], balanced_levels(cell, fam.primary_edge)[0]
+    rows = [  # x is contact_offset, with the balanced level looked up once
+        (s, math.log(r.config.levels[i] / balanced), r.density) + r.sector_volumes
+        for s, r in zip(grid.tolist(), reports)
+    ]
     dens = [r.density for r in reports]
     print(
         f"sweep {_tiling_name(fam.tiling.weights)} family={fam.name} "
@@ -372,6 +369,21 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _at_least(minimum: int, message: str):
+    """argparse type: an int of at least ``minimum``, else ``message``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _grid_spec(text: str) -> tuple[int, int]:
     try:
         phi, theta = (int(part) for part in text.lower().split("x"))
@@ -382,6 +394,7 @@ def _grid_spec(text: str) -> tuple[int, int]:
     return phi, theta
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horopack",
@@ -402,8 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_flags(p)
 
     p = sub.add_parser("volumes", help="closed-form and Monte Carlo cell volumes")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    samples = _at_least(MIN_SAMPLES, "need at least 10^4 samples")
+    seed = _at_least(0, "seed must be non-negative")
+    p.add_argument("--samples", type=samples, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     _output_flags(p)
 
     p = sub.add_parser("scene", help="Klein-model mesh of a cataloged arrangement")
@@ -434,8 +449,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.raw_argv = argv
     started = time.perf_counter()
     try:

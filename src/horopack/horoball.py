@@ -25,9 +25,8 @@ checks that it lies on the horosphere and inside the model, and sums the
 Heron areas of the fan from the first crossing, with chords 2 sinh(d/2).
 Vertex and cone sectors, the packing layer's volume law and the Monte Carlo
 carve-outs all call it, reading each cell's vertices and cyclic neighbour
-lists from a float table built on first use.  ``ray_crossing``,
-``horospheric_chord_length`` and ``heron_area`` wrap the same formulas for
-ProjectivePoint arguments.
+lists from a float table built on first use.  ``ray_crossing`` wraps the
+crossing for ProjectivePoint arguments.
 """
 
 from __future__ import annotations
@@ -72,15 +71,6 @@ class Horoball:
     center: ProjectivePoint
     s: float
     h: float
-
-
-def horoball_at(center, s: float) -> Horoball:
-    """Horoball from its ideal center and type parameter -1 < s < 1."""
-    s = float(s)
-    if not -1.0 < s < 1.0:
-        raise GeometryError(f"type parameter s = {s} must lie in (-1, 1)")
-    h = math.sqrt((1.0 - s) / (1.0 + s))
-    return horoball_level(center, h)
 
 
 def horoball_level(center, h: float) -> Horoball:
@@ -161,13 +151,6 @@ def _crossing(c, h: float, w) -> tuple:
     return (1.0, x[1] / x[0], x[2] / x[0], x[3] / x[0])
 
 
-def horospheric_chord_length(hb: Horoball, p, q) -> float:
-    """Intrinsic horospherical distance 2 sinh(d(p,q)/2) of two surface points."""
-    c = _floats(hb.center)
-    pv, qv = (tuple((v / v[0]).tolist()) for v in map(as_vector, (p, q)))
-    return _chord(pv, qv, _surface_norm(c, hb.h, pv), _surface_norm(c, hb.h, qv))
-
-
 def _surface_norm(c, h: float, x) -> float:
     """<x, x> of a chart-normalized point x, checked to lie on the horosphere
     (|Q(x)| <= SURFACE_TOL) and inside the model."""
@@ -186,19 +169,6 @@ def _chord(p, q, pp: float, qq: float) -> float:
     pq = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
     cosh_d = abs(pq) / math.sqrt(pp * qq)
     return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
-
-
-@dataclass(frozen=True)
-class HorosphericTriangle:
-    """Side lengths in the intrinsic (Euclidean) horospherical metric."""
-
-    a: float
-    b: float
-    c: float
-
-
-def heron_area(tri: HorosphericTriangle) -> float:
-    return _heron(tri.a, tri.b, tri.c)
 
 
 def _heron(a: float, b: float, c: float) -> float:

@@ -9,6 +9,12 @@ determines the rest), and the family is valid on the s-interval where no
 ball crosses a non-adjacent face and no shared-edge pair overlaps.  The
 cataloged named arrangements are the endpoint and branch-point states of
 these families.
+
+One evaluator, ``evaluate``, takes an (m, n) level matrix, one configuration
+per row, and returns the sector volumes C_v h_v^2, the densities and each
+row's first violation.  ``Family.level_matrix`` runs a family's tangency
+cascade link by link over a whole s-grid, so ``sweep`` prices the grid in one
+call; ``Family.levels``, ``validate_packing`` and ``density`` are m = 1 views.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -126,67 +132,81 @@ def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfigu
         raise GeometryError(f"horoball levels must be finite, got {levels}")
     if min(levels) <= 0.0:
         raise GeometryError("horoball levels must be positive")
-    assignment = tuple((1.0 - h * h) / (1.0 + h * h) for h in levels)
-    return PackingConfiguration(
-        tiling=symbol,
-        cell=cell,
-        assignment=assignment,
-        levels=levels,
-        label=label,
-    )
+    return _configurations(symbol, cell, (levels,), label)[0]
 
 
-def validate_packing(config: PackingConfiguration) -> Optional[Violation]:
-    """None if valid, else the first Violation found.
+class Evaluation(NamedTuple):
+    """``evaluate`` of an (m, n) level matrix, one configuration per row."""
+
+    sectors: np.ndarray  # (m, n) sector volumes C_v h_v^2
+    density: np.ndarray  # (m,)
+    violations: list  # (m,) first Violation of each row, None where valid
+
+
+def evaluate(cell: Cell, levels) -> Evaluation:
+    """Sector volumes, densities and first violations of many level rows.
 
     Valid means (a) on every shared edge the two balls' crossings do not
     interleave, which is exactly gap >= 0 for the pair, and (b) no ball
     exceeds the tangency bound of its nearest non-adjacent face plane.
     Both tests read the cell tables K and H; a NaN gap or level fails them.
+    A row's violation is its first overlapping edge, else its first ball past
+    the face bound.  Densities add the sectors left to right, like ``sum``.
     """
-    cell, levels = config.cell, config.levels
-    h = np.array(levels)
+    h = np.asarray(levels, dtype=float)
     first, second = _edge_index(cell)
-    gaps = np.log(cell.gram[first, second] / (2.0 * h[first] * h[second]))
-    overlaps = np.flatnonzero(~(gaps >= -PAIR_TOL))
-    if overlaps.size:
-        k = overlaps[0]
-        i, j = cell.edges[k]
-        return Violation(
-            kind="pair",
-            indices=(i, j),
-            detail=f"balls at vertices {i},{j} overlap along their edge "
-            f"(gap {gaps[k]:.6g})",
-        )
-    overflows = np.flatnonzero(~(h <= cell.face_bounds + PAIR_TOL))
-    if overflows.size:
-        v = int(overflows[0])
-        bound, face_idx = cell.face_bound(v)
-        return Violation(
-            kind="face",
-            indices=(v, face_idx),
-            detail=f"ball at vertex {v} (level {levels[v]:.12g}) crosses "
-            f"non-adjacent face {face_idx} (bound {bound:.12g})",
-        )
-    return None
+    sectors = _sector_coefficients(cell) * (h * h)
+    dens = np.add.accumulate(sectors, axis=1)[:, -1] / cell.volume
+    gaps = np.log(cell.gram[first, second] / (2.0 * h[:, first] * h[:, second]))
+    overlaps = ~(gaps >= -PAIR_TOL)
+    overflows = ~(h <= cell.face_bounds + PAIR_TOL)
+    violations = [None] * len(h)
+    for r in np.flatnonzero(overlaps.any(axis=1) | overflows.any(axis=1)).tolist():
+        if overlaps[r].any():
+            k = int(np.argmax(overlaps[r]))
+            i, j = cell.edges[k]
+            violations[r] = Violation("pair", (i, j), (
+                f"balls at vertices {i},{j} overlap along their edge "
+                f"(gap {gaps[r, k]:.6g})"))
+        else:
+            v = int(np.argmax(overflows[r]))
+            bound, face = cell.face_bound(v)
+            violations[r] = Violation("face", (v, face), (
+                f"ball at vertex {v} (level {h[r, v]:.12g}) crosses "
+                f"non-adjacent face {face} (bound {bound:.12g})"))
+    return Evaluation(sectors, dens, violations)
+
+
+def _configurations(tiling, cell: Cell, levels, label=None) -> list[PackingConfiguration]:
+    """Configurations of the rows of a positive level matrix."""
+    h = np.asarray(levels, dtype=float)
+    s = (1.0 - h * h) / (1.0 + h * h)
+    return [
+        PackingConfiguration(tiling, cell, tuple(a), tuple(row), label)
+        for row, a in zip(h.tolist(), s.tolist())
+    ]
+
+
+def _reports(configs, ev: Evaluation) -> list[DensityReport]:
+    """Density reports of evaluated configurations, or InvalidPackingError."""
+    bad = next((v for v in ev.violations if v is not None), None)
+    if bad is not None:
+        raise InvalidPackingError(bad.detail)
+    return [
+        DensityReport(d, tuple(sectors), config.cell.volume, config)
+        for config, sectors, d in zip(configs, ev.sectors.tolist(), ev.density.tolist())
+    ]
+
+
+def validate_packing(config: PackingConfiguration) -> Optional[Violation]:
+    """None if valid, else the first Violation found (``evaluate``, m = 1)."""
+    return evaluate(config.cell, (config.levels,)).violations[0]
 
 
 def density(config: PackingConfiguration) -> DensityReport:
-    """Sector-volume sum over the cell volume (packing density in one cell).
-
-    Sector volumes come from the closed-form law Vol(B ∩ P) = C_v h_v^2.
-    """
-    violation = validate_packing(config)
-    if violation is not None:
-        raise InvalidPackingError(violation.detail)
-    h = np.array(config.levels)
-    sectors = tuple((_sector_coefficients(config.cell) * h**2).tolist())
-    return DensityReport(
-        density=sum(sectors) / config.cell.volume,
-        sector_volumes=sectors,
-        cell_volume=config.cell.volume,
-        config=config,
-    )
+    """Sector-volume sum over the cell volume (packing density in one cell),
+    from ``evaluate`` with m = 1; raises InvalidPackingError when invalid."""
+    return _reports((config,), evaluate(config.cell, (config.levels,)))[0]
 
 
 def sector_coefficient(cell: Cell, vertex: int) -> float:
@@ -314,24 +334,27 @@ class Family:
     anchors: tuple[int, ...]
     cascade: tuple[tuple[int, int, float], ...]
 
-    def levels(self, cell: Cell, s: float) -> tuple[float, ...]:
-        """Per-vertex levels at anchor type s on ``cell``, the tiling's cell
-        (the cascade already holds its kappa values)."""
+    def level_matrix(self, cell: Cell, grid) -> np.ndarray:
+        """(m, n) levels at the anchor types s of ``grid`` on the tiling's
+        cell; GeometryError names the first s outside the family's range."""
+        s = np.asarray(grid, dtype=float).reshape(-1)
         lo, hi = self.s_range
-        if not (lo - DOMAIN_TOL <= s <= hi + DOMAIN_TOL):
+        inside = (lo - DOMAIN_TOL <= s) & (s <= hi + DOMAIN_TOL)
+        if not inside.all():
             raise GeometryError(
                 f"family {self.name!r} of {self.tiling.weights} needs "
-                f"s in [{lo:.12g}, {hi:.12g}], got {s:.12g}"
+                f"s in [{lo:.12g}, {hi:.12g}], got {s[np.argmin(inside)]:.12g}"
             )
-        h = [math.inf] * cell.n_vertices
-        anchor = math.sqrt((1.0 - s) / (1.0 + s))
-        for v in self.anchors:
-            h[v] = anchor
+        # one row per vertex, so each link reads and writes contiguous rows
+        h = np.full((cell.n_vertices, s.size), math.inf)
+        h[list(self.anchors)] = np.sqrt((1.0 - s) / (1.0 + s))
         for t, p, half_kappa in self.cascade:
-            level = half_kappa / h[p]
-            if level < h[t]:
-                h[t] = level
-        return tuple(h)
+            np.minimum(h[t], half_kappa / h[p], out=h[t])
+        return h.T
+
+    def levels(self, cell: Cell, s: float) -> tuple[float, ...]:
+        """Per-vertex levels at anchor type s (``level_matrix``, m = 1)."""
+        return tuple(self.level_matrix(cell, s)[0].tolist())
 
     def at(self, s: float, label: Optional[str] = None) -> PackingConfiguration:
         cell = build_cell(self.tiling)
@@ -497,15 +520,13 @@ def family(tiling, name: str) -> Family:
 
 
 def sweep(tiling, fam, grid) -> list[DensityReport]:
-    """Density reports along an s-grid of one configuration family."""
+    """Density reports along an s-grid of one configuration family, from one
+    ``evaluate`` over the grid's level matrix."""
     if not isinstance(fam, Family):
         fam = family(tiling, fam)
     cell = build_cell(fam.tiling)
-    reports = []
-    for s in grid:
-        config = configuration(fam.tiling, fam.levels(cell, float(s)))
-        reports.append(density(config))
-    return reports
+    levels = fam.level_matrix(cell, grid)
+    return _reports(_configurations(fam.tiling, cell, levels), evaluate(cell, levels))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +581,15 @@ def certify_optimum(tiling) -> list[DensityReport]:
     states by construction); reports within 1e-6 of the maximum are returned
     as joint optima, in catalog order.
     """
-    reports = [density(c) for c in catalog(tiling)]
-    seen = {tuple(round(h, 12) for h in r.config.levels) for r in reports}
+    configs = catalog(tiling)
+    cell = configs[0].cell
+    seen = {tuple(round(h, 12) for h in c.levels) for c in configs}
     for fam in families(tiling):
-        for s in fam.s_range:
-            config = fam.at(s)
+        for config in _configurations(fam.tiling, cell, fam.level_matrix(cell, fam.s_range)):
             key = tuple(round(h, 12) for h in config.levels)
             if key not in seen:
                 seen.add(key)
-                reports.append(density(config))
+                configs.append(config)
+    reports = _reports(configs, evaluate(cell, [c.levels for c in configs]))
     best = max(r.density for r in reports)
     return [r for r in reports if r.density >= best - 1e-6]

@@ -119,6 +119,7 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 # Points per chunk.  The largest array of a chunk, the (balls x points) table
 # of the dodecahedral cell's 20-ball carve-out, then takes 10 MB.
 _MC_CHUNK = 1 << 16
+MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 
 
 def _hull_fan(pts: np.ndarray):
@@ -169,7 +170,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
         raise GeometryError("region needs at least 4 chart points in 3-space")
-    if samples < 10_000:
+    if samples < MIN_SAMPLES:
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")

@@ -1,0 +1,61 @@
+"""Object-based horosphere geometry: the reference for the float sector kernel.
+
+``horoball_at`` builds a ball from its type parameter s,
+``horospheric_chord_length`` measures the intrinsic chord of two surface
+points from ProjectivePoints and the Lorentz form, and ``heron_area`` is the
+area of a horospheric triangle from its sides.  The kernel in
+``horopack.horoball`` performs the same floating-point operations in the same
+order, so tests compare the two exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from horopack.horoball import SURFACE_TOL, Horoball, horoball_level, pencil_value
+from horopack.lorentz import GeometryError, as_vector, bilinear_form
+
+
+def horoball_at(center, s: float) -> Horoball:
+    """Horoball from its ideal center and type parameter -1 < s < 1."""
+    s = float(s)
+    if not -1.0 < s < 1.0:
+        raise GeometryError(f"type parameter s = {s} must lie in (-1, 1)")
+    return horoball_level(center, math.sqrt((1.0 - s) / (1.0 + s)))
+
+
+def _chartify(x):
+    v = as_vector(x)
+    return v / v[0]
+
+
+def horospheric_chord_length(hb: Horoball, p, q) -> float:
+    """Intrinsic horospherical distance 2 sinh(d(p,q)/2) of two surface points."""
+    for x in (p, q):
+        if abs(pencil_value(hb, _chartify(x))) > SURFACE_TOL:
+            raise GeometryError("point is not on the horosphere")
+    pv, qv = _chartify(p), _chartify(q)
+    pp, qq = bilinear_form(pv, pv), bilinear_form(qv, qv)
+    if pp >= 0 or qq >= 0:
+        raise GeometryError("chord endpoints must be interior points")
+    cosh_d = abs(bilinear_form(pv, qv)) / math.sqrt(pp * qq)
+    return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
+
+
+@dataclass(frozen=True)
+class HorosphericTriangle:
+    """Side lengths in the intrinsic (Euclidean) horospherical metric."""
+
+    a: float
+    b: float
+    c: float
+
+
+def heron_area(tri: HorosphericTriangle) -> float:
+    a, b, c = tri.a, tri.b, tri.c
+    slack = 1e-12 * max(a, b, c, 1.0)
+    if a + b < c - slack or b + c < a - slack or c + a < b - slack:
+        raise GeometryError(f"triangle inequality violated: {(a, b, c)}")
+    p = 0.5 * (a + b + c)
+    return math.sqrt(max(p * (p - a) * (p - b) * (p - c), 0.0))

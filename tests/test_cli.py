@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,8 +166,23 @@ def test_volumes_subcommand(tmp_path, capsys):
 
 
 def test_volumes_negative_seed(capsys):
-    assert main(["volumes", "--samples", "10000", "--seed", "-1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["volumes", "--samples", "10000", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "non-negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["9999", "100", "0", "-5", "1e4", "many"])
+def test_volumes_rejects_bad_sample_counts(samples, capsys):
+    # rejected while parsing, so no report header comes first
+    with pytest.raises(SystemExit) as exc:
+        main(["volumes", "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and repr(samples) in captured.err
+    assert captured.out == ""
 
 
 def parse_obj_objects(text):
@@ -274,3 +293,81 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_sweep_out_of_range_error_line(capsys):
+    assert main(["sweep", "336", "--family", "main", "--s-range", "0.6:0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: family 'main' of (3, 3, 6) needs s in [0, 0.5], got 0.6\n"
+    )
+    assert captured.out == ""
+
+
+SRC = str(Path(horopack.__file__).resolve().parent.parent)
+
+
+def run_fresh(argv, cwd) -> int:
+    """One CLI call in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "horopack.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+    )
+    return done.returncode
+
+
+def _without_wall_time(path) -> dict:
+    manifest = json.loads(Path(path).read_text())
+    del manifest["wall_time_s"]
+    return manifest
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = (
+        "from horopack import cli; "
+        "assert cli._build_parser.cache_info().currsize == 0; "
+        "assert cli._build_parser() is cli._build_parser()"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    calls = [
+        (["sweep", "336", "--family", "main", "--s-range", "0.1:0.3", "--steps", "5"],
+         "narrow.csv", 0),
+        (["sweep", "336", "--family", "main", "--steps", "5"], "default.csv", 0),
+        (["volumes", "--samples", "10000", "--seed", "7"], "volumes.csv", 0),
+        (["table2", "--tol", "1"], "loose.csv", 0),
+        (["table2"], "table2.csv", 0),
+        (["sweep", "999"], None, None),
+        (["bf", "--format", "json"], "bf.json", 0),
+    ]
+    here, fresh = tmp_path / "in_process", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv, out, code in calls:
+        argv = argv + ["--out", out] if out else argv
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == code
+        assert run_fresh(argv, fresh) == (2 if code is None else code)
+    capsys.readouterr()
+    outputs = sorted(p.name for p in here.iterdir())
+    assert outputs == sorted(p.name for p in fresh.iterdir())
+    assert len(outputs) == 12
+    for name in outputs:
+        if name.endswith(".manifest.json"):
+            assert _without_wall_time(here / name) == _without_wall_time(fresh / name)
+        else:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    # the family's default range came back after the narrowed call
+    _, rows = read_csv(here / "default.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
+    manifest = json.loads((here / "table2.csv.manifest.json").read_text())
+    assert manifest["tolerances"]["tol"] is None and manifest["seed"] is None

@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from horosphere_reference import (
+    HorosphericTriangle,
+    heron_area,
+    horoball_at,
+    horospheric_chord_length,
+)
 from quadrature import sector_volume_quadrature
 
 from horopack.coxeter import build_cell
 from horopack.horoball import (
     FaceOverflowError,
-    HorosphericTriangle,
     cell_volume_oracle,
     cone_sector_volume,
-    heron_area,
-    horoball_at,
     horoball_level,
-    horospheric_chord_length,
     pencil_value,
     polar_point,
     ray_crossing,

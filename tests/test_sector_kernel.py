@@ -1,8 +1,8 @@
 """The float Heron kernel against the object-based fan it replaced.
 
 The reference below is the former sector path: ``ray_crossing`` on
-ProjectivePoints, ``horospheric_chord_length`` and ``heron_area``, fanned
-from the first crossing.  The kernel performs the same floating-point
+ProjectivePoints, ``horospheric_chord_length`` and ``heron_area`` (from
+``horosphere_reference``), fanned from the first crossing.  The kernel performs the same floating-point
 operations in the same order, so every comparison is exact (``==``).
 """
 
@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from horosphere_reference import HorosphericTriangle, heron_area, horospheric_chord_length
 
 from horopack.coxeter import build_cell
 from horopack.horoball import (
-    SURFACE_TOL,
     FaceOverflowError,
     _cell_sector_volume,
     cone_sector_volume,
@@ -56,39 +56,16 @@ def reference_crossing(hb, target) -> ProjectivePoint:
     return ProjectivePoint(hb.center.coords + mu * w).chart_normalized()
 
 
-def _chartify(x) -> np.ndarray:
-    v = as_vector(x)
-    return v / v[0]
-
-
-def reference_chord(hb, p, q) -> float:
-    for x in (p, q):
-        if abs(pencil_value(hb, _chartify(x))) > SURFACE_TOL:
-            raise GeometryError("point is not on the horosphere")
-    pv, qv = _chartify(p), _chartify(q)
-    qp, qq = bilinear_form(pv, pv), bilinear_form(qv, qv)
-    if qp >= 0 or qq >= 0:
-        raise GeometryError("chord endpoints must be interior points")
-    cosh_d = abs(bilinear_form(pv, qv)) / math.sqrt(qp * qq)
-    return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
-
-
-def reference_heron(a, b, c) -> float:
-    slack = 1e-12 * max(a, b, c, 1.0)
-    if a + b < c - slack or b + c < a - slack or c + a < b - slack:
-        raise GeometryError(f"triangle inequality violated: {(a, b, c)}")
-    p = 0.5 * (a + b + c)
-    return math.sqrt(max(p * (p - a) * (p - b) * (p - c), 0.0))
-
-
 def reference_fan(hb, targets) -> float:
     crossings = [reference_crossing(hb, t) for t in targets]
     total = 0.0
     for t in range(1, len(crossings) - 1):
-        total += reference_heron(
-            reference_chord(hb, crossings[0], crossings[t]),
-            reference_chord(hb, crossings[t], crossings[t + 1]),
-            reference_chord(hb, crossings[0], crossings[t + 1]),
+        total += heron_area(
+            HorosphericTriangle(
+                horospheric_chord_length(hb, crossings[0], crossings[t]),
+                horospheric_chord_length(hb, crossings[t], crossings[t + 1]),
+                horospheric_chord_length(hb, crossings[0], crossings[t + 1]),
+            )
         )
     return 0.5 * total
 
