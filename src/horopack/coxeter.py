@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import volume as _volume
+from .horoball import _fan_sector
 from .lorentz import (
     GeometryError,
     Hyperplane,
@@ -128,6 +129,11 @@ class Cell:
     characteristic orthoscheme volume.  ``gram`` is the vertex table
     K_ij = -<E_i, E_j> (zero diagonal), ``face_bounds`` and ``bound_faces``
     hold each vertex's face-tangency level H_v and the face that sets it.
+    ``edge_index`` stacks the endpoint arrays of ``edges`` (2 x E), ``fans``
+    holds each vertex's coordinates and its cyclic neighbours' as float
+    4-tuples (the Heron kernel's input), ``sector_coefficients`` the C_v of
+    Vol(B(h) ∩ cell) = C_v h^2.  build_cell shares one Cell per tiling, so
+    every array is read-only.
     """
 
     schlafli: SchlafliSymbol
@@ -143,6 +149,9 @@ class Cell:
     gram: np.ndarray
     face_bounds: np.ndarray
     bound_faces: tuple
+    edge_index: np.ndarray
+    fans: tuple
+    sector_coefficients: np.ndarray
 
     def kappa(self, i: int, j: int) -> float:
         """-<E_i, E_j> on chart-normalized vertices; 2 sinh^2 of the half gap."""
@@ -271,7 +280,19 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
         margins[list(face.indices), k] = math.inf
     bound_faces = np.argmin(margins, axis=1)
     face_bounds = margins[np.arange(len(vertices)), bound_faces]
-    for table in (gram, face_bounds):
+    edge_index = np.array(edges).T
+    points = [tuple(row) for row in coords.tolist()]
+    fans = tuple((points[v], tuple(points[j] for j in nbrs))
+                 for v, nbrs in enumerate(neighbors))
+    # C_v from one Heron sector at half the same-type level, inside (0, H_v]
+    coefficients = []
+    for v, (center, targets) in enumerate(fans):
+        h = 0.5 * min(math.sqrt(0.5 * gram[v, j]) for j in neighbors[v])
+        if not 0.0 < h <= face_bounds[v]:
+            raise GeometryError(f"probe level {h} at vertex {v} is outside (0, H_v]")
+        coefficients.append(_fan_sector(center, h, targets) / (h * h))
+    sector_coefficients = np.array(coefficients)
+    for table in (gram, face_bounds, edge_index, sector_coefficients):
         table.setflags(write=False)
 
     vol = count * _volume.orthoscheme_volume(ortho_symbol).value
@@ -289,6 +310,9 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
         gram=gram,
         face_bounds=face_bounds,
         bound_faces=tuple(int(k) for k in bound_faces),
+        edge_index=edge_index,
+        fans=fans,
+        sector_coefficients=sector_coefficients,
     )
 
 

@@ -23,17 +23,16 @@ horospheric polygon the rays cut out.  It takes the center, the level and the
 ray targets as tuples of Python floats, computes each crossing c + mu w,
 checks that it lies on the horosphere and inside the model, and sums the
 Heron areas of the fan from the first crossing, with chords 2 sinh(d/2).
-Vertex and cone sectors, the packing layer's volume law and the Monte Carlo
+Vertex and cone sectors, the cell's sector coefficients and the Monte Carlo
 carve-outs all call it, reading each cell's vertices and cyclic neighbour
-lists from a float table built on first use.  ``ray_crossing`` wraps the
-crossing for ProjectivePoint arguments.
+lists from the cell's ``fans`` table.  ``ray_crossing`` wraps the crossing
+for ProjectivePoint arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -217,20 +216,6 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     return _fan_sector(_floats(hb.center), hb.h, targets)
 
 
-# per-cell fan tables, filled on first use so build_cell does not pay for them;
-# build_cell keeps one Cell per tiling for the run, so the cache stays small
-@cache
-def _fan_table(cell) -> tuple:
-    """Per vertex, its coordinates and its neighbours' in cyclic order, as
-    float 4-tuples.  Cell vertices are chart-normalized, so one tuple serves
-    as a ball center and as a ray target."""
-    coords = [tuple(v.coords.tolist()) for v in cell.vertices]
-    return tuple(
-        (coords[v], tuple(coords[j] for j in cell.neighbors[v]))
-        for v in range(cell.n_vertices)
-    )
-
-
 def vertex_sector_volume(hb: Horoball, cell, vertex: int) -> float:
     """Volume of the horoball inside its cell, Vol(B ∩ P).
 
@@ -260,7 +245,7 @@ def _cell_sector_volume(cell, vertex: int, h: float) -> float:
         )
     if not h > 0.0:
         raise GeometryError(f"level h = {h} must be positive")
-    center, targets = _fan_table(cell)[vertex]
+    center, targets = cell.fans[vertex]
     return _fan_sector(center, h, targets)
 
 

@@ -12,16 +12,16 @@ these families.
 
 One evaluator, ``evaluate``, takes an (m, n) level matrix, one configuration
 per row, and returns the sector volumes C_v h_v^2, the densities and each
-row's first violation.  ``Family.level_matrix`` runs a family's tangency
-cascade link by link over a whole s-grid, so ``sweep`` prices the grid in one
-call; ``Family.levels``, ``validate_packing`` and ``density`` are m = 1 views.
+row's first violation.  ``Family.level_matrix(grid)`` runs a family's cascade
+over an s-grid on its own cell, so ``sweep`` prices the grid in one call;
+``Family.levels(s)``, ``validate_packing`` and ``density`` are m = 1 views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -154,8 +154,8 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     the face bound.  Densities add the sectors left to right, like ``sum``.
     """
     h = np.asarray(levels, dtype=float)
-    first, second = _edge_index(cell)
-    sectors = _sector_coefficients(cell) * (h * h)
+    first, second = cell.edge_index
+    sectors = cell.sector_coefficients * (h * h)
     dens = np.add.accumulate(sectors, axis=1)[:, -1] / cell.volume
     gaps = np.log(cell.gram[first, second] / (2.0 * h[:, first] * h[:, second]))
     overlaps = ~(gaps >= -PAIR_TOL)
@@ -211,29 +211,7 @@ def density(config: PackingConfiguration) -> DensityReport:
 
 def sector_coefficient(cell: Cell, vertex: int) -> float:
     """C with Vol(B(h) ∩ cell) = C h^2 for every admissible level h."""
-    return float(_sector_coefficients(cell)[vertex])
-
-
-# per-cell packing tables, filled on first use so build_cell does not pay for
-# them; build_cell keeps one Cell per tiling for the run, so each cache holds
-# at most four entries
-@cache
-def _sector_coefficients(cell: Cell) -> np.ndarray:
-    """Every vertex's C, each derived once from a Heron sector volume."""
-    table = np.array([_heron_coefficient(cell, v) for v in range(cell.n_vertices)])
-    table.setflags(write=False)
-    return table
-
-
-def _heron_coefficient(cell: Cell, vertex: int) -> float:
-    h = 0.5 * min(math.sqrt(0.5 * cell.kappa(vertex, j)) for j in cell.neighbors[vertex])
-    return _cell_sector_volume(cell, vertex, h) / (h * h)
-
-
-@cache
-def _edge_index(cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint index arrays of the cell edges, in ``cell.edges`` order."""
-    return tuple(np.array(cell.edges).T)
+    return float(cell.sector_coefficients[vertex])
 
 
 def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
@@ -241,9 +219,12 @@ def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
 
     With sector coefficients C_i, C_j and tangency 2 h_i h_j = kappa, equal
     volumes C_i h_i^2 = C_j h_j^2 fix the balanced state used as x = 0 of
-    the sliding-tangency volume function.
+    the sliding-tangency volume function.  GeometryError unless the pair is
+    a cell edge, in either orientation.
     """
     i, j = edge
+    if not (0 <= i < cell.n_vertices and j in cell.neighbors[i]):
+        raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.schlafli}")
     kappa = cell.kappa(i, j)
     ci = sector_coefficient(cell, i)
     cj = sector_coefficient(cell, j)
@@ -288,11 +269,11 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     """
     i, j = edge
     cell = config.cell
+    hi0, hj0 = balanced_levels(cell, (i, j))
     if abs(ball_gap(cell, config.levels, i, j)) > 1e-6:
         raise InvalidPackingError(
             f"volume function needs tangent balls on edge {i},{j}"
         )
-    hi0, hj0 = balanced_levels(cell, (i, j))
     lo, hi = _offset_interval(cell, (i, j), hi0, hj0)
     if not (lo - DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
         raise AdmissibilityError(
@@ -334,7 +315,7 @@ class Family:
     anchors: tuple[int, ...]
     cascade: tuple[tuple[int, int, float], ...]
 
-    def level_matrix(self, cell: Cell, grid) -> np.ndarray:
+    def level_matrix(self, grid) -> np.ndarray:
         """(m, n) levels at the anchor types s of ``grid`` on the tiling's
         cell; GeometryError names the first s outside the family's range."""
         s = np.asarray(grid, dtype=float).reshape(-1)
@@ -346,19 +327,18 @@ class Family:
                 f"s in [{lo:.12g}, {hi:.12g}], got {s[np.argmin(inside)]:.12g}"
             )
         # one row per vertex, so each link reads and writes contiguous rows
-        h = np.full((cell.n_vertices, s.size), math.inf)
+        h = np.full((build_cell(self.tiling).n_vertices, s.size), math.inf)
         h[list(self.anchors)] = np.sqrt((1.0 - s) / (1.0 + s))
         for t, p, half_kappa in self.cascade:
             np.minimum(h[t], half_kappa / h[p], out=h[t])
         return h.T
 
-    def levels(self, cell: Cell, s: float) -> tuple[float, ...]:
+    def levels(self, s: float) -> tuple[float, ...]:
         """Per-vertex levels at anchor type s (``level_matrix``, m = 1)."""
-        return tuple(self.level_matrix(cell, s)[0].tolist())
+        return tuple(self.level_matrix(s)[0].tolist())
 
     def at(self, s: float, label: Optional[str] = None) -> PackingConfiguration:
-        cell = build_cell(self.tiling)
-        return configuration(self.tiling, self.levels(cell, s), label=label)
+        return configuration(self.tiling, self.levels(s), label=label)
 
 
 def _partners(cell: Cell, v: int, kappa: float, pool) -> tuple[int, ...]:
@@ -524,8 +504,13 @@ def sweep(tiling, fam, grid) -> list[DensityReport]:
     ``evaluate`` over the grid's level matrix."""
     if not isinstance(fam, Family):
         fam = family(tiling, fam)
+    elif fam.tiling != as_symbol(tiling):
+        raise GeometryError(
+            f"family {fam.name!r} belongs to {fam.tiling.weights}, "
+            f"not to {as_symbol(tiling).weights}"
+        )
     cell = build_cell(fam.tiling)
-    levels = fam.level_matrix(cell, grid)
+    levels = fam.level_matrix(grid)
     return _reports(_configurations(fam.tiling, cell, levels), evaluate(cell, levels))
 
 
@@ -575,21 +560,14 @@ def catalog(tiling) -> list[PackingConfiguration]:
 
 
 def certify_optimum(tiling) -> list[DensityReport]:
-    """Maximal-density arrangement set among catalog and family endpoints.
+    """Maximal-density arrangement set among the catalog states.
 
-    Family endpoints are included on their own (they coincide with catalog
-    states by construction); reports within 1e-6 of the maximum are returned
-    as joint optima, in catalog order.
+    Every family endpoint has the levels of a catalog state, so the catalog
+    is the whole candidate set; reports within 1e-6 of the maximum are
+    returned as joint optima, in catalog order.
     """
     configs = catalog(tiling)
     cell = configs[0].cell
-    seen = {tuple(round(h, 12) for h in c.levels) for c in configs}
-    for fam in families(tiling):
-        for config in _configurations(fam.tiling, cell, fam.level_matrix(cell, fam.s_range)):
-            key = tuple(round(h, 12) for h in config.levels)
-            if key not in seen:
-                seen.add(key)
-                configs.append(config)
     reports = _reports(configs, evaluate(cell, [c.levels for c in configs]))
     best = max(r.density for r in reports)
     return [r for r in reports if r.density >= best - 1e-6]

@@ -203,6 +203,17 @@ def test_cell_tables_match_scalar_forms(symbol):
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
+def test_cell_arrays_are_read_only(symbol):
+    # build_cell shares one Cell per tiling, so a write would reach every caller
+    cell = build_cell(symbol)
+    first, second = cell.edge_index
+    for table in (cell.gram, cell.face_bounds, cell.sector_coefficients, first, second):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
 def test_incenter(symbol):
     cell = build_cell(symbol)
     assert np.allclose(cell.incenter.chart(), INCENTER_CHART[symbol], atol=1e-12)

@@ -123,7 +123,7 @@ def test_sweep_matches_per_point_path(key):
         assert report.sector_volumes == sectors
         assert report.density == dens
         # the m = 1 views agree with the batch row
-        single = density(configuration(tiling, fam.levels(cell, s)))
+        single = density(configuration(tiling, fam.levels(s)))
         assert single.config.levels == levels
         assert single.sector_volumes == sectors
         assert single.density == dens
@@ -152,7 +152,7 @@ def test_single_point_sweeps_at_the_endpoints(key):
     for s in fam.s_range:
         (report,) = sweep(tiling, fam, [s])
         levels = reference_levels(fam, cell, s)
-        assert report.config.levels == levels == fam.levels(cell, s)
+        assert report.config.levels == levels == fam.levels(s)
         assert (report.density, report.sector_volumes) == reference_sectors(cell, levels)
         assert contact_offset(report.config, fam.primary_edge) == math.log(
             levels[fam.primary_edge[0]] / balanced_levels(cell, fam.primary_edge)[0]
@@ -228,7 +228,7 @@ def test_sweep_reports_the_first_bad_grid_point(key):
     ):
         bad = next(s for s in grid if not (lo - 1e-12 <= s <= hi + 1e-12))
         with pytest.raises(GeometryError) as expected:
-            fam.levels(cell, bad)
+            fam.levels(bad)
         with pytest.raises(GeometryError) as batched:
             sweep(tiling, fam, grid)
         assert str(batched.value) == str(expected.value)
@@ -236,6 +236,11 @@ def test_sweep_reports_the_first_bad_grid_point(key):
         with pytest.raises(GeometryError) as reference:
             reference_levels(fam, cell, bad)
         assert str(reference.value) == str(expected.value)
+
+
+def test_sweep_rejects_a_family_of_another_tiling():
+    with pytest.raises(GeometryError, match=r"\(5, 3, 6\).*\(3, 3, 6\)"):
+        sweep((3, 3, 6), family((5, 3, 6), "cube"), [0.5])
 
 
 def test_invalid_rows_raise_the_density_error():

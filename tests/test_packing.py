@@ -370,7 +370,7 @@ def test_family_levels_pinned(key):
     lo, hi = fam.s_range
     for s, groups in zip((lo, 0.5 * (lo + hi), hi), values):
         expected = [groups[int(g)] for g in pattern]
-        assert fam.levels(cell, s) == pytest.approx(expected, rel=1e-14)
+        assert fam.levels(s) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -384,7 +384,7 @@ def test_family_cascade_tangencies(symbol):
             sources.setdefault(t, []).append(p)
         assert set(fam.anchors) | set(sources) == set(range(cell.n_vertices))
         for s in np.linspace(*fam.s_range, 7):
-            levels = fam.levels(cell, float(s))
+            levels = fam.levels(float(s))
             for t, ps in sources.items():
                 gaps = [ball_gap(cell, levels, t, p) for p in ps]
                 assert min(gaps) >= -1e-12
@@ -457,6 +457,16 @@ def test_octahedron_mirror_symmetry():
     assert density(mirrored).density == pytest.approx(
         density(config).density, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_family_endpoints_are_catalog_states(symbol):
+    # certify_optimum searches the catalog alone, so every family endpoint
+    # must have the levels of a catalog state
+    states = {tuple(round(h, 12) for h in c.levels) for c in catalog(symbol)}
+    for fam in families(symbol):
+        for levels in fam.level_matrix(fam.s_range).tolist():
+            assert tuple(round(h, 12) for h in levels) in states, (fam.name, levels)
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)

@@ -5,7 +5,14 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
+from horopack import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+# a console block: "$ horopack ARGS", then the output up to the closing fence
+COMMAND_BLOCK = re.compile(r"^```\n\$ horopack (.*?)\n(.*?)^```", re.M | re.S)
+COMMANDS = COMMAND_BLOCK.findall(README.read_text())
 
 
 def test_readme_quick_start_runs():
@@ -16,3 +23,20 @@ def test_readme_quick_start_runs():
         exec(compile(block, str(README), "exec"), {})
     lines = out.getvalue().splitlines()
     assert lines[-1].startswith("0.85327608831")
+
+
+def test_readme_shows_every_console_block():
+    assert [args.split()[0] for args, _ in COMMANDS] == ["table2", "sweep", "volumes", "bf"]
+
+
+@pytest.mark.parametrize("args, shown", COMMANDS, ids=[args for args, _ in COMMANDS])
+def test_readme_console_blocks_match_the_cli(args, shown):
+    expected = shown.splitlines()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(args.split()) == 0
+    lines = out.getvalue().splitlines()
+    # a block cut short with "..." shows only its first lines
+    if expected[-1].strip() == "...":
+        expected = expected[:-1]
+        lines = lines[: len(expected)]
+    assert lines == expected

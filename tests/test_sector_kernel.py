@@ -32,6 +32,7 @@ from horopack.packing import (
     ball_gap,
     catalog,
     configuration,
+    contact_offset,
     families,
     sector_coefficient,
     volume_function,
@@ -180,6 +181,23 @@ def test_volume_function_rejects_non_finite_offsets(tiling):
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(AdmissibilityError):
             volume_function(config, edge, x)
+
+
+def test_balanced_levels_reject_pairs_that_are_not_edges():
+    cell = build_cell((3, 3, 6))
+    config, _ = _tangent_pair((3, 3, 6))
+    for pair in ((0, 5), (0, 0), (5, 0), (-1, 1)):
+        for call in (
+            lambda: balanced_levels(cell, pair),
+            lambda: admissible_interval(cell, pair),
+            lambda: volume_function(config, pair, 0.0),
+            lambda: contact_offset(config, pair),
+        ):
+            with pytest.raises(GeometryError, match=f"pair {pair[0]},{pair[1]} is not an edge"):
+                call()
+    # every cell edge passes in both orientations
+    for i, j in cell.edges:
+        assert balanced_levels(cell, (j, i)) == pytest.approx(balanced_levels(cell, (i, j))[::-1])
 
 
 @pytest.mark.parametrize("tiling", TILINGS)
