@@ -142,14 +142,8 @@ def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
 
 
 def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     fam = family(args.tiling, args.family)
-    lo, hi = fam.s_range
-    if args.s_range is not None:
-        lo, hi = args.s_range
-        if lo > hi:
-            raise GeometryError(f"empty s range [{lo}, {hi}]")
+    lo, hi = fam.s_range if args.s_range is None else args.s_range
     grid = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     reports = sweep(args.tiling, fam, grid)
     cell = reports[0].config.cell
@@ -354,6 +348,8 @@ def _s_range(text: str) -> tuple[float, float]:
         ) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty s range, got {text!r}")
     return lo, hi
 
 
@@ -411,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tiling", type=_parse_tiling)
     p.add_argument("--family", required=True, help="family name (see module docs)")
     p.add_argument("--s-range", type=_s_range, default=None, metavar="LO:HI")
-    p.add_argument("--steps", type=int, default=51)
+    p.add_argument("--steps", type=_at_least(1, "need at least 1 step"), default=51)
     _output_flags(p)
 
     p = sub.add_parser("volumes", help="closed-form and Monte Carlo cell volumes")

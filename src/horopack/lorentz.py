@@ -82,8 +82,8 @@ class ProjectivePoint:
         """Representative scaled so that x0 = 1."""
         return ProjectivePoint(np.concatenate(([1.0], self.chart())))
 
-    def classify(self, tol: float = ABSOLUTE_TOL) -> PointClass:
-        return classify(self, tol)
+    def classify(self) -> PointClass:
+        return classify(self)
 
     def __repr__(self) -> str:
         return f"ProjectivePoint({tuple(self.coords)})"
@@ -112,8 +112,8 @@ class Hyperplane:
         b.setflags(write=False)
         object.__setattr__(self, "normal", b)
 
-    def is_spacelike(self, tol: float = 1e-12) -> bool:
-        return abs(float(self.normal @ MINKOWSKI @ self.normal) - 1.0) <= tol
+    def is_spacelike(self) -> bool:
+        return abs(float(self.normal @ MINKOWSKI @ self.normal) - 1.0) <= 1e-12
 
 
 def bilinear_form(x, y) -> float:
@@ -137,14 +137,14 @@ def bilinear_matrix(xs, ys) -> np.ndarray:
     )
 
 
-def classify(x, tol: float = ABSOLUTE_TOL) -> PointClass:
+def classify(x) -> PointClass:
     """Interior, Absolute or Outer by the sign of <x,x>, scale invariant."""
     v = as_vector(x)
     n2 = float(v @ v)
     if n2 == 0.0:
         raise GeometryError("cannot classify the zero vector")
     q = bilinear_form(v, v)
-    if abs(q) <= tol * n2:
+    if abs(q) <= ABSOLUTE_TOL * n2:
         return PointClass.ABSOLUTE
     return PointClass.INTERIOR if q < 0 else PointClass.OUTER
 

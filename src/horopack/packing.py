@@ -76,18 +76,16 @@ class PackingConfiguration:
     def tangencies(self) -> tuple[Tangency, ...]:
         """Tangent vertex pairs and their contact points on the joining line.
 
-        Every vertex pair is scanned (axis tangencies between non-adjacent
-        vertices included); computed when first read.
+        Every vertex pair of ``all_pair_gaps`` is read (axis tangencies
+        between non-adjacent vertices included); computed when first read.
         """
-        cell, levels = self.cell, self.levels
         return tuple(
             Tangency(
                 pair=(i, j),
-                contact=ray_crossing(self.horoball(i), cell.vertices[j]),
+                contact=ray_crossing(self.horoball(i), self.cell.vertices[j]),
             )
-            for i in range(cell.n_vertices)
-            for j in range(i + 1, cell.n_vertices)
-            if abs(ball_gap(cell, levels, i, j)) <= TANGENCY_TOL
+            for (i, j), gap in all_pair_gaps(self).items()
+            if abs(gap) <= TANGENCY_TOL
         )
 
 
@@ -103,20 +101,33 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
     """Signed boundary distance of balls i, j along their joining line.
 
     log(kappa / (2 h_i h_j)) with kappa = -<c_i, c_j>: zero at tangency,
-    negative when the balls overlap.  Defined for any vertex pair, not just
-    cell edges.
+    negative when the balls overlap.  Defined for any two distinct vertices,
+    not just cell edges; GeometryError names a pair outside the cell or a
+    level that is not positive and finite (a NaN level gives NaN).
     """
+    n = cell.n_vertices
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise GeometryError(
+            f"vertex pair {i},{j} is not two distinct vertices of {cell.schlafli}"
+        )
+    for v in (i, j):
+        if levels[v] <= 0.0 or levels[v] == math.inf:
+            raise GeometryError(
+                f"level {levels[v]!r} at vertex {v} is not positive and finite"
+            )
     return math.log(cell.kappa(i, j) / (2.0 * levels[i] * levels[j]))
+
+
+def _gaps(cell: Cell, h: np.ndarray, first, second) -> np.ndarray:
+    """log(K / (2 h h)) of the pairs (first[k], second[k]) in each row of h."""
+    return np.log(cell.gram[first, second] / (2.0 * h[:, first] * h[:, second]))
 
 
 def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
     """Gap of every vertex pair; diagnostic (validation is edge-scoped)."""
-    n = config.cell.n_vertices
-    return {
-        (i, j): ball_gap(config.cell, config.levels, i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    first, second = np.triu_indices(config.cell.n_vertices, 1)
+    gaps = _gaps(config.cell, np.array([config.levels]), first, second)[0]
+    return dict(zip(zip(first.tolist(), second.tolist()), gaps.tolist()))
 
 
 def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfiguration:
@@ -157,7 +168,7 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     first, second = cell.edge_index
     sectors = cell.sector_coefficients * (h * h)
     dens = np.add.accumulate(sectors, axis=1)[:, -1] / cell.volume
-    gaps = np.log(cell.gram[first, second] / (2.0 * h[:, first] * h[:, second]))
+    gaps = _gaps(cell, h, first, second)
     overlaps = ~(gaps >= -PAIR_TOL)
     overflows = ~(h <= cell.face_bounds + PAIR_TOL)
     violations = [None] * len(h)
@@ -341,38 +352,23 @@ class Family:
         return configuration(self.tiling, self.levels(s), label=label)
 
 
-def _partners(cell: Cell, v: int, kappa: float, pool) -> tuple[int, ...]:
-    hits = tuple(u for u in pool if u != v and abs(cell.kappa(v, u) - kappa) < 1e-9)
-    if not hits:
-        raise GeometryError(f"no vertices at kappa {kappa} from {v}")
-    return hits
-
-
 def _cube_orbit(cell: Cell) -> tuple[int, ...]:
     """The inscribed-cube vertices of the dodecahedral cell (pair parameters
     2/3, 4/3, 2 only among themselves)."""
-    cube = tuple(range(8))
-    for i in cube:
-        for j in cube:
-            if i < j:
-                k = cell.kappa(i, j)
-                if min(abs(k - t) for t in (2.0 / 3.0, 4.0 / 3.0, 2.0)) > 1e-9:
-                    raise GeometryError("unexpected inscribed-cube geometry")
-    return cube
+    kappas = cell.gram[:8, :8][np.triu_indices(8, 1)]
+    if (np.abs(kappas[:, None] - (2.0 / 3.0, 4.0 / 3.0, 2.0)).min(axis=1) > 1e-9).any():
+        raise GeometryError("unexpected inscribed-cube geometry")
+    return tuple(range(8))
 
 
 # Vertex roles: the pole is vertex 3 of every cell; ring, mates and anti are
-# the pole's partners at the listed kappa within the cube orbit (its nearest
-# vertices, its alternating-tetrad mates, its antipode through the center).
+# the cube-orbit vertices at the smallest, middle and largest value of the
+# pole's row of K (its nearest vertices, its alternating-tetrad mates, its
+# antipode through the center), with no mates when the row has two values.
 # The cube orbit is the inscribed cube of the dodecahedral cell, whose other
 # twelve vertices are the outer role, and the whole cell otherwise.
 _POLE = 3
-_ROLE_KAPPAS = {
-    (3, 3, 6): {"ring": 1.0},
-    (3, 4, 4): {"ring": 1.0, "anti": 2.0},
-    (4, 3, 6): {"ring": 2.0 / 3.0, "mates": 4.0 / 3.0, "anti": 2.0},
-    (5, 3, 6): {"ring": 2.0 / 3.0, "mates": 4.0 / 3.0, "anti": 2.0},
-}
+_RANKED_ROLES = {1: ("ring",), 2: ("ring", "anti"), 3: ("ring", "mates", "anti")}
 
 
 def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
@@ -383,8 +379,12 @@ def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
         "cube": cube,
         "outer": tuple(v for v in range(n) if v not in cube),
     }
-    for role, kappa in _ROLE_KAPPAS[cell.schlafli.weights].items():
-        roles[role] = _partners(cell, _POLE, kappa, cube)
+    others = np.array([v for v in cube if v != _POLE])
+    row = cell.gram[_POLE, others]
+    values = np.sort(row)
+    values = values[np.r_[True, np.diff(values) > 1e-9]]
+    for role, kappa in zip(_RANKED_ROLES[len(values)], values):
+        roles[role] = tuple(others[np.abs(row - kappa) < 1e-9].tolist())
     return roles
 
 
@@ -443,12 +443,12 @@ _CASCADES = {
 
 def _links(cell: Cell, targets, sources):
     """(target, source, kappa / 2) for each target's nearest sources."""
-    for t in targets:
-        kappas = {p: cell.kappa(t, p) for p in sources}
-        nearest = min(kappas.values())
-        for p, kappa in kappas.items():
-            if kappa <= nearest + 1e-9:
-                yield t, p, 0.5 * kappa
+    kappas = cell.gram[np.ix_(targets, sources)]
+    nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
+    return [
+        (targets[r], sources[c], 0.5 * kappas[r, c].item())
+        for r, c in np.argwhere(nearest).tolist()
+    ]
 
 
 def families(tiling) -> tuple[Family, ...]:

@@ -230,8 +230,8 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
 BF_SERIES_BLOCKS = 250_000
 
 
-def bf_series_tail_bound(blocks: int = BF_SERIES_BLOCKS) -> float:
-    return 1.0 / (36.0 * blocks * blocks)
+def bf_series_tail_bound() -> float:
+    return 1.0 / (36.0 * BF_SERIES_BLOCKS * BF_SERIES_BLOCKS)
 
 
 @lru_cache(maxsize=1)

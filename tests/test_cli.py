@@ -126,8 +126,11 @@ def test_sweep_errors(capsys):
     assert main(["sweep", "336", "--family", "nope"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "main" in err
-    assert main(["sweep", "336", "--family", "main", "--s-range", "0.4:0.1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "336", "--family", "main", "--s-range", "0.4:0.1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "336", "--family", "main", "--s-range", "abc"])
     assert exc.value.code == 2
@@ -135,8 +138,11 @@ def test_sweep_errors(capsys):
         main(["sweep", "535", "--family", "main"])
     assert exc.value.code == 2
     for steps in ("0", "-3"):
-        assert main(["sweep", "336", "--family", "main", "--steps", steps]) == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "336", "--family", "main", "--steps", steps])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
 
 
 @pytest.mark.parametrize("bounds", ["inf:inf", "nan:0.3", "0.1:-inf"])

@@ -27,6 +27,7 @@ from horopack.packing import (
     sweep,
     validate_packing,
     volume_function,
+    _roles,
 )
 
 SUPPORTED = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
@@ -97,6 +98,44 @@ FAMILY_LEVELS = {
          0.408248290463863, 0.1559369711081561, 0.1559369711081561))),
 }
 
+# role sets of each cell, and the sizes of its cube and outer roles, recorded
+# when the roles were looked up from hand-entered kappa values
+ROLE_SETS = {
+    (3, 3, 6): ({"pole": (3,), "ring": (0, 1, 2)}, 4, 0),
+    (3, 4, 4): ({"pole": (3,), "ring": (0, 1, 2, 4), "anti": (5,)}, 6, 0),
+    (4, 3, 6): ({"pole": (3,), "ring": (0, 5, 6), "mates": (1, 2, 4),
+                 "anti": (7,)}, 8, 0),
+    (5, 3, 6): ({"pole": (3,), "ring": (0, 5, 6), "mates": (1, 2, 4),
+                 "anti": (7,)}, 8, 12),
+}
+
+# tangent pairs of every catalog state, recorded from the per-pair scan
+CATALOG_TANGENCIES = {
+    ((3, 3, 6), "B1"): "0-1 0-2 0-3 1-2 1-3 2-3",
+    ((3, 3, 6), "B2"): "0-3 1-3 2-3",
+    ((3, 4, 4), "B1"): "0-1 0-2 0-3 0-5 1-3 1-4 1-5 2-3 2-4 2-5 3-4 4-5",
+    ((3, 4, 4), "B2"): "0-3 0-5 1-3 1-5 2-3 2-5 3-4 3-5 4-5",
+    ((3, 4, 4), "B3"): "0-3 1-3 2-3 3-4 3-5",
+    ((4, 3, 6), "B1"): "0-1 0-2 0-3 1-5 1-7 2-6 2-7 3-5 3-6 4-5 4-6 4-7",
+    ((4, 3, 6), "B2"): "0-3 1-7 2-7 3-5 3-6 3-7 4-7",
+    ((4, 3, 6), "B3"): "0-1 0-2 0-3 1-2 1-3 1-4 1-5 1-7 2-3 2-4 2-6 2-7 3-4 3-5 "
+                       "3-6 4-5 4-6 4-7",
+    ((4, 3, 6), "B4"): "0-3 1-3 1-7 2-3 2-7 3-4 3-5 3-6 3-7 4-7",
+    ((5, 3, 6), "B1"): "0-8 0-10 0-13 1-8 1-9 1-12 2-11 2-13 2-18 3-10 3-15 3-16 "
+                       "4-14 4-17 4-19 5-9 5-14 5-16 6-15 6-18 6-19 7-11 7-12 "
+                       "7-17 8-11 9-10 12-14 13-15 16-19 17-18",
+    ((5, 3, 6), "B2"): "0-1 0-2 0-3 0-8 0-10 0-13 1-5 1-7 1-8 1-9 1-12 2-6 2-7 "
+                       "2-11 2-13 2-18 3-5 3-6 3-10 3-15 3-16 4-5 4-6 4-7 4-14 "
+                       "4-17 4-19 5-9 5-14 5-16 6-15 6-18 6-19 7-11 7-12 7-17",
+    ((5, 3, 6), "B3"): "0-3 0-8 0-13 1-7 1-8 1-9 2-7 2-13 2-18 3-5 3-6 3-7 3-10 "
+                       "3-15 3-16 4-7 4-14 4-19 5-9 5-14 6-18 6-19 7-11 7-12 7-17",
+    ((5, 3, 6), "B4"): "0-1 0-2 0-3 1-2 1-3 1-4 1-5 1-7 1-8 1-9 1-12 2-3 2-4 2-6 "
+                       "2-7 2-11 2-13 2-18 3-4 3-5 3-6 3-10 3-15 3-16 4-5 4-6 "
+                       "4-7 4-14 4-17 4-19",
+    ((5, 3, 6), "B5"): "0-3 1-3 1-7 1-8 1-9 1-12 2-3 2-7 2-11 2-13 2-18 3-4 3-5 "
+                       "3-6 3-10 3-15 3-16 4-7 4-14 4-17 4-19",
+}
+
 OPTIMAL_LABELS = {
     (3, 3, 6): {"B1", "B2"},
     (3, 4, 4): {"B1", "B2", "B3"},
@@ -153,6 +192,21 @@ def test_tangency_bookkeeping():
             assert abs(pencil_value(config.horoball(j), t.contact.coords)) < 1e-9
 
 
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_catalog_tangency_pairs_pinned(symbol):
+    for config in catalog(symbol):
+        pairs = " ".join(f"{i}-{j}" for i, j in (t.pair for t in config.tangencies))
+        assert pairs == CATALOG_TANGENCIES[symbol, config.label]
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_role_sets_pinned(symbol):
+    roles = _roles(build_cell(symbol))
+    expected, n_cube, n_outer = ROLE_SETS[symbol]
+    assert {k: v for k, v in roles.items() if k not in ("cube", "outer")} == expected
+    assert (len(roles["cube"]), len(roles["outer"])) == (n_cube, n_outer)
+
+
 def test_tangencies_computed_on_first_read():
     config = catalog((3, 3, 6))[0]
     fresh = configuration(config.tiling, config.levels)
@@ -169,6 +223,18 @@ def test_ball_gap_values():
     gaps = all_pair_gaps(catalog((3, 3, 6))[1])
     assert set(gaps) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
     assert min(gaps.values()) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ball_gap_rejects_pairs_and_levels_it_cannot_price():
+    cell = build_cell((3, 3, 6))
+    levels = (0.5, 0.5, 0.5, 1.0)
+    for i, j in ((-1, 0), (0, 0), (0, 4)):
+        with pytest.raises(GeometryError, match=f"pair {i},{j} "):
+            ball_gap(cell, levels, i, j)
+    for bad in (0.0, -0.5, math.inf):
+        with pytest.raises(GeometryError, match=f"level {bad!r} at vertex 1"):
+            ball_gap(cell, (0.5, bad, 0.5, 1.0), 0, 1)
+    assert math.isnan(ball_gap(cell, (0.5, math.nan, 0.5, 1.0), 0, 1))
 
 
 def test_validate_packing_face_violation():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import horopack
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_public_names_resolve_once():
@@ -28,3 +31,23 @@ def test_benchmark_tracer_installs_on_the_source_tree():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_every_definition_in_src_is_referenced():
+    # a function or class whose name appears nowhere but in its own
+    # definition is dead code; count definitions against all mentions
+    sources = sorted((ROOT / "src" / "horopack").glob("*.py"))
+    readers = [*sources, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    corpus = "\n".join(path.read_text() for path in [*readers, ROOT / "README.md"])
+    definitions: dict[str, int] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[node.name] = definitions.get(node.name, 0) + 1
+    unreferenced = sorted(
+        name
+        for name, count in definitions.items()
+        if not name.startswith("__")
+        and len(re.findall(rf"\b{re.escape(name)}\b", corpus)) <= count
+    )
+    assert unreferenced == []
