@@ -443,9 +443,21 @@ _DISPATCH = {
 }
 
 
+def _join_s_range(argv: list) -> list:
+    """Write ``--s-range LO:HI`` as ``--s-range=LO:HI``: argparse takes a
+    value with a negative LO such as -0.3:0.1 for an option, not a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--s-range" and ":" in token:
+            out[-1] = f"--s-range={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_s_range(argv))
     args.raw_argv = argv
     started = time.perf_counter()
     try:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,6 +250,46 @@ def _cell_sector_volume(cell, vertex: int, h: float) -> float:
     return _fan_sector(center, h, targets)
 
 
+@lru_cache(maxsize=None)
+def _triangle_rule(order: int):
+    """Nodes (u, v) and weights of an order x order Gauss-Legendre rule on the
+    unit triangle u, v >= 0, u + v <= 1, collapsed from the unit square by
+    the Duffy map u = s (1 - t), v = s t (Jacobian s)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x = 0.5 * (x + 1.0)
+    s, t = np.meshgrid(x, x, indexing="ij")
+    rule = (s * (1.0 - t)).ravel(), (s * t).ravel(), (np.outer(0.25 * w, w) * s).ravel()
+    for table in rule:
+        table.setflags(write=False)
+    return rule
+
+
+def _chart_sector(cell, vertex: int, h: float, order: int = 16) -> float:
+    """Euclidean (Klein chart) volume of the ball of level h at the vertex
+    inside the vertex cone; within the face bound that is ball ∩ cell.
+
+    The cone is fanned into triangles (a, b, d) of neighbour chart points
+    from the first one.  The ray c + tau e, e = y - c, from the vertex c
+    through a point y of a triangle leaves the ball at
+    tau = -2 h^2 (c.e) / ((c.e)^2 + h^2 |e|^2), and the cone over the
+    triangle holds D tau^3 / 3 per unit (u, v) area of y = a + u (b - a) +
+    v (d - a), with D = |det(b - a, d - a, a - c)|.
+    """
+    center, targets = cell.fans[vertex]
+    c = np.array(center[1:])
+    pts = np.array([t[1:] for t in targets])
+    a = pts[0] - c
+    ba = pts[1:-1] - pts[0]
+    da = pts[2:] - pts[0]
+    det = np.abs(np.linalg.det(np.stack((ba, da, np.broadcast_to(a, ba.shape)), 1)))
+    u, v, w = _triangle_rule(order)
+    e = a + u[:, None, None] * ba + v[:, None, None] * da  # (nodes, triangles, 3)
+    ce = e @ c
+    h2 = h * h
+    tau = -2.0 * h2 * ce / (ce * ce + h2 * np.einsum("qkj,qkj->qk", e, e))
+    return float(det @ (w @ tau**3)) / 3.0
+
+
 def same_type_level(cell, vertex: int) -> float:
     """Largest level at the vertex with no overlap along any incident edge
     when every vertex carries the same construction: h = sqrt(kappa_min / 2)."""
@@ -294,12 +335,14 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     Sampling the chart volume element has infinite variance at the ideal
     vertices, so the cusps are carved out by slightly shrunk same-type
     horoballs whose cell sectors are known exactly (half the horospheric
-    polygon area); only the compact remainder is sampled.  The balls form one
+    polygon area); only the compact remainder is sampled, at its known chart
+    volume (the cell's less the balls' chart sectors).  The balls form one
     carve-out, tested together by a fused predicate.
     """
     balls = _cusp_balls(cell)
     exact = math.fsum(_cell_sector_volume(cell, v, hb.h) for v, hb in enumerate(balls))
+    chart = math.fsum(_chart_sector(cell, v, hb.h) for v, hb in enumerate(balls))
     region = [v.chart() for v in cell.vertices]
     return monte_carlo_volume(
-        region, samples, seed, carve_outs=[(_union_predicate(balls), exact)]
+        region, samples, seed, carve_outs=[(_union_predicate(balls), exact, chart)]
     )

@@ -155,13 +155,18 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     volume.  Points on or outside the unit sphere count as rejected and
     contribute 0.  Deterministic for a fixed (seed, samples).
 
-    ``carve_outs`` is a sequence of (predicate, exact_volume) pairs: points
-    where predicate(points) is True are excluded from the sampled region and
-    exact_volume is added back to the estimate.  ``points`` is an (n, 3)
-    array.  Carved regions must be pairwise disjoint subsets of the region.
-    This keeps the sampled integrand bounded when the region has ideal
-    vertices, where naive sampling has infinite variance and a meaningless
-    standard error.
+    ``carve_outs`` is a sequence of (predicate, volume, chart_volume)
+    triples: points where predicate(points) is True are excluded from the
+    sampled region, its hyperbolic ``volume`` is added back to the estimate
+    and its Euclidean ``chart_volume`` is taken off the hull's.  ``points`` is
+    an (n, 3) array.  Carved regions must be pairwise disjoint subsets of the
+    region that lie inside the unit ball (only inside points are ever
+    carved).  This keeps the sampled integrand bounded when the region has
+    ideal vertices, where naive sampling has infinite variance and a
+    meaningless standard error.  As the remainder's chart volume U is known,
+    the samples that are not carved are uniform in it and the estimate is
+    U times their mean, so carved samples add no variance; without
+    carve-outs U is the hull's volume and every sample is kept.
     """
     pts = []
     for p in region:
@@ -177,6 +182,14 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     apex, steps, volumes = _hull_fan(pts)
     hull_vol = float(volumes.sum())
     weights = volumes / hull_vol
+    for _, _, chart in carve_outs:
+        if not 0.0 <= chart < math.inf:
+            raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
+    remainder = hull_vol - math.fsum(chart for _, _, chart in carve_outs)
+    if not remainder > 0.0:
+        raise GeometryError(
+            f"carved chart volume leaves {remainder!r} of the hull's {hull_vol!r}"
+        )
 
     rng = np.random.Generator(np.random.PCG64(seed))
     total = 0.0
@@ -203,7 +216,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         r2 = np.einsum("ij,ij->j", x, x)
         inside = r2 < 1.0
         cut = np.zeros(n, dtype=bool)
-        for predicate, _ in carve_outs:
+        for predicate, _, _ in carve_outs:
             cut |= predicate(x.T)
         cut &= inside
         keep = inside & ~cut
@@ -213,11 +226,14 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         accepted += f.size
         carved += int(np.count_nonzero(cut))
 
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    est = hull_vol * mean
-    stderr = hull_vol * math.sqrt(var / samples)
-    for _, exact in carve_outs:
+    kept = int(samples) - carved
+    if kept == 0:
+        raise GeometryError(f"all {samples} samples were carved out")
+    mean = total / kept
+    var = max(total_sq / kept - mean * mean, 0.0)
+    est = remainder * mean
+    stderr = remainder * math.sqrt(var / kept)
+    for _, exact, _ in carve_outs:
         est += exact
     rejected = int(samples) - accepted - carved
     return VolumeResult(est, stderr, accepted, rejected, carved)

@@ -145,6 +145,26 @@ def test_sweep_errors(capsys):
         assert out == "" and "error:" in err
 
 
+def test_sweep_negative_range_both_forms(tmp_path):
+    rows = []
+    for k, form in enumerate((["--s-range", "-0.3:0.1"], ["--s-range=-0.3:0.1"])):
+        out = tmp_path / f"neg{k}.csv"
+        argv = ["sweep", "344", "--family", "main", *form, "--steps", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        _, grid = read_csv(out)
+        assert [float(r[0]) for r in grid] == pytest.approx([-0.3, -0.1, 0.1])
+        rows.append([r[1:] for r in grid])
+    assert rows[0] == rows[1]
+
+
+def test_sweep_missing_range_value(capsys):
+    for argv in (["--s-range"], ["--s-range", "--steps", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "344", "--family", "main", *argv])
+        assert exc.value.code == 2
+        assert "argument --s-range: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds", ["inf:inf", "nan:0.3", "0.1:-inf"])
 def test_sweep_rejects_non_finite_range(bounds, capsys):
     with warnings.catch_warnings():

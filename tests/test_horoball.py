@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from horosphere_reference import (
     HorosphericTriangle,
     heron_area,
@@ -24,6 +25,7 @@ from horopack.horoball import (
     same_type_level,
     sector_volume,
     vertex_sector_volume,
+    _chart_sector,
     _cusp_balls,
     _union_predicate,
 )
@@ -270,3 +272,49 @@ def test_union_predicate_matches_separate_balls(symbol):
         separate |= _ball_predicate(hb)(pts)
     assert np.array_equal(fused, separate)
     assert 0.05 < fused.mean() < 0.95
+
+
+ALL_CELLS = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
+
+
+@pytest.mark.parametrize("symbol", ALL_CELLS)
+def test_chart_sector_quadrature_converged(symbol):
+    cell = build_cell(symbol)
+    for v, hb in enumerate(_cusp_balls(cell)):
+        low = _chart_sector(cell, v, hb.h)
+        high = _chart_sector(cell, v, hb.h, order=32)
+        assert low > 0.0
+        assert abs(low - high) <= 1e-13 * high
+
+
+@pytest.mark.parametrize("symbol", [(3, 4, 4), (4, 3, 6), (5, 3, 6)])
+def test_chart_sector_equal_on_origin_centred_cells(symbol):
+    # the cell is centred at the chart origin, so its Euclidean symmetries
+    # carry any vertex cone onto any other
+    cell = build_cell(symbol)
+    h = 0.999 * min(same_type_level(cell, v) for v in range(cell.n_vertices))
+    sectors = [_chart_sector(cell, v, h) for v in range(cell.n_vertices)]
+    assert max(sectors) - min(sectors) <= 1e-12 * max(sectors)
+
+
+@pytest.mark.parametrize("symbol", ALL_CELLS)
+def test_chart_sectors_match_carved_share(symbol):
+    cell = build_cell(symbol)
+    samples = 200_000
+    res = cell_volume_oracle(cell, samples, seed=11)
+    hull = ConvexHull(np.array([v.chart() for v in cell.vertices])).volume
+    chart = math.fsum(_chart_sector(cell, v, hb.h) for v, hb in enumerate(_cusp_balls(cell)))
+    share = chart / hull
+    sigma = hull * math.sqrt(share * (1.0 - share) / samples)
+    assert abs(chart - hull * res.carved / samples) < 4.0 * sigma
+
+
+@pytest.mark.parametrize("symbol", [(3, 3, 6), (5, 3, 6)])
+def test_cell_volume_oracle_error_bars_cover(symbol):
+    # the stated standard error must match the spread of the estimates
+    cell = build_cell(symbol)
+    z = [
+        (res.value - cell.volume) / res.stderr
+        for res in (cell_volume_oracle(cell, 20_000, seed) for seed in range(100))
+    ]
+    assert 0.8 <= np.std(z) <= 1.2

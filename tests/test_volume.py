@@ -149,7 +149,8 @@ def test_monte_carlo_carve_out_additivity():
 
     plain = monte_carlo_volume(cube_region(), samples=400_000, seed=77)
     carved = monte_carlo_volume(
-        cube_region(), samples=400_000, seed=78, carve_outs=[(in_ball, exact)]
+        cube_region(), samples=400_000, seed=78,
+        carve_outs=[(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3)],
     )
     sigma = math.hypot(plain.stderr, carved.stderr)
     assert abs(carved.value - plain.value) < 4.0 * sigma
@@ -190,7 +191,9 @@ def test_monte_carlo_sample_accounting():
     samples = 150_001
     res = monte_carlo_volume(
         cube_region(0.7), samples=samples, seed=5,
-        carve_outs=[(in_ball, hyperbolic_ball_volume(0.3))],
+        carve_outs=[
+            (in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3)
+        ],
     )
     assert res.accepted + res.carved + res.rejected == samples
     assert min(res.accepted, res.carved, res.rejected) > 0
@@ -211,6 +214,35 @@ def test_monte_carlo_validation():
     coplanar = [(0, 0, 0), (0.1, 0, 0), (0, 0.1, 0), (0.1, 0.1, 0)]
     with pytest.raises(GeometryError):
         monte_carlo_volume(coplanar, samples=10_000, seed=1)
+
+
+def _nowhere(pts):
+    return np.zeros(len(pts), dtype=bool)
+
+
+@pytest.mark.parametrize("chart", [math.nan, math.inf, -1e-3])
+def test_monte_carlo_rejects_bad_chart_volume(chart):
+    with pytest.raises(GeometryError, match="chart volume"):
+        monte_carlo_volume(
+            cube_region(), samples=10_000, seed=1, carve_outs=[(_nowhere, 0.0, chart)]
+        )
+
+
+def test_monte_carlo_rejects_carving_the_whole_hull():
+    # the cube of half-width 0.3 has chart volume 0.216
+    halves = [(_nowhere, 0.0, 0.108), (_nowhere, 0.0, 0.108 + 1e-9)]
+    with pytest.raises(GeometryError, match="carved chart volume"):
+        monte_carlo_volume(cube_region(), samples=10_000, seed=1, carve_outs=halves)
+
+
+def test_monte_carlo_rejects_every_sample_carved():
+    def everywhere(pts):
+        return np.ones(len(pts), dtype=bool)
+
+    with pytest.raises(GeometryError, match="all 10000 samples"):
+        monte_carlo_volume(
+            cube_region(), samples=10_000, seed=1, carve_outs=[(everywhere, 0.0, 0.1)]
+        )
 
 
 def test_series_constant_against_trigamma():
