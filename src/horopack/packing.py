@@ -4,17 +4,20 @@ A configuration places one horoball at every ideal vertex of a cell.  Its
 density is the total sector volume inside the cell divided by the cell
 volume.  Each supported tiling carries a small set of one-parameter
 configuration families: the anchor ball's type parameter s drives every
-other level through a cascade of declared tangencies (the largest horoball
-determines the rest), and the family is valid on the s-interval where no
-ball crosses a non-adjacent face and no shared-edge pair overlaps.  The
-cataloged named arrangements are the endpoint and branch-point states of
-these families.
+other level through a cascade of declared tangency steps (the largest
+horoball determines the rest), and the family is valid on the s-interval
+where no ball crosses a non-adjacent face and no shared-edge pair overlaps.
+Each family holds its named arrangements, the endpoint and branch-point
+states of Table 2, as (label, s) pairs; ``catalog`` lists them in label
+order.
 
 One evaluator, ``evaluate``, takes an (m, n) level matrix, one configuration
 per row, and returns the sector volumes C_v h_v^2, the densities and each
 row's first violation.  ``Family.level_matrix(grid)`` runs a family's cascade
 over an s-grid on its own cell, so ``sweep`` prices the grid in one call;
 ``Family.levels(s)``, ``validate_packing`` and ``density`` are m = 1 views.
+A cascade runs step by step: each step is one gather, divide and minimum
+over the s-grid.
 """
 
 from __future__ import annotations
@@ -163,8 +166,15 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     Both tests read the cell tables K and H; a NaN gap or level fails them.
     A row's violation is its first overlapping edge, else its first ball past
     the face bound.  Densities add the sectors left to right, like ``sum``.
+    GeometryError unless the levels form an (m, n) array, n the cell's
+    vertex count.
     """
     h = np.asarray(levels, dtype=float)
+    if h.ndim != 2 or h.shape[1] != cell.n_vertices:
+        raise GeometryError(
+            f"{cell.schlafli.weights} needs an (m, {cell.n_vertices}) level "
+            f"array, got shape {h.shape}"
+        )
     first, second = cell.edge_index
     sectors = cell.sector_coefficients * (h * h)
     dens = np.add.accumulate(sectors, axis=1)[:, -1] / cell.volume
@@ -220,11 +230,6 @@ def density(config: PackingConfiguration) -> DensityReport:
     return _reports((config,), evaluate(config.cell, (config.levels,)))[0]
 
 
-def sector_coefficient(cell: Cell, vertex: int) -> float:
-    """C with Vol(B(h) ∩ cell) = C h^2 for every admissible level h."""
-    return float(cell.sector_coefficients[vertex])
-
-
 def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
     """Tangent levels on the edge with equal sector volumes on both sides.
 
@@ -237,9 +242,8 @@ def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
     if not (0 <= i < cell.n_vertices and j in cell.neighbors[i]):
         raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.schlafli}")
     kappa = cell.kappa(i, j)
-    ci = sector_coefficient(cell, i)
-    cj = sector_coefficient(cell, j)
-    hi = math.sqrt(0.5 * kappa * math.sqrt(cj / ci))
+    coefficients = cell.sector_coefficients
+    hi = math.sqrt(0.5 * kappa * math.sqrt(coefficients[j] / coefficients[i]))
     return hi, 0.5 * kappa / hi
 
 
@@ -308,14 +312,18 @@ def contact_offset(config: PackingConfiguration, edge) -> float:
 # One-parameter families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """One-parameter configuration family driven by the anchors' type s.
 
     The anchor balls take type s, h = sqrt((1 - s) / (1 + s)).  Every other
-    level follows from the tangency cascade: an ordered tuple of links
-    (target, source, kappa / 2), each shrinking the target ball to
-    min(h_target, kappa / (2 h_source)), with +inf off the anchors.
+    level follows from the tangency cascade, one (targets, sources,
+    half_kappa) entry per declared step: ``sources[r]`` holds the nearest
+    sources of ``targets[r]`` and ``half_kappa[r]`` their kappa / 2, and the
+    step shrinks each target ball to the minimum of its level and
+    kappa / (2 h_source) over its sources, with +inf off the anchors.  No
+    step reads a level it writes.  ``states`` holds the family's named
+    arrangements as (label, s) pairs.  Families compare by identity.
     """
 
     name: str
@@ -324,7 +332,8 @@ class Family:
     primary_edge: tuple[int, int]
     description: str
     anchors: tuple[int, ...]
-    cascade: tuple[tuple[int, int, float], ...]
+    cascade: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    states: tuple[tuple[str, float], ...]
 
     def level_matrix(self, grid) -> np.ndarray:
         """(m, n) levels at the anchor types s of ``grid`` on the tiling's
@@ -337,11 +346,11 @@ class Family:
                 f"family {self.name!r} of {self.tiling.weights} needs "
                 f"s in [{lo:.12g}, {hi:.12g}], got {s[np.argmin(inside)]:.12g}"
             )
-        # one row per vertex, so each link reads and writes contiguous rows
+        # one row per vertex, so each step gathers whole rows
         h = np.full((build_cell(self.tiling).n_vertices, s.size), math.inf)
         h[list(self.anchors)] = np.sqrt((1.0 - s) / (1.0 + s))
         for t, p, half_kappa in self.cascade:
-            np.minimum(h[t], half_kappa / h[p], out=h[t])
+            h[t] = np.minimum(h[t], (half_kappa[:, :, None] / h[p]).min(axis=1))
         return h.T
 
     def levels(self, s: float) -> tuple[float, ...]:
@@ -388,17 +397,20 @@ def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
     return roles
 
 
-# kappa of a dodecahedral edge; the cube family ends at the uniform state
-# 2 h^2 = kappa
+# kappa of a dodecahedral edge, and the type s of the uniform state
+# 2 h^2 = kappa, where the cube family ends
 _KAPPA_536 = (3.0 - math.sqrt(5.0)) / 3.0
+_UNIFORM_536 = (2.0 - _KAPPA_536) / (2.0 + _KAPPA_536)
 
-# Per tiling: (name, s_range, primary_edge, anchors, steps, description).
-# Anchors and the (targets, sources) of each step are role names.  Steps run
-# in order; each target links to the sources nearest to it (smallest kappa),
-# so a ball ends up touching the largest of its nearest neighbours.
+# Per tiling: (name, s_range, primary_edge, anchors, steps, states,
+# description).  Anchors and the (targets, sources) of each step are role
+# names.  Steps run in order; each target takes the sources nearest to it
+# (smallest kappa), so a ball ends up touching the largest of its nearest
+# neighbours.  States are the family's named arrangements as (label, s).
 _CASCADES = {
     (3, 3, 6): (
         ("main", (0.0, 0.5), (3, 0), "pole", (("ring", "pole"),),
+         (("B1", 0.5), ("B2", 0.0)),
          "apex ball of type s, base balls tangent to it"),
     ),
     (3, 4, 4): (
@@ -406,6 +418,7 @@ _CASCADES = {
         # equator balls, whichever comes first
         ("main", (-1.0 / 3.0, 1.0 / 3.0), (3, 0), "pole",
          (("ring anti", "pole"), ("anti", "ring")),
+         (("B1", 1.0 / 3.0), ("B2", 0.0), ("B3", -1.0 / 3.0)),
          "polar ball of type s, equator tangent, opposite pole grown to "
          "first contact"),
     ),
@@ -414,41 +427,36 @@ _CASCADES = {
         # through the cell center forces it smaller
         ("polar", (-1.0 / 3.0, 0.5), (3, 0), "pole anti",
          (("anti", "pole"), ("ring mates", "pole anti")),
+         (("B1", 0.5), ("B2", 0.0), ("B4", -1.0 / 3.0)),
          "ball at one cube vertex of type s, neighbors tangent, opposite "
          "ball grown to first contact"),
         ("tetra", (0.2, 0.5), (3, 0), "pole mates", (("ring anti", "pole mates"),),
+         (("B3", 0.2),),
          "alternating vertex tetrad of type s, the other four balls tangent "
          "along the edges"),
     ),
     (5, 3, 6): (
-        ("cube", (0.5, (2.0 - _KAPPA_536) / (2.0 + _KAPPA_536)), (3, 15), "cube",
-         (("outer", "cube"),),
+        ("cube", (0.5, _UNIFORM_536), (3, 15), "cube", (("outer", "cube"),),
+         (("B1", _UNIFORM_536), ("B2", 0.5)),
          "inscribed-cube orbit of type s, the twelve other balls tangent "
          "along the edges"),
         ("polar", (0.0, 0.5), (3, 15), "pole anti",
          (("ring mates", "pole anti"), ("outer", "cube")),
+         (("B3", 0.0),),
          "two antipodal cube balls of type s, remaining cube balls tangent "
          "to a pole, outer balls tangent to their largest neighbor"),
         ("tetra", (0.2, 0.5), (3, 15), "pole mates",
          (("ring anti", "pole mates"), ("outer", "pole mates")),
+         (("B4", 0.2),),
          "alternating cube tetrad of type s, the other cube balls tangent "
          "to it, outer balls tangent to the tetrad"),
         ("apex", (0.0, 0.2), (3, 15), "pole",
          (("ring mates", "pole"), ("anti", "mates"), ("outer", "cube")),
+         (("B5", 0.0),),
          "single anchor ball of type s with six derived types cascading "
          "through the tangency graph"),
     ),
 }
-
-
-def _links(cell: Cell, targets, sources):
-    """(target, source, kappa / 2) for each target's nearest sources."""
-    kappas = cell.gram[np.ix_(targets, sources)]
-    nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
-    return [
-        (targets[r], sources[c], 0.5 * kappas[r, c].item())
-        for r, c in np.argwhere(nearest).tolist()
-    ]
 
 
 def families(tiling) -> tuple[Family, ...]:
@@ -464,27 +472,46 @@ def families(tiling) -> tuple[Family, ...]:
 
 @lru_cache(maxsize=None)
 def _resolve_families(weights) -> tuple[Family, ...]:
-    """The declared families of a tiling, their steps resolved into links."""
+    """The declared families of a tiling, each step resolved into its
+    targets, their nearest sources and the sources' kappa / 2."""
     symbol = SchlafliSymbol(weights)
     cell = build_cell(symbol)
     roles = _roles(cell)
 
-    def vertices(names: str) -> tuple[int, ...]:
-        return tuple(v for role in names.split() for v in roles[role])
+    def vertices(names: str) -> np.ndarray:
+        return np.array([v for role in names.split() for v in roles[role]])
 
     fams = []
-    for name, s_range, edge, anchor_roles, steps, description in _CASCADES[weights]:
+    for name, s_range, edge, anchor_roles, steps, states, text in _CASCADES[weights]:
         if edge not in cell.edges and edge[::-1] not in cell.edges:
             raise GeometryError(f"family {name!r} primary edge is not a cell edge")
-        anchors = vertices(anchor_roles)
-        cascade = tuple(
-            link
-            for targets, sources in steps
-            for link in _links(cell, vertices(targets), vertices(sources))
-        )
-        if set(anchors) | {t for t, _, _ in cascade} != set(range(cell.n_vertices)):
+        anchors = tuple(vertices(anchor_roles).tolist())
+        cascade = []
+        for target_roles, source_roles in steps:
+            targets, sources = vertices(target_roles), vertices(source_roles)
+            kappas = cell.gram[np.ix_(targets, sources)]
+            nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
+            width = nearest.sum(axis=1)
+            if (width != width[0]).any():
+                raise GeometryError(
+                    f"family {name!r} step targets differ in nearest-source count"
+                )
+            rows, cols = nearest.nonzero()
+            shape = (len(targets), width[0])
+            step = (
+                targets,
+                sources[cols].reshape(shape),
+                0.5 * kappas[rows, cols].reshape(shape),
+            )
+            for table in step:
+                table.flags.writeable = False
+            cascade.append(step)
+        derived = {v for targets, _, _ in cascade for v in targets.tolist()}
+        if set(anchors) | derived != set(range(cell.n_vertices)):
             raise GeometryError(f"family {name!r} leaves a vertex without a level")
-        fams.append(Family(name, symbol, s_range, edge, description, anchors, cascade))
+        fams.append(
+            Family(name, symbol, s_range, edge, text, anchors, tuple(cascade), states)
+        )
     return tuple(fams)
 
 
@@ -517,46 +544,13 @@ def sweep(tiling, fam, grid) -> list[DensityReport]:
 # ---------------------------------------------------------------------------
 # Named arrangements
 
-_CATALOG_STATES = {
-    (3, 3, 6): (("B1", "main", 0.5), ("B2", "main", 0.0)),
-    (3, 4, 4): (
-        ("B1", "main", 1.0 / 3.0),
-        ("B2", "main", 0.0),
-        ("B3", "main", -1.0 / 3.0),
-    ),
-    (4, 3, 6): (
-        ("B1", "polar", 0.5),
-        ("B2", "polar", 0.0),
-        ("B3", "tetra", 0.2),
-        ("B4", "polar", -1.0 / 3.0),
-    ),
-    (5, 3, 6): (
-        ("B1", "cube", None),  # upper end of the cube family (uniform state)
-        ("B2", "cube", 0.5),
-        ("B3", "polar", 0.0),
-        ("B4", "tetra", 0.2),
-        ("B5", "apex", 0.0),
-    ),
-}
-
 
 def catalog(tiling) -> list[PackingConfiguration]:
-    """The named arrangements of a tiling in their published order."""
-    symbol = as_symbol(tiling)
-    try:
-        states = _CATALOG_STATES[symbol.weights]
-    except KeyError:
-        raise GeometryError(
-            f"no arrangement catalog for {symbol.weights}; supported: "
-            f"{sorted(_CATALOG_STATES)}"
-        ) from None
-    configs = []
-    for label, fam_name, s in states:
-        fam = family(symbol, fam_name)
-        if s is None:
-            s = fam.s_range[1]
-        configs.append(fam.at(s, label=label))
-    return configs
+    """The named states of every family of a tiling, in label order (the
+    published order)."""
+    states = [(label, s, fam) for fam in families(tiling) for label, s in fam.states]
+    states.sort(key=lambda state: state[0])
+    return [fam.at(s, label=label) for label, s, fam in states]
 
 
 def certify_optimum(tiling) -> list[DensityReport]:

@@ -1,14 +1,16 @@
 """The batched evaluator against the per-point path it replaced.
 
 The references below are the former scalar code: the tangency cascade as a
-Python loop over links, ``validate_packing`` on one level tuple, and the
-density as the sector volumes C_v h_v^2 added left to right.  The batched
-path performs the same floating-point operations on every row, so every
-comparison is exact (``==``).
+Python loop over links, resolved from the role names of ``_CASCADES``, the
+former catalog table of (label, family, s) states, ``validate_packing`` on
+one level tuple, and the density as the sector volumes C_v h_v^2 added left
+to right.  The batched path performs the same floating-point operations on
+every row, so every comparison is exact (``==``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,15 +25,17 @@ from horopack.packing import (
     PackingConfiguration,
     Violation,
     balanced_levels,
+    catalog,
     configuration,
     contact_offset,
     density,
     evaluate,
     families,
     family,
-    sector_coefficient,
     sweep,
     validate_packing,
+    _CASCADES,
+    _roles,
 )
 
 TILINGS = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
@@ -42,6 +46,60 @@ FAMILIES = [(t, fam.name) for t in TILINGS for fam in families(t)]
 # reference: the per-point path
 
 
+def reference_links(cell, targets, sources):
+    """(target, source, kappa / 2) for each target's nearest sources."""
+    kappas = cell.gram[np.ix_(targets, sources)]
+    nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
+    return [
+        (targets[r], sources[c], 0.5 * kappas[r, c].item())
+        for r, c in np.argwhere(nearest).tolist()
+    ]
+
+
+@functools.cache
+def reference_cascade(weights, name: str):
+    """Anchors and links of a family, from its declared role names."""
+    cell = build_cell(weights)
+    roles = _roles(cell)
+
+    def vertices(names: str) -> tuple[int, ...]:
+        return tuple(v for role in names.split() for v in roles[role])
+
+    (row,) = [row for row in _CASCADES[weights] if row[0] == name]
+    anchors, steps = row[3], row[4]
+    links = [
+        link
+        for targets, sources in steps
+        for link in reference_links(cell, vertices(targets), vertices(sources))
+    ]
+    return vertices(anchors), links
+
+
+# (label, family, s) of each named state in published order; None is the
+# upper end of the family's range
+REFERENCE_CATALOG_STATES = {
+    (3, 3, 6): (("B1", "main", 0.5), ("B2", "main", 0.0)),
+    (3, 4, 4): (
+        ("B1", "main", 1.0 / 3.0),
+        ("B2", "main", 0.0),
+        ("B3", "main", -1.0 / 3.0),
+    ),
+    (4, 3, 6): (
+        ("B1", "polar", 0.5),
+        ("B2", "polar", 0.0),
+        ("B3", "tetra", 0.2),
+        ("B4", "polar", -1.0 / 3.0),
+    ),
+    (5, 3, 6): (
+        ("B1", "cube", None),
+        ("B2", "cube", 0.5),
+        ("B3", "polar", 0.0),
+        ("B4", "tetra", 0.2),
+        ("B5", "apex", 0.0),
+    ),
+}
+
+
 def reference_levels(fam, cell, s: float) -> tuple[float, ...]:
     lo, hi = fam.s_range
     if not (lo - 1e-12 <= s <= hi + 1e-12):
@@ -49,11 +107,12 @@ def reference_levels(fam, cell, s: float) -> tuple[float, ...]:
             f"family {fam.name!r} of {fam.tiling.weights} needs "
             f"s in [{lo:.12g}, {hi:.12g}], got {s:.12g}"
         )
+    anchors, links = reference_cascade(fam.tiling.weights, fam.name)
     h = [math.inf] * cell.n_vertices
     anchor = math.sqrt((1.0 - s) / (1.0 + s))
-    for v in fam.anchors:
+    for v in anchors:
         h[v] = anchor
-    for t, p, half_kappa in fam.cascade:
+    for t, p, half_kappa in links:
         level = half_kappa / h[p]
         if level < h[t]:
             h[t] = level
@@ -88,7 +147,7 @@ def reference_violation(cell, levels):
 
 
 def reference_sectors(cell, levels) -> tuple[float, tuple[float, ...]]:
-    coefficients = np.array([sector_coefficient(cell, v) for v in range(cell.n_vertices)])
+    coefficients = cell.sector_coefficients
     sectors = tuple((coefficients * np.array(levels) ** 2).tolist())
     total = 0  # Python's sum, which adds left to right
     for volume in sectors:
@@ -157,6 +216,43 @@ def test_single_point_sweeps_at_the_endpoints(key):
         assert contact_offset(report.config, fam.primary_edge) == math.log(
             levels[fam.primary_edge[0]] / balanced_levels(cell, fam.primary_edge)[0]
         )
+
+
+@pytest.mark.parametrize("key", FAMILIES, ids=[f"{t}-{n}" for t, n in FAMILIES])
+def test_level_matrix_matches_per_link_loop(key):
+    tiling, name = key
+    fam = family(tiling, name)
+    cell = build_cell(tiling)
+    lo, hi = fam.s_range
+    for grid in ([lo], [hi], np.linspace(lo, hi, 16), np.linspace(lo, hi, 1001)):
+        expected = [reference_levels(fam, cell, s) for s in np.asarray(grid).tolist()]
+        assert np.array_equal(fam.level_matrix(grid), np.array(expected))
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_catalog_matches_former_table(tiling):
+    cell = build_cell(tiling)
+    expected = []
+    for label, name, s in REFERENCE_CATALOG_STATES[tiling]:
+        fam = family(tiling, name)
+        s = fam.s_range[1] if s is None else s
+        expected.append((label, reference_levels(fam, cell, s)))
+    assert [(config.label, config.levels) for config in catalog(tiling)] == expected
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_each_step_reads_no_level_it_writes(tiling):
+    # disjoint target and source sets make one gather, divide and minimum
+    # per step equal to the per-link loop
+    for fam in families(tiling):
+        (row,) = [row for row in _CASCADES[tiling] if row[0] == fam.name]
+        assert len(fam.cascade) == len(row[4])
+        for step in fam.cascade:
+            targets, sources, half_kappa = step
+            assert not any(table.flags.writeable for table in step)
+            assert sources.shape == half_kappa.shape == (len(targets), sources.shape[1])
+            assert len(set(targets.tolist())) == len(targets)
+            assert not set(targets.tolist()) & set(sources.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +337,26 @@ def test_sweep_reports_the_first_bad_grid_point(key):
 def test_sweep_rejects_a_family_of_another_tiling():
     with pytest.raises(GeometryError, match=r"\(5, 3, 6\).*\(3, 3, 6\)"):
         sweep((3, 3, 6), family((5, 3, 6), "cube"), [0.5])
+
+
+def test_evaluate_rejects_level_arrays_that_are_not_m_by_n():
+    cell = build_cell((3, 3, 6))
+    expected = r"\(3, 3, 6\) needs an \(m, 4\) level array, got shape"
+    for levels in (
+        [0.5, 0.5, 0.5, 1.0],
+        [[0.5, 0.5, 1.0]],
+        [[0.5, 0.5, 0.5, 1.0, 0.5]],
+        np.full((2, 1, 4), 0.5),
+    ):
+        with pytest.raises(GeometryError, match=expected):
+            evaluate(cell, levels)
+    short = PackingConfiguration(
+        tiling=cell.schlafli, cell=cell, assignment=(0.6, 0.6, 0.0), levels=(0.5, 0.5, 1.0)
+    )
+    with pytest.raises(GeometryError, match=expected):
+        validate_packing(short)
+    with pytest.raises(GeometryError, match=expected):
+        density(short)
 
 
 def test_invalid_rows_raise_the_density_error():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from horopack.packing import (
     density,
     families,
     family,
-    sector_coefficient,
     sweep,
     validate_packing,
     volume_function,
@@ -298,20 +298,20 @@ def test_coefficient_path_matches_heron(symbol):
 
 def test_sector_coefficients():
     cell336 = build_cell((3, 3, 6))
-    assert sector_coefficient(cell336, 0) == pytest.approx(
+    assert cell336.sector_coefficients[0] == pytest.approx(
         math.sqrt(3.0) / 6.0, rel=1e-12
     )
-    assert sector_coefficient(cell336, 3) == pytest.approx(
+    assert cell336.sector_coefficients[3] == pytest.approx(
         3.0 * math.sqrt(3.0) / 8.0, rel=1e-12
     )
-    assert sector_coefficient(build_cell((3, 4, 4)), 0) == pytest.approx(
+    assert build_cell((3, 4, 4)).sector_coefficients[0] == pytest.approx(
         1.0, rel=1e-12
     )
-    assert sector_coefficient(build_cell((4, 3, 6)), 0) == pytest.approx(
+    assert build_cell((4, 3, 6)).sector_coefficients[0] == pytest.approx(
         3.0 * math.sqrt(3.0) / 4.0, rel=1e-12
     )
     kappa_e = (3.0 - math.sqrt(5.0)) / 3.0
-    assert sector_coefficient(build_cell((5, 3, 6)), 0) == pytest.approx(
+    assert build_cell((5, 3, 6)).sector_coefficients[0] == pytest.approx(
         math.sqrt(3.0) / (6.0 * kappa_e * kappa_e), rel=1e-12
     )
 
@@ -322,8 +322,7 @@ def test_balanced_levels_tetrahedron():
     hi0, hj0 = balanced_levels(cell, edge)
     # tangency and equal sector volumes
     assert 2.0 * hi0 * hj0 == pytest.approx(cell.kappa(*edge), abs=1e-12)
-    ci = sector_coefficient(cell, edge[0])
-    cj = sector_coefficient(cell, edge[1])
+    ci, cj = cell.sector_coefficients[list(edge)]
     assert ci * hi0 * hi0 == pytest.approx(cj * hj0 * hj0, rel=1e-12)
 
 
@@ -446,8 +445,9 @@ def test_family_cascade_tangencies(symbol):
     cell = build_cell(symbol)
     for fam in families(symbol):
         sources = {}
-        for t, p, _ in fam.cascade:
-            sources.setdefault(t, []).append(p)
+        for targets, nearest, _ in fam.cascade:
+            for t, ps in zip(targets.tolist(), nearest.tolist()):
+                sources.setdefault(t, []).extend(ps)
         assert set(fam.anchors) | set(sources) == set(range(cell.n_vertices))
         for s in np.linspace(*fam.s_range, 7):
             levels = fam.levels(float(s))
@@ -477,6 +477,15 @@ def test_family_lookup_errors():
         family((3, 3, 6), "nope")
     with pytest.raises(GeometryError):
         families((3, 5, 3))
+    with pytest.raises(GeometryError, match=r"no packing families for \(3, 5, 3\)"):
+        catalog((3, 5, 3))
+
+
+def test_families_compare_by_identity():
+    fam = family((5, 3, 6), "apex")
+    assert family((5, 3, 6), "apex") is fam
+    assert {fam: fam.name}[fam] == "apex"
+    assert dataclasses.replace(fam) != fam
 
 
 def test_sweep_tetrahedron_ends_beat_middle():

@@ -34,7 +34,6 @@ from horopack.packing import (
     configuration,
     contact_offset,
     families,
-    sector_coefficient,
     volume_function,
 )
 
@@ -145,7 +144,7 @@ def test_sector_coefficients_match_reference(tiling):
     cell = build_cell(tiling)
     for v in range(cell.n_vertices):
         h = 0.5 * min(math.sqrt(0.5 * cell.kappa(v, j)) for j in cell.neighbors[v])
-        assert sector_coefficient(cell, v) == reference_sector(cell, v, h) / (h * h)
+        assert cell.sector_coefficients[v] == reference_sector(cell, v, h) / (h * h)
 
 
 def test_cone_sectors_match_reference():

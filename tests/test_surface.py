@@ -34,16 +34,27 @@ def test_benchmark_tracer_installs_on_the_source_tree():
 
 
 def test_every_definition_in_src_is_referenced():
-    # a function or class whose name appears nowhere but in its own
-    # definition is dead code; count definitions against all mentions
+    # a function, class or module-level name whose name appears nowhere but
+    # in its own definition is dead code; count definitions against all
+    # mentions
     sources = sorted((ROOT / "src" / "horopack").glob("*.py"))
     readers = [*sources, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     corpus = "\n".join(path.read_text() for path in [*readers, ROOT / "README.md"])
     definitions: dict[str, int] = {}
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions[node.name] = definitions.get(node.name, 0) + 1
+        tree = ast.parse(path.read_text())
+        names = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [t.id for target in targets for t in ast.walk(target)
+                          if isinstance(t, ast.Name)]
+        for name in names:
+            definitions[name] = definitions.get(name, 0) + 1
     unreferenced = sorted(
         name
         for name, count in definitions.items()
