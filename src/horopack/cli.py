@@ -29,11 +29,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .coxeter import FULLY_ASYMPTOTIC_TILINGS, build_cell, build_orthoscheme
+from .coxeter import FULLY_ASYMPTOTIC_TILINGS, build_cell
 from .horoball import cell_volume_oracle, pencil_value, polar_point
 from .lorentz import GeometryError
 from .packing import balanced_levels, catalog, certify_optimum, family, sweep
-from .volume import MIN_SAMPLES, bf_constant, bf_series_tail_bound
+from .volume import MIN_SAMPLES, bf_constant, bf_series_tail_bound, orthoscheme_volume
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240816
@@ -144,7 +144,7 @@ def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
 def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
     fam = family(args.tiling, args.family)
     lo, hi = fam.s_range if args.s_range is None else args.s_range
-    grid = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
+    grid = np.linspace(lo, hi, args.steps)
     reports = sweep(args.tiling, fam, grid)
     cell = reports[0].config.cell
     columns = ("s", "x", "density") + tuple(f"V{v}" for v in range(cell.n_vertices))
@@ -181,7 +181,7 @@ def _cmd_volumes(args) -> tuple[int, tuple, list, dict]:
     print(f"Cell volumes (Monte Carlo: {args.samples} samples, seed {args.seed})")
     for weights in SUPPORTED:
         cell = build_cell(weights)
-        ortho = build_orthoscheme(cell.orthoscheme_symbol)
+        ortho_volume = orthoscheme_volume(cell.orthoscheme_symbol).value
         mc = cell_volume_oracle(cell, args.samples, args.seed)
         sigmas = abs(mc.value - cell.volume) / mc.stderr if mc.stderr else 0.0
         ok = sigmas <= 3.0
@@ -191,7 +191,7 @@ def _cmd_volumes(args) -> tuple[int, tuple, list, dict]:
                 _tiling_name(weights),
                 cell.volume,
                 VOLUME_TARGETS[weights],
-                ortho.volume,
+                ortho_volume,
                 cell.orthoschemes_per_cell,
                 mc.value,
                 mc.stderr,
@@ -200,7 +200,7 @@ def _cmd_volumes(args) -> tuple[int, tuple, list, dict]:
         )
         print(
             f"  {_tiling_name(weights):8s} closed form {cell.volume:.9f} "
-            f"({cell.orthoschemes_per_cell} x {ortho.volume:.9f})  "
+            f"({cell.orthoschemes_per_cell} x {ortho_volume:.9f})  "
             f"MC {mc.value:.6f} +- {mc.stderr:.6f} ({sigmas:.2f} sigma)"
             f"{'  ok' if ok else '  MISS'}"
         )

@@ -72,7 +72,6 @@ def as_symbol(s) -> SchlafliSymbol:
 class CoxeterMatrix:
     """Gram matrix b of the orthoscheme wall normals and its inverse a."""
 
-    symbol: SchlafliSymbol
     b: np.ndarray
     a: np.ndarray
 
@@ -86,7 +85,7 @@ def coxeter_matrix(s) -> CoxeterMatrix:
         c = -math.cos(math.pi / n)
         b[i, i + 1] = c
         b[i + 1, i] = c
-    return CoxeterMatrix(symbol=sym, b=b, a=np.linalg.inv(b))
+    return CoxeterMatrix(b=b, a=np.linalg.inv(b))
 
 
 def vertex_distance(m: CoxeterMatrix, i: int, j: int) -> float:
@@ -503,13 +502,8 @@ def build_orthoscheme(s) -> Orthoscheme:
 
 def _flag_simplex(cell: Cell):
     """(ideal vertex, edge foot, face center, cell center) flag of a cell."""
-    apex = None
-    for face in cell.faces:
-        if 3 in face.indices:
-            apex_face = face
-            apex = 3
-            break
-    cyc = apex_face.indices
+    apex = 3
+    cyc = next(face.indices for face in cell.faces if apex in face.indices)
     pos = cyc.index(apex)
     nxt = cyc[(pos + 1) % len(cyc)]
     a0 = cell.vertices[apex]

@@ -1,8 +1,9 @@
 """Horoball packing configurations on fully asymptotic Coxeter cells.
 
-A configuration places one horoball at every ideal vertex of a cell.  Its
-density is the total sector volume inside the cell divided by the cell
-volume.  Each supported tiling carries a small set of one-parameter
+A configuration is a cell and one horoball level h per ideal vertex; the
+type s = (1 - h^2) / (1 + h^2) of each ball is read from its Horoball.  Its
+density is the total sector volume C_v h_v^2 inside the cell divided by the
+cell volume.  Each supported tiling carries a small set of one-parameter
 configuration families: the anchor ball's type parameter s drives every
 other level through a cascade of declared tangency steps (the largest
 horoball determines the rest), and the family is valid on the s-interval
@@ -61,16 +62,26 @@ class Violation:
 class PackingConfiguration:
     """One horoball per ideal vertex of one cell.
 
-    ``assignment`` holds canonical-chart type parameters s per vertex and
-    ``levels`` the equivalent chart Busemann levels h.  The structure can
-    represent invalid candidates; validity is checked by validate_packing.
+    ``levels`` holds the chart Busemann level h of each vertex's ball; the
+    type s of a ball is ``horoball(v).s``.  GeometryError unless there is
+    one level per vertex.  The structure can represent invalid candidates;
+    validity is checked by validate_packing.
     """
 
-    tiling: SchlafliSymbol
     cell: Cell
-    assignment: tuple[float, ...]
     levels: tuple[float, ...]
     label: Optional[str] = None
+
+    def __post_init__(self):
+        n = self.cell.n_vertices
+        if len(self.levels) != n:
+            raise GeometryError(
+                f"{self.tiling.weights} needs {n} levels, got {len(self.levels)}"
+            )
+
+    @property
+    def tiling(self) -> SchlafliSymbol:
+        return self.cell.schlafli
 
     def horoball(self, vertex: int) -> Horoball:
         return horoball_level(self.cell.vertices[vertex], self.levels[vertex])
@@ -96,7 +107,6 @@ class PackingConfiguration:
 class DensityReport:
     density: float
     sector_volumes: tuple[float, ...]
-    cell_volume: float
     config: PackingConfiguration
 
 
@@ -135,18 +145,14 @@ def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
 
 def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfiguration:
     """Build a configuration from finite, positive per-vertex levels."""
-    symbol = as_symbol(tiling)
-    cell = build_cell(symbol)
-    levels = tuple(float(h) for h in levels)
-    if len(levels) != cell.n_vertices:
-        raise GeometryError(
-            f"{symbol.weights} needs {cell.n_vertices} levels, got {len(levels)}"
-        )
-    if not all(map(math.isfinite, levels)):
-        raise GeometryError(f"horoball levels must be finite, got {levels}")
-    if min(levels) <= 0.0:
+    config = PackingConfiguration(
+        build_cell(tiling), tuple(float(h) for h in levels), label
+    )
+    if not all(map(math.isfinite, config.levels)):
+        raise GeometryError(f"horoball levels must be finite, got {config.levels}")
+    if min(config.levels) <= 0.0:
         raise GeometryError("horoball levels must be positive")
-    return _configurations(symbol, cell, (levels,), label)[0]
+    return config
 
 
 class Evaluation(NamedTuple):
@@ -198,23 +204,13 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     return Evaluation(sectors, dens, violations)
 
 
-def _configurations(tiling, cell: Cell, levels, label=None) -> list[PackingConfiguration]:
-    """Configurations of the rows of a positive level matrix."""
-    h = np.asarray(levels, dtype=float)
-    s = (1.0 - h * h) / (1.0 + h * h)
-    return [
-        PackingConfiguration(tiling, cell, tuple(a), tuple(row), label)
-        for row, a in zip(h.tolist(), s.tolist())
-    ]
-
-
 def _reports(configs, ev: Evaluation) -> list[DensityReport]:
     """Density reports of evaluated configurations, or InvalidPackingError."""
     bad = next((v for v in ev.violations if v is not None), None)
     if bad is not None:
         raise InvalidPackingError(bad.detail)
     return [
-        DensityReport(d, tuple(sectors), config.cell.volume, config)
+        DensityReport(d, tuple(sectors), config)
         for config, sectors, d in zip(configs, ev.sectors.tolist(), ev.density.tolist())
     ]
 
@@ -330,7 +326,6 @@ class Family:
     tiling: SchlafliSymbol
     s_range: tuple[float, float]
     primary_edge: tuple[int, int]
-    description: str
     anchors: tuple[int, ...]
     cascade: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     states: tuple[tuple[str, float], ...]
@@ -402,59 +397,45 @@ def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
 _KAPPA_536 = (3.0 - math.sqrt(5.0)) / 3.0
 _UNIFORM_536 = (2.0 - _KAPPA_536) / (2.0 + _KAPPA_536)
 
-# Per tiling: (name, s_range, primary_edge, anchors, steps, states,
-# description).  Anchors and the (targets, sources) of each step are role
-# names.  Steps run in order; each target takes the sources nearest to it
-# (smallest kappa), so a ball ends up touching the largest of its nearest
-# neighbours.  States are the family's named arrangements as (label, s).
+# Per tiling: (name, s_range, primary_edge, anchors, steps, states).
+# Anchors and the (targets, sources) of each step are role names.  Steps run
+# in order; each target takes the sources nearest to it (smallest kappa), so
+# a ball ends up touching the largest of its nearest neighbours.  States are
+# the family's named arrangements as (label, s).
 _CASCADES = {
     (3, 3, 6): (
         ("main", (0.0, 0.5), (3, 0), "pole", (("ring", "pole"),),
-         (("B1", 0.5), ("B2", 0.0)),
-         "apex ball of type s, base balls tangent to it"),
+         (("B1", 0.5), ("B2", 0.0))),
     ),
     (3, 4, 4): (
         # the south pole meets the north ball through the center or the
         # equator balls, whichever comes first
         ("main", (-1.0 / 3.0, 1.0 / 3.0), (3, 0), "pole",
          (("ring anti", "pole"), ("anti", "ring")),
-         (("B1", 1.0 / 3.0), ("B2", 0.0), ("B3", -1.0 / 3.0)),
-         "polar ball of type s, equator tangent, opposite pole grown to "
-         "first contact"),
+         (("B1", 1.0 / 3.0), ("B2", 0.0), ("B3", -1.0 / 3.0))),
     ),
     (4, 3, 6): (
         # the opposite ball matches the anchor type until the contact
         # through the cell center forces it smaller
         ("polar", (-1.0 / 3.0, 0.5), (3, 0), "pole anti",
          (("anti", "pole"), ("ring mates", "pole anti")),
-         (("B1", 0.5), ("B2", 0.0), ("B4", -1.0 / 3.0)),
-         "ball at one cube vertex of type s, neighbors tangent, opposite "
-         "ball grown to first contact"),
+         (("B1", 0.5), ("B2", 0.0), ("B4", -1.0 / 3.0))),
         ("tetra", (0.2, 0.5), (3, 0), "pole mates", (("ring anti", "pole mates"),),
-         (("B3", 0.2),),
-         "alternating vertex tetrad of type s, the other four balls tangent "
-         "along the edges"),
+         (("B3", 0.2),)),
     ),
     (5, 3, 6): (
         ("cube", (0.5, _UNIFORM_536), (3, 15), "cube", (("outer", "cube"),),
-         (("B1", _UNIFORM_536), ("B2", 0.5)),
-         "inscribed-cube orbit of type s, the twelve other balls tangent "
-         "along the edges"),
+         (("B1", _UNIFORM_536), ("B2", 0.5))),
         ("polar", (0.0, 0.5), (3, 15), "pole anti",
          (("ring mates", "pole anti"), ("outer", "cube")),
-         (("B3", 0.0),),
-         "two antipodal cube balls of type s, remaining cube balls tangent "
-         "to a pole, outer balls tangent to their largest neighbor"),
+         (("B3", 0.0),)),
         ("tetra", (0.2, 0.5), (3, 15), "pole mates",
          (("ring anti", "pole mates"), ("outer", "pole mates")),
-         (("B4", 0.2),),
-         "alternating cube tetrad of type s, the other cube balls tangent "
-         "to it, outer balls tangent to the tetrad"),
+         (("B4", 0.2),)),
+        # the anchor and five derived types; at s = 0.2 the levels are B4's
         ("apex", (0.0, 0.2), (3, 15), "pole",
          (("ring mates", "pole"), ("anti", "mates"), ("outer", "cube")),
-         (("B5", 0.0),),
-         "single anchor ball of type s with six derived types cascading "
-         "through the tangency graph"),
+         (("B5", 0.0),)),
     ),
 }
 
@@ -482,7 +463,7 @@ def _resolve_families(weights) -> tuple[Family, ...]:
         return np.array([v for role in names.split() for v in roles[role]])
 
     fams = []
-    for name, s_range, edge, anchor_roles, steps, states, text in _CASCADES[weights]:
+    for name, s_range, edge, anchor_roles, steps, states in _CASCADES[weights]:
         if edge not in cell.edges and edge[::-1] not in cell.edges:
             raise GeometryError(f"family {name!r} primary edge is not a cell edge")
         anchors = tuple(vertices(anchor_roles).tolist())
@@ -510,7 +491,7 @@ def _resolve_families(weights) -> tuple[Family, ...]:
         if set(anchors) | derived != set(range(cell.n_vertices)):
             raise GeometryError(f"family {name!r} leaves a vertex without a level")
         fams.append(
-            Family(name, symbol, s_range, edge, text, anchors, tuple(cascade), states)
+            Family(name, symbol, s_range, edge, anchors, tuple(cascade), states)
         )
     return tuple(fams)
 
@@ -538,7 +519,8 @@ def sweep(tiling, fam, grid) -> list[DensityReport]:
         )
     cell = build_cell(fam.tiling)
     levels = fam.level_matrix(grid)
-    return _reports(_configurations(fam.tiling, cell, levels), evaluate(cell, levels))
+    configs = [PackingConfiguration(cell, tuple(row)) for row in levels.tolist()]
+    return _reports(configs, evaluate(cell, levels))
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,6 @@ def lobachevsky(theta: float) -> float:
 # --- orthoscheme and cell volumes -------------------------------------------
 
 
-def _weights(symbol):
-    ws = getattr(symbol, "weights", None)
-    if ws is None:
-        ws = tuple(int(w) for w in symbol)
-    return tuple(ws)
-
-
 def orthoscheme_volume(symbol) -> VolumeResult:
     """Closed-form volume of the hyperbolic orthoscheme (n1, n2, n3).
 
@@ -90,7 +83,7 @@ def orthoscheme_volume(symbol) -> VolumeResult:
     - Lob(a3-theta) - Lob(pi/2 - a2 + theta) + Lob(pi/2 - a2 - theta)
     + 2 Lob(pi/2 - theta) ].
     """
-    ws = _weights(symbol)
+    ws = tuple(int(w) for w in symbol)
     if len(ws) != 3:
         raise GeometryError(f"orthoscheme volume needs a rank-4 symbol, got {ws}")
     a1, a2, a3 = (math.pi / n for n in ws)
@@ -147,13 +140,13 @@ def _hull_fan(pts: np.ndarray):
 def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> VolumeResult:
     """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
-    ``region`` is a vertex set given as chart 3-vectors (or projective points
-    with x0 = 1).  Draws points uniformly in the convex hull, through a
-    tetrahedral fan from the vertex mean (each chunk splits its points among
-    the tetrahedra by a multinomial draw weighted by volume), and averages the
-    chart volume element 1/(1 - x^2 - y^2 - z^2)^2 times the hull's Euclidean
-    volume.  Points on or outside the unit sphere count as rejected and
-    contribute 0.  Deterministic for a fixed (seed, samples).
+    ``region`` is a vertex set given as chart 3-vectors.  Draws points
+    uniformly in the convex hull, through a tetrahedral fan from the vertex
+    mean (each chunk splits its points among the tetrahedra by a multinomial
+    draw weighted by volume), and averages the chart volume element
+    1/(1 - x^2 - y^2 - z^2)^2 times the hull's Euclidean volume.  Points on
+    or outside the unit sphere count as rejected and contribute 0.
+    Deterministic for a fixed (seed, samples).
 
     ``carve_outs`` is a sequence of (predicate, volume, chart_volume)
     triples: points where predicate(points) is True are excluded from the
@@ -168,11 +161,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     U times their mean, so carved samples add no variance; without
     carve-outs U is the hull's volume and every sample is kept.
     """
-    pts = []
-    for p in region:
-        coords = getattr(p, "chart", None)
-        pts.append(p.chart() if callable(coords) else np.asarray(p, dtype=float))
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asarray(region, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
         raise GeometryError("region needs at least 4 chart points in 3-space")
     if samples < MIN_SAMPLES:

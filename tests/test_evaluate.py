@@ -176,7 +176,7 @@ def test_sweep_matches_per_point_path(key):
         assert reference_violation(cell, levels) is None
         dens, sectors = reference_sectors(cell, levels)
         assert report.config.levels == levels
-        assert report.config.assignment == tuple(
+        assert tuple(report.config.horoball(v).s for v in range(len(levels))) == tuple(
             (1.0 - h * h) / (1.0 + h * h) for h in levels
         )
         assert report.sector_volumes == sectors
@@ -292,9 +292,7 @@ def test_first_violation_matches_scalar_validator(tiling):
         expected = [reference_violation(cell, tuple(row)) for row in rows.tolist()]
         assert ev.violations == expected
         for row in rows.tolist()[:200]:
-            config = PackingConfiguration(
-                tiling=cell.schlafli, cell=cell, assignment=tuple(row), levels=tuple(row)
-            )
+            config = PackingConfiguration(cell=cell, levels=tuple(row))
             assert validate_packing(config) == reference_violation(cell, tuple(row))
     kinds = {v.kind if v else None for v in expected}
     assert kinds == {None, "pair", "face"}
@@ -350,13 +348,8 @@ def test_evaluate_rejects_level_arrays_that_are_not_m_by_n():
     ):
         with pytest.raises(GeometryError, match=expected):
             evaluate(cell, levels)
-    short = PackingConfiguration(
-        tiling=cell.schlafli, cell=cell, assignment=(0.6, 0.6, 0.0), levels=(0.5, 0.5, 1.0)
-    )
-    with pytest.raises(GeometryError, match=expected):
-        validate_packing(short)
-    with pytest.raises(GeometryError, match=expected):
-        density(short)
+    with pytest.raises(GeometryError, match=r"\(3, 3, 6\) needs 4 levels, got 3"):
+        PackingConfiguration(cell=cell, levels=(0.5, 0.5, 1.0))
 
 
 def test_invalid_rows_raise_the_density_error():

@@ -154,7 +154,7 @@ def test_catalog_counts_labels_and_validity(symbol):
         assert validate_packing(config) is None
         assert len(config.levels) == config.cell.n_vertices
         for v, h in enumerate(config.levels):
-            s = config.assignment[v]
+            s = config.horoball(v).s
             assert h == pytest.approx(math.sqrt((1.0 - s) / (1.0 + s)), abs=1e-12)
             assert config.horoball(v).h == pytest.approx(h, abs=1e-15)
 
@@ -172,9 +172,9 @@ def test_density_report_structure():
     config = catalog((3, 3, 6))[0]
     report = density(config)
     assert len(report.sector_volumes) == 4
-    assert report.cell_volume == pytest.approx(1.0149416064096537, rel=1e-13)
+    assert report.config.cell.volume == pytest.approx(1.0149416064096537, rel=1e-13)
     assert report.density == pytest.approx(
-        sum(report.sector_volumes) / report.cell_volume, rel=1e-14
+        sum(report.sector_volumes) / report.config.cell.volume, rel=1e-14
     )
     assert report.config is config
 
@@ -266,13 +266,25 @@ def test_configuration_rejects_non_finite_levels(levels):
         configuration((3, 3, 6), levels)
 
 
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_configuration_needs_one_level_per_vertex(symbol):
+    # a wrong level count is refused when the configuration is built, so
+    # all_pair_gaps, tangencies and contact_offset never index past it
+    cell = build_cell(symbol)
+    n = cell.n_vertices
+    for k in (n - 1, n + 1):
+        expected = rf"^\({', '.join(map(str, symbol))}\) needs {n} levels, got {k}$"
+        with pytest.raises(GeometryError, match=expected):
+            PackingConfiguration(cell, (0.1,) * k)
+        with pytest.raises(GeometryError, match=expected):
+            configuration(symbol, [0.1] * k)
+
+
 def test_validate_packing_flags_nan_levels():
     # a configuration assembled without configuration() still fails validation
     good = catalog((3, 3, 6))[0]
     for levels in ((math.nan,) * 4, good.levels[:3] + (math.nan,)):
-        config = PackingConfiguration(
-            tiling=good.tiling, cell=good.cell, assignment=levels, levels=levels
-        )
+        config = PackingConfiguration(cell=good.cell, levels=levels)
         assert validate_packing(config) is not None
         with pytest.raises(InvalidPackingError):
             density(config)
@@ -431,7 +443,6 @@ def test_family_levels_pinned(key):
     symbol, name = key
     pattern, values = FAMILY_LEVELS[key]
     fam = family(symbol, name)
-    cell = build_cell(symbol)
     lo, hi = fam.s_range
     for s, groups in zip((lo, 0.5 * (lo + hi), hi), values):
         expected = [groups[int(g)] for g in pattern]

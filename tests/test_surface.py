@@ -33,15 +33,22 @@ def test_benchmark_tracer_installs_on_the_source_tree():
         tracer.uninstall()
 
 
+SOURCES = sorted((ROOT / "src" / "horopack").glob("*.py"))
+
+
+def _corpus() -> str:
+    """The package, the tests, the benchmark scripts and the README."""
+    readers = [*SOURCES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return "\n".join(path.read_text() for path in [*readers, ROOT / "README.md"])
+
+
 def test_every_definition_in_src_is_referenced():
     # a function, class or module-level name whose name appears nowhere but
     # in its own definition is dead code; count definitions against all
     # mentions
-    sources = sorted((ROOT / "src" / "horopack").glob("*.py"))
-    readers = [*sources, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    corpus = "\n".join(path.read_text() for path in [*readers, ROOT / "README.md"])
+    corpus = _corpus()
     definitions: dict[str, int] = {}
-    for path in sources:
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         names = [
             node.name
@@ -62,3 +69,27 @@ def test_every_definition_in_src_is_referenced():
         and len(re.findall(rf"\b{re.escape(name)}\b", corpus)) <= count
     )
     assert unreferenced == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A @dataclass (bare or called) or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+    )
+
+
+def test_every_record_field_is_read():
+    # a field that no code reads as ``.field`` is stored for nobody and can
+    # disagree with what the record derives
+    corpus = _corpus()
+    unread = sorted(
+        f"{node.name}.{field.target.id}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and not re.search(rf"\.{re.escape(field.target.id)}\b", corpus)
+    )
+    assert unread == []
