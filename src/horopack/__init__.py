@@ -12,7 +12,6 @@ from .coxeter import (
     Cell,
     CoxeterMatrix,
     Orthoscheme,
-    SchlafliSymbol,
     UnsupportedSymbolError,
     build_cell,
     build_orthoscheme,
@@ -82,7 +81,6 @@ __all__ = [
     "PackingConfiguration",
     "PointClass",
     "ProjectivePoint",
-    "SchlafliSymbol",
     "UnsupportedSymbolError",
     "Violation",
     "VolumeResult",

@@ -40,8 +40,6 @@ DEFAULT_SEED = 20240816
 DEFAULT_SAMPLES = 200_000
 BOUND_MATCH_TOL = 1e-6
 
-SUPPORTED = FULLY_ASYMPTOTIC_TILINGS
-
 # published optimal densities and the digits they are printed to
 TABLE2_TARGETS = {
     (3, 3, 6): (0.853276, 1e-5),
@@ -67,11 +65,11 @@ def _parse_tiling(text: str) -> tuple[int, int, int]:
     digits = [c for c in text if c.isdigit()]
     if len(digits) == 3:
         weights = tuple(int(c) for c in digits)
-        if weights in SUPPORTED:
+        if weights in FULLY_ASYMPTOTIC_TILINGS:
             return weights
     raise argparse.ArgumentTypeError(
         f"unsupported tiling {text!r}; choose from "
-        + ", ".join("".join(map(str, w)) for w in SUPPORTED)
+        + ", ".join("".join(map(str, w)) for w in FULLY_ASYMPTOTIC_TILINGS)
     )
 
 
@@ -120,7 +118,7 @@ def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
     rows = []
     failed = False
     print("Optimal horoball packing densities")
-    for weights in SUPPORTED:
+    for weights in FULLY_ASYMPTOTIC_TILINGS:
         reports = certify_optimum(weights)
         best = max(r.density for r in reports)
         labels = ",".join(r.config.label or "?" for r in reports)
@@ -155,7 +153,7 @@ def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
     ]
     dens = [r.density for r in reports]
     print(
-        f"sweep {_tiling_name(fam.tiling.weights)} family={fam.name} "
+        f"sweep {_tiling_name(fam.tiling)} family={fam.name} "
         f"s in [{_fmt(lo)}, {_fmt(hi)}] steps={len(grid)}"
     )
     print(
@@ -179,7 +177,7 @@ def _cmd_volumes(args) -> tuple[int, tuple, list, dict]:
     rows = []
     failed = False
     print(f"Cell volumes (Monte Carlo: {args.samples} samples, seed {args.seed})")
-    for weights in SUPPORTED:
+    for weights in FULLY_ASYMPTOTIC_TILINGS:
         cell = build_cell(weights)
         ortho_volume = orthoscheme_volume(cell.orthoscheme_symbol).value
         mc = cell_volume_oracle(cell, args.samples, args.seed)

@@ -1,10 +1,11 @@
-"""Schlafli symbols, Coxeter-Schlafli matrices, and cell construction.
+"""Coxeter-Schlafli matrices and cell construction.
 
-Covers the linear (orthoscheme) schemes of rank 4: the symbol (n1, n2, n3)
-yields the tridiagonal Gram matrix of the characteristic simplex, vertex
-distances through its inverse, and explicit projective coordinates for the
-four fully asymptotic honeycombs (3,3,6), (3,4,4), (4,3,6), (5,3,6)
-together with their characteristic orthoschemes.
+A tiling is its Schlafli symbol, a plain (p, q, r) tuple of ints.  Covers
+the linear (orthoscheme) schemes of rank 4: the weights (n1, n2, n3) yield
+the tridiagonal Gram matrix of the characteristic simplex, vertex distances
+through its inverse, and explicit projective coordinates for the four fully
+asymptotic honeycombs (3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6) together
+with their characteristic orthoschemes.
 """
 
 from __future__ import annotations
@@ -40,34 +41,6 @@ class UnsupportedSymbolError(GeometryError):
     """Symbol outside the scope of the requested construction."""
 
 
-@dataclass(frozen=True)
-class SchlafliSymbol:
-    """Ordered weights (n1, ..., nd) of a linear Coxeter scheme."""
-
-    weights: tuple
-
-    def __init__(self, weights):
-        ws = tuple(int(w) for w in weights)
-        if len(ws) < 1 or any(w < 2 for w in ws):
-            raise GeometryError(f"invalid Schlafli weights {weights}")
-        object.__setattr__(self, "weights", ws)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __str__(self):
-        return "(" + ",".join(str(w) for w in self.weights) + ")"
-
-
-def as_symbol(s) -> SchlafliSymbol:
-    if isinstance(s, SchlafliSymbol):
-        return s
-    return SchlafliSymbol(tuple(s))
-
-
 @dataclass(frozen=True, eq=False)
 class CoxeterMatrix:
     """Gram matrix b of the orthoscheme wall normals and its inverse a."""
@@ -76,12 +49,14 @@ class CoxeterMatrix:
     a: np.ndarray
 
 
-def coxeter_matrix(s) -> CoxeterMatrix:
-    """Tridiagonal Gram matrix with off-diagonals -cos(pi/n_i), plus inverse."""
-    sym = as_symbol(s)
-    d = len(sym.weights) + 1
-    b = np.eye(d)
-    for i, n in enumerate(sym.weights):
+def coxeter_matrix(weights) -> CoxeterMatrix:
+    """Tridiagonal Gram matrix with off-diagonals -cos(pi/n_i), plus inverse;
+    GeometryError unless the weights (n1, ..., nd) are one or more ints >= 2."""
+    ws = tuple(int(w) for w in weights)
+    if not ws or min(ws) < 2:
+        raise GeometryError(f"invalid Schlafli weights {ws}")
+    b = np.eye(len(ws) + 1)
+    for i, n in enumerate(ws):
         c = -math.cos(math.pi / n)
         b[i, i + 1] = c
         b[i + 1, i] = c
@@ -121,7 +96,9 @@ class Face:
 class Cell:
     """Fully asymptotic honeycomb cell in a fixed projective chart.
 
-    All vertices are ideal and stored chart-normalized (x0 = 1).  ``neighbors``
+    ``tiling`` is the Schlafli symbol (p, q, r) and ``orthoscheme_symbol``
+    that of the characteristic orthoscheme, both plain tuples of ints.  All
+    vertices are ideal and stored chart-normalized (x0 = 1).  ``neighbors``
     lists, for each vertex, the adjacent vertex indices in cyclic order around
     the vertex (as seen from outside the model ball).  ``volume`` is the
     closed-form hyperbolic cell volume, orthoschemes_per_cell times the
@@ -135,13 +112,13 @@ class Cell:
     every array is read-only.
     """
 
-    schlafli: SchlafliSymbol
+    tiling: tuple
     vertices: tuple
     edges: tuple
     faces: tuple
     neighbors: tuple
     n_vertices: int
-    orthoscheme_symbol: SchlafliSymbol
+    orthoscheme_symbol: tuple
     orthoschemes_per_cell: int
     volume: float
     incenter: ProjectivePoint
@@ -169,7 +146,6 @@ class Cell:
 class Orthoscheme:
     """Characteristic simplex A0..A3 with walls H^i opposite A_i."""
 
-    schlafli: SchlafliSymbol
     vertices: tuple
     walls: tuple
     matrix: CoxeterMatrix
@@ -210,8 +186,10 @@ def _merged_faces(chart_pts):
     """Convex-hull facets with coplanar triangles merged into polygons.
 
     Rounded hull equations only group coplanar simplices; each face plane is
-    then refit exactly as the null covector of its full vertex set.
+    then refit exactly as the null covector of its full vertex set, oriented
+    toward the vertex mean (inside the cell).
     """
+    inside = np.concatenate(([1.0], np.mean(chart_pts, axis=0)))
     hull = ConvexHull(chart_pts)
     groups = {}
     for simplex, eq in zip(hull.simplices, hull.equations):
@@ -235,11 +213,14 @@ def _merged_faces(chart_pts):
         idx = idx[start:] + idx[:start]
         lifted = np.stack([np.concatenate(([1.0], chart_pts[i])) for i in idx])
         _, _, vt = np.linalg.svd(lifted @ MINKOWSKI)
-        faces.append((tuple(idx), vt[-1]))
+        b = vt[-1]
+        if bilinear_form(b, inside) < 0:
+            b = -b
+        faces.append((tuple(idx), b))
     return faces
 
 
-def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
+def _assemble_cell(tiling, chart_pts, ortho_symbol, count) -> Cell:
     chart_pts = np.asarray(chart_pts, dtype=float)
     vertices = tuple(ProjectivePoint.from_chart(p) for p in chart_pts)
     for v in vertices:
@@ -247,13 +228,8 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
             raise GeometryError(f"cell vertex {v} is not ideal")
 
     raw_faces = _merged_faces(chart_pts)
-    incenter = _incenter(chart_pts, raw_faces)
-    faces = []
-    for idx, b in raw_faces:
-        if bilinear_form(b, incenter) < 0:
-            b = -b
-        faces.append(Face(indices=idx, plane=Hyperplane(b)))
-    faces = tuple(faces)
+    incenter = _incenter([b for _, b in raw_faces])
+    faces = tuple(Face(indices=idx, plane=Hyperplane(b)) for idx, b in raw_faces)
 
     edge_set = set()
     for face in faces:
@@ -296,13 +272,13 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
 
     vol = count * _volume.orthoscheme_volume(ortho_symbol).value
     return Cell(
-        schlafli=as_symbol(symbol),
+        tiling=tiling,
         vertices=vertices,
         edges=edges,
         faces=faces,
         neighbors=neighbors,
         n_vertices=len(vertices),
-        orthoscheme_symbol=as_symbol(ortho_symbol),
+        orthoscheme_symbol=ortho_symbol,
         orthoschemes_per_cell=count,
         volume=vol,
         incenter=incenter,
@@ -315,13 +291,10 @@ def _assemble_cell(symbol, chart_pts, ortho_symbol, count) -> Cell:
     )
 
 
-def _incenter(chart_pts, faces) -> ProjectivePoint:
+def _incenter(normals) -> ProjectivePoint:
     """Interior point equidistant from all facet planes (solve <x,b_f> = t)."""
     rows = []
-    centroid = np.concatenate(([1.0], np.mean(chart_pts, axis=0)))
-    for _, b in faces:
-        if bilinear_form(b, centroid) < 0:
-            b = -b
+    for b in normals:
         bb = bilinear_form(b, b)
         rows.append((MINKOWSKI @ (b / math.sqrt(bb))))
     mat = np.stack(rows)
@@ -443,15 +416,15 @@ def _build_cell_cached(weights) -> Cell:
     return _assemble_cell(weights, maker(), ortho, count)
 
 
-def build_cell(s) -> Cell:
+def build_cell(tiling) -> Cell:
     """Ideal vertex set, faces, edges, and volume of a fully asymptotic cell."""
-    sym = as_symbol(s)
-    if sym.weights not in _CELL_RECIPES:
+    key = tuple(int(w) for w in tiling)
+    if key not in _CELL_RECIPES:
         raise UnsupportedSymbolError(
-            f"no cell construction for {sym}; supported: "
+            f"no cell construction for {key}; supported: "
             + ", ".join(str(w) for w in sorted(_CELL_RECIPES))
         )
-    return _build_cell_cached(sym.weights)
+    return _build_cell_cached(key)
 
 
 _ORTHOSCHEME_EXPLICIT = {
@@ -474,7 +447,7 @@ _ORTHOSCHEME_EXPLICIT = {
 }
 
 
-def build_orthoscheme(s) -> Orthoscheme:
+def build_orthoscheme(symbol) -> Orthoscheme:
     """Characteristic orthoscheme with explicit projective coordinates.
 
     (3,6,3) and (4,4,4) use the reference vertex-to-vertex coordinates (both
@@ -482,22 +455,20 @@ def build_orthoscheme(s) -> Orthoscheme:
     the cell from build_cell: ideal vertex, edge foot, face center, cell
     center.
     """
-    sym = as_symbol(s)
-    if sym.weights in _ORTHOSCHEME_EXPLICIT:
-        charts = _ORTHOSCHEME_EXPLICIT[sym.weights]
-        verts = tuple(ProjectivePoint.from_chart(p) for p in charts)
-    elif sym.weights in ((4, 3, 6), (5, 3, 6)):
-        verts = _flag_simplex(build_cell(sym))
+    key = tuple(int(w) for w in symbol)
+    if key in _ORTHOSCHEME_EXPLICIT:
+        verts = tuple(ProjectivePoint.from_chart(p) for p in _ORTHOSCHEME_EXPLICIT[key])
+    elif key in ((4, 3, 6), (5, 3, 6)):
+        verts = _flag_simplex(build_cell(key))
     else:
-        raise UnsupportedSymbolError(f"no orthoscheme construction for {sym}")
+        raise UnsupportedSymbolError(f"no orthoscheme construction for {key}")
 
     walls = tuple(
         _wall_through([verts[j] for j in range(4) if j != i], verts[i])
         for i in range(4)
     )
-    mat = coxeter_matrix(sym)
-    vol = _volume.orthoscheme_volume(sym).value
-    return Orthoscheme(schlafli=sym, vertices=verts, walls=walls, matrix=mat, volume=vol)
+    return Orthoscheme(verts, walls, coxeter_matrix(key),
+                       _volume.orthoscheme_volume(key).value)
 
 
 def _flag_simplex(cell: Cell):

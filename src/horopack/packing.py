@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coxeter import Cell, SchlafliSymbol, as_symbol, build_cell
+from .coxeter import Cell, build_cell
 from .horoball import Horoball, _cell_sector_volume, horoball_level, ray_crossing
 from .lorentz import GeometryError, ProjectivePoint
 
@@ -76,12 +76,12 @@ class PackingConfiguration:
         n = self.cell.n_vertices
         if len(self.levels) != n:
             raise GeometryError(
-                f"{self.tiling.weights} needs {n} levels, got {len(self.levels)}"
+                f"{self.tiling} needs {n} levels, got {len(self.levels)}"
             )
 
     @property
-    def tiling(self) -> SchlafliSymbol:
-        return self.cell.schlafli
+    def tiling(self) -> tuple[int, int, int]:
+        return self.cell.tiling
 
     def horoball(self, vertex: int) -> Horoball:
         return horoball_level(self.cell.vertices[vertex], self.levels[vertex])
@@ -121,7 +121,7 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
     n = cell.n_vertices
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise GeometryError(
-            f"vertex pair {i},{j} is not two distinct vertices of {cell.schlafli}"
+            f"vertex pair {i},{j} is not two distinct vertices of {cell.tiling}"
         )
     for v in (i, j):
         if levels[v] <= 0.0 or levels[v] == math.inf:
@@ -178,7 +178,7 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     h = np.asarray(levels, dtype=float)
     if h.ndim != 2 or h.shape[1] != cell.n_vertices:
         raise GeometryError(
-            f"{cell.schlafli.weights} needs an (m, {cell.n_vertices}) level "
+            f"{cell.tiling} needs an (m, {cell.n_vertices}) level "
             f"array, got shape {h.shape}"
         )
     first, second = cell.edge_index
@@ -236,7 +236,7 @@ def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
     """
     i, j = edge
     if not (0 <= i < cell.n_vertices and j in cell.neighbors[i]):
-        raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.schlafli}")
+        raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.tiling}")
     kappa = cell.kappa(i, j)
     coefficients = cell.sector_coefficients
     hi = math.sqrt(0.5 * kappa * math.sqrt(coefficients[j] / coefficients[i]))
@@ -319,30 +319,35 @@ class Family:
     step shrinks each target ball to the minimum of its level and
     kappa / (2 h_source) over its sources, with +inf off the anchors.  No
     step reads a level it writes.  ``states`` holds the family's named
-    arrangements as (label, s) pairs.  Families compare by identity.
+    arrangements as (label, s) pairs.  The tiling is read from the family's
+    cell.  Families compare by identity.
     """
 
     name: str
-    tiling: SchlafliSymbol
+    cell: Cell
     s_range: tuple[float, float]
     primary_edge: tuple[int, int]
     anchors: tuple[int, ...]
     cascade: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     states: tuple[tuple[str, float], ...]
 
+    @property
+    def tiling(self) -> tuple[int, int, int]:
+        return self.cell.tiling
+
     def level_matrix(self, grid) -> np.ndarray:
-        """(m, n) levels at the anchor types s of ``grid`` on the tiling's
+        """(m, n) levels at the anchor types s of ``grid`` on the family's
         cell; GeometryError names the first s outside the family's range."""
         s = np.asarray(grid, dtype=float).reshape(-1)
         lo, hi = self.s_range
         inside = (lo - DOMAIN_TOL <= s) & (s <= hi + DOMAIN_TOL)
         if not inside.all():
             raise GeometryError(
-                f"family {self.name!r} of {self.tiling.weights} needs "
+                f"family {self.name!r} of {self.tiling} needs "
                 f"s in [{lo:.12g}, {hi:.12g}], got {s[np.argmin(inside)]:.12g}"
             )
         # one row per vertex, so each step gathers whole rows
-        h = np.full((build_cell(self.tiling).n_vertices, s.size), math.inf)
+        h = np.full((self.cell.n_vertices, s.size), math.inf)
         h[list(self.anchors)] = np.sqrt((1.0 - s) / (1.0 + s))
         for t, p, half_kappa in self.cascade:
             h[t] = np.minimum(h[t], (half_kappa[:, :, None] / h[p]).min(axis=1))
@@ -377,7 +382,7 @@ _RANKED_ROLES = {1: ("ring",), 2: ("ring", "anti"), 3: ("ring", "mates", "anti")
 
 def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
     n = cell.n_vertices
-    cube = _cube_orbit(cell) if cell.schlafli.weights == (5, 3, 6) else tuple(range(n))
+    cube = _cube_orbit(cell) if cell.tiling == (5, 3, 6) else tuple(range(n))
     roles = {
         "pole": (_POLE,),
         "cube": cube,
@@ -442,28 +447,26 @@ _CASCADES = {
 
 def families(tiling) -> tuple[Family, ...]:
     """The cataloged one-parameter configuration families of a tiling."""
-    symbol = as_symbol(tiling)
-    if symbol.weights not in _CASCADES:
+    key = tuple(int(w) for w in tiling)
+    if key not in _CASCADES:
         raise GeometryError(
-            f"no packing families for {symbol.weights}; supported: "
-            f"{sorted(_CASCADES)}"
+            f"no packing families for {key}; supported: {sorted(_CASCADES)}"
         )
-    return _resolve_families(symbol.weights)
+    return _resolve_families(key)
 
 
 @lru_cache(maxsize=None)
-def _resolve_families(weights) -> tuple[Family, ...]:
+def _resolve_families(tiling) -> tuple[Family, ...]:
     """The declared families of a tiling, each step resolved into its
     targets, their nearest sources and the sources' kappa / 2."""
-    symbol = SchlafliSymbol(weights)
-    cell = build_cell(symbol)
+    cell = build_cell(tiling)
     roles = _roles(cell)
 
     def vertices(names: str) -> np.ndarray:
         return np.array([v for role in names.split() for v in roles[role]])
 
     fams = []
-    for name, s_range, edge, anchor_roles, steps, states in _CASCADES[weights]:
+    for name, s_range, edge, anchor_roles, steps, states in _CASCADES[tiling]:
         if edge not in cell.edges and edge[::-1] not in cell.edges:
             raise GeometryError(f"family {name!r} primary edge is not a cell edge")
         anchors = tuple(vertices(anchor_roles).tolist())
@@ -491,7 +494,7 @@ def _resolve_families(weights) -> tuple[Family, ...]:
         if set(anchors) | derived != set(range(cell.n_vertices)):
             raise GeometryError(f"family {name!r} leaves a vertex without a level")
         fams.append(
-            Family(name, symbol, s_range, edge, anchors, tuple(cascade), states)
+            Family(name, cell, s_range, edge, anchors, tuple(cascade), states)
         )
     return tuple(fams)
 
@@ -502,7 +505,7 @@ def family(tiling, name: str) -> Family:
         if fam.name == name:
             return fam
     raise GeometryError(
-        f"unknown family {name!r} for {as_symbol(tiling).weights}; "
+        f"unknown family {name!r} for {fams[0].tiling}; "
         f"available: {[f.name for f in fams]}"
     )
 
@@ -512,15 +515,14 @@ def sweep(tiling, fam, grid) -> list[DensityReport]:
     ``evaluate`` over the grid's level matrix."""
     if not isinstance(fam, Family):
         fam = family(tiling, fam)
-    elif fam.tiling != as_symbol(tiling):
+    elif fam.cell is not build_cell(tiling):
         raise GeometryError(
-            f"family {fam.name!r} belongs to {fam.tiling.weights}, "
-            f"not to {as_symbol(tiling).weights}"
+            f"family {fam.name!r} belongs to {fam.tiling}, "
+            f"not to {build_cell(tiling).tiling}"
         )
-    cell = build_cell(fam.tiling)
     levels = fam.level_matrix(grid)
-    configs = [PackingConfiguration(cell, tuple(row)) for row in levels.tolist()]
-    return _reports(configs, evaluate(cell, levels))
+    configs = [PackingConfiguration(fam.cell, tuple(row)) for row in levels.tolist()]
+    return _reports(configs, evaluate(fam.cell, levels))
 
 
 # ---------------------------------------------------------------------------

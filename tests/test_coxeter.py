@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,14 +12,13 @@ from horopack import cli
 from horopack.coxeter import (
     FULLY_ASYMPTOTIC_TILINGS,
     GeometryError,
-    SchlafliSymbol,
     UnsupportedSymbolError,
-    as_symbol,
     build_cell,
     build_orthoscheme,
     coxeter_matrix,
 )
 from horopack.lorentz import PointClass, bilinear_form
+from horopack.packing import catalog, families
 from horopack.volume import orthoscheme_volume
 
 SUPPORTED = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
@@ -55,22 +57,36 @@ INCENTER_CHART = {
 }
 
 
-def test_classification_table():
-    # one tiling list, in table2 row order, shared with the CLI
+def test_classification_table(tmp_path):
+    # one tiling list, and the CLI's table2 rows follow its order
     assert FULLY_ASYMPTOTIC_TILINGS == tuple(SUPPORTED)
-    assert cli.SUPPORTED == FULLY_ASYMPTOTIC_TILINGS
+    out = tmp_path / "table2.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["table2", "--format", "csv", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        shown = [row["tiling"] for row in csv.DictReader(fh)]
+    assert shown == [cli._tiling_name(t) for t in FULLY_ASYMPTOTIC_TILINGS]
 
 
-def test_schlafli_symbol():
-    sym = as_symbol((3, 3, 6))
-    assert str(sym) == "(3,3,6)"
-    assert tuple(sym) == (3, 3, 6)
-    assert len(sym) == 3
-    assert as_symbol(sym) is sym
-    with pytest.raises(GeometryError):
-        SchlafliSymbol((3, 1, 6))
-    with pytest.raises(GeometryError):
-        SchlafliSymbol(())
+def test_a_tiling_is_a_plain_tuple():
+    # coxeter_matrix takes any linear scheme, so it checks the weights
+    for weights in ((3, 1, 6), ()):
+        with pytest.raises(GeometryError):
+            coxeter_matrix(weights)
+    # every spelling of a tiling reaches the one shared cell and families
+    cell, fams = build_cell((5, 3, 6)), families((5, 3, 6))
+    for tiling in ((5, 3, 6), [5, 3, 6], np.array([5, 3, 6])):
+        assert build_cell(tiling) is cell
+        assert families(tiling) is fams
+    for symbol in SUPPORTED:
+        cell = build_cell(symbol)
+        config = catalog(symbol)[0]
+        for tiling in (cell.tiling, families(symbol)[0].tiling, config.tiling):
+            assert type(tiling) is tuple and tiling == symbol
+            assert all(type(w) is int for w in tiling)
+    with pytest.raises(UnsupportedSymbolError) as err:
+        build_cell((3, 5, 3))
+    assert "(3, 5, 3)" in str(err.value) and "(3,5,3)" not in str(err.value)
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -104,7 +120,7 @@ def test_cell_combinatorics(symbol):
         (4, 3, 6): (4, 3, 6),
         (5, 3, 6): (5, 3, 6),
     }[symbol]
-    assert tuple(cell.orthoscheme_symbol) == expected_ortho
+    assert cell.orthoscheme_symbol == expected_ortho
     # Euler characteristic of the boundary sphere
     assert nv - ne + nf == 2
     degree = {(3, 3, 6): 3, (3, 4, 4): 4, (4, 3, 6): 3, (5, 3, 6): 3}[symbol]

@@ -104,10 +104,10 @@ def reference_levels(fam, cell, s: float) -> tuple[float, ...]:
     lo, hi = fam.s_range
     if not (lo - 1e-12 <= s <= hi + 1e-12):
         raise GeometryError(
-            f"family {fam.name!r} of {fam.tiling.weights} needs "
+            f"family {fam.name!r} of {fam.tiling} needs "
             f"s in [{lo:.12g}, {hi:.12g}], got {s:.12g}"
         )
-    anchors, links = reference_cascade(fam.tiling.weights, fam.name)
+    anchors, links = reference_cascade(fam.tiling, fam.name)
     h = [math.inf] * cell.n_vertices
     anchor = math.sqrt((1.0 - s) / (1.0 + s))
     for v in anchors:
