@@ -52,7 +52,7 @@ class CoxeterMatrix:
 def coxeter_matrix(weights) -> CoxeterMatrix:
     """Tridiagonal Gram matrix with off-diagonals -cos(pi/n_i), plus inverse;
     GeometryError unless the weights (n1, ..., nd) are one or more ints >= 2."""
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(_volume._integer(w, "Schlafli weight") for w in weights)
     if not ws or min(ws) < 2:
         raise GeometryError(f"invalid Schlafli weights {ws}")
     b = np.eye(len(ws) + 1)
@@ -69,11 +69,12 @@ def vertex_distance(m: CoxeterMatrix, i: int, j: int) -> float:
     The dual basis vector of vertex A_i is timelike for a finite vertex, so
     a_ii < 0, and a_ii = 0 exactly when the vertex is ideal.  Finite pairs
     give arcosh(|a_ij| / sqrt(a_ii * a_jj)); any ideal endpoint gives
-    INFINITE.
+    INFINITE.  GeometryError unless i, j are two distinct vertex indices.
     """
-    if i == j:
-        raise GeometryError("vertex_distance needs two distinct indices")
     a = m.a
+    n = len(a)
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise GeometryError(f"vertex pair {i},{j} is not two distinct indices below {n}")
     scale = float(np.abs(a).max())
     aii, ajj = float(a[i, i]), float(a[j, j])
     if abs(aii) <= IDEAL_DIAG_TOL * scale or abs(ajj) <= IDEAL_DIAG_TOL * scale:
@@ -152,42 +153,43 @@ class Orthoscheme:
     volume: float
 
 
+def _null_covector(rows, inside) -> np.ndarray:
+    """Covector b with <b, q> = 0 on the rows q (the SVD's least-squares
+    null vector), oriented so that <b, inside> >= 0."""
+    # <b, q> = 0 is (q MINKOWSKI) b = 0
+    _, _, vt = np.linalg.svd(rows @ MINKOWSKI)
+    b = vt[-1]
+    if bilinear_form(b, inside) < 0:
+        b = -b
+    return b
+
+
 def _wall_through(points, inward_point) -> Hyperplane:
     """Plane containing three projective points, oriented toward inward_point."""
-    q = np.stack([p.coords for p in points])
-    # normal b solves <b, q_j> = 0, i.e. (q MINKOWSKI) b = 0
-    _, _, vt = np.linalg.svd(q @ MINKOWSKI)
-    b = vt[-1]
-    if bilinear_form(b, inward_point) < 0:
-        b = -b
-    return Hyperplane(b)
+    return Hyperplane(_null_covector(np.stack([p.coords for p in points]), inward_point))
 
 
-def _chart_midpoint(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
-    return ProjectivePoint.from_chart(0.5 * (p.chart() + q.chart()))
-
-
-def _cyclic_order(chart_pts, center_idx, nbr_idx):
-    """Sort neighbor indices by angle in the tangent plane at a unit vertex."""
-    v = chart_pts[center_idx]
-    ref = np.array([0.31, 0.51, 0.81])
-    e1 = np.cross(v, ref)
+def _angular_order(chart_pts, indices, axis, centre) -> list:
+    """``indices`` sorted by the angle of their points about the line through
+    ``centre`` along ``axis``, counterclockwise seen from the axis tip."""
+    e1 = np.cross(axis, np.array([0.31, 0.51, 0.81]))
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v, e1)
+    e2 = np.cross(axis, e1)
 
-    def ang(j):
-        t = chart_pts[j] - (chart_pts[j] @ v) * v
+    def angle(i):
+        t = chart_pts[i] - centre
         return math.atan2(t @ e2, t @ e1)
 
-    return tuple(sorted(nbr_idx, key=ang))
+    return sorted(indices, key=angle)
 
 
 def _merged_faces(chart_pts):
     """Convex-hull facets with coplanar triangles merged into polygons.
 
-    Rounded hull equations only group coplanar simplices; each face plane is
-    then refit exactly as the null covector of its full vertex set, oriented
-    toward the vertex mean (inside the cell).
+    Rounded hull equations only group coplanar simplices; each face's cycle
+    runs counterclockwise about its outward normal from its smallest vertex
+    index, and its plane is refit exactly as the null covector of its full
+    vertex set, oriented toward the vertex mean (inside the cell).
     """
     inside = np.concatenate(([1.0], np.mean(chart_pts, axis=0)))
     hull = ConvexHull(chart_pts)
@@ -198,25 +200,12 @@ def _merged_faces(chart_pts):
     faces = []
     for key in sorted(groups):
         idx = sorted(groups[key])
-        n = np.array(key[:3])
         centroid = np.mean([chart_pts[i] for i in idx], axis=0)
-        e1 = np.array([1.0, 0.0, 0.0])
-        if abs(n @ e1) > 0.9:
-            e1 = np.array([0.0, 1.0, 0.0])
-        e1 = e1 - (e1 @ n) * n
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        idx.sort(key=lambda i: math.atan2((chart_pts[i] - centroid) @ e2,
-                                          (chart_pts[i] - centroid) @ e1))
-        # rotate so the cycle starts at the smallest vertex index
+        idx = _angular_order(chart_pts, idx, np.array(key[:3]), centroid)
         start = idx.index(min(idx))
         idx = idx[start:] + idx[:start]
         lifted = np.stack([np.concatenate(([1.0], chart_pts[i])) for i in idx])
-        _, _, vt = np.linalg.svd(lifted @ MINKOWSKI)
-        b = vt[-1]
-        if bilinear_form(b, inside) < 0:
-            b = -b
-        faces.append((tuple(idx), b))
+        faces.append((tuple(idx), _null_covector(lifted, inside)))
     return faces
 
 
@@ -231,20 +220,17 @@ def _assemble_cell(tiling, chart_pts, ortho_symbol, count) -> Cell:
     incenter = _incenter([b for _, b in raw_faces])
     faces = tuple(Face(indices=idx, plane=Hyperplane(b)) for idx, b in raw_faces)
 
-    edge_set = set()
-    for face in faces:
-        cyc = face.indices
-        for k in range(len(cyc)):
-            i, j = cyc[k], cyc[(k + 1) % len(cyc)]
-            edge_set.add((min(i, j), max(i, j)))
-    edges = tuple(sorted(edge_set))
+    # consecutive vertices of a face cycle share an edge
+    pairs = {(i, j) for f in faces for i, j in zip(f.indices, f.indices[1:] + f.indices[:1])}
+    edges = tuple(sorted({(min(p), max(p)) for p in pairs}))
 
     adj = {i: [] for i in range(len(vertices))}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     neighbors = tuple(
-        _cyclic_order(chart_pts, i, adj[i]) for i in range(len(vertices))
+        tuple(_angular_order(chart_pts, adj[i], chart_pts[i], chart_pts[i]))
+        for i in range(len(vertices))
     )
 
     coords = np.stack([v.coords for v in vertices])
@@ -418,7 +404,7 @@ def _build_cell_cached(weights) -> Cell:
 
 def build_cell(tiling) -> Cell:
     """Ideal vertex set, faces, edges, and volume of a fully asymptotic cell."""
-    key = tuple(int(w) for w in tiling)
+    key = tuple(_volume._integer(w, "Schlafli weight") for w in tiling)
     if key not in _CELL_RECIPES:
         raise UnsupportedSymbolError(
             f"no cell construction for {key}; supported: "
@@ -455,7 +441,7 @@ def build_orthoscheme(symbol) -> Orthoscheme:
     the cell from build_cell: ideal vertex, edge foot, face center, cell
     center.
     """
-    key = tuple(int(w) for w in symbol)
+    key = tuple(_volume._integer(w, "Schlafli weight") for w in symbol)
     if key in _ORTHOSCHEME_EXPLICIT:
         verts = tuple(ProjectivePoint.from_chart(p) for p in _ORTHOSCHEME_EXPLICIT[key])
     elif key in ((4, 3, 6), (5, 3, 6)):
@@ -475,10 +461,9 @@ def _flag_simplex(cell: Cell):
     """(ideal vertex, edge foot, face center, cell center) flag of a cell."""
     apex = 3
     cyc = next(face.indices for face in cell.faces if apex in face.indices)
-    pos = cyc.index(apex)
-    nxt = cyc[(pos + 1) % len(cyc)]
+    nxt = cyc[(cyc.index(apex) + 1) % len(cyc)]
     a0 = cell.vertices[apex]
-    a1 = _chart_midpoint(cell.vertices[apex], cell.vertices[nxt])
+    a1 = ProjectivePoint.from_chart(0.5 * (a0.chart() + cell.vertices[nxt].chart()))
     a2 = ProjectivePoint.from_chart(
         np.mean([cell.vertices[i].chart() for i in cyc], axis=0)
     )

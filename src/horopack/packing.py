@@ -17,8 +17,8 @@ per row, and returns the sector volumes C_v h_v^2, the densities and each
 row's first violation.  ``Family.level_matrix(grid)`` runs a family's cascade
 over an s-grid on its own cell, so ``sweep`` prices the grid in one call;
 ``Family.levels(s)``, ``validate_packing`` and ``density`` are m = 1 views.
-A cascade runs step by step: each step is one gather, divide and minimum
-over the s-grid.
+A cascade runs step by step: each step is one table of kappa / 2 from its
+targets to its sources, and one gather, divide and minimum over the s-grid.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coxeter import Cell, build_cell
-from .horoball import Horoball, _cell_sector_volume, horoball_level, ray_crossing
+from .horoball import FACE_TOL, Horoball, _cell_sector_volume, horoball_level, ray_crossing
 from .lorentz import GeometryError, ProjectivePoint
+from .volume import _integer
 
-# slack on pair gaps and face tangency when validating, and the gap size
-# below which two balls are recorded as tangent
+# slack on pair gaps when validating (face bounds take horoball.FACE_TOL), and
+# the gap size below which two balls are recorded as tangent
 PAIR_TOL = 1e-9
 TANGENCY_TOL = 1e-9
 DOMAIN_TOL = 1e-12
@@ -186,7 +187,7 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     dens = np.add.accumulate(sectors, axis=1)[:, -1] / cell.volume
     gaps = _gaps(cell, h, first, second)
     overlaps = ~(gaps >= -PAIR_TOL)
-    overflows = ~(h <= cell.face_bounds + PAIR_TOL)
+    overflows = ~(h <= cell.face_bounds + FACE_TOL)
     violations = [None] * len(h)
     for r in np.flatnonzero(overlaps.any(axis=1) | overflows.any(axis=1)).tolist():
         if overlaps[r].any():
@@ -314,11 +315,12 @@ class Family:
 
     The anchor balls take type s, h = sqrt((1 - s) / (1 + s)).  Every other
     level follows from the tangency cascade, one (targets, sources,
-    half_kappa) entry per declared step: ``sources[r]`` holds the nearest
-    sources of ``targets[r]`` and ``half_kappa[r]`` their kappa / 2, and the
-    step shrinks each target ball to the minimum of its level and
-    kappa / (2 h_source) over its sources, with +inf off the anchors.  No
-    step reads a level it writes.  ``states`` holds the family's named
+    half_kappa) table per declared step: ``half_kappa[r, c]`` is kappa / 2 of
+    ``targets[r]`` and ``sources[c]``, +inf unless that source is among the
+    target's nearest.  A step shrinks each target ball to the minimum of its
+    level and half_kappa / h over the sources, with +inf off the anchors.
+    Every source is an anchor or an earlier target, so its level is finite
+    and an +inf entry never wins.  ``states`` holds the family's named
     arrangements as (label, s) pairs.  The tiling is read from the family's
     cell.  Families compare by identity.
     """
@@ -447,7 +449,7 @@ _CASCADES = {
 
 def families(tiling) -> tuple[Family, ...]:
     """The cataloged one-parameter configuration families of a tiling."""
-    key = tuple(int(w) for w in tiling)
+    key = tuple(_integer(w, "Schlafli weight") for w in tiling)
     if key not in _CASCADES:
         raise GeometryError(
             f"no packing families for {key}; supported: {sorted(_CASCADES)}"
@@ -458,7 +460,7 @@ def families(tiling) -> tuple[Family, ...]:
 @lru_cache(maxsize=None)
 def _resolve_families(tiling) -> tuple[Family, ...]:
     """The declared families of a tiling, each step resolved into its
-    targets, their nearest sources and the sources' kappa / 2."""
+    targets, sources and kappa / 2 table (+inf off a target's nearest sources)."""
     cell = build_cell(tiling)
     roles = _roles(cell)
 
@@ -475,18 +477,7 @@ def _resolve_families(tiling) -> tuple[Family, ...]:
             targets, sources = vertices(target_roles), vertices(source_roles)
             kappas = cell.gram[np.ix_(targets, sources)]
             nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
-            width = nearest.sum(axis=1)
-            if (width != width[0]).any():
-                raise GeometryError(
-                    f"family {name!r} step targets differ in nearest-source count"
-                )
-            rows, cols = nearest.nonzero()
-            shape = (len(targets), width[0])
-            step = (
-                targets,
-                sources[cols].reshape(shape),
-                0.5 * kappas[rows, cols].reshape(shape),
-            )
+            step = (targets, sources, np.where(nearest, 0.5 * kappas, math.inf))
             for table in step:
                 table.flags.writeable = False
             cascade.append(step)

@@ -7,6 +7,7 @@ All volumes are hyperbolic volumes at curvature k = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,6 +16,15 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.special import zeta
 
 from .lorentz import GeometryError
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer; GeometryError
+    names ``what`` for anything else, floats and numeric strings included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GeometryError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ def orthoscheme_volume(symbol) -> VolumeResult:
     - Lob(a3-theta) - Lob(pi/2 - a2 + theta) + Lob(pi/2 - a2 - theta)
     + 2 Lob(pi/2 - theta) ].
     """
-    ws = tuple(int(w) for w in symbol)
+    ws = tuple(_integer(w, "Schlafli weight") for w in symbol)
     if len(ws) != 3:
         raise GeometryError(f"orthoscheme volume needs a rank-4 symbol, got {ws}")
     a1, a2, a3 = (math.pi / n for n in ws)
@@ -161,6 +171,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     U times their mean, so carved samples add no variance; without
     carve-outs U is the hull's volume and every sample is kept.
     """
+    samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
         raise GeometryError("region needs at least 4 chart points in 3-space")
@@ -184,7 +195,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     total = 0.0
     total_sq = 0.0
     accepted = carved = 0
-    remaining = int(samples)
+    remaining = samples
     while remaining > 0:
         n = min(_MC_CHUNK, remaining)
         remaining -= n
@@ -215,7 +226,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         accepted += f.size
         carved += int(np.count_nonzero(cut))
 
-    kept = int(samples) - carved
+    kept = samples - carved
     if kept == 0:
         raise GeometryError(f"all {samples} samples were carved out")
     mean = total / kept
@@ -224,7 +235,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     stderr = remainder * math.sqrt(var / kept)
     for _, exact, _ in carve_outs:
         est += exact
-    rejected = int(samples) - accepted - carved
+    rejected = samples - accepted - carved
     return VolumeResult(est, stderr, accepted, rejected, carved)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from horopack import cli
 from horopack.coxeter import build_cell
+from horopack.horoball import FACE_TOL
 from horopack.lorentz import GeometryError
 from horopack.packing import (
     PAIR_TOL,
@@ -133,7 +134,7 @@ def reference_violation(cell, levels):
             detail=f"balls at vertices {i},{j} overlap along their edge "
             f"(gap {gaps[k]:.6g})",
         )
-    overflows = np.flatnonzero(~(h <= cell.face_bounds + PAIR_TOL))
+    overflows = np.flatnonzero(~(h <= cell.face_bounds + FACE_TOL))
     if overflows.size:
         v = int(overflows[0])
         bound, face_idx = cell.face_bound(v)
@@ -243,16 +244,21 @@ def test_catalog_matches_former_table(tiling):
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_each_step_reads_no_level_it_writes(tiling):
     # disjoint target and source sets make one gather, divide and minimum
-    # per step equal to the per-link loop
+    # per step equal to the per-link loop; sources already hold finite
+    # levels, so the +inf entries off a target's nearest sources never win
     for fam in families(tiling):
         (row,) = [row for row in _CASCADES[tiling] if row[0] == fam.name]
         assert len(fam.cascade) == len(row[4])
+        written = set(fam.anchors)
         for step in fam.cascade:
             targets, sources, half_kappa = step
             assert not any(table.flags.writeable for table in step)
-            assert sources.shape == half_kappa.shape == (len(targets), sources.shape[1])
+            assert half_kappa.shape == (len(targets), len(sources))
+            assert np.isfinite(half_kappa).any(axis=1).all()
             assert len(set(targets.tolist())) == len(targets)
-            assert not set(targets.tolist()) & set(sources.ravel().tolist())
+            assert not set(targets.tolist()) & set(sources.tolist())
+            assert set(sources.tolist()) <= written
+            written |= set(targets.tolist())
 
 
 # ---------------------------------------------------------------------------

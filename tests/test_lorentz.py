@@ -141,8 +141,10 @@ def test_vertex_distance_ideal_and_degenerate(symbol):
     for i in ideal:
         j = (i + 1) % 4
         assert vertex_distance(ortho.matrix, i, j) == INFINITE
-    with pytest.raises(GeometryError):
-        vertex_distance(ortho.matrix, 1, 1)
+    # out-of-range indices are refused, not wrapped or left to numpy
+    for i, j in ((1, 1), (-1, 1), (0, 9)):
+        with pytest.raises(GeometryError):
+            vertex_distance(ortho.matrix, i, j)
 
 
 def test_hyperplane_normalization_and_incidence():

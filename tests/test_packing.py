@@ -456,9 +456,9 @@ def test_family_cascade_tangencies(symbol):
     cell = build_cell(symbol)
     for fam in families(symbol):
         sources = {}
-        for targets, nearest, _ in fam.cascade:
-            for t, ps in zip(targets.tolist(), nearest.tolist()):
-                sources.setdefault(t, []).extend(ps)
+        for targets, step_sources, half_kappa in fam.cascade:
+            for t, row in zip(targets.tolist(), half_kappa):
+                sources.setdefault(t, []).extend(step_sources[np.isfinite(row)].tolist())
         assert set(fam.anchors) | set(sources) == set(range(cell.n_vertices))
         for s in np.linspace(*fam.s_range, 7):
             levels = fam.levels(float(s))
@@ -518,9 +518,10 @@ def test_sweep_octahedron_three_equal_maxima():
 
 
 def test_dodecahedron_b3_nonadjacent_overlap_diagnostic():
-    # the published optimum keeps every cell edge contact-free, but a pair of
-    # balls over a non-edge vertex pair interlocks; the validator is scoped
-    # to edges and face bounds, the all-pair diagnostic reports the overlap
+    # the published optimum keeps every cell edge contact-free, but the pole
+    # ball and its antipode each interlock with three outer balls over
+    # non-edge vertex pairs; the validator is scoped to edges and face
+    # bounds, the all-pair diagnostic reports the overlaps
     config = next(c for c in catalog((5, 3, 6)) if c.label == "B3")
     assert validate_packing(config) is None
     gaps = all_pair_gaps(config)
@@ -530,6 +531,11 @@ def test_dodecahedron_b3_nonadjacent_overlap_diagnostic():
     assert tuple(sorted(worst_pair)) not in edge_set
     for pair in edge_set:
         assert gaps[pair] >= -1e-9
+    overlapping = {pair for pair, gap in gaps.items() if gap < -1e-9}
+    assert overlapping == {(3, 9), (3, 13), (3, 19), (7, 8), (7, 14), (7, 18)}
+    for pair in overlapping:
+        assert pair not in edge_set
+        assert gaps[pair] == pytest.approx(-0.13618863854890298, abs=1e-9)
 
 
 def test_octahedron_mirror_symmetry():

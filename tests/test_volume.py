@@ -8,8 +8,10 @@ import pytest
 from scipy import integrate
 from scipy.special import polygamma
 
-from horopack.coxeter import build_cell
+from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix
+from horopack.horoball import cell_volume_oracle
 from horopack.lorentz import GeometryError
+from horopack.packing import families
 from horopack.volume import (
     bf_constant,
     bf_series_tail_bound,
@@ -214,6 +216,33 @@ def test_monte_carlo_validation():
     coplanar = [(0, 0, 0), (0.1, 0, 0), (0, 0.1, 0), (0.1, 0.1, 0)]
     with pytest.raises(GeometryError):
         monte_carlo_volume(coplanar, samples=10_000, seed=1)
+
+
+# entry points that read an integer, each with an integer it accepts
+INTEGER_READERS = {
+    "coxeter_matrix": (lambda w: coxeter_matrix((w, 3, 6)), 4),
+    "build_cell": (lambda w: build_cell((w, 3, 6)), 4),
+    "build_orthoscheme": (lambda w: build_orthoscheme((w, 3, 6)), 4),
+    "families": (lambda w: families((w, 3, 6)), 4),
+    "orthoscheme_volume": (lambda w: orthoscheme_volume((w, 3, 6)), 4),
+    "monte_carlo_samples": (
+        lambda n: monte_carlo_volume(cube_region(), samples=n, seed=1), 10_000),
+    "monte_carlo_seed": (
+        lambda seed: monte_carlo_volume(cube_region(), samples=10_000, seed=seed), 1),
+    "oracle_seed": (
+        lambda seed: cell_volume_oracle(build_cell((3, 3, 6)), 10_000, seed), 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_READERS))
+def test_integer_inputs_reject_floats_and_strings(entry):
+    # a float or numeric string is refused, never truncated; numpy ints pass
+    read, good = INTEGER_READERS[entry]
+    read(good)
+    read(np.int64(good))
+    for bad in (float(good), good + 0.7, str(good), math.nan):
+        with pytest.raises(GeometryError, match="must be an integer"):
+            read(bad)
 
 
 def _nowhere(pts):
