@@ -25,7 +25,6 @@ from .horoball import (
     cone_sector_volume,
     horoball_level,
     polar_point,
-    sector_volume,
     vertex_sector_volume,
 )
 from .lorentz import (
@@ -106,7 +105,6 @@ __all__ = [
     "orthoscheme_volume",
     "polar_point",
     "reflect",
-    "sector_volume",
     "sweep",
     "validate_packing",
     "vertex_distance",

@@ -73,6 +73,7 @@ def vertex_distance(m: CoxeterMatrix, i: int, j: int) -> float:
     """
     a = m.a
     n = len(a)
+    i, j = _volume._integer(i, "vertex index"), _volume._integer(j, "vertex index")
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise GeometryError(f"vertex pair {i},{j} is not two distinct indices below {n}")
     scale = float(np.abs(a).max())
@@ -130,17 +131,15 @@ class Cell:
     fans: tuple
     sector_coefficients: np.ndarray
 
-    def kappa(self, i: int, j: int) -> float:
-        """-<E_i, E_j> on chart-normalized vertices; 2 sinh^2 of the half gap."""
-        return float(self.gram[i, j])
-
     def face_bound(self, vertex: int) -> tuple:
         """(H, face_position) tightest non-adjacent face constraint for a ball.
 
         A horoball at the vertex with chart Busemann level h stays off every
-        non-adjacent face plane iff h <= H.
+        non-adjacent face plane iff h <= H.  GeometryError unless ``vertex``
+        is a vertex index of the cell.
         """
-        return float(self.face_bounds[vertex]), self.bound_faces[vertex]
+        v = _volume._index(vertex, self.n_vertices, "vertex")
+        return float(self.face_bounds[v]), self.bound_faces[v]
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,10 +23,10 @@ horospheric polygon the rays cut out.  It takes the center, the level and the
 ray targets as tuples of Python floats, computes each crossing c + mu w,
 checks that it lies on the horosphere and inside the model, and sums the
 Heron areas of the fan from the first crossing, with chords 2 sinh(d/2).
-Vertex and cone sectors, the cell's sector coefficients and the Monte Carlo
-carve-outs all call it, reading each cell's vertices and cyclic neighbour
-lists from the cell's ``fans`` table.  ``ray_crossing`` wraps the crossing
-for ProjectivePoint arguments.
+A ball at a cell vertex is its vertex and level: ``vertex_sector_volume(cell,
+vertex, h)`` prices it from the cell's ``fans`` table, for packings and the
+Monte Carlo carve-outs alike; ``cone_sector_volume`` prices a Horoball in any
+cone.  ``ray_crossing`` wraps the crossing for ProjectivePoint arguments.
 """
 
 from __future__ import annotations
@@ -179,13 +179,6 @@ def _heron(a: float, b: float, c: float) -> float:
     return math.sqrt(max(p * (p - a) * (p - b) * (p - c), 0.0))
 
 
-def sector_volume(area: float) -> float:
-    """Volume area/2 between a horospherical domain and its axis bundle."""
-    if area < 0:
-        raise GeometryError("negative horospherical area")
-    return 0.5 * area
-
-
 def _fan_sector(c, h: float, targets) -> float:
     """Vol(B ∩ cone) for the ball of level h at c and the cone of rays from c
     through ``targets`` (float 4-tuples in convex cyclic order): half the
@@ -200,7 +193,7 @@ def _fan_sector(c, h: float, targets) -> float:
         next_spoke = _chord(first, pts[t + 1], n0, norms[t + 1])
         total += _heron(spoke, rim, next_spoke)
         spoke = next_spoke
-    return sector_volume(total)
+    return 0.5 * total
 
 
 def cone_sector_volume(hb: Horoball, ray_targets) -> float:
@@ -217,26 +210,16 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     return _fan_sector(_floats(hb.center), hb.h, targets)
 
 
-def vertex_sector_volume(hb: Horoball, cell, vertex: int) -> float:
-    """Volume of the horoball inside its cell, Vol(B ∩ P).
+def vertex_sector_volume(cell, vertex: int, h: float) -> float:
+    """Vol(B ∩ P) of the ball of level h at cell vertex ``vertex``.
 
-    The horoball must be centered at cell vertex ``vertex`` (to 1e-9 in the
-    chart; it is measured from the vertex itself).  For a ball within the
-    face-tangency bound the intersection with the cell equals the
-    intersection with the vertex cone, whose horospheric cross-section is the
-    convex polygon over the incident-edge crossings; the volume is half its
-    Heron area.  Crossing a non-adjacent face raises FaceOverflowError with
-    the violated face index.
+    Within the face-tangency bound the ball meets the cell in its vertex
+    cone, whose horospheric cross-section is the convex polygon over the
+    incident-edge crossings; the volume is half its Heron area.  Crossing a
+    non-adjacent face raises FaceOverflowError with the violated face index;
+    GeometryError names a vertex index outside the cell or a level that is
+    not positive.
     """
-    v = cell.vertices[vertex]
-    if np.max(np.abs(hb.center.chart() - v.chart())) > 1e-9:
-        raise GeometryError("horoball is not centered at the requested vertex")
-    return _cell_sector_volume(cell, vertex, hb.h)
-
-
-def _cell_sector_volume(cell, vertex: int, h: float) -> float:
-    """vertex_sector_volume of the ball of level h at the vertex, without
-    building the ball."""
     bound, face_idx = cell.face_bound(vertex)
     if h > bound + FACE_TOL:
         raise FaceOverflowError(
@@ -293,21 +276,13 @@ def _chart_sector(cell, vertex: int, h: float, order: int = 16) -> float:
 def same_type_level(cell, vertex: int) -> float:
     """Largest level at the vertex with no overlap along any incident edge
     when every vertex carries the same construction: h = sqrt(kappa_min / 2)."""
-    kmin = min(cell.kappa(vertex, j) for j in cell.neighbors[vertex])
+    kmin = min(cell.gram[vertex, j] for j in cell.neighbors[vertex])
     return math.sqrt(0.5 * kmin)
 
 
-def _cusp_balls(cell) -> list:
-    """Per vertex, the same-type horoball shrunk by 0.1%: pairwise disjoint
-    and inside its face bound, so each one's cell sector is exact."""
-    return [
-        horoball_level(v, 0.999 * same_type_level(cell, i))
-        for i, v in enumerate(cell.vertices)
-    ]
-
-
-def _union_predicate(balls):
-    """Membership in any of the horoballs, for an (n, 3) array of chart points.
+def _union_predicate(cell, levels):
+    """Membership in any of the balls of the given levels at the cell's
+    vertices, for an (n, 3) array of chart points.
 
     A point p of the open unit ball lies in the ball with chart center c and
     level h when Q = (1 - p.c)^2 - h^2 (1 - |p|^2) <= 0.  As 1 - p.c > 0 there,
@@ -315,8 +290,8 @@ def _union_predicate(balls):
     and a minimum over the k balls test them all.  Points on or outside the
     unit sphere are in no ball.
     """
-    inv_h = np.array([1.0 / hb.h for hb in balls])[:, None]
-    scaled = np.array([hb.center.chart() for hb in balls]) * inv_h
+    inv_h = np.array([1.0 / h for h in levels])[:, None]
+    scaled = np.array([v.chart() for v in cell.vertices]) * inv_h
 
     def predicate(pts: np.ndarray) -> np.ndarray:
         q = pts.T
@@ -333,16 +308,17 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     """Monte Carlo volume of a fully asymptotic cell with sound error bars.
 
     Sampling the chart volume element has infinite variance at the ideal
-    vertices, so the cusps are carved out by slightly shrunk same-type
-    horoballs whose cell sectors are known exactly (half the horospheric
-    polygon area); only the compact remainder is sampled, at its known chart
-    volume (the cell's less the balls' chart sectors).  The balls form one
-    carve-out, tested together by a fused predicate.
+    vertices, so the cusps are carved out by the same-type balls shrunk by
+    0.1% (pairwise disjoint and inside their face bounds), whose cell
+    sectors are known exactly (vertex_sector_volume); only the compact
+    remainder is sampled, at its known chart volume (the cell's less the
+    balls' chart sectors).  The balls form one carve-out, tested together by
+    a fused predicate.
     """
-    balls = _cusp_balls(cell)
-    exact = math.fsum(_cell_sector_volume(cell, v, hb.h) for v, hb in enumerate(balls))
-    chart = math.fsum(_chart_sector(cell, v, hb.h) for v, hb in enumerate(balls))
+    levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
+    exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))
+    chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(levels))
     region = [v.chart() for v in cell.vertices]
     return monte_carlo_volume(
-        region, samples, seed, carve_outs=[(_union_predicate(balls), exact, chart)]
+        region, samples, seed, carve=(_union_predicate(cell, levels), exact, chart)
     )

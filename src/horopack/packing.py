@@ -31,9 +31,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coxeter import Cell, build_cell
-from .horoball import FACE_TOL, Horoball, _cell_sector_volume, horoball_level, ray_crossing
+from .horoball import FACE_TOL, Horoball, horoball_level, ray_crossing, vertex_sector_volume
 from .lorentz import GeometryError, ProjectivePoint
-from .volume import _integer
+from .volume import _index, _integer
 
 # slack on pair gaps when validating (face bounds take horoball.FACE_TOL), and
 # the gap size below which two balls are recorded as tangent
@@ -85,7 +85,8 @@ class PackingConfiguration:
         return self.cell.tiling
 
     def horoball(self, vertex: int) -> Horoball:
-        return horoball_level(self.cell.vertices[vertex], self.levels[vertex])
+        v = _index(vertex, self.cell.n_vertices, "vertex")
+        return horoball_level(self.cell.vertices[v], self.levels[v])
 
     @cached_property
     def tangencies(self) -> tuple[Tangency, ...]:
@@ -120,6 +121,7 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
     level that is not positive and finite (a NaN level gives NaN).
     """
     n = cell.n_vertices
+    i, j = _integer(i, "vertex index"), _integer(j, "vertex index")
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise GeometryError(
             f"vertex pair {i},{j} is not two distinct vertices of {cell.tiling}"
@@ -129,7 +131,7 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
             raise GeometryError(
                 f"level {levels[v]!r} at vertex {v} is not positive and finite"
             )
-    return math.log(cell.kappa(i, j) / (2.0 * levels[i] * levels[j]))
+    return math.log(float(cell.gram[i, j]) / (2.0 * levels[i] * levels[j]))
 
 
 def _gaps(cell: Cell, h: np.ndarray, first, second) -> np.ndarray:
@@ -236,9 +238,10 @@ def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
     a cell edge, in either orientation.
     """
     i, j = edge
+    i, j = _integer(i, "vertex index"), _integer(j, "vertex index")
     if not (0 <= i < cell.n_vertices and j in cell.neighbors[i]):
         raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.tiling}")
-    kappa = cell.kappa(i, j)
+    kappa = float(cell.gram[i, j])
     coefficients = cell.sector_coefficients
     hi = math.sqrt(0.5 * kappa * math.sqrt(coefficients[j] / coefficients[i]))
     return hi, 0.5 * kappa / hi
@@ -255,10 +258,10 @@ def admissible_interval(cell: Cell, edge) -> tuple[float, float]:
 
 
 def _offset_interval(cell: Cell, edge, hi0: float, hj0: float) -> tuple[float, float]:
-    """admissible_interval from the edge's balanced levels hi0, hj0."""
+    """admissible_interval from the edge's balanced levels hi0, hj0, on an
+    edge that balanced_levels has checked."""
     i, j = edge
-    hi_max, _ = cell.face_bound(i)
-    hj_max, _ = cell.face_bound(j)
+    hi_max, hj_max = cell.face_bounds[i], cell.face_bounds[j]
     return -math.log(hj_max / hj0), math.log(hi_max / hi0)
 
 
@@ -276,8 +279,9 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     x is the hyperbolic distance of the contact point from the balanced
     point (positive toward edge[1]); the pair stays tangent while one ball
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
-    Both sector volumes are recomputed geometrically (Heron) at the slid
-    levels; NaN and infinite offsets fail the interval check.
+    Both sector volumes are recomputed geometrically at the slid levels, by
+    vertex_sector_volume (Heron); NaN and infinite offsets fail the interval
+    check.
     """
     i, j = edge
     cell = config.cell
@@ -293,7 +297,7 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
             f"[{lo:.12g}, {hi:.12g}] for edge {i},{j}",
             interval=(lo, hi),
         )
-    return _cell_sector_volume(cell, i, hi0 * math.exp(x)) + _cell_sector_volume(
+    return vertex_sector_volume(cell, i, hi0 * math.exp(x)) + vertex_sector_volume(
         cell, j, hj0 * math.exp(-x)
     )
 

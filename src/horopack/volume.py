@@ -27,6 +27,15 @@ def _integer(value, what: str) -> int:
         raise GeometryError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _index(value, size: int, what: str) -> int:
+    """``value`` read by ``_integer`` as an index into ``size`` items;
+    GeometryError names ``what`` unless 0 <= index < size."""
+    i = _integer(value, what)
+    if not 0 <= i < size:
+        raise GeometryError(f"{what} must be an index below {size}, got {i}")
+    return i
+
+
 @dataclass(frozen=True)
 class VolumeResult:
     """A volume with its standard error (0 for closed forms).
@@ -55,9 +64,13 @@ def lobachevsky(theta: float) -> float:
     """Lob(theta) = -integral_0^theta log|2 sin t| dt.
 
     Odd, pi-periodic; maximum at pi/6.  Evaluated by the zeta power series
-    after reduction to [0, pi/2] via Lob(pi - t) = -Lob(t).
+    after reduction to [0, pi/2] via Lob(pi - t) = -Lob(t).  GeometryError
+    unless theta is finite.
     """
-    t = math.fmod(float(theta), math.pi)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise GeometryError(f"Lobachevsky function needs a finite angle, got {theta!r}")
+    t = math.fmod(theta, math.pi)
     if t < 0.0:
         t += math.pi
     sign = 1.0
@@ -75,7 +88,7 @@ def lobachevsky(theta: float) -> float:
         series += term
         if term < 1e-18:
             break
-    return sign * t * (1.0 - math.log(2.0 * t) + series)
+    return float(sign * t * (1.0 - math.log(2.0 * t) + series))
 
 
 # --- orthoscheme and cell volumes -------------------------------------------
@@ -147,7 +160,7 @@ def _hull_fan(pts: np.ndarray):
     return apex, steps, volumes
 
 
-def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> VolumeResult:
+def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeResult:
     """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
     ``region`` is a vertex set given as chart 3-vectors.  Draws points
@@ -158,23 +171,25 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     or outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
 
-    ``carve_outs`` is a sequence of (predicate, volume, chart_volume)
-    triples: points where predicate(points) is True are excluded from the
-    sampled region, its hyperbolic ``volume`` is added back to the estimate
-    and its Euclidean ``chart_volume`` is taken off the hull's.  ``points`` is
-    an (n, 3) array.  Carved regions must be pairwise disjoint subsets of the
-    region that lie inside the unit ball (only inside points are ever
-    carved).  This keeps the sampled integrand bounded when the region has
-    ideal vertices, where naive sampling has infinite variance and a
-    meaningless standard error.  As the remainder's chart volume U is known,
-    the samples that are not carved are uniform in it and the estimate is
-    U times their mean, so carved samples add no variance; without
-    carve-outs U is the hull's volume and every sample is kept.
+    ``carve`` is one (predicate, volume, chart_volume) triple: points where
+    predicate(points) is True are excluded from the sampled region, its
+    hyperbolic ``volume`` is added back to the estimate and its Euclidean
+    ``chart_volume`` is taken off the hull's.  ``points`` is an (n, 3) array.
+    The carved region must be a subset of the region that lies inside the
+    unit ball (only inside points are ever carved).  This keeps the sampled
+    integrand bounded when the region has ideal vertices, where naive
+    sampling has infinite variance and a meaningless standard error.  As the
+    remainder's chart volume U is known, the samples that are not carved are
+    uniform in it and the estimate is U times their mean, so carved samples
+    add no variance; without a carve-out U is the hull's volume and every
+    sample is kept.  GeometryError unless the region's points are finite.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
         raise GeometryError("region needs at least 4 chart points in 3-space")
+    if not np.isfinite(pts).all():
+        raise GeometryError("region points must be finite")
     if samples < MIN_SAMPLES:
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
@@ -182,10 +197,10 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
     apex, steps, volumes = _hull_fan(pts)
     hull_vol = float(volumes.sum())
     weights = volumes / hull_vol
-    for _, _, chart in carve_outs:
-        if not 0.0 <= chart < math.inf:
-            raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
-    remainder = hull_vol - math.fsum(chart for _, _, chart in carve_outs)
+    predicate, exact, chart = carve if carve is not None else (None, 0.0, 0.0)
+    if not 0.0 <= chart < math.inf:
+        raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
+    remainder = hull_vol - chart
     if not remainder > 0.0:
         raise GeometryError(
             f"carved chart volume leaves {remainder!r} of the hull's {hull_vol!r}"
@@ -215,10 +230,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         x += apex[:, None]
         r2 = np.einsum("ij,ij->j", x, x)
         inside = r2 < 1.0
-        cut = np.zeros(n, dtype=bool)
-        for predicate, _, _ in carve_outs:
-            cut |= predicate(x.T)
-        cut &= inside
+        cut = inside & predicate(x.T) if predicate else np.zeros(n, dtype=bool)
         keep = inside & ~cut
         f = 1.0 / (1.0 - r2[keep]) ** 2
         total += float(f.sum())
@@ -231,10 +243,8 @@ def monte_carlo_volume(region, samples: int, seed: int, carve_outs=()) -> Volume
         raise GeometryError(f"all {samples} samples were carved out")
     mean = total / kept
     var = max(total_sq / kept - mean * mean, 0.0)
-    est = remainder * mean
+    est = remainder * mean + exact
     stderr = remainder * math.sqrt(var / kept)
-    for _, exact, _ in carve_outs:
-        est += exact
     rejected = samples - accepted - carved
     return VolumeResult(est, stderr, accepted, rejected, carved)
 

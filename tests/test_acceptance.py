@@ -144,14 +144,14 @@ def test_criterion_4_octahedral_sectors():
 
     # arrangement 1: six congruent balls, half a unit each
     vols1 = [
-        vertex_sector_volume(configs[0].horoball(v), cell, v)
+        vertex_sector_volume(cell, v, configs[0].levels[v])
         for v in range(cell.n_vertices)
     ]
     ok1 = all(abs(v - 0.5) <= tol for v in vols1)
 
     # arrangement 2: two full units at the poles, quarters at the equator
     vols2 = sorted(
-        vertex_sector_volume(configs[1].horoball(v), cell, v)
+        vertex_sector_volume(cell, v, configs[1].levels[v])
         for v in range(cell.n_vertices)
     )
     expect2 = sorted([1.0, 1.0, 0.25, 0.25, 0.25, 0.25])

@@ -176,11 +176,11 @@ def test_dihedral_products(symbol):
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_edge_kappa_values(symbol):
     cell = build_cell(symbol)
-    kappas = {round(cell.kappa(i, j), 10) for i, j in cell.edges}
+    kappas = {round(cell.gram[i, j], 10) for i, j in cell.edges}
     expected = {round(k, 10) for k in EDGE_KAPPA[symbol]}
     assert kappas == expected
     i, j = cell.edges[0]
-    assert cell.kappa(i, j) == pytest.approx(
+    assert cell.gram[i, j] == pytest.approx(
         -bilinear_form(cell.vertices[i], cell.vertices[j]), abs=0
     )
 
@@ -205,7 +205,7 @@ def test_cell_tables_match_scalar_forms(symbol):
         for j in range(cell.n_vertices):
             if i != j:
                 expected = -bilinear_form(cell.vertices[i], cell.vertices[j])
-                assert cell.kappa(i, j) == pytest.approx(expected, abs=0)
+                assert cell.gram[i, j] == pytest.approx(expected, abs=0)
         best, best_face = None, -1
         for k, face in enumerate(cell.faces):
             if i in face.indices:

@@ -281,7 +281,7 @@ def _random_rows(cell, rng, count: int = 1200) -> np.ndarray:
         elif kind == 2:  # one overlapping edge pair, the rest small
             i, j = cell.edges[rng.integers(len(cell.edges))]
             row *= 0.05
-            row[i] = row[j] = math.sqrt(cell.kappa(i, j))
+            row[i] = row[j] = math.sqrt(cell.gram[i, j])
         elif kind == 3:
             row[v] = math.nan
         elif kind == 4:

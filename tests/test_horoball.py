@@ -23,10 +23,8 @@ from horopack.horoball import (
     polar_point,
     ray_crossing,
     same_type_level,
-    sector_volume,
     vertex_sector_volume,
     _chart_sector,
-    _cusp_balls,
     _union_predicate,
 )
 from horopack.lorentz import (
@@ -160,15 +158,13 @@ def test_heron_area():
     assert heron_area(HorosphericTriangle(1.0, 1.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(GeometryError):
         heron_area(HorosphericTriangle(1.0, 1.0, 2.2))
-    with pytest.raises(GeometryError):
-        sector_volume(-1.0)
 
 
 def test_sector_volume_scales_with_level_squared():
     cell = build_cell((4, 3, 6))
-    base = vertex_sector_volume(horoball_level(cell.vertices[3], 0.3), cell, 3)
+    base = vertex_sector_volume(cell, 3, 0.3)
     for h in (0.6, 0.9, 1.2):
-        v = vertex_sector_volume(horoball_level(cell.vertices[3], h), cell, 3)
+        v = vertex_sector_volume(cell, 3, h)
         assert v == pytest.approx(base * (h / 0.3) ** 2, rel=1e-13)
 
 
@@ -183,8 +179,7 @@ QUADRATURE_CASES = [
 @pytest.mark.parametrize("symbol,vertex,h,frozen", QUADRATURE_CASES)
 def test_vertex_sector_volume_against_quadrature(symbol, vertex, h, frozen):
     cell = build_cell(symbol)
-    hb = horoball_level(cell.vertices[vertex], h)
-    value = vertex_sector_volume(hb, cell, vertex)
+    value = vertex_sector_volume(cell, vertex, h)
     assert value == pytest.approx(frozen, rel=1e-12)
     oracle = sector_volume_quadrature(cell, vertex, h)
     assert value == pytest.approx(oracle, rel=5e-7)
@@ -194,10 +189,10 @@ def test_vertex_sector_volume_validation():
     cell = build_cell((3, 3, 6))
     # apex face bound is 1.0; exceeding it reports the violated face
     with pytest.raises(FaceOverflowError) as exc:
-        vertex_sector_volume(horoball_level(cell.vertices[3], 1.2), cell, 3)
+        vertex_sector_volume(cell, 3, 1.2)
     assert exc.value.face_index == cell.face_bound(3)[1]
     with pytest.raises(GeometryError):
-        vertex_sector_volume(horoball_level(cell.vertices[0], 0.5), cell, 1)
+        vertex_sector_volume(cell, 4, 0.5)
 
 
 def test_octahedron_cone_sectors():
@@ -244,6 +239,11 @@ def test_cell_volume_oracle_tetrahedron():
     assert res.stderr < 0.01 * cell.volume
 
 
+def cusp_levels(cell):
+    # the levels of the oracle's carve-out: same-type balls shrunk by 0.1%
+    return [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
+
+
 def _ball_predicate(hb):
     # one ball's membership, straight from the pencil form Q <= 0
     w = MINKOWSKI @ hb.center.coords
@@ -260,13 +260,13 @@ def _ball_predicate(hb):
 @pytest.mark.parametrize("symbol", [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)])
 def test_union_predicate_matches_separate_balls(symbol):
     cell = build_cell(symbol)
-    balls = _cusp_balls(cell)
-    assert len(balls) == cell.n_vertices
+    levels = cusp_levels(cell)
+    balls = [horoball_level(cell.vertices[v], h) for v, h in enumerate(levels)]
     chart = np.array([v.chart() for v in cell.vertices])
     # small Dirichlet weights put many of the points near the cusps
     rng = np.random.default_rng(2024)
     pts = rng.dirichlet(np.full(len(chart), 1.0 / len(chart)), size=100_000) @ chart
-    fused = _union_predicate(balls)(pts)
+    fused = _union_predicate(cell, levels)(pts)
     separate = np.zeros(len(pts), dtype=bool)
     for hb in balls:
         separate |= _ball_predicate(hb)(pts)
@@ -280,9 +280,9 @@ ALL_CELLS = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_chart_sector_quadrature_converged(symbol):
     cell = build_cell(symbol)
-    for v, hb in enumerate(_cusp_balls(cell)):
-        low = _chart_sector(cell, v, hb.h)
-        high = _chart_sector(cell, v, hb.h, order=32)
+    for v, h in enumerate(cusp_levels(cell)):
+        low = _chart_sector(cell, v, h)
+        high = _chart_sector(cell, v, h, order=32)
         assert low > 0.0
         assert abs(low - high) <= 1e-13 * high
 
@@ -303,7 +303,7 @@ def test_chart_sectors_match_carved_share(symbol):
     samples = 200_000
     res = cell_volume_oracle(cell, samples, seed=11)
     hull = ConvexHull(np.array([v.chart() for v in cell.vertices])).volume
-    chart = math.fsum(_chart_sector(cell, v, hb.h) for v, hb in enumerate(_cusp_balls(cell)))
+    chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(cusp_levels(cell)))
     share = chart / hull
     sigma = hull * math.sqrt(share * (1.0 - share) / samples)
     assert abs(chart - hull * res.carved / samples) < 4.0 * sigma

@@ -17,7 +17,6 @@ from horosphere_reference import HorosphericTriangle, heron_area, horospheric_ch
 from horopack.coxeter import build_cell
 from horopack.horoball import (
     FaceOverflowError,
-    _cell_sector_volume,
     cone_sector_volume,
     horoball_level,
     pencil_value,
@@ -102,7 +101,7 @@ def test_states_match_reference(tiling):
     for config in _states(tiling):
         cell = config.cell
         for v in range(cell.n_vertices):
-            value = vertex_sector_volume(config.horoball(v), cell, v)
+            value = vertex_sector_volume(cell, v, config.levels[v])
             assert value == reference_sector(cell, v, config.levels[v])
         for edge in cell.edges:
             if abs(ball_gap(cell, config.levels, *edge)) > 1e-9:
@@ -123,7 +122,7 @@ def test_random_levels_match_reference(tiling):
         v = int(rng.integers(cell.n_vertices))
         h = float(rng.uniform(1e-3, 1.0) * cell.face_bound(v)[0])
         hb = horoball_level(cell.vertices[v], h)
-        assert vertex_sector_volume(hb, cell, v) == reference_sector(cell, v, h)
+        assert vertex_sector_volume(cell, v, h) == reference_sector(cell, v, h)
         for j in cell.neighbors[v]:
             crossing = ray_crossing(hb, cell.vertices[j]).coords.tolist()
             assert crossing == reference_crossing(hb, cell.vertices[j]).coords.tolist()
@@ -143,7 +142,7 @@ def test_random_levels_match_reference(tiling):
 def test_sector_coefficients_match_reference(tiling):
     cell = build_cell(tiling)
     for v in range(cell.n_vertices):
-        h = 0.5 * min(math.sqrt(0.5 * cell.kappa(v, j)) for j in cell.neighbors[v])
+        h = 0.5 * min(math.sqrt(0.5 * cell.gram[v, j]) for j in cell.neighbors[v])
         assert cell.sector_coefficients[v] == reference_sector(cell, v, h) / (h * h)
 
 
@@ -206,18 +205,15 @@ def test_level_above_face_bound_names_the_face(tiling):
         bound, face = cell.face_bound(v)
         for h in (1.01 * bound, math.inf):
             with pytest.raises(FaceOverflowError) as exc:
-                _cell_sector_volume(cell, v, h)
+                vertex_sector_volume(cell, v, h)
             assert exc.value.face_index == face
-        with pytest.raises(FaceOverflowError) as exc:
-            vertex_sector_volume(horoball_level(cell.vertices[v], 1.01 * bound), cell, v)
-        assert exc.value.face_index == face
 
 
 def test_non_positive_levels_raise():
     cell = build_cell((3, 3, 6))
     for h in (0.0, -0.5, math.nan):
         with pytest.raises(GeometryError):
-            _cell_sector_volume(cell, 0, h)
+            vertex_sector_volume(cell, 0, h)
 
 
 def test_ray_target_behind_the_center_raises():
@@ -233,7 +229,10 @@ def test_ray_target_behind_the_center_raises():
 
 
 def test_ball_at_the_wrong_vertex_raises():
+    # a ball is named by its vertex index, read whole and inside the cell
     cell = build_cell((4, 3, 6))
-    hb = horoball_level(cell.vertices[0], 0.3)
-    with pytest.raises(GeometryError, match="not centered"):
-        vertex_sector_volume(hb, cell, 1)
+    for vertex in (-1, 8, 0.5, "1"):
+        with pytest.raises(GeometryError, match="vertex"):
+            vertex_sector_volume(cell, vertex, 0.3)
+    value = vertex_sector_volume(cell, 7, 0.3)
+    assert vertex_sector_volume(cell, np.int64(7), 0.3) == value

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import horopack
+from horopack import horoball, packing
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -20,17 +21,44 @@ def test_public_names_resolve_once():
         assert hasattr(horopack, name), name
 
 
-def test_benchmark_tracer_installs_on_the_source_tree():
-    # the tracer wraps entry points by name; a renamed or deleted one fails
-    # install() here instead of only in a benchmark run
+def _tracer():
+    """A fresh benchmark Tracer, loaded from the benchmark's own file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_benchmark_tracer_installs_on_the_source_tree():
+    # the tracer wraps entry points by name; a renamed or deleted one fails
+    # install() here instead of only in a benchmark run
+    tracer = _tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_trace_sees_the_sector_work():
+    # the sliding-tangency law and the Monte Carlo carve-out price their
+    # balls through the public sector entry point, so the trace counts them
+    config = packing.catalog((4, 3, 6))[0]
+    cell = config.cell
+    edge = next(
+        e for e in cell.edges if abs(packing.ball_gap(cell, config.levels, *e)) < 1e-9
+    )
+    tracer = _tracer()
+    tracer.install()
+    try:
+        start = tracer.snapshot()
+        packing.volume_function(config, edge, 0.0)
+        middle = tracer.snapshot()
+        horoball.cell_volume_oracle(cell, 10_000, 1)
+        end = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert tracer.window(start, middle).n("horoball.vertex_sector_volume") == 2
+    assert tracer.window(middle, end).n("horoball.vertex_sector_volume") == cell.n_vertices
 
 
 SOURCES = sorted((ROOT / "src" / "horopack").glob("*.py"))

@@ -8,10 +8,10 @@ import pytest
 from scipy import integrate
 from scipy.special import polygamma
 
-from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix
-from horopack.horoball import cell_volume_oracle
+from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix, vertex_distance
+from horopack.horoball import cell_volume_oracle, vertex_sector_volume
 from horopack.lorentz import GeometryError
-from horopack.packing import families
+from horopack.packing import balanced_levels, ball_gap, catalog, families
 from horopack.volume import (
     bf_constant,
     bf_series_tail_bound,
@@ -76,6 +76,15 @@ def test_lobachevsky_symmetries():
     )
     assert lobachevsky(math.pi / 6) > lobachevsky(math.pi / 6 + 0.05)
     assert lobachevsky(math.pi / 6) > lobachevsky(math.pi / 6 - 0.05)
+
+
+def test_lobachevsky_rejects_non_finite_angles_and_returns_floats():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match="finite angle"):
+            lobachevsky(theta)
+    assert type(lobachevsky(np.float64(0.9))) is float
+    for symbol in CELL_VOLUMES:
+        assert type(build_cell(symbol).volume) is float
 
 
 @pytest.mark.parametrize("symbol", sorted(ORTHOSCHEME_VOLUMES))
@@ -152,7 +161,7 @@ def test_monte_carlo_carve_out_additivity():
     plain = monte_carlo_volume(cube_region(), samples=400_000, seed=77)
     carved = monte_carlo_volume(
         cube_region(), samples=400_000, seed=78,
-        carve_outs=[(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3)],
+        carve=(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3),
     )
     sigma = math.hypot(plain.stderr, carved.stderr)
     assert abs(carved.value - plain.value) < 4.0 * sigma
@@ -193,9 +202,7 @@ def test_monte_carlo_sample_accounting():
     samples = 150_001
     res = monte_carlo_volume(
         cube_region(0.7), samples=samples, seed=5,
-        carve_outs=[
-            (in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3)
-        ],
+        carve=(in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3),
     )
     assert res.accepted + res.carved + res.rejected == samples
     assert min(res.accepted, res.carved, res.rejected) > 0
@@ -216,6 +223,10 @@ def test_monte_carlo_validation():
     coplanar = [(0, 0, 0), (0.1, 0, 0), (0, 0.1, 0), (0.1, 0.1, 0)]
     with pytest.raises(GeometryError):
         monte_carlo_volume(coplanar, samples=10_000, seed=1)
+    for bad in (math.nan, math.inf):
+        region = cube_region()[:-1] + [(bad, 0.3, 0.3)]
+        with pytest.raises(GeometryError, match="must be finite"):
+            monte_carlo_volume(region, samples=10_000, seed=1)
 
 
 # entry points that read an integer, each with an integer it accepts
@@ -245,6 +256,34 @@ def test_integer_inputs_reject_floats_and_strings(entry):
             read(bad)
 
 
+def _index_readers():
+    """Entry points that read one vertex index of the (4,3,6) cell (8
+    vertices) or of its orthoscheme matrix (4), each with its index count;
+    the other index of a pair is a fixed neighbour."""
+    cell = build_cell((4, 3, 6))
+    config = catalog((4, 3, 6))[0]
+    j = cell.neighbors[0][0]
+    matrix = coxeter_matrix((4, 3, 6))
+    return {
+        "face_bound": (cell.face_bound, 8),
+        "horoball": (config.horoball, 8),
+        "vertex_sector_volume": (lambda v: vertex_sector_volume(cell, v, 0.3), 8),
+        "ball_gap": (lambda v: ball_gap(cell, config.levels, v, j), 8),
+        "balanced_levels": (lambda v: balanced_levels(cell, (v, j)), 8),
+        "vertex_distance": (lambda v: vertex_distance(matrix, v, 1), 4),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_index_readers()))
+def test_vertex_indices_are_read_whole_and_in_range(entry):
+    # an index is never wrapped, truncated or left to numpy to refuse
+    read, n = _index_readers()[entry]
+    read(np.int64(0))
+    for bad in (-1, n, 0.5, "1"):
+        with pytest.raises(GeometryError):
+            read(bad)
+
+
 def _nowhere(pts):
     return np.zeros(len(pts), dtype=bool)
 
@@ -253,15 +292,15 @@ def _nowhere(pts):
 def test_monte_carlo_rejects_bad_chart_volume(chart):
     with pytest.raises(GeometryError, match="chart volume"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve_outs=[(_nowhere, 0.0, chart)]
+            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, chart)
         )
 
 
 def test_monte_carlo_rejects_carving_the_whole_hull():
     # the cube of half-width 0.3 has chart volume 0.216
-    halves = [(_nowhere, 0.0, 0.108), (_nowhere, 0.0, 0.108 + 1e-9)]
+    whole = (_nowhere, 0.0, 0.108 + 0.108 + 1e-9)
     with pytest.raises(GeometryError, match="carved chart volume"):
-        monte_carlo_volume(cube_region(), samples=10_000, seed=1, carve_outs=halves)
+        monte_carlo_volume(cube_region(), samples=10_000, seed=1, carve=whole)
 
 
 def test_monte_carlo_rejects_every_sample_carved():
@@ -270,7 +309,7 @@ def test_monte_carlo_rejects_every_sample_carved():
 
     with pytest.raises(GeometryError, match="all 10000 samples"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve_outs=[(everywhere, 0.0, 0.1)]
+            cube_region(), samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1)
         )
 
 
