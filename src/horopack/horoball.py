@@ -17,21 +17,22 @@ distance t has level h e^(-t), and two horoballs with centers c1, c2 are
 tangent exactly when 2 h1 h2 = kappa with kappa = -<c1, c2> (their boundary
 gap along the joining line is log(kappa / (2 h1 h2))).
 
-Sector volumes come from one float kernel, ``_fan_sector``: the part of a
-ball inside a cone of rays from its center is half the Heron area of the
-horospheric polygon the rays cut out.  It takes the center, the level and the
-ray targets as tuples of Python floats, computes each crossing c + mu w,
-checks that it lies on the horosphere and inside the model, and sums the
-Heron areas of the fan from the first crossing, with chords 2 sinh(d/2).
-A ball at a cell vertex is its vertex and level: ``vertex_sector_volume(cell,
-vertex, h)`` prices it from the cell's ``fans`` table, for packings and the
-Monte Carlo carve-outs alike; ``cone_sector_volume`` prices a Horoball in any
+A ball's volume inside its cell is the paper's law C_v h^2:
+``vertex_sector_volume(cell, vertex, h)`` forms the same product as
+``packing.evaluate``, for packings and the Monte Carlo carve-outs alike.
+C_v is half the Heron area of the vertex's horospheric polygon at level 1,
+computed once when the cell is built by the float kernel ``_fan_sector``.  It
+takes the center, the level and the ray targets as tuples of Python floats,
+computes each crossing c + mu w, checks that it lies on the horosphere and
+inside the model, and sums the Heron areas of the fan from the first crossing,
+with chords 2 sinh(d/2); ``cone_sector_volume`` runs it for a Horoball in any
 cone.  ``ray_crossing`` wraps the crossing for ProjectivePoint arguments.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +47,7 @@ from .lorentz import (
     classify,
     rotation_from_z,
 )
-from .volume import VolumeResult, monte_carlo_volume
+from .volume import VolumeResult, _index, monte_carlo_volume
 
 # Absolute tolerance on the pencil form Q at chart-normalized points deciding
 # "on the horosphere", and slack allowed on face tangency.
@@ -211,26 +212,29 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
 
 
 def vertex_sector_volume(cell, vertex: int, h: float) -> float:
-    """Vol(B ∩ P) of the ball of level h at cell vertex ``vertex``.
+    """Vol(B ∩ P) = C_v h^2 of the ball of level h at cell vertex ``vertex``.
 
     Within the face-tangency bound the ball meets the cell in its vertex
-    cone, whose horospheric cross-section is the convex polygon over the
-    incident-edge crossings; the volume is half its Heron area.  Crossing a
-    non-adjacent face raises FaceOverflowError with the violated face index;
-    GeometryError names a vertex index outside the cell or a level that is
-    not positive.
+    cone, so the volume is the cell's sector coefficient C_v times h^2, the
+    product ``packing.evaluate`` forms.  Crossing a non-adjacent face raises
+    FaceOverflowError with the violated face index; GeometryError names a
+    vertex index outside the cell or a level that is not a positive real
+    number.
     """
-    bound, face_idx = cell.face_bound(vertex)
+    v = _index(vertex, cell.n_vertices, "vertex")
+    bound, face_idx = cell.face_bound(v)
+    if not isinstance(h, numbers.Real):
+        raise GeometryError(f"level h = {h!r} must be a real number")
+    h = float(h)
     if h > bound + FACE_TOL:
         raise FaceOverflowError(
-            f"horoball level {h:.12g} at vertex {vertex} crosses "
+            f"horoball level {h:.12g} at vertex {v} crosses "
             f"non-adjacent face {face_idx} (bound {bound:.12g})",
             face_index=face_idx,
         )
     if not h > 0.0:
         raise GeometryError(f"level h = {h} must be positive")
-    center, targets = cell.fans[vertex]
-    return _fan_sector(center, h, targets)
+    return float(cell.sector_coefficients[v] * (h * h))
 
 
 @lru_cache(maxsize=None)
@@ -258,9 +262,8 @@ def _chart_sector(cell, vertex: int, h: float, order: int = 16) -> float:
     triangle holds D tau^3 / 3 per unit (u, v) area of y = a + u (b - a) +
     v (d - a), with D = |det(b - a, d - a, a - c)|.
     """
-    center, targets = cell.fans[vertex]
-    c = np.array(center[1:])
-    pts = np.array([t[1:] for t in targets])
+    c = cell.vertices[vertex].coords[1:]
+    pts = np.array([cell.vertices[j].coords[1:] for j in cell.neighbors[vertex]])
     a = pts[0] - c
     ba = pts[1:-1] - pts[0]
     da = pts[2:] - pts[0]
@@ -275,8 +278,10 @@ def _chart_sector(cell, vertex: int, h: float, order: int = 16) -> float:
 
 def same_type_level(cell, vertex: int) -> float:
     """Largest level at the vertex with no overlap along any incident edge
-    when every vertex carries the same construction: h = sqrt(kappa_min / 2)."""
-    kmin = min(cell.gram[vertex, j] for j in cell.neighbors[vertex])
+    when every vertex carries the same construction: h = sqrt(kappa_min / 2).
+    GeometryError unless ``vertex`` is a vertex index of the cell."""
+    v = _index(vertex, cell.n_vertices, "vertex")
+    kmin = min(cell.gram[v, j] for j in cell.neighbors[v])
     return math.sqrt(0.5 * kmin)
 
 
@@ -310,7 +315,7 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     Sampling the chart volume element has infinite variance at the ideal
     vertices, so the cusps are carved out by the same-type balls shrunk by
     0.1% (pairwise disjoint and inside their face bounds), whose cell
-    sectors are known exactly (vertex_sector_volume); only the compact
+    sectors are known exactly (C_v h^2, vertex_sector_volume); only the compact
     remainder is sampled, at its known chart volume (the cell's less the
     balls' chart sectors).  The balls form one carve-out, tested together by
     a fused predicate.

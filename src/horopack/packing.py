@@ -254,15 +254,9 @@ def admissible_interval(cell: Cell, edge) -> tuple[float, float]:
     the same factor); the interval ends where either ball reaches its face
     bound.
     """
-    return _offset_interval(cell, edge, *balanced_levels(cell, edge))
-
-
-def _offset_interval(cell: Cell, edge, hi0: float, hj0: float) -> tuple[float, float]:
-    """admissible_interval from the edge's balanced levels hi0, hj0, on an
-    edge that balanced_levels has checked."""
+    hi0, hj0 = balanced_levels(cell, edge)
     i, j = edge
-    hi_max, hj_max = cell.face_bounds[i], cell.face_bounds[j]
-    return -math.log(hj_max / hj0), math.log(hi_max / hi0)
+    return -math.log(cell.face_bounds[j] / hj0), math.log(cell.face_bounds[i] / hi0)
 
 
 class AdmissibilityError(GeometryError):
@@ -279,24 +273,22 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     x is the hyperbolic distance of the contact point from the balanced
     point (positive toward edge[1]); the pair stays tangent while one ball
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
-    Both sector volumes are recomputed geometrically at the slid levels, by
-    vertex_sector_volume (Heron); NaN and infinite offsets fail the interval
-    check.
+    Both sector volumes are priced at the slid levels by
+    vertex_sector_volume (C_v h^2); NaN and infinite offsets fail the
+    interval check.
     """
     i, j = edge
     cell = config.cell
-    hi0, hj0 = balanced_levels(cell, (i, j))
+    lo, hi = admissible_interval(cell, (i, j))
     if abs(ball_gap(cell, config.levels, i, j)) > 1e-6:
-        raise InvalidPackingError(
-            f"volume function needs tangent balls on edge {i},{j}"
-        )
-    lo, hi = _offset_interval(cell, (i, j), hi0, hj0)
+        raise InvalidPackingError(f"volume function needs tangent balls on edge {i},{j}")
     if not (lo - DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
         raise AdmissibilityError(
             f"offset x = {x:.12g} outside admissible interval "
             f"[{lo:.12g}, {hi:.12g}] for edge {i},{j}",
             interval=(lo, hi),
         )
+    hi0, hj0 = balanced_levels(cell, (i, j))
     return vertex_sector_volume(cell, i, hi0 * math.exp(x)) + vertex_sector_volume(
         cell, j, hj0 * math.exp(-x)
     )

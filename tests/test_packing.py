@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from horopack.coxeter import build_cell
-from horopack.horoball import pencil_value, vertex_sector_volume
+from horopack.horoball import cone_sector_volume, pencil_value
 from horopack.lorentz import GeometryError
 from horopack.packing import (
     AdmissibilityError,
@@ -300,11 +300,14 @@ def _coefficient_path_states(symbol):
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_coefficient_path_matches_heron(symbol):
-    # density's C_v h_v^2 against the Heron sector volume at the same level
+    # density's C_v h_v^2 against the Heron fan of the vertex cone at the
+    # same level
     for config in _coefficient_path_states(symbol):
         report = density(config)
+        cell = config.cell
         for v, volume in enumerate(report.sector_volumes):
-            heron = vertex_sector_volume(config.cell, v, config.levels[v])
+            rays = [cell.vertices[j] for j in cell.neighbors[v]]
+            heron = cone_sector_volume(config.horoball(v), rays)
             assert volume == pytest.approx(heron, rel=1e-12)
 
 

@@ -1,22 +1,31 @@
-"""The float Heron kernel against the object-based fan it replaced.
+"""The sector law C_v h^2 and the float Heron kernel behind C_v.
 
-The reference below is the former sector path: ``ray_crossing`` on
-ProjectivePoints, ``horospheric_chord_length`` and ``heron_area`` (from
-``horosphere_reference``), fanned from the first crossing.  The kernel performs the same floating-point
-operations in the same order, so every comparison is exact (``==``).
+``vertex_sector_volume`` and ``volume_function`` price a ball in its cell as
+C_v h^2, the product ``packing.evaluate`` forms, so they are pinned to that
+product exactly (``==``).  The Heron kernel runs when a cell is built and in
+``cone_sector_volume``; it is pinned to the former object-based sector path:
+``ray_crossing`` on ProjectivePoints, ``horospheric_chord_length`` and
+``heron_area`` (from ``horosphere_reference``), fanned from the first
+crossing.  The kernel performs the same floating-point operations in the same
+order, so those comparisons are exact too.  A 40-digit ``decimal`` oracle
+built from the Gram table checks the accuracy of both.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from horosphere_reference import HorosphericTriangle, heron_area, horospheric_chord_length
 
+from horopack import horoball
 from horopack.coxeter import build_cell
 from horopack.horoball import (
     FaceOverflowError,
+    cell_volume_oracle,
     cone_sector_volume,
     horoball_level,
     pencil_value,
@@ -32,7 +41,10 @@ from horopack.packing import (
     catalog,
     configuration,
     contact_offset,
+    density,
+    evaluate,
     families,
+    sweep,
     volume_function,
 )
 
@@ -74,12 +86,20 @@ def reference_sector(cell, vertex: int, h: float) -> float:
     return reference_fan(hb, [cell.vertices[j] for j in cell.neighbors[vertex]])
 
 
+def law(cell, vertex: int, h: float) -> float:
+    return float(cell.sector_coefficients[vertex] * (h * h))
+
+
+def heron_sector(cell, vertex: int, h: float) -> float:
+    """The Heron kernel on the vertex cone, through the public cone entry."""
+    hb = horoball_level(cell.vertices[vertex], h)
+    return cone_sector_volume(hb, [cell.vertices[j] for j in cell.neighbors[vertex]])
+
+
 def reference_volume_function(cell, edge, x: float) -> float:
     i, j = edge
     hi0, hj0 = balanced_levels(cell, edge)
-    return reference_sector(cell, i, hi0 * math.exp(x)) + reference_sector(
-        cell, j, hj0 * math.exp(-x)
-    )
+    return law(cell, i, hi0 * math.exp(x)) + law(cell, j, hj0 * math.exp(-x))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +121,9 @@ def test_states_match_reference(tiling):
     for config in _states(tiling):
         cell = config.cell
         for v in range(cell.n_vertices):
-            value = vertex_sector_volume(cell, v, config.levels[v])
-            assert value == reference_sector(cell, v, config.levels[v])
+            h = config.levels[v]
+            assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
+            assert heron_sector(cell, v, h) == reference_sector(cell, v, h)
         for edge in cell.edges:
             if abs(ball_gap(cell, config.levels, *edge)) > 1e-9:
                 continue
@@ -122,7 +143,8 @@ def test_random_levels_match_reference(tiling):
         v = int(rng.integers(cell.n_vertices))
         h = float(rng.uniform(1e-3, 1.0) * cell.face_bound(v)[0])
         hb = horoball_level(cell.vertices[v], h)
-        assert vertex_sector_volume(cell, v, h) == reference_sector(cell, v, h)
+        assert heron_sector(cell, v, h) == reference_sector(cell, v, h)
+        assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
         for j in cell.neighbors[v]:
             crossing = ray_crossing(hb, cell.vertices[j]).coords.tolist()
             assert crossing == reference_crossing(hb, cell.vertices[j]).coords.tolist()
@@ -159,6 +181,84 @@ def test_cone_sectors_match_reference():
     ]
     for hb, rays in cases:
         assert cone_sector_volume(hb, rays) == reference_fan(hb, rays)
+
+
+# ---------------------------------------------------------------------------
+# accuracy against a 40-digit oracle, and one price everywhere
+
+DIGITS = decimal.Context(prec=40)
+
+
+def exact_gram(cell, a: int, b: int) -> Decimal:
+    """K_ab = -<E_a, E_b>, exact from the float vertex coordinates."""
+    p, q = ([Decimal(x) for x in cell.vertices[k].coords.tolist()] for k in (a, b))
+    with decimal.localcontext(DIGITS):
+        return p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3]
+
+
+def oracle_coefficient(cell, v: int) -> Decimal:
+    """C_v as half the Heron fan of the level-1 horospheric chords
+    sqrt(2 K_ab / (K_va K_vb)) between the crossings toward neighbours a, b."""
+    ring = cell.neighbors[v]
+    with decimal.localcontext(DIGITS):
+
+        def chord(a, b):
+            spokes = exact_gram(cell, v, a) * exact_gram(cell, v, b)
+            return (2 * exact_gram(cell, a, b) / spokes).sqrt()
+
+        total = Decimal(0)
+        for t in range(1, len(ring) - 1):
+            a, b = chord(ring[0], ring[t]), chord(ring[t], ring[t + 1])
+            c = chord(ring[0], ring[t + 1])
+            p = (a + b + c) / 2
+            total += (p * (p - a) * (p - b) * (p - c)).sqrt()
+        return total / 2
+
+
+def relative_error(value: float, exact: Decimal) -> float:
+    with decimal.localcontext(DIGITS):
+        return float(abs(Decimal(value) - exact) / exact)
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_sectors_match_the_digit_oracle(tiling):
+    # the law carries C_v's accuracy to every level; the chart-crossing
+    # Heron fan loses digits to cosh d - 1 at small levels
+    cell = build_cell(tiling)
+    rng = np.random.default_rng(1801)
+    for v in range(cell.n_vertices):
+        coefficient = oracle_coefficient(cell, v)
+        for f in [1e-3, 1e-2, 0.1, 0.5, 1.0, *rng.uniform(1e-3, 1.0, 8).tolist()]:
+            h = float(f * cell.face_bounds[v])
+            with decimal.localcontext(DIGITS):
+                exact = coefficient * Decimal(h) * Decimal(h)
+            assert relative_error(vertex_sector_volume(cell, v, h), exact) <= 2e-14
+            if f >= 0.1:
+                assert relative_error(heron_sector(cell, v, h), exact) <= 1e-12
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_one_price_for_every_family_entry(tiling):
+    for fam in families(tiling):
+        levels = fam.level_matrix(np.linspace(*fam.s_range, 101))
+        sectors = evaluate(fam.cell, levels).sectors
+        for r, v in np.ndindex(*levels.shape):
+            assert sectors[r, v] == vertex_sector_volume(fam.cell, v, levels[r, v])
+
+
+def test_no_heron_after_the_cells_are_built(monkeypatch):
+    pairs = {tiling: _tangent_pair(tiling) for tiling in TILINGS}
+
+    def refuse(*args):
+        raise AssertionError("Heron kernel called after the cell was built")
+
+    monkeypatch.setattr(horoball, "_fan_sector", refuse)
+    for tiling, (config, edge) in pairs.items():
+        density(config)
+        for fam in families(tiling):
+            sweep(tiling, fam, np.linspace(*fam.s_range, 11))
+        volume_function(config, edge, 0.0)
+        cell_volume_oracle(config.cell, 10_000, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +314,15 @@ def test_non_positive_levels_raise():
     for h in (0.0, -0.5, math.nan):
         with pytest.raises(GeometryError):
             vertex_sector_volume(cell, 0, h)
+
+
+def test_levels_are_read_as_real_numbers():
+    cell = build_cell((3, 3, 6))
+    for h in ("0.3", None, [0.3], 0.3j):
+        with pytest.raises(GeometryError, match="real number"):
+            vertex_sector_volume(cell, 0, h)
+    value = vertex_sector_volume(cell, 0, np.float64(0.3))
+    assert type(value) is float and value == vertex_sector_volume(cell, 0, 0.3)
 
 
 def test_ray_target_behind_the_center_raises():

@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.special import polygamma
 
 from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix, vertex_distance
-from horopack.horoball import cell_volume_oracle, vertex_sector_volume
+from horopack.horoball import cell_volume_oracle, same_type_level, vertex_sector_volume
 from horopack.lorentz import GeometryError
 from horopack.packing import balanced_levels, ball_gap, catalog, families
 from horopack.volume import (
@@ -268,6 +268,7 @@ def _index_readers():
         "face_bound": (cell.face_bound, 8),
         "horoball": (config.horoball, 8),
         "vertex_sector_volume": (lambda v: vertex_sector_volume(cell, v, 0.3), 8),
+        "same_type_level": (lambda v: same_type_level(cell, v), 8),
         "ball_gap": (lambda v: ball_gap(cell, config.levels, v, j), 8),
         "balanced_levels": (lambda v: balanced_levels(cell, (v, j)), 8),
         "vertex_distance": (lambda v: vertex_distance(matrix, v, 1), 4),
