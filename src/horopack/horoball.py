@@ -74,9 +74,18 @@ class Horoball:
     h: float
 
 
+def _real(h) -> float:
+    """Level ``h`` as a Python float; GeometryError unless it is a
+    ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
+    if not isinstance(h, numbers.Real):
+        raise GeometryError(f"level h = {h!r} must be a real number")
+    return float(h)
+
+
 def horoball_level(center, h: float) -> Horoball:
-    """Horoball from its ideal center and finite chart Busemann level h > 0."""
-    h = float(h)
+    """Horoball from its ideal center and finite chart Busemann level h > 0,
+    a real number."""
+    h = _real(h)
     if not 0.0 < h < math.inf:
         raise GeometryError(f"level h = {h} must be positive and finite")
     pt = center if isinstance(center, ProjectivePoint) else ProjectivePoint(center)
@@ -223,9 +232,7 @@ def vertex_sector_volume(cell, vertex: int, h: float) -> float:
     """
     v = _index(vertex, cell.n_vertices, "vertex")
     bound, face_idx = cell.face_bound(v)
-    if not isinstance(h, numbers.Real):
-        raise GeometryError(f"level h = {h!r} must be a real number")
-    h = float(h)
+    h = _real(h)
     if h > bound + FACE_TOL:
         raise FaceOverflowError(
             f"horoball level {h:.12g} at vertex {v} crosses "
@@ -319,11 +326,21 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     remainder is sampled, at its known chart volume (the cell's less the
     balls' chart sectors).  The balls form one carve-out, tested together by
     a fused predicate.
+
+    The carve-out is free of points nearer the origin than
+    radius = min_v (1 - h_v^2) / (1 + h_v^2), where ``monte_carlo_volume``
+    ends its cusp-free core.  That is the Klein radius of ball v's point
+    nearest the origin: ball v is symmetric about the geodesic from the
+    origin to its ideal vertex, on the unit sphere, so its nearest point
+    lies on that geodesic, at chart point s_v c_v with s_v the ball's type;
+    and the Klein radius tanh(d) grows monotonically with the hyperbolic
+    distance d from the origin, so no point of the ball is nearer in the
+    chart either.
     """
     levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
     exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))
     chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(levels))
+    radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
     region = [v.chart() for v in cell.vertices]
-    return monte_carlo_volume(
-        region, samples, seed, carve=(_union_predicate(cell, levels), exact, chart)
-    )
+    carve = (_union_predicate(cell, levels), exact, chart, radius)
+    return monte_carlo_volume(region, samples, seed, carve=carve)

@@ -31,7 +31,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coxeter import Cell, build_cell
-from .horoball import FACE_TOL, Horoball, horoball_level, ray_crossing, vertex_sector_volume
+from .horoball import (
+    FACE_TOL,
+    Horoball,
+    _real,
+    horoball_level,
+    ray_crossing,
+    vertex_sector_volume,
+)
 from .lorentz import GeometryError, ProjectivePoint
 from .volume import _index, _integer
 
@@ -147,10 +154,9 @@ def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
 
 
 def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfiguration:
-    """Build a configuration from finite, positive per-vertex levels."""
-    config = PackingConfiguration(
-        build_cell(tiling), tuple(float(h) for h in levels), label
-    )
+    """Build a configuration from finite, positive per-vertex levels, each
+    a real number."""
+    config = PackingConfiguration(build_cell(tiling), tuple(map(_real, levels)), label)
     if not all(map(math.isfinite, config.levels)):
         raise GeometryError(f"horoball levels must be finite, got {config.levels}")
     if min(config.levels) <= 0.0:

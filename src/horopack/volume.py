@@ -132,8 +132,9 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 
 # --- Monte Carlo oracle -----------------------------------------------------
 
-# Points per chunk.  The largest array of a chunk, the (balls x points) table
-# of the dodecahedral cell's 20-ball carve-out, then takes 10 MB.
+# Points per chunk of a stratum.  The largest array of a chunk, the
+# (balls x points) table of the dodecahedral cell's 20-ball carve-out in a
+# shell chunk, then takes 10 MB; core chunks never build it.
 _MC_CHUNK = 1 << 16
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 
@@ -142,10 +143,13 @@ def _hull_fan(pts: np.ndarray):
     """Tetrahedral fan of the convex hull of ``pts`` from its vertex mean.
 
     Returns the apex, per-tetrahedron step matrices and Euclidean volumes.
-    For sorted uniforms lo <= mid <= hi, apex + steps[k] @ (lo, mid, hi) is
-    uniform in tetrahedron k: its barycentric weights (lo, mid - lo,
-    hi - mid, 1 - hi) on the corners (P0, P1, P2, apex) are the spacings of
-    three uniforms, which are uniform on the simplex.
+    For sorted uniforms lo <= mid, apex + steps[k] @ (lo, mid, 1) is uniform
+    on the face (P0, P1, P2) of tetrahedron k opposite the apex: its
+    barycentric weights (lo, mid - lo, 1 - mid) are the spacings of two
+    uniforms, which are uniform on the triangle.  Scaling that step by a
+    gauge t with density 3 t^2 on [0, 1] makes the point uniform in the
+    tetrahedron, and restricting t to [t0, t1] makes it uniform in the
+    slab between the copies of that face scaled about the apex by t0 and t1.
     """
     try:
         hull = ConvexHull(pts)
@@ -160,6 +164,62 @@ def _hull_fan(pts: np.ndarray):
     return apex, steps, volumes
 
 
+def _core_scale(pts: np.ndarray, apex: np.ndarray, radius: float) -> float:
+    """Largest t0 <= 1 with the hull scaled about ``apex`` by t0 inside the
+    ball |p| <= radius; 0 unless the apex lies strictly inside that ball.
+
+    The scaled hull is convex, so it is inside when every scaled point
+    apex + t d, d = p - apex, is: |apex + t d|^2 = radius^2 has one positive
+    root t = -C / (B + sqrt(B^2 - A C)) with A = |d|^2, B = apex . d and
+    C = |apex|^2 - radius^2 < 0, the form that does not cancel.
+    """
+    c = float(apex @ apex) - radius * radius
+    if not c < 0.0:
+        return 0.0
+    d = pts - apex
+    b = d @ apex
+    a = np.einsum("ij,ij->i", d, d)
+    with np.errstate(divide="ignore"):
+        roots = -c / (b + np.sqrt(b * b - a * c))
+    return min(1.0, float(roots.min()))
+
+
+def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate):
+    """Draw ``n`` points uniformly in the slab c0 <= t^3 <= c1 of the fan and
+    sum the chart volume element over those not carved by ``predicate``
+    (None carves nothing and is never called).  The gauge is drawn as
+    t = cbrt(c0 + u (c1 - c0)) for a uniform u.
+
+    Returns (sum f, sum f^2, accepted, carved).
+    """
+    total = total_sq = 0.0
+    accepted = carved = 0
+    remaining = n
+    while remaining > 0:
+        m = min(_MC_CHUNK, remaining)
+        remaining -= m
+        counts = rng.multinomial(m, weights)
+        a, b, u = rng.random((3, m))
+        face = np.stack((np.minimum(a, b), np.maximum(a, b), np.ones(m)))
+        x = np.empty((3, m))  # one point per column, grouped by tetrahedron
+        end = 0
+        for k, count in enumerate(counts):
+            start, end = end, end + count
+            x[:, start:end] = steps[k] @ face[:, start:end]
+        x *= np.cbrt(c0 + u * (c1 - c0))
+        x += apex[:, None]
+        r2 = np.einsum("ij,ij->j", x, x)
+        inside = r2 < 1.0
+        cut = inside & predicate(x.T) if predicate else np.zeros(m, dtype=bool)
+        keep = inside & ~cut
+        f = 1.0 / (1.0 - r2[keep]) ** 2
+        total += float(f.sum())
+        total_sq += float(f @ f)
+        accepted += f.size
+        carved += int(np.count_nonzero(cut))
+    return total, total_sq, accepted, carved
+
+
 def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeResult:
     """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
@@ -167,22 +227,38 @@ def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeRes
     uniformly in the convex hull, through a tetrahedral fan from the vertex
     mean (each chunk splits its points among the tetrahedra by a multinomial
     draw weighted by volume), and averages the chart volume element
-    1/(1 - x^2 - y^2 - z^2)^2 times the hull's Euclidean volume.  Points on
-    or outside the unit sphere count as rejected and contribute 0.
+    1/(1 - x^2 - y^2 - z^2)^2 times the chart volume sampled.  Points on or
+    outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
 
-    ``carve`` is one (predicate, volume, chart_volume) triple: points where
-    predicate(points) is True are excluded from the sampled region, its
+    ``carve`` is one (predicate, volume, chart_volume, radius) tuple: points
+    where predicate(points) is True are excluded from the sampled region, its
     hyperbolic ``volume`` is added back to the estimate and its Euclidean
     ``chart_volume`` is taken off the hull's.  ``points`` is an (n, 3) array.
     The carved region must be a subset of the region that lies inside the
-    unit ball (only inside points are ever carved).  This keeps the sampled
+    unit ball (only inside points are ever carved), and ``radius`` promises
+    that no point with |p| < radius is carved.  This keeps the sampled
     integrand bounded when the region has ideal vertices, where naive
-    sampling has infinite variance and a meaningless standard error.  As the
-    remainder's chart volume U is known, the samples that are not carved are
-    uniform in it and the estimate is U times their mean, so carved samples
-    add no variance; without a carve-out U is the hull's volume and every
-    sample is kept.  GeometryError unless the region's points are finite.
+    sampling has infinite variance and a meaningless standard error.
+
+    The hull is sampled as two radial strata of the fan whose chart volumes
+    are known exactly: the core, the hull scaled about the apex by the
+    largest t0 that keeps it within ``radius`` of the origin (chart volume
+    t0^3 H of the hull's H; t0 = 0 unless the apex lies within ``radius``),
+    and the shell, the rest.  The core holds no carve-out, so its points are
+    never tested by the predicate; the shell's samples that are not carved
+    are uniform in the shell less the carve-out, whose chart volume is the
+    hull's less the core's and ``chart_volume``.  Samples are split in
+    proportion to chart volume, with no pilot run: n = floor(samples t0^3)
+    go to the core, and t0^3 is then lowered to n / samples, so the split is
+    exact and no stratum holds volume but no samples.  The estimate is
+    ``volume`` plus each stratum's chart volume V times its mean over its
+    kept samples, with standard error^2 = sum V^2 var / kept.  Carved
+    samples add no variance, and the core removes the variance between the
+    strata.  With radius 0, or without a carve-out, the core is empty.
+
+    GeometryError unless the region's points are finite, the carve's
+    ``volume`` and ``chart_volume`` are finite and >= 0, and 0 <= radius < 1.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
@@ -194,59 +270,45 @@ def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeRes
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
+    predicate, exact, chart, radius = carve if carve is not None else (None, 0.0, 0.0, 0.0)
+    if not 0.0 <= exact < math.inf:
+        raise GeometryError(f"carved volume {exact!r} must be finite and >= 0")
+    if not 0.0 <= chart < math.inf:
+        raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
+    if not 0.0 <= radius < 1.0:
+        raise GeometryError(f"carve-free radius {radius!r} must be in [0, 1)")
     apex, steps, volumes = _hull_fan(pts)
     hull_vol = float(volumes.sum())
     weights = volumes / hull_vol
-    predicate, exact, chart = carve if carve is not None else (None, 0.0, 0.0)
-    if not 0.0 <= chart < math.inf:
-        raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
-    remainder = hull_vol - chart
-    if not remainder > 0.0:
+    n_core = math.floor(samples * _core_scale(pts, apex, radius) ** 3)
+    n_shell = samples - n_core
+    share = n_core / samples  # t0^3 of the core actually used
+    core = hull_vol * share
+    shell = hull_vol - core - chart
+    if not (shell > 0.0 or shell == chart == 0.0):
         raise GeometryError(
-            f"carved chart volume leaves {remainder!r} of the hull's {hull_vol!r}"
+            f"carved chart volume leaves {shell!r} of the shell's {hull_vol - core!r}"
         )
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    total = 0.0
-    total_sq = 0.0
-    accepted = carved = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        remaining -= n
-        counts = rng.multinomial(n, weights)
-        a, b, c = rng.random((3, n))
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        # rows: the smallest, the median and the largest of a, b, c
-        ranked = np.stack(
-            (np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c))
-        )
-        x = np.empty((3, n))  # one point per column, grouped by tetrahedron
-        end = 0
-        for k, count in enumerate(counts):
-            start, end = end, end + count
-            x[:, start:end] = steps[k] @ ranked[:, start:end]
-        x += apex[:, None]
-        r2 = np.einsum("ij,ij->j", x, x)
-        inside = r2 < 1.0
-        cut = inside & predicate(x.T) if predicate else np.zeros(n, dtype=bool)
-        keep = inside & ~cut
-        f = 1.0 / (1.0 - r2[keep]) ** 2
-        total += float(f.sum())
-        total_sq += float(f @ f)
-        accepted += f.size
-        carved += int(np.count_nonzero(cut))
-
-    kept = samples - carved
-    if kept == 0:
-        raise GeometryError(f"all {samples} samples were carved out")
-    mean = total / kept
-    var = max(total_sq / kept - mean * mean, 0.0)
-    est = remainder * mean + exact
-    stderr = remainder * math.sqrt(var / kept)
+    core_sum, core_sq, core_in, _ = _stratum(
+        rng, apex, steps, weights, n_core, 0.0, share, None
+    )
+    total, total_sq, accepted, carved = _stratum(
+        rng, apex, steps, weights, n_shell, share, 1.0, predicate
+    )
+    kept = n_shell - carved
+    if shell > 0.0 and kept == 0:
+        raise GeometryError(f"all {n_shell} samples outside the core were carved out")
+    est, var = exact, 0.0
+    for vol, s, sq, k in ((core, core_sum, core_sq, n_core), (shell, total, total_sq, kept)):
+        if k:
+            mean = s / k
+            est += vol * mean
+            var += vol * vol * max(sq / k - mean * mean, 0.0) / k
+    accepted += core_in
     rejected = samples - accepted - carved
-    return VolumeResult(est, stderr, accepted, rejected, carved)
+    return VolumeResult(est, math.sqrt(var), accepted, rejected, carved)
 
 
 # --- series constant ---------------------------------------------------------

@@ -317,12 +317,20 @@ def test_non_positive_levels_raise():
 
 
 def test_levels_are_read_as_real_numbers():
+    # every entry point that reads a level refuses a numeric string rather
+    # than parsing it, passes numpy floats and keeps the level as a float
     cell = build_cell((3, 3, 6))
-    for h in ("0.3", None, [0.3], 0.3j):
-        with pytest.raises(GeometryError, match="real number"):
-            vertex_sector_volume(cell, 0, h)
-    value = vertex_sector_volume(cell, 0, np.float64(0.3))
-    assert type(value) is float and value == vertex_sector_volume(cell, 0, 0.3)
+    readers = (
+        lambda h: vertex_sector_volume(cell, 0, h),
+        lambda h: horoball_level(cell.vertices[0], h).h,
+        lambda h: configuration((3, 3, 6), [h] * 4).levels[0],
+    )
+    for read in readers:
+        for h in ("0.3", None, [0.3], 0.3j):
+            with pytest.raises(GeometryError, match="real number"):
+                read(h)
+        value = read(np.float64(0.3))
+        assert type(value) is float and value == read(0.3)
 
 
 def test_ray_target_behind_the_center_raises():

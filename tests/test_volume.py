@@ -13,6 +13,8 @@ from horopack.horoball import cell_volume_oracle, same_type_level, vertex_sector
 from horopack.lorentz import GeometryError
 from horopack.packing import balanced_levels, ball_gap, catalog, families
 from horopack.volume import (
+    _core_scale,
+    _hull_fan,
     bf_constant,
     bf_series_tail_bound,
     lobachevsky,
@@ -161,7 +163,7 @@ def test_monte_carlo_carve_out_additivity():
     plain = monte_carlo_volume(cube_region(), samples=400_000, seed=77)
     carved = monte_carlo_volume(
         cube_region(), samples=400_000, seed=78,
-        carve=(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3),
+        carve=(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3, 0.0),
     )
     sigma = math.hypot(plain.stderr, carved.stderr)
     assert abs(carved.value - plain.value) < 4.0 * sigma
@@ -202,7 +204,7 @@ def test_monte_carlo_sample_accounting():
     samples = 150_001
     res = monte_carlo_volume(
         cube_region(0.7), samples=samples, seed=5,
-        carve=(in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3),
+        carve=(in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3, 0.0),
     )
     assert res.accepted + res.carved + res.rejected == samples
     assert min(res.accepted, res.carved, res.rejected) > 0
@@ -293,13 +295,82 @@ def _nowhere(pts):
 def test_monte_carlo_rejects_bad_chart_volume(chart):
     with pytest.raises(GeometryError, match="chart volume"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, chart)
+            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, chart, 0.0)
         )
+
+
+@pytest.mark.parametrize("volume", [math.nan, math.inf, -1.0])
+def test_monte_carlo_rejects_bad_carved_volume(volume):
+    # the carve's hyperbolic volume is added to the estimate as it stands
+    with pytest.raises(GeometryError, match="carved volume"):
+        monte_carlo_volume(
+            cube_region(), samples=10_000, seed=1, carve=(_nowhere, volume, 0.0, 0.0)
+        )
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1e-3, 1.0])
+def test_monte_carlo_rejects_bad_carve_free_radius(radius):
+    with pytest.raises(GeometryError, match="carve-free radius"):
+        monte_carlo_volume(
+            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, 0.0, radius)
+        )
+
+
+def test_monte_carlo_core_stratum_on_cube():
+    # a carve that removes nothing but promises radius 0.2 gives the cube a
+    # core (scale 0.2 / 0.3 sqrt(3) about the origin) sampled on its own
+    empty = monte_carlo_volume(
+        cube_region(), samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.0)
+    )
+    cored = monte_carlo_volume(
+        cube_region(), samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.2)
+    )
+    assert abs(cored.value - CUBE_ORACLE) < 4.0 * cored.stderr
+    assert cored.stderr < empty.stderr
+    assert (cored.accepted, cored.carved, cored.rejected) == (200_000, 0, 0)
+
+
+def test_monte_carlo_core_stratum_off_centre_pieces():
+    # the pieces' apexes are off the origin, so the core is found by the
+    # quadratic per vertex rather than by the radius alone
+    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
+    carve = (_nowhere, 0.0, 0.0, 0.2)
+    lo = monte_carlo_volume(below, samples=200_000, seed=31, carve=carve)
+    hi = monte_carlo_volume(above, samples=200_000, seed=32, carve=carve)
+    sigma = math.hypot(lo.stderr, hi.stderr)
+    assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
+    assert sigma < 0.01 * CUBE_ORACLE
+
+
+def test_monte_carlo_all_core_matches_one_stratum():
+    # the cube's corners are 0.52 from the origin, so radius 0.6 makes the
+    # whole hull the core: the same draws as radius 0, now booked to the core
+    one = monte_carlo_volume(
+        cube_region(), samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.0)
+    )
+    core = monte_carlo_volume(
+        cube_region(), samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.6)
+    )
+    assert (core.value, core.stderr) == (one.value, one.stderr)
+    assert (core.accepted, core.carved, core.rejected) == (50_000, 0, 0)
+
+
+def test_core_scale_reaches_the_radius():
+    # the hull scaled about its apex by t0 touches the sphere |p| = radius
+    # from inside; an apex outside the ball leaves no core
+    for piece in cube_pieces((1.0, 0.5, 0.25), 0.1):
+        pts = np.array(piece, dtype=float)
+        apex = _hull_fan(pts)[0]
+        t0 = _core_scale(pts, apex, 0.2)
+        assert 0.0 < t0 < 1.0
+        reach = np.linalg.norm(apex + t0 * (pts - apex), axis=1).max()
+        assert reach == pytest.approx(0.2, rel=1e-12)
+        assert _core_scale(pts, apex, 0.5 * np.linalg.norm(apex)) == 0.0
 
 
 def test_monte_carlo_rejects_carving_the_whole_hull():
     # the cube of half-width 0.3 has chart volume 0.216
-    whole = (_nowhere, 0.0, 0.108 + 0.108 + 1e-9)
+    whole = (_nowhere, 0.0, 0.108 + 0.108 + 1e-9, 0.0)
     with pytest.raises(GeometryError, match="carved chart volume"):
         monte_carlo_volume(cube_region(), samples=10_000, seed=1, carve=whole)
 
@@ -310,7 +381,7 @@ def test_monte_carlo_rejects_every_sample_carved():
 
     with pytest.raises(GeometryError, match="all 10000 samples"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1)
+            cube_region(), samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1, 0.0)
         )
 
 
