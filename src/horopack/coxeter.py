@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import volume as _volume
-from .horoball import _fan_sector
+from .horoball import _sector_coefficient
 from .lorentz import (
     GeometryError,
     Hyperplane,
@@ -109,9 +109,10 @@ class Cell:
     hold each vertex's face-tangency level H_v and the face that sets it.
     ``edge_index`` stacks the endpoint arrays of ``edges`` (2 x E), and
     ``sector_coefficients`` holds the C_v of Vol(B(h) ∩ cell) = C_v h^2: half
-    the Heron area of the vertex's horospheric polygon at level 1, computed
-    once by build_cell.  build_cell shares one Cell per tiling, so every
-    array is read-only.
+    the Heron area of the vertex's horospheric polygon at level 1, read off
+    the Lorentz form (the Gram table) once by build_cell, with no horosphere
+    crossing.  build_cell shares one Cell per tiling, so every array is
+    read-only.
     """
 
     tiling: tuple
@@ -240,15 +241,9 @@ def _assemble_cell(tiling, chart_pts, ortho_symbol, count) -> Cell:
     bound_faces = np.argmin(margins, axis=1)
     face_bounds = margins[np.arange(len(vertices)), bound_faces]
     edge_index = np.array(edges).T
-    points = [tuple(row) for row in coords.tolist()]
-    # C_v from one Heron sector at half the same-type level, inside (0, H_v]
-    coefficients = []
-    for v, nbrs in enumerate(neighbors):
-        h = 0.5 * min(math.sqrt(0.5 * gram[v, j]) for j in nbrs)
-        if not 0.0 < h <= face_bounds[v]:
-            raise GeometryError(f"probe level {h} at vertex {v} is outside (0, H_v]")
-        coefficients.append(_fan_sector(points[v], h, [points[j] for j in nbrs]) / (h * h))
-    sector_coefficients = np.array(coefficients)
+    sector_coefficients = np.array(
+        [_sector_coefficient(coords[v], coords[list(nbrs)]) for v, nbrs in enumerate(neighbors)]
+    )
     for table in (gram, face_bounds, edge_index, sector_coefficients):
         table.setflags(write=False)
 

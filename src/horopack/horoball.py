@@ -21,12 +21,13 @@ A ball's volume inside its cell is the paper's law C_v h^2:
 ``vertex_sector_volume(cell, vertex, h)`` forms the same product as
 ``packing.evaluate``, for packings and the Monte Carlo carve-outs alike.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
-computed once when the cell is built by the float kernel ``_fan_sector``.  It
-takes the center, the level and the ray targets as tuples of Python floats,
-computes each crossing c + mu w, checks that it lies on the horosphere and
-inside the model, and sums the Heron areas of the fan from the first crossing,
-with chords 2 sinh(d/2); ``cone_sector_volume`` runs it for a Horoball in any
-cone.  ``ray_crossing`` wraps the crossing for ProjectivePoint arguments.
+read off the Lorentz form when the cell is built by the level-free kernel
+``_sector_coefficient``: the level-1 chord toward neighbours a, b is the
+Lorentz length of E_a / kappa_a - E_b / kappa_b, kappa = -<E_v, .>, which
+for ideal neighbours is sqrt(2 K_ab / (K_va K_vb)) in the Gram table.  No
+horosphere crossing is computed.  ``cone_sector_volume`` prices a Horoball in
+any cone as h^2 times the same kernel; ``ray_crossing`` gives the crossing
+point itself.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ from .lorentz import (
     ProjectivePoint,
     as_vector,
     bilinear_form,
+    bilinear_matrix,
     classify,
     rotation_from_z,
 )
 from .volume import VolumeResult, _index, monte_carlo_volume
 
-# Absolute tolerance on the pencil form Q at chart-normalized points deciding
-# "on the horosphere", and slack allowed on face tangency.
-SURFACE_TOL = 1e-9
+# Slack allowed on face tangency.
 FACE_TOL = 1e-9
 
 
@@ -135,17 +135,11 @@ def ray_crossing(hb: Horoball, target) -> ProjectivePoint:
     The ray from the center c through ``target`` w meets the horosphere at
     the projective point c + mu w with mu = 2 h^2 kappa / Q(w), kappa =
     -<c, w>; works for ideal and interior targets alike (for a target inside
-    the ball the crossing lies beyond it on the same ray).
+    the ball the crossing lies beyond it on the same ray).  Returned
+    chart-normalized.
     """
-    return ProjectivePoint(_crossing(_floats(hb.center), hb.h, _floats(target)))
-
-
-def _floats(x) -> tuple:
-    return tuple(as_vector(x).tolist())
-
-
-def _crossing(c, h: float, w) -> tuple:
-    """ray_crossing on float 4-tuples, returned chart-normalized."""
+    c, w = as_vector(hb.center).tolist(), as_vector(target).tolist()
+    h = hb.h
     b = -w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
     kappa = -b
     if kappa <= 0.0:
@@ -158,27 +152,7 @@ def _crossing(c, h: float, w) -> tuple:
         x = (c[0] + mu * w[0], c[1] + mu * w[1], c[2] + mu * w[2], c[3] + mu * w[3])
     if abs(x[0]) < 1e-300:
         raise GeometryError("point at infinity of the chart (x0 = 0)")
-    return (1.0, x[1] / x[0], x[2] / x[0], x[3] / x[0])
-
-
-def _surface_norm(c, h: float, x) -> float:
-    """<x, x> of a chart-normalized point x, checked to lie on the horosphere
-    (|Q(x)| <= SURFACE_TOL) and inside the model."""
-    xx = -x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
-    b = -x[0] * c[0] + x[1] * c[1] + x[2] * c[2] + x[3] * c[3]
-    if abs(b**2 + h * h * xx) > SURFACE_TOL:
-        raise GeometryError("point is not on the horosphere")
-    if xx >= 0:
-        raise GeometryError("chord endpoints must be interior points")
-    return xx
-
-
-def _chord(p, q, pp: float, qq: float) -> float:
-    """2 sinh(d/2) = sqrt(2 (cosh d - 1)) of interior points p, q with <p,p> =
-    pp and <q,q> = qq."""
-    pq = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
-    cosh_d = abs(pq) / math.sqrt(pp * qq)
-    return math.sqrt(max(2.0 * (cosh_d - 1.0), 0.0))
+    return ProjectivePoint((1.0, x[1] / x[0], x[2] / x[0], x[3] / x[0]))
 
 
 def _heron(a: float, b: float, c: float) -> float:
@@ -189,20 +163,28 @@ def _heron(a: float, b: float, c: float) -> float:
     return math.sqrt(max(p * (p - a) * (p - b) * (p - c), 0.0))
 
 
-def _fan_sector(c, h: float, targets) -> float:
-    """Vol(B ∩ cone) for the ball of level h at c and the cone of rays from c
-    through ``targets`` (float 4-tuples in convex cyclic order): half the
-    Heron area of the crossing polygon, fanned from the first crossing."""
-    pts = [_crossing(c, h, w) for w in targets]
-    norms = [_surface_norm(c, h, x) for x in pts]
-    first, n0 = pts[0], norms[0]
+def _sector_coefficient(c: np.ndarray, targets: np.ndarray) -> float:
+    """C of Vol(B ∩ cone) = C h^2 for every ball at the ideal center c and
+    the cone of rays from c through the rows of ``targets`` (an (n, 4) array
+    in convex cyclic order).
+
+    With kappa_w = -<c, w>, the ray toward w crosses the horosphere of level
+    h at x_w = c (1 + h^2 <w, w> / kappa_w^2) / (2 h) + (h / kappa_w) w, and
+    <c, w / kappa_w> = -1 for every w, so the horospheric chord is
+    |x_u - x_w| = h |u / kappa_u - w / kappa_w| in the Lorentz form (for
+    ideal targets, h sqrt(2 K_uw / (kappa_u kappa_w))).  C is half the Heron
+    area of the level-1 chords, fanned from the first ray.
+    """
+    kappa = -bilinear_matrix(c[None, :], targets)[0]
+    if not np.all(kappa > 0.0):
+        raise GeometryError("ray target is not on the interior side of the center")
+    unit = targets / kappa[:, None]
+    g = bilinear_matrix(unit, unit)
+    norms = np.diag(g)
+    chord = np.sqrt(np.maximum(norms[:, None] + norms[None, :] - 2.0 * g, 0.0)).tolist()
     total = 0.0
-    spoke = _chord(first, pts[1], n0, norms[1])
-    for t in range(1, len(pts) - 1):
-        rim = _chord(pts[t], pts[t + 1], norms[t], norms[t + 1])
-        next_spoke = _chord(first, pts[t + 1], n0, norms[t + 1])
-        total += _heron(spoke, rim, next_spoke)
-        spoke = next_spoke
+    for t in range(1, len(chord) - 1):
+        total += _heron(chord[0][t], chord[t][t + 1], chord[0][t + 1])
     return 0.5 * total
 
 
@@ -212,12 +194,14 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     ``ray_targets`` are at least three points spanning the cone, listed in
     convex cyclic order as seen from the center.  Each cone face contains the
     ideal center, so it cuts the horosphere in an intrinsic straight line and
-    the crossing points bound a Euclidean polygon triangulated by Heron.
+    the crossings bound a Euclidean polygon; its area is h^2 times that of
+    the level-1 polygon, whose Heron fan ``_sector_coefficient`` reads off
+    the Lorentz form.
     """
-    targets = [_floats(t) for t in ray_targets]
+    targets = [as_vector(t) for t in ray_targets]
     if len(targets) < 3:
         raise GeometryError("a solid cone needs at least three rays")
-    return _fan_sector(_floats(hb.center), hb.h, targets)
+    return hb.h * hb.h * _sector_coefficient(hb.center.coords, np.stack(targets))
 
 
 def vertex_sector_volume(cell, vertex: int, h: float) -> float:

@@ -281,12 +281,12 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
     Both sector volumes are priced at the slid levels by
     vertex_sector_volume (C_v h^2); NaN and infinite offsets fail the
-    interval check.
+    interval check, and a NaN level fails the tangency check.
     """
     i, j = edge
     cell = config.cell
     lo, hi = admissible_interval(cell, (i, j))
-    if abs(ball_gap(cell, config.levels, i, j)) > 1e-6:
+    if not abs(ball_gap(cell, config.levels, i, j)) <= 1e-6:
         raise InvalidPackingError(f"volume function needs tangent balls on edge {i},{j}")
     if not (lo - DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
         raise AdmissibilityError(
@@ -301,9 +301,14 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
 
 
 def contact_offset(config: PackingConfiguration, edge) -> float:
-    """Offset x of the configuration's contact on the edge from balance."""
+    """Offset x of the configuration's contact on the edge from balance;
+    GeometryError unless the level at edge[0] is positive and finite."""
     i, _ = edge
     hi0, _ = balanced_levels(config.cell, edge)
+    if not 0.0 < config.levels[i] < math.inf:
+        raise GeometryError(
+            f"level {config.levels[i]!r} at vertex {i} is not positive and finite"
+        )
     return math.log(config.levels[i] / hi0)
 
 

@@ -3,9 +3,10 @@
 ``horoball_at`` builds a ball from its type parameter s,
 ``horospheric_chord_length`` measures the intrinsic chord of two surface
 points from ProjectivePoints and the Lorentz form, and ``heron_area`` is the
-area of a horospheric triangle from its sides.  The kernel in
-``horopack.horoball`` performs the same floating-point operations in the same
-order, so tests compare the two exactly.
+area of a horospheric triangle from its sides.  Fanned over the crossings of
+a vertex cone they give the sector volume at one level, which
+``horopack.horoball`` reads off the Lorentz form without any crossing; tests
+compare the two to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from horopack.horoball import SURFACE_TOL, Horoball, horoball_level, pencil_value
+from horopack.horoball import Horoball, horoball_level, pencil_value
 from horopack.lorentz import GeometryError, as_vector, bilinear_form
+
+# Absolute tolerance on the pencil form Q at chart-normalized points deciding
+# "on the horosphere".
+SURFACE_TOL = 1e-9
 
 
 def horoball_at(center, s: float) -> Horoball:

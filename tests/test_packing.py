@@ -385,6 +385,15 @@ def test_volume_function_requires_tangency():
     # the base-base edges of this arrangement have a positive gap
     with pytest.raises(InvalidPackingError):
         volume_function(config, (0, 1), 0.0)
+    # a NaN gap is not a tangency either
+    good = catalog((3, 3, 6))[0]
+    edge = good.cell.edges[0]
+    nan_end = list(good.levels)
+    nan_end[edge[1]] = math.nan
+    for levels in ((math.nan,) * 4, tuple(nan_end)):
+        config = PackingConfiguration(cell=good.cell, levels=levels)
+        with pytest.raises(InvalidPackingError, match="tangent balls"):
+            volume_function(config, edge, 0.0)
 
 
 def test_interval_endpoint_matches_bisection():
@@ -420,6 +429,13 @@ def test_contact_offset():
     b1, b2 = catalog((3, 3, 6))
     assert contact_offset(b1, edge) == pytest.approx(0.0, abs=1e-12)
     assert contact_offset(b2, edge) == pytest.approx(math.atanh(0.5), abs=1e-12)
+    i = edge[0]
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        levels = list(b1.levels)
+        levels[i] = bad
+        config = PackingConfiguration(cell=b1.cell, levels=tuple(levels))
+        with pytest.raises(GeometryError, match=f"level {bad!r} at vertex {i} "):
+            contact_offset(config, edge)
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)

@@ -1,14 +1,17 @@
-"""The sector law C_v h^2 and the float Heron kernel behind C_v.
+"""The sector law C_v h^2 and the level-free Heron kernel behind C_v.
 
 ``vertex_sector_volume`` and ``volume_function`` price a ball in its cell as
 C_v h^2, the product ``packing.evaluate`` forms, so they are pinned to that
-product exactly (``==``).  The Heron kernel runs when a cell is built and in
-``cone_sector_volume``; it is pinned to the former object-based sector path:
-``ray_crossing`` on ProjectivePoints, ``horospheric_chord_length`` and
-``heron_area`` (from ``horosphere_reference``), fanned from the first
-crossing.  The kernel performs the same floating-point operations in the same
-order, so those comparisons are exact too.  A 40-digit ``decimal`` oracle
-built from the Gram table checks the accuracy of both.
+product exactly (``==``).  The Heron kernel ``_sector_coefficient`` runs when
+a cell is built and in ``cone_sector_volume``; it reads the level-1 chords
+off the Lorentz form (the Gram table for a cell), with no horosphere
+crossing, so the cone path equals the law bit for bit.  A 40-digit
+``decimal`` oracle built from the Gram table checks its accuracy at every
+level.  The object-based sector path (``ray_crossing`` on ProjectivePoints,
+``horospheric_chord_length`` and ``heron_area`` from
+``horosphere_reference``, fanned from the first crossing) agrees to 1e-12
+relative from 0.1 H_v up; below that its chords cancel in cosh d - 1.
+``ray_crossing`` itself is pinned to the object-based crossing exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from horosphere_reference import HorosphericTriangle, heron_area, horospheric_chord_length
 
-from horopack import horoball
+from horopack import coxeter, horoball
 from horopack.coxeter import build_cell
 from horopack.horoball import (
     FaceOverflowError,
@@ -103,88 +106,7 @@ def reference_volume_function(cell, edge, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit pins
-
-
-def _states(tiling):
-    """Catalog states and five interior points of every family."""
-    configs = list(catalog(tiling))
-    for fam in families(tiling):
-        lo, hi = fam.s_range
-        configs += [fam.at(lo + k * (hi - lo) / 6.0) for k in range(1, 6)]
-    return configs
-
-
-@pytest.mark.parametrize("tiling", TILINGS)
-def test_states_match_reference(tiling):
-    rng = np.random.default_rng(61)
-    for config in _states(tiling):
-        cell = config.cell
-        for v in range(cell.n_vertices):
-            h = config.levels[v]
-            assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
-            assert heron_sector(cell, v, h) == reference_sector(cell, v, h)
-        for edge in cell.edges:
-            if abs(ball_gap(cell, config.levels, *edge)) > 1e-9:
-                continue
-            lo, hi = admissible_interval(cell, edge)
-            for x in [0.0, lo, hi] + list(lo + rng.random(2) * (hi - lo)):
-                x = float(x)
-                assert volume_function(config, edge, x) == reference_volume_function(
-                    cell, edge, x
-                )
-
-
-@pytest.mark.parametrize("tiling", TILINGS)
-def test_random_levels_match_reference(tiling):
-    cell = build_cell(tiling)
-    rng = np.random.default_rng(20240816)
-    for _ in range(200):
-        v = int(rng.integers(cell.n_vertices))
-        h = float(rng.uniform(1e-3, 1.0) * cell.face_bound(v)[0])
-        hb = horoball_level(cell.vertices[v], h)
-        assert heron_sector(cell, v, h) == reference_sector(cell, v, h)
-        assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
-        for j in cell.neighbors[v]:
-            crossing = ray_crossing(hb, cell.vertices[j]).coords.tolist()
-            assert crossing == reference_crossing(hb, cell.vertices[j]).coords.tolist()
-
-        i, j = cell.edges[int(rng.integers(len(cell.edges)))]
-        levels = [1e-3] * cell.n_vertices
-        levels[i], levels[j] = balanced_levels(cell, (i, j))
-        config = configuration(tiling, levels)
-        lo, hi = admissible_interval(cell, (i, j))
-        x = float(rng.uniform(lo, hi))
-        assert volume_function(config, (i, j), x) == reference_volume_function(
-            cell, (i, j), x
-        )
-
-
-@pytest.mark.parametrize("tiling", TILINGS)
-def test_sector_coefficients_match_reference(tiling):
-    cell = build_cell(tiling)
-    for v in range(cell.n_vertices):
-        h = 0.5 * min(math.sqrt(0.5 * cell.gram[v, j]) for j in cell.neighbors[v])
-        assert cell.sector_coefficients[v] == reference_sector(cell, v, h) / (h * h)
-
-
-def test_cone_sectors_match_reference():
-    # the characteristic-simplex cones of test_octahedron_cone_sectors
-    chart = ProjectivePoint.from_chart
-    apex, antipode = chart((0.0, 0.0, 1.0)), chart((0.0, 0.0, -1.0))
-    equator, mid = chart((0.0, 1.0, 0.0)), chart((0.5, 0.5, 0.0))
-    center = ProjectivePoint((1.0, 0.0, 0.0, 0.0))
-    cases = [
-        (horoball_level(apex, math.sqrt(2.0)), [equator, mid, center]),
-        (horoball_level(antipode, 1.0 / math.sqrt(2.0)), [equator, mid, center]),
-        (horoball_level(equator, 1.0 / (2.0 * math.sqrt(2.0))), [mid, center, apex]),
-    ]
-    for hb, rays in cases:
-        assert cone_sector_volume(hb, rays) == reference_fan(hb, rays)
-
-
-# ---------------------------------------------------------------------------
-# accuracy against a 40-digit oracle, and one price everywhere
+# the 40-digit oracle
 
 DIGITS = decimal.Context(prec=40)
 
@@ -220,10 +142,115 @@ def relative_error(value: float, exact: Decimal) -> float:
         return float(abs(Decimal(value) - exact) / exact)
 
 
+# ---------------------------------------------------------------------------
+# pins against the law, the oracle and the object-based fan
+
+
+def _states(tiling):
+    """Catalog states and five interior points of every family."""
+    configs = list(catalog(tiling))
+    for fam in families(tiling):
+        lo, hi = fam.s_range
+        configs += [fam.at(lo + k * (hi - lo) / 6.0) for k in range(1, 6)]
+    return configs
+
+
+def assert_sector_accuracy(cell, v: int, h: float, coefficient: Decimal) -> None:
+    """The cone path at level h is the law, within 2e-14 of the 40-digit
+    oracle and, from 0.1 H_v up, within 1e-12 of the object-based fan."""
+    sector = heron_sector(cell, v, h)
+    assert sector == law(cell, v, h)
+    with decimal.localcontext(DIGITS):
+        exact = coefficient * Decimal(h) * Decimal(h)
+    assert relative_error(sector, exact) <= 2e-14
+    if h >= 0.1 * cell.face_bounds[v]:
+        assert sector == pytest.approx(reference_sector(cell, v, h), rel=1e-12)
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_states_match_reference(tiling):
+    rng = np.random.default_rng(61)
+    cell = build_cell(tiling)
+    coefficients = [oracle_coefficient(cell, v) for v in range(cell.n_vertices)]
+    for config in _states(tiling):
+        for v in range(cell.n_vertices):
+            h = config.levels[v]
+            assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
+            assert_sector_accuracy(cell, v, h, coefficients[v])
+        for edge in cell.edges:
+            if abs(ball_gap(cell, config.levels, *edge)) > 1e-9:
+                continue
+            lo, hi = admissible_interval(cell, edge)
+            for x in [0.0, lo, hi] + list(lo + rng.random(2) * (hi - lo)):
+                x = float(x)
+                assert volume_function(config, edge, x) == reference_volume_function(
+                    cell, edge, x
+                )
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_random_levels_match_reference(tiling):
+    cell = build_cell(tiling)
+    coefficients = [oracle_coefficient(cell, v) for v in range(cell.n_vertices)]
+    rng = np.random.default_rng(20240816)
+    for _ in range(200):
+        v = int(rng.integers(cell.n_vertices))
+        h = float(rng.uniform(1e-3, 1.0) * cell.face_bound(v)[0])
+        hb = horoball_level(cell.vertices[v], h)
+        assert_sector_accuracy(cell, v, h, coefficients[v])
+        assert vertex_sector_volume(cell, v, h) == law(cell, v, h)
+        for j in cell.neighbors[v]:
+            crossing = ray_crossing(hb, cell.vertices[j]).coords.tolist()
+            assert crossing == reference_crossing(hb, cell.vertices[j]).coords.tolist()
+
+        i, j = cell.edges[int(rng.integers(len(cell.edges)))]
+        levels = [1e-3] * cell.n_vertices
+        levels[i], levels[j] = balanced_levels(cell, (i, j))
+        config = configuration(tiling, levels)
+        lo, hi = admissible_interval(cell, (i, j))
+        x = float(rng.uniform(lo, hi))
+        assert volume_function(config, (i, j), x) == reference_volume_function(
+            cell, (i, j), x
+        )
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_sector_coefficients_match_reference(tiling):
+    # every C_v within 2e-15 of the 40-digit oracle, and within 1e-12 of the
+    # object-based fan at half the same-type level
+    cell = build_cell(tiling)
+    for v in range(cell.n_vertices):
+        coefficient = cell.sector_coefficients[v]
+        assert relative_error(coefficient, oracle_coefficient(cell, v)) <= 2e-15
+        h = 0.5 * min(math.sqrt(0.5 * cell.gram[v, j]) for j in cell.neighbors[v])
+        assert coefficient == pytest.approx(reference_sector(cell, v, h) / (h * h), rel=1e-12)
+
+
+def test_cone_sectors_match_reference():
+    # the characteristic-simplex cones of test_octahedron_cone_sectors
+    chart = ProjectivePoint.from_chart
+    apex, antipode = chart((0.0, 0.0, 1.0)), chart((0.0, 0.0, -1.0))
+    equator, mid = chart((0.0, 1.0, 0.0)), chart((0.5, 0.5, 0.0))
+    center = ProjectivePoint((1.0, 0.0, 0.0, 0.0))
+    cases = [
+        (horoball_level(apex, math.sqrt(2.0)), [equator, mid, center], 1 / 4),
+        (horoball_level(antipode, 1.0 / math.sqrt(2.0)), [equator, mid, center], 1 / 16),
+        (horoball_level(equator, 1.0 / (2.0 * math.sqrt(2.0))), [mid, center, apex], 1 / 32),
+    ]
+    # interior targets: the exact volumes of the octahedral characteristic
+    # simplex, and the object-based fan
+    for hb, rays, exact in cases:
+        sector = cone_sector_volume(hb, rays)
+        assert sector == pytest.approx(exact, rel=2e-15)
+        assert sector == pytest.approx(reference_fan(hb, rays), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# accuracy at every level, and one price everywhere
+
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_sectors_match_the_digit_oracle(tiling):
-    # the law carries C_v's accuracy to every level; the chart-crossing
-    # Heron fan loses digits to cosh d - 1 at small levels
+    # the law and the cone path carry C_v's accuracy to every level
     cell = build_cell(tiling)
     rng = np.random.default_rng(1801)
     for v in range(cell.n_vertices):
@@ -233,8 +260,7 @@ def test_sectors_match_the_digit_oracle(tiling):
             with decimal.localcontext(DIGITS):
                 exact = coefficient * Decimal(h) * Decimal(h)
             assert relative_error(vertex_sector_volume(cell, v, h), exact) <= 2e-14
-            if f >= 0.1:
-                assert relative_error(heron_sector(cell, v, h), exact) <= 1e-12
+            assert relative_error(heron_sector(cell, v, h), exact) <= 2e-14
 
 
 @pytest.mark.parametrize("tiling", TILINGS)
@@ -246,13 +272,27 @@ def test_one_price_for_every_family_entry(tiling):
             assert sectors[r, v] == vertex_sector_volume(fam.cell, v, levels[r, v])
 
 
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_chart_free_tables_are_one_value_per_cell(tiling):
+    # every vertex and every edge of a cell is alike, so the level-free
+    # face bounds H_v sqrt(C_v) and edge entries K_ij sqrt(C_i C_j) are one
+    # value each
+    cell = build_cell(tiling)
+    c = cell.sector_coefficients
+    i, j = cell.edge_index
+    for table in (cell.face_bounds * np.sqrt(c), cell.gram[i, j] * np.sqrt(c[i] * c[j])):
+        assert (table.max() - table.min()) / table.mean() <= 4e-15
+
+
 def test_no_heron_after_the_cells_are_built(monkeypatch):
     pairs = {tiling: _tangent_pair(tiling) for tiling in TILINGS}
 
     def refuse(*args):
         raise AssertionError("Heron kernel called after the cell was built")
 
-    monkeypatch.setattr(horoball, "_fan_sector", refuse)
+    # the kernel as horoball calls it, and as coxeter bound it to build cells
+    monkeypatch.setattr(horoball, "_sector_coefficient", refuse)
+    monkeypatch.setattr(coxeter, "_sector_coefficient", refuse)
     for tiling, (config, edge) in pairs.items():
         density(config)
         for fam in families(tiling):
