@@ -2,20 +2,24 @@
 
 A tiling is its Schlafli symbol, a plain (p, q, r) tuple of ints.  Covers
 the linear (orthoscheme) schemes of rank 4: the weights (n1, n2, n3) yield
-the tridiagonal Gram matrix of the characteristic simplex, vertex distances
-through its inverse, and explicit projective coordinates for the four fully
-asymptotic honeycombs (3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6) together
-with their characteristic orthoschemes.
+the tridiagonal Gram matrix of the characteristic simplex and vertex
+distances through its inverse.  The cells of the four fully asymptotic
+honeycombs (3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6) are built from the
+same data: a cell's vertices are the orbit of one ideal vertex under the
+reflection group [p, q] of the matrix's leading block, and its faces the
+orbit of one face centre.  Their characteristic orthoschemes are built too.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import volume as _volume
 from .horoball import _sector_coefficient
@@ -102,7 +106,8 @@ class Cell:
     that of the characteristic orthoscheme, both plain tuples of ints.  All
     vertices are ideal and stored chart-normalized (x0 = 1).  ``neighbors``
     lists, for each vertex, the adjacent vertex indices in cyclic order around
-    the vertex (as seen from outside the model ball).  ``volume`` is the
+    the vertex (as seen from outside the model ball), and ``incenter`` is
+    the point equidistant from all face planes.  ``volume`` is the
     closed-form hyperbolic cell volume, orthoschemes_per_cell times the
     characteristic orthoscheme volume.  ``gram`` is the vertex table
     K_ij = -<E_i, E_j> (zero diagonal), ``face_bounds`` and ``bound_faces``
@@ -182,42 +187,112 @@ def _angular_order(chart_pts, indices, axis, centre) -> list:
     return sorted(indices, key=angle)
 
 
-def _merged_faces(chart_pts):
-    """Convex-hull facets with coplanar triangles merged into polygons.
+# Orbit coordinates are exact to 40 digits, so a rounding residue (an exact
+# zero, or two copies of one orbit point) is far below this.
+_DIGITS = decimal.Context(prec=40)
+_EXACT_ZERO = Decimal("1e-30")
 
-    Rounded hull equations only group coplanar simplices; each face's cycle
-    runs counterclockwise about its outward normal from its smallest vertex
-    index, and its plane is refit exactly as the null covector of its full
-    vertex set, oriented toward the vertex mean (inside the cell).
+
+def _cos_pi(n: int) -> Decimal:
+    """cos(pi/n) in closed form for n = 3, 4, 5, in the current context."""
+    return {3: Decimal(1) / 2, 4: Decimal(2).sqrt() / 2, 5: (1 + Decimal(5).sqrt()) / 4}[n]
+
+
+def _mirrors(p: int, q: int) -> tuple:
+    """Unit normals n0, n1, n2 of the finite reflection group [p, q].
+
+    Their products -cos(pi/p), -cos(pi/q) and 0 are the leading 3x3 block
+    of ``coxeter_matrix``.  Mirrors 1 and 2 contain the pole (0, 0, 1), so
+    the pole is a vertex of {p, q}, and n2 = (1, 0, 0), so the pole's image
+    in mirror 0 lies at azimuth +90 degrees.
     """
-    inside = np.concatenate(([1.0], np.mean(chart_pts, axis=0)))
-    hull = ConvexHull(chart_pts)
-    groups = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        key = tuple(np.round(eq, 9))
-        groups.setdefault(key, set()).update(int(i) for i in simplex)
-    faces = []
-    for key in sorted(groups):
-        idx = sorted(groups[key])
-        centroid = np.mean([chart_pts[i] for i in idx], axis=0)
-        idx = _angular_order(chart_pts, idx, np.array(key[:3]), centroid)
-        start = idx.index(min(idx))
-        idx = idx[start:] + idx[:start]
-        lifted = np.stack([np.concatenate(([1.0], chart_pts[i])) for i in idx])
-        faces.append((tuple(idx), _null_covector(lifted, inside)))
-    return faces
+    cp, cq = _cos_pi(p), _cos_pi(q)
+    sq = (1 - cq * cq).sqrt()
+    s = -cp / sq
+    zero = Decimal(0)
+    return ((zero, s, (1 - s * s).sqrt()), (-cq, sq, zero), (Decimal(1), zero, zero))
 
 
-def _assemble_cell(tiling, chart_pts, ortho_symbol, count) -> Cell:
-    chart_pts = np.asarray(chart_pts, dtype=float)
+def _orbit(seed, mirrors) -> list:
+    """Orbit of a unit vector under the reflections in ``mirrors``, in
+    breadth-first order from ``seed``."""
+    pts = [seed]
+    for x in pts:
+        for n in mirrors:
+            d = 2 * sum(a * b for a, b in zip(x, n))
+            y0, y1, y2 = y = tuple(a - d * b for a, b in zip(x, n))
+            if all(abs(y0 - z0) + abs(y1 - z1) + abs(y2 - z2) > _EXACT_ZERO for z0, z1, z2 in pts):
+                pts.append(y)
+    return pts
+
+
+def _floats(points) -> np.ndarray:
+    """Decimal points rounded once to float, with exact zeros as 0.0."""
+    return np.array([[float(c) if abs(c) > _EXACT_ZERO else 0.0 for c in p] for p in points])
+
+
+def _cell_points(tiling, beta, anchor, order):
+    """Klein-chart vertices, unit-sphere vertices, face centres and incentre
+    of the ideal regular cell {p, q}.
+
+    In the chart the cell is the Euclidean {p, q} inscribed in the unit
+    sphere: its vertices are the orbit of the pole under [p, q] and its
+    face centres the orbit of the direction where mirrors 0 and 1 meet,
+    both computed to 40 digits.  The orbits are rotated about z until
+    vertex ``anchor`` lies at azimuth +90 degrees.  The vertices, numbered
+    by ``order`` (the orbit position of each vertex), are then boosted
+    along z by ``beta``, which moves the incentre from the origin to
+    (0, 0, -beta).
+    """
+    p, q, _ = tiling
+    with decimal.localcontext(_DIGITS):
+        n0, n1, _ = mirrors = _mirrors(p, q)
+        zero = Decimal(0)
+        orbit = _orbit((zero, zero, Decimal(1)), mirrors)
+        # n1 x n0 points to the centre of a face at the pole
+        meet = tuple(n1[i - 2] * n0[i - 1] - n1[i - 1] * n0[i - 2] for i in range(3))
+        norm = sum(c * c for c in meet).sqrt()
+        centres = _orbit(tuple(c / norm for c in meet), mirrors)
+
+        x, y, _ = orbit[order[anchor]]
+        r = (x * x + y * y).sqrt()
+        cos, sin = y / r, x / r
+
+        def turn(points):
+            return [(cos * x - sin * y, sin * x + cos * y, z) for x, y, z in points]
+
+        sphere = turn(orbit[k] for k in order)
+        beta = Decimal(beta.numerator) / beta.denominator
+        k = (1 - beta * beta).sqrt()
+        chart = [
+            (x * k / (1 - beta * z), y * k / (1 - beta * z), (z - beta) / (1 - beta * z))
+            for x, y, z in sphere
+        ]
+        incenter = (zero, zero, -beta)
+        return _floats(chart), _floats(sphere), _floats(turn(centres)), _floats([incenter])[0]
+
+
+def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
+    chart_pts, sphere_pts, centres, inside = _cell_points(tiling, beta, anchor, order)
     vertices = tuple(ProjectivePoint.from_chart(p) for p in chart_pts)
     for v in vertices:
         if classify(v) is not PointClass.ABSOLUTE:
             raise GeometryError(f"cell vertex {v} is not ideal")
+    incenter = ProjectivePoint.from_chart(inside)
 
-    raw_faces = _merged_faces(chart_pts)
-    incenter = _incenter([b for _, b in raw_faces])
-    faces = tuple(Face(indices=idx, plane=Hyperplane(b)) for idx, b in raw_faces)
+    # a face is the p vertices nearest its centre; faces follow their
+    # centres in lexicographic order, and each cycle runs counterclockwise
+    # seen from outside from its smallest index
+    faces = []
+    for centre in sorted(centres.tolist()):
+        idx = np.argsort(sphere_pts @ centre)[-tiling[0]:].tolist()
+        centroid = chart_pts[idx].mean(axis=0)
+        idx = _angular_order(chart_pts, idx, centroid - inside, centroid)
+        start = idx.index(min(idx))
+        idx = idx[start:] + idx[:start]
+        plane = _null_covector(np.stack([vertices[i].coords for i in idx]), incenter.coords)
+        faces.append(Face(indices=tuple(idx), plane=Hyperplane(plane)))
+    faces = tuple(faces)
 
     # consecutive vertices of a face cycle share an edge
     pairs = {(i, j) for f in faces for i, j in zip(f.indices, f.indices[1:] + f.indices[:1])}
@@ -267,120 +342,20 @@ def _assemble_cell(tiling, chart_pts, ortho_symbol, count) -> Cell:
     )
 
 
-def _incenter(normals) -> ProjectivePoint:
-    """Interior point equidistant from all facet planes (solve <x,b_f> = t)."""
-    rows = []
-    for b in normals:
-        bb = bilinear_form(b, b)
-        rows.append((MINKOWSKI @ (b / math.sqrt(bb))))
-    mat = np.stack(rows)
-    # [mat | -1] (x, t) = 0
-    sys = np.hstack([mat, -np.ones((mat.shape[0], 1))])
-    _, _, vt = np.linalg.svd(sys)
-    x = vt[-1][:4]
-    if x[0] < 0:
-        x = -x
-    pt = ProjectivePoint(x).chart_normalized()
-    if classify(pt) is not PointClass.INTERIOR:
-        raise GeometryError("incenter computation left the interior")
-    return pt
-
-
-_SQ2 = math.sqrt(2.0)
-_SQ3 = math.sqrt(3.0)
-_SQ6 = math.sqrt(6.0)
-
-
-def _tetrahedron_charts():
-    # reference chart: apex on the z-axis, base triangle in the plane z = 0
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [_SQ3 / 2, -0.5, 0.0],
-            [-_SQ3 / 2, -0.5, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def _octahedron_charts():
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-
-
-def _cube_charts():
-    # five reference vertices; the remaining three complete the combinatorial
-    # cube via the order-3 rotation about the E3 main diagonal (the z-axis)
-    # and the antipode of E3.
-    e0 = np.array([-_SQ6 / 3, _SQ2 / 3, 1.0 / 3.0])
-    e1 = np.array([-_SQ6 / 3, -_SQ2 / 3, -1.0 / 3.0])
-    e2 = np.array([0.0, 2 * _SQ2 / 3, -1.0 / 3.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    e4 = np.array([_SQ6 / 3, -_SQ2 / 3, -1.0 / 3.0])
-    rot120 = np.array(
-        [
-            [-0.5, -_SQ3 / 2, 0.0],
-            [_SQ3 / 2, -0.5, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    e5 = rot120 @ e0
-    e6 = rot120 @ e5
-    e7 = -e3
-    return np.array([e0, e1, e2, e3, e4, e5, e6, e7])
-
-
-def _dodecahedron_charts():
-    """Cube sublattice in the (4,3,6) chart extended to the dodecahedron.
-
-    Starts from the standard dodecahedron (cube corners plus the cyclic
-    (0, 1/phi, phi) orbit, all scaled to the unit sphere) and applies the
-    rotation aligning its inscribed cube with the cube chart above.  The 8
-    cube vertices keep their (4,3,6) indices; the 12 new vertices follow in
-    a fixed lexicographic order.
-    """
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    new_std = []
-    for axis in range(3):
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                v = np.zeros(3)
-                v[(axis + 1) % 3] = s1 / phi
-                v[(axis + 2) % 3] = s2 * phi
-                new_std.append(v / _SQ3)
-    u1 = np.array([1.0, 1.0, 1.0]) / _SQ3
-    w = np.array([-1.0, 1.0, 1.0]) / _SQ3
-    u2 = w - (w @ u1) * u1
-    u2 /= np.linalg.norm(u2)
-    u3 = np.cross(u1, u2)
-    cube = _cube_charts()
-    v1 = np.array([0.0, 0.0, 1.0])
-    t = cube[0]
-    v2 = t - (t @ v1) * v1
-    v2 /= np.linalg.norm(v2)
-    v3 = np.cross(v1, v2)
-    rot = np.column_stack([v1, v2, v3]) @ np.column_stack([u1, u2, u3]).T
-    new = [rot @ v for v in new_std]
-    key = np.round(np.stack(new), 9)
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-    new = [new[i] for i in order]
-    return np.vstack([cube, new])
-
-
-# tiling -> (chart builder, characteristic orthoscheme, orthoschemes per cell)
+# tiling -> (characteristic orthoscheme, orthoschemes per cell, boost beta,
+# anchor vertex, orbit position of each vertex).  The numbering is the one
+# the families, the CLI columns and the README read: vertex 3 is the pole,
+# and on (5,3,6) vertices 0-7 are the inscribed cube of the (4,3,6) cell.
+# Only the tetrahedron is boosted, so that its chart is centred on the face
+# opposite the pole.
 _CELL_RECIPES = {
-    (3, 3, 6): (_tetrahedron_charts, (3, 6, 3), 6),
-    (3, 4, 4): (_octahedron_charts, (4, 4, 4), 16),
-    (4, 3, 6): (_cube_charts, (4, 3, 6), 48),
-    (5, 3, 6): (_dodecahedron_charts, (5, 3, 6), 120),
+    (3, 3, 6): ((3, 6, 3), 6, Fraction(-1, 3), 0, (1, 2, 3, 0)),
+    (3, 4, 4): ((4, 4, 4), 16, Fraction(0), 0, (1, 2, 3, 0, 4, 5)),
+    (4, 3, 6): ((4, 3, 6), 48, Fraction(0), 2, (1, 5, 3, 0, 6, 4, 2, 7)),
+    (5, 3, 6): (
+        (5, 3, 6), 120, Fraction(0), 2,
+        (7, 16, 11, 0, 12, 8, 3, 19, 14, 9, 4, 17, 18, 6, 13, 1, 2, 15, 10, 5),
+    ),
 }
 
 FULLY_ASYMPTOTIC_TILINGS = tuple(_CELL_RECIPES)
@@ -388,8 +363,7 @@ FULLY_ASYMPTOTIC_TILINGS = tuple(_CELL_RECIPES)
 
 @lru_cache(maxsize=None)
 def _build_cell_cached(weights) -> Cell:
-    maker, ortho, count = _CELL_RECIPES[weights]
-    return _assemble_cell(weights, maker(), ortho, count)
+    return _assemble_cell(weights, *_CELL_RECIPES[weights])
 
 
 def build_cell(tiling) -> Cell:
@@ -402,6 +376,8 @@ def build_cell(tiling) -> Cell:
         )
     return _build_cell_cached(key)
 
+
+_SQ3 = math.sqrt(3.0)
 
 _ORTHOSCHEME_EXPLICIT = {
     (3, 6, 3): np.array(

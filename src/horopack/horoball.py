@@ -74,12 +74,12 @@ class Horoball:
     h: float
 
 
-def _real(h) -> float:
-    """Level ``h`` as a Python float; GeometryError unless it is a
-    ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
-    if not isinstance(h, numbers.Real):
-        raise GeometryError(f"level h = {h!r} must be a real number")
-    return float(h)
+def _real(value, what: str = "level h") -> float:
+    """``value`` as a Python float; GeometryError names ``what`` unless it
+    is a ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
+    if not isinstance(value, numbers.Real):
+        raise GeometryError(f"{what} = {value!r} must be a real number")
+    return float(value)
 
 
 def horoball_level(center, h: float) -> Horoball:
@@ -113,8 +113,10 @@ def polar_point(hb: Horoball, theta: float, phi: float) -> ProjectivePoint:
 
     with theta = 0 at the apex (the ideal center).  Other centers reuse the
     canonical surface rotated about the model origin onto the center
-    direction.
+    direction.  GeometryError unless both angles are finite.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise GeometryError(f"polar angles ({theta}, {phi}) must be finite")
     s = hb.s
     radial = math.sqrt((1.0 - s) / 2.0)
     p = np.array(

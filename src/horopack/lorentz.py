@@ -53,7 +53,8 @@ def as_vector(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Homogeneous coordinate 4-vector, defined up to a nonzero real factor."""
+    """Homogeneous coordinate 4-vector, defined up to a nonzero real factor;
+    GeometryError unless its coordinates are finite and not all zero."""
 
     coords: np.ndarray
 
@@ -61,6 +62,8 @@ class ProjectivePoint:
         v = np.array(coords, dtype=float)
         if v.shape != (4,):
             raise GeometryError(f"expected a 4-vector, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise GeometryError(f"coordinates {tuple(v.tolist())} are not all finite")
         if not np.any(v):
             raise GeometryError("the zero vector is not a projective point")
         v.setflags(write=False)

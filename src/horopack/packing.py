@@ -280,10 +280,12 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     point (positive toward edge[1]); the pair stays tangent while one ball
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
     Both sector volumes are priced at the slid levels by
-    vertex_sector_volume (C_v h^2); NaN and infinite offsets fail the
-    interval check, and a NaN level fails the tangency check.
+    vertex_sector_volume (C_v h^2).  x is read like a level, so anything
+    but a real number raises GeometryError; NaN and infinite offsets fail
+    the interval check, and a NaN level fails the tangency check.
     """
     i, j = edge
+    x = _real(x, "offset x")
     cell = config.cell
     lo, hi = admissible_interval(cell, (i, j))
     if not abs(ball_gap(cell, config.levels, i, j)) <= 1e-6:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 from scipy.special import zeta
 
 from .lorentz import GeometryError
@@ -151,6 +150,9 @@ def _hull_fan(pts: np.ndarray):
     tetrahedron, and restricting t to [t0, t1] makes it uniform in the
     slab between the copies of that face scaled about the apex by t0 and t1.
     """
+    # the one user of scipy.spatial, so importing horopack does not load it
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

@@ -1,0 +1,111 @@
+"""The hand-placed Klein charts of the four cells, kept as the reference for
+the orbit construction in ``horopack.coxeter``.
+
+Each function returns the cell's vertices in the numbering the package uses
+(vertex 3 is the pole (0, 0, 1); the dodecahedron's vertices 0-7 are the
+cube's).  ``build_cell`` takes its vertices from the orbit of the pole under
+the reflection group [p, q] instead; tests require the two to agree within
+a few ulp, with the same faces, edges and neighbour cycles.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_SQ2 = math.sqrt(2.0)
+_SQ3 = math.sqrt(3.0)
+_SQ6 = math.sqrt(6.0)
+
+
+def _tetrahedron_charts():
+    # reference chart: apex on the z-axis, base triangle in the plane z = 0
+    return np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [_SQ3 / 2, -0.5, 0.0],
+            [-_SQ3 / 2, -0.5, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def _octahedron_charts():
+    return np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, -1.0],
+        ]
+    )
+
+
+def _cube_charts():
+    # five reference vertices; the remaining three complete the combinatorial
+    # cube via the order-3 rotation about the E3 main diagonal (the z-axis)
+    # and the antipode of E3.
+    e0 = np.array([-_SQ6 / 3, _SQ2 / 3, 1.0 / 3.0])
+    e1 = np.array([-_SQ6 / 3, -_SQ2 / 3, -1.0 / 3.0])
+    e2 = np.array([0.0, 2 * _SQ2 / 3, -1.0 / 3.0])
+    e3 = np.array([0.0, 0.0, 1.0])
+    e4 = np.array([_SQ6 / 3, -_SQ2 / 3, -1.0 / 3.0])
+    rot120 = np.array(
+        [
+            [-0.5, -_SQ3 / 2, 0.0],
+            [_SQ3 / 2, -0.5, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    e5 = rot120 @ e0
+    e6 = rot120 @ e5
+    e7 = -e3
+    return np.array([e0, e1, e2, e3, e4, e5, e6, e7])
+
+
+def _dodecahedron_charts():
+    """Cube sublattice in the (4,3,6) chart extended to the dodecahedron.
+
+    Starts from the standard dodecahedron (cube corners plus the cyclic
+    (0, 1/phi, phi) orbit, all scaled to the unit sphere) and applies the
+    rotation aligning its inscribed cube with the cube chart above.  The 8
+    cube vertices keep their (4,3,6) indices; the 12 new vertices follow in
+    a fixed lexicographic order.
+    """
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    new_std = []
+    for axis in range(3):
+        for s1 in (1.0, -1.0):
+            for s2 in (1.0, -1.0):
+                v = np.zeros(3)
+                v[(axis + 1) % 3] = s1 / phi
+                v[(axis + 2) % 3] = s2 * phi
+                new_std.append(v / _SQ3)
+    u1 = np.array([1.0, 1.0, 1.0]) / _SQ3
+    w = np.array([-1.0, 1.0, 1.0]) / _SQ3
+    u2 = w - (w @ u1) * u1
+    u2 /= np.linalg.norm(u2)
+    u3 = np.cross(u1, u2)
+    cube = _cube_charts()
+    v1 = np.array([0.0, 0.0, 1.0])
+    t = cube[0]
+    v2 = t - (t @ v1) * v1
+    v2 /= np.linalg.norm(v2)
+    v3 = np.cross(v1, v2)
+    rot = np.column_stack([v1, v2, v3]) @ np.column_stack([u1, u2, u3]).T
+    new = [rot @ v for v in new_std]
+    key = np.round(np.stack(new), 9)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    new = [new[i] for i in order]
+    return np.vstack([cube, new])
+
+
+REFERENCE_CHARTS = {
+    (3, 3, 6): _tetrahedron_charts,
+    (3, 4, 4): _octahedron_charts,
+    (4, 3, 6): _cube_charts,
+    (5, 3, 6): _dodecahedron_charts,
+}

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import json
 import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ import horopack
 from horopack.cli import main
 from horopack.horoball import pencil_value
 from horopack.packing import catalog
+
+DIGITS = decimal.Context(prec=40)
 
 
 def read_csv(path):
@@ -270,13 +274,17 @@ def test_scene_unknown_label(capsys):
 
 def test_scene_unknown_label_lists_congruent_levels_once(tmp_path, capsys):
     # the uniform dodecahedral arrangement B1 has one level, although its
-    # balls' computed levels differ in the last bits
+    # balls' computed levels differ in the last bits; each listed level is
+    # the 15-digit rounding of its exact value
+    with decimal.localcontext(DIGITS):
+        r3, r5 = Decimal(3).sqrt(), Decimal(5).sqrt()
+        exact = {"B1": [((3 - r5) / 6).sqrt()], "B2": [(3 - r5) / (2 * r3), 1 / r3]}
+    digits15 = decimal.Context(prec=15)
     assert main(["scene", "536", "--label", "X", "--out", str(tmp_path / "x.obj")]) == 2
     err = capsys.readouterr().err
-    b1 = next(line for line in err.splitlines() if line.strip().startswith("B1:"))
-    assert b1.split("levels ")[1] == "0.356822089773089"
-    b2 = next(line for line in err.splitlines() if line.strip().startswith("B2:"))
-    assert b2.split("levels ")[1] == "0.220528179416536, 0.577350269189626"
+    for label, levels in exact.items():
+        line = next(line for line in err.splitlines() if line.strip().startswith(f"{label}:"))
+        assert line.split("levels ")[1] == ", ".join(str(h.normalize(digits15)) for h in levels)
 
 
 def test_scene_bad_grid():

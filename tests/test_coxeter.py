@@ -2,14 +2,26 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import decimal
 import io
+import itertools
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_charts import REFERENCE_CHARTS
 
+import horopack
 from horopack import cli
 from horopack.coxeter import (
+    _angular_order,
+    _DIGITS,
+    _mirrors,
     FULLY_ASYMPTOTIC_TILINGS,
     GeometryError,
     UnsupportedSymbolError,
@@ -246,6 +258,16 @@ def test_cell_volume_consistency(symbol):
     assert cell.volume > 0
 
 
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_cell_mirrors_realize_leading_coxeter_block(symbol):
+    # the mirrors whose orbit builds the cell are the walls of the
+    # orthoscheme's vertex figure: their products are b[:3, :3]
+    with decimal.localcontext(_DIGITS):
+        mirrors = _mirrors(*symbol[:2])
+        gram = np.array([[float(sum(a * b for a, b in zip(m, n))) for n in mirrors] for m in mirrors])
+    assert np.allclose(gram, coxeter_matrix(symbol).b[:3, :3], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("symbol", [(3, 6, 3), (4, 4, 4), (4, 3, 6), (5, 3, 6)])
 def test_orthoscheme_walls_realize_coxeter_matrix(symbol):
     ortho = build_orthoscheme(symbol)
@@ -283,3 +305,100 @@ def test_unsupported_symbols_raise():
         build_cell((6, 3, 6))
     with pytest.raises(UnsupportedSymbolError):
         build_orthoscheme((3, 5, 3))
+
+
+def _support_faces(pts):
+    """(vertex set, outward unit normal) of every face of the convex hull of
+    ``pts``, by brute force: a triple spans a face when no point lies
+    beyond its plane."""
+    centre = pts.mean(axis=0)
+    faces = {}
+    for a, b, c in itertools.combinations(range(len(pts)), 3):
+        n = np.cross(pts[b] - pts[a], pts[c] - pts[a])
+        n /= np.linalg.norm(n)
+        if (centre - pts[a]) @ n > 0:
+            n = -n
+        side = (pts - pts[a]) @ n
+        if side.max() < 1e-12:
+            faces[frozenset(np.flatnonzero(np.abs(side) < 1e-12).tolist())] = n
+    return faces
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_orbit_cells_match_the_reference_charts(symbol):
+    # the orbit of the pole under [p, q], placed in the chart, against the
+    # hand-placed reference: every vertex within 4 ulp of its largest
+    # coordinate, and the faces, edges and neighbour cycles of the reference
+    cell = build_cell(symbol)
+    ref = REFERENCE_CHARTS[symbol]()
+    chart = np.array([v.chart() for v in cell.vertices])
+    for got, want in zip(chart, ref):
+        assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
+    # both charts are correctly rounded where the reference is exact, and
+    # exact zeros come out as 0.0, not -0.0 or a rounding residue
+    if symbol in ((3, 3, 6), (3, 4, 4)):
+        assert np.array_equal(chart, ref)
+    assert not np.signbit(chart[chart == 0.0]).any()
+
+    # faces in the order of their outward normals, each cycle counterclockwise
+    # seen from outside and starting at its smallest index
+    faces = _support_faces(ref)
+    order = sorted(faces, key=lambda f: tuple(np.round(faces[f], 9)))
+    assert [frozenset(f.indices) for f in cell.faces] == order
+    for face in cell.faces:
+        idx = face.indices
+        assert idx[0] == min(idx)
+        n = faces[frozenset(idx)]
+        for a, b, c in zip(idx, idx[1:] + idx[:1], idx[2:] + idx[:2]):
+            assert np.cross(ref[b] - ref[a], ref[c] - ref[b]) @ n > 0
+
+    edges = sorted(
+        (i, j) for i, j in itertools.combinations(range(len(ref)), 2)
+        if sum({i, j} <= f for f in faces) == 2
+    )
+    assert list(cell.edges) == edges
+    for v, cycle in enumerate(cell.neighbors):
+        adjacent = [u for e in edges if v in e for u in e if u != v]
+        assert list(cycle) == _angular_order(ref, adjacent, ref[v], ref[v])
+
+
+# the exact values of K_ij = -<E_i, E_j> off the diagonal
+with decimal.localcontext(_DIGITS):
+    _R5 = Decimal(5).sqrt()
+    EXACT_GRAM = {
+        (3, 3, 6): (Decimal(1), Decimal(3) / 2),
+        (3, 4, 4): (Decimal(1), Decimal(2)),
+        (4, 3, 6): (Decimal(2) / 3, Decimal(4) / 3, Decimal(2)),
+        (5, 3, 6): ((3 - _R5) / 3, Decimal(2) / 3, Decimal(4) / 3, (3 + _R5) / 3, Decimal(2)),
+    }
+GRAM_REL_TOL = {(3, 3, 6): 0.0, (3, 4, 4): 0.0, (4, 3, 6): 1e-15, (5, 3, 6): 1e-15}
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_gram_entries_are_exact(symbol):
+    # every off-diagonal K_ij is its exact value: bit for bit where the
+    # coordinates are exact in binary, and within 1e-15 elsewhere
+    cell = build_cell(symbol)
+    exact = EXACT_GRAM[symbol]
+    seen = set()
+    with decimal.localcontext(_DIGITS):
+        for i, j in itertools.permutations(range(cell.n_vertices), 2):
+            k = Decimal(float(cell.gram[i, j]))
+            nearest = min(exact, key=lambda e: abs(k - e))
+            assert float(abs(k - nearest) / nearest) <= GRAM_REL_TOL[symbol]
+            seen.add(nearest)
+    assert seen == set(exact)
+
+
+def test_building_the_cells_loads_no_scipy_spatial():
+    # scipy.spatial has one user, the Monte Carlo fan, which imports it itself
+    code = (
+        "import sys, horopack\n"
+        "for tiling in horopack.coxeter.FULLY_ASYMPTOTIC_TILINGS:\n"
+        "    horopack.build_cell(tiling)\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+    )
+    src = Path(horopack.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

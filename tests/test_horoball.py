@@ -126,6 +126,10 @@ def test_polar_points_lie_on_surface():
     # theta = 0 is the tangency apex at the ideal center
     hb = horoball_level(CANONICAL, 0.85)
     assert np.allclose(polar_point(hb, 0.0, 0.0).chart(), [0.0, 0.0, 1.0], atol=1e-14)
+    # angles must be finite: nan gave an all-NaN point, inf a math domain error
+    for theta, phi in ((math.nan, 0.0), (math.inf, 0.0), (0.4, -math.inf), (0.4, math.nan)):
+        with pytest.raises(GeometryError, match="must be finite"):
+            polar_point(hb, theta, phi)
 
 
 def test_ray_crossing_depends_only_on_ray():

@@ -73,6 +73,16 @@ def test_chart_roundtrip():
         assert norm.coords[0] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_projective_point_rejects_non_finite_coordinates():
+    for bad in ((math.nan, 0.0, 0.0, 1.0), (1.0, math.inf, 0.0, 0.0), (1.0, 0.0, 0.0, -math.inf)):
+        with pytest.raises(GeometryError, match="not all finite"):
+            ProjectivePoint(bad)
+    with pytest.raises(GeometryError, match="not all finite"):
+        ProjectivePoint.from_chart((0.0, math.nan, 0.0))
+    with pytest.raises(GeometryError, match="zero vector"):
+        ProjectivePoint(np.zeros(4))
+
+
 def test_as_vector_accepts_points_and_rejects_bad_shapes():
     pt = ProjectivePoint((1.0, 0.1, 0.2, 0.3))
     assert np.array_equal(as_vector(pt), pt.coords)

@@ -22,7 +22,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from horosphere_reference import HorosphericTriangle, heron_area, horospheric_chord_length
+from horosphere_reference import reference_crossing, reference_fan, reference_sector
 
 from horopack import coxeter, horoball
 from horopack.coxeter import build_cell
@@ -31,11 +31,10 @@ from horopack.horoball import (
     cell_volume_oracle,
     cone_sector_volume,
     horoball_level,
-    pencil_value,
     ray_crossing,
     vertex_sector_volume,
 )
-from horopack.lorentz import GeometryError, ProjectivePoint, as_vector, bilinear_form
+from horopack.lorentz import GeometryError, ProjectivePoint
 from horopack.packing import (
     AdmissibilityError,
     admissible_interval,
@@ -55,38 +54,7 @@ TILINGS = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
 
 
 # ---------------------------------------------------------------------------
-# reference: the object-based fan
-
-
-def reference_crossing(hb, target) -> ProjectivePoint:
-    w = as_vector(target)
-    kappa = -bilinear_form(hb.center, w)
-    if kappa <= 0.0:
-        raise GeometryError("ray target is not on the interior side of the center")
-    qw = pencil_value(hb, w)
-    if abs(qw) < 1e-300:
-        return ProjectivePoint(w).chart_normalized()
-    mu = 2.0 * hb.h * hb.h * kappa / qw
-    return ProjectivePoint(hb.center.coords + mu * w).chart_normalized()
-
-
-def reference_fan(hb, targets) -> float:
-    crossings = [reference_crossing(hb, t) for t in targets]
-    total = 0.0
-    for t in range(1, len(crossings) - 1):
-        total += heron_area(
-            HorosphericTriangle(
-                horospheric_chord_length(hb, crossings[0], crossings[t]),
-                horospheric_chord_length(hb, crossings[t], crossings[t + 1]),
-                horospheric_chord_length(hb, crossings[0], crossings[t + 1]),
-            )
-        )
-    return 0.5 * total
-
-
-def reference_sector(cell, vertex: int, h: float) -> float:
-    hb = horoball_level(cell.vertices[vertex], h)
-    return reference_fan(hb, [cell.vertices[j] for j in cell.neighbors[vertex]])
+# the sector law and the kernel's public cone entry
 
 
 def law(cell, vertex: int, h: float) -> float:
