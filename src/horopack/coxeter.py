@@ -187,9 +187,8 @@ def _angular_order(chart_pts, indices, axis, centre) -> list:
     return sorted(indices, key=angle)
 
 
-# Orbit coordinates are exact to 40 digits, so a rounding residue (an exact
-# zero, or two copies of one orbit point) is far below this.
-_DIGITS = decimal.Context(prec=40)
+# Orbit coordinates are exact to 40 digits (volume._DIGITS), so a rounding
+# residue (an exact zero, or two copies of one orbit point) is far below this.
 _EXACT_ZERO = Decimal("1e-30")
 
 
@@ -245,7 +244,7 @@ def _cell_points(tiling, beta, anchor, order):
     (0, 0, -beta).
     """
     p, q, _ = tiling
-    with decimal.localcontext(_DIGITS):
+    with decimal.localcontext(_volume._DIGITS):
         n0, n1, _ = mirrors = _mirrors(p, q)
         zero = Decimal(0)
         orbit = _orbit((zero, zero, Decimal(1)), mirrors)
@@ -270,6 +269,24 @@ def _cell_points(tiling, beta, anchor, order):
         ]
         incenter = (zero, zero, -beta)
         return _floats(chart), _floats(sphere), _floats(turn(centres)), _floats([incenter])[0]
+
+
+# Congruent faces give a vertex equal margins in exact arithmetic; margins
+# this close (relative) to the least one tie.
+_TIE_REL = 1e-12
+
+
+def _face_bounds(coords, faces) -> tuple:
+    """Each vertex's face bound H_v, its least margin <E_v, b_f> over the
+    faces it is not on, and the face that sets it: the lowest face index
+    among the margins that tie with the least, so that float noise does not
+    choose between congruent faces."""
+    margins = bilinear_matrix(coords, np.stack([f.plane.normal for f in faces]))
+    for k, face in enumerate(faces):
+        margins[list(face.indices), k] = math.inf
+    bounds = margins.min(axis=1, keepdims=True)
+    ties = margins <= bounds + _TIE_REL * np.abs(bounds)
+    return bounds[:, 0], np.argmax(ties, axis=1)
 
 
 def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
@@ -309,12 +326,7 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
 
     coords = np.stack([v.coords for v in vertices])
     gram = -bilinear_matrix(coords, coords)
-    # face margins <E_v, b_f>; a vertex's own faces never bound it
-    margins = bilinear_matrix(coords, np.stack([f.plane.normal for f in faces]))
-    for k, face in enumerate(faces):
-        margins[list(face.indices), k] = math.inf
-    bound_faces = np.argmin(margins, axis=1)
-    face_bounds = margins[np.arange(len(vertices)), bound_faces]
+    face_bounds, bound_faces = _face_bounds(coords, faces)
     edge_index = np.array(edges).T
     sector_coefficients = np.array(
         [_sector_coefficient(coords[v], coords[list(nbrs)]) for v, nbrs in enumerate(neighbors)]

@@ -6,15 +6,19 @@ All volumes are hyperbolic volumes at curvature k = 1.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .lorentz import GeometryError
+
+# exact constants are evaluated in this context and rounded to float once
+_DIGITS = decimal.Context(prec=40)
 
 
 def _integer(value, what: str) -> int:
@@ -55,8 +59,33 @@ class VolumeResult:
 # Lob(t) = t - t*log(2t) + t * sum_n zeta(2n)/(n(2n+1)) (t/pi)^(2n), |t|<=pi/2.
 # With the argument reduced to [0, pi/2] the ratio (t/pi)^2 <= 1/4, so the
 # series gains two bits per term; 40 terms are far below double rounding.
-_LOB_N = np.arange(1, 41)
-_LOB_COEF = zeta(2 * _LOB_N) / (_LOB_N * (2 * _LOB_N + 1))
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _lobachevsky_coefficients(terms: int) -> tuple:
+    """zeta(2n)/(n(2n+1)) for n = 1..terms, each correctly rounded to float.
+
+    The tangent numbers T_n of tan x = sum T_n x^(2n-1)/(2n-1)! come from
+    the integer recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967).
+    With |B_2n| = 2n T_n / (4^n (4^n - 1)) and
+    zeta(2n) = (2 pi)^(2n) |B_2n| / (2 (2n)!) the coefficient is
+    T_n pi^(2n) / ((4^n - 1) (2n+1)!), evaluated to 40 digits.
+    """
+    t = [0, 1]
+    for k in range(2, terms + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, terms + 1):
+        for j in range(k, terms + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    with decimal.localcontext(_DIGITS):
+        pi2 = _PI * _PI
+        return tuple(
+            float(t[n] * pi2**n / ((4**n - 1) * math.factorial(2 * n + 1)))
+            for n in range(1, terms + 1)
+        )
+
+
+_LOB_COEF = _lobachevsky_coefficients(40)
 
 
 def lobachevsky(theta: float) -> float:

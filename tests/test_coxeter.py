@@ -20,8 +20,10 @@ import horopack
 from horopack import cli
 from horopack.coxeter import (
     _angular_order,
-    _DIGITS,
+    _face_bounds,
     _mirrors,
+    _null_covector,
+    Face,
     FULLY_ASYMPTOTIC_TILINGS,
     GeometryError,
     UnsupportedSymbolError,
@@ -29,9 +31,9 @@ from horopack.coxeter import (
     build_orthoscheme,
     coxeter_matrix,
 )
-from horopack.lorentz import PointClass, bilinear_form
+from horopack.lorentz import Hyperplane, PointClass, ProjectivePoint, bilinear_form
 from horopack.packing import catalog, families
-from horopack.volume import orthoscheme_volume
+from horopack.volume import _DIGITS, orthoscheme_volume
 
 SUPPORTED = [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)]
 
@@ -218,16 +220,16 @@ def test_cell_tables_match_scalar_forms(symbol):
             if i != j:
                 expected = -bilinear_form(cell.vertices[i], cell.vertices[j])
                 assert cell.gram[i, j] == pytest.approx(expected, abs=0)
-        best, best_face = None, -1
-        for k, face in enumerate(cell.faces):
-            if i in face.indices:
-                continue
-            margin = bilinear_form(cell.vertices[i].coords, face.plane.normal)
-            if best is None or margin < best:
-                best, best_face = margin, k
+        margins = {
+            k: bilinear_form(cell.vertices[i].coords, face.plane.normal)
+            for k, face in enumerate(cell.faces)
+            if i not in face.indices
+        }
+        best = min(margins.values())
         bound, face_idx = cell.face_bound(i)
         assert bound == pytest.approx(best, abs=0)
-        assert face_idx == best_face
+        # faces within 1e-12 of the least margin tie; the lowest index wins
+        assert face_idx == min(k for k, m in margins.items() if m <= best + 1e-12 * abs(best))
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -362,6 +364,35 @@ def test_orbit_cells_match_the_reference_charts(symbol):
         assert list(cycle) == _angular_order(ref, adjacent, ref[v], ref[v])
 
 
+# faces that bound each vertex at its least margin, in exact arithmetic
+TIED_BOUND_FACES = {(3, 3, 6): 1, (3, 4, 4): 4, (4, 3, 6): 3, (5, 3, 6): 3}
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_bound_faces_do_not_depend_on_float_noise(symbol):
+    # the reference charts differ from the orbit cells in the last ulps,
+    # which reorders margins that tie in exact arithmetic; the bounding face
+    # is the lowest tied index either way, and the bound itself agrees
+    cell = build_cell(symbol)
+    ref = [ProjectivePoint.from_chart(p) for p in REFERENCE_CHARTS[symbol]()]
+    coords = np.stack([p.coords for p in ref])
+    faces = [
+        Face(f.indices, Hyperplane(_null_covector(coords[list(f.indices)], cell.incenter.coords)))
+        for f in cell.faces
+    ]
+    bounds, bound_faces = _face_bounds(coords, faces)
+    assert tuple(bound_faces.tolist()) == cell.bound_faces
+    np.testing.assert_allclose(bounds, cell.face_bounds, rtol=1e-14, atol=0.0)
+
+    # congruent faces tie in exact arithmetic, so there is a choice to make
+    for v, vertex in enumerate(cell.vertices):
+        margins = [
+            bilinear_form(vertex.coords, f.plane.normal) for f in cell.faces if v not in f.indices
+        ]
+        tied = sum(m == pytest.approx(cell.face_bounds[v], rel=1e-12) for m in margins)
+        assert tied == TIED_BOUND_FACES[symbol]
+
+
 # the exact values of K_ij = -<E_i, E_j> off the diagonal
 with decimal.localcontext(_DIGITS):
     _R5 = Decimal(5).sqrt()
@@ -391,12 +422,19 @@ def test_gram_entries_are_exact(symbol):
 
 
 def test_building_the_cells_loads_no_scipy_spatial():
-    # scipy.spatial has one user, the Monte Carlo fan, which imports it itself
+    # the import path needs only numpy: importing horopack, building the
+    # cells and running table2, bf and a sweep load no scipy module at all
+    # (scipy.spatial has one user, the Monte Carlo fan, which imports it itself)
     code = (
-        "import sys, horopack\n"
+        "import contextlib, io, sys, horopack\n"
+        "from horopack import cli\n"
         "for tiling in horopack.coxeter.FULLY_ASYMPTOTIC_TILINGS:\n"
         "    horopack.build_cell(tiling)\n"
-        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+        "for argv in (['table2'], ['bf'], ['sweep', '536', '--family', 'apex']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, f'scipy modules were imported: {loaded}'\n"
     )
     src = Path(horopack.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -6,13 +6,15 @@ import time
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import polygamma
+from scipy.special import polygamma, zeta
 
 from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix, vertex_distance
 from horopack.horoball import cell_volume_oracle, same_type_level, vertex_sector_volume
 from horopack.lorentz import GeometryError
 from horopack.packing import balanced_levels, ball_gap, catalog, families
+from horopack import volume
 from horopack.volume import (
+    _LOB_COEF,
     _core_scale,
     _hull_fan,
     bf_constant,
@@ -56,6 +58,31 @@ def quad_lobachevsky(theta):
     val, err = integrate.quad(smooth, 0.0, theta, limit=200)
     assert err < 1e-11
     return theta * (1.0 - math.log(2.0 * theta)) + val
+
+
+# the series coefficients zeta(2n)/(n(2n+1)) as scipy's float expression
+# gives them, which set the coefficients before the exact table
+N_TERMS = np.arange(1, 41)
+SCIPY_LOB_COEF = zeta(2 * N_TERMS) / (N_TERMS * (2 * N_TERMS + 1))
+
+
+def test_lobachevsky_coefficients_are_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    assert len(_LOB_COEF) == 40
+    with mpmath.workdps(50):
+        for n in range(1, 41):
+            exact = mpmath.zeta(2 * n) / (n * (2 * n + 1))
+            assert _LOB_COEF[n - 1] == float(exact), n
+    # scipy's float expression is off by at most one ulp
+    assert np.all(np.abs(np.array(_LOB_COEF) - SCIPY_LOB_COEF) <= np.spacing(SCIPY_LOB_COEF))
+
+
+def test_lobachevsky_agrees_with_the_scipy_coefficients(monkeypatch):
+    grid = np.linspace(-4.0, 4.0, 20001)
+    exact = [lobachevsky(t) for t in grid]
+    monkeypatch.setattr(volume, "_LOB_COEF", tuple(SCIPY_LOB_COEF))
+    scipy_table = [lobachevsky(t) for t in grid]
+    assert np.abs(np.subtract(exact, scipy_table)).max() <= 2.3e-16
 
 
 @pytest.mark.parametrize("theta", [0.2, math.pi / 6, 0.9, math.pi / 2 - 0.05])
