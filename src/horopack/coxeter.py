@@ -7,7 +7,9 @@ distances through its inverse.  The cells of the four fully asymptotic
 honeycombs (3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6) are built from the
 same data: a cell's vertices are the orbit of one ideal vertex under the
 reflection group [p, q] of the matrix's leading block, and its faces the
-orbit of one face centre.  Their characteristic orthoschemes are built too.
+orbit of one face centre.  Their characteristic orthoschemes come from the
+full matrix: wall normals from its eigendecomposition, vertices as the dual
+basis of the normals.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class Orthoscheme:
-    """Characteristic simplex A0..A3 with walls H^i opposite A_i."""
+    """Characteristic simplex A0..A3 with walls H^i opposite A_i: wall
+    normals with <n_i, n_j> = matrix.b[i, j] and <n_i, A_j> = delta_ij."""
 
     vertices: tuple
     walls: tuple
@@ -166,11 +169,6 @@ def _null_covector(rows, inside) -> np.ndarray:
     if bilinear_form(b, inside) < 0:
         b = -b
     return b
-
-
-def _wall_through(points, inward_point) -> Hyperplane:
-    """Plane containing three projective points, oriented toward inward_point."""
-    return Hyperplane(_null_covector(np.stack([p.coords for p in points]), inward_point))
 
 
 def _angular_order(chart_pts, indices, axis, centre) -> list:
@@ -389,61 +387,29 @@ def build_cell(tiling) -> Cell:
     return _build_cell_cached(key)
 
 
-_SQ3 = math.sqrt(3.0)
-
-_ORTHOSCHEME_EXPLICIT = {
-    (3, 6, 3): np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [_SQ3 / 4, 0.25, 0.0],
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    ),
-    (4, 4, 4): np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [0.5, 0.5, 0.0],
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    ),
-}
+_ORTHOSCHEME_SYMBOLS = frozenset(recipe[0] for recipe in _CELL_RECIPES.values())
 
 
 def build_orthoscheme(symbol) -> Orthoscheme:
-    """Characteristic orthoscheme with explicit projective coordinates.
-
-    (3,6,3) and (4,4,4) use the reference vertex-to-vertex coordinates (both
-    principal vertices ideal).  (4,3,6) and (5,3,6) take the simplex flag of
-    the cell from build_cell: ideal vertex, edge foot, face center, cell
-    center.
+    """Characteristic orthoscheme of a cell, (3,6,3), (4,4,4), (4,3,6) or
+    (5,3,6), from its Coxeter-Schlafli matrix b = V L V^T (``eigh``, with
+    the one negative eigenvalue first).  The wall normals are the rows of
+    V |L|^(1/2), so <n_i, n_j> = b_ij, and the vertices their dual basis,
+    <n_i, A_j> = delta_ij, reversed in time (which keeps b) if x0 < 0.
     """
     key = tuple(_volume._integer(w, "Schlafli weight") for w in symbol)
-    if key in _ORTHOSCHEME_EXPLICIT:
-        verts = tuple(ProjectivePoint.from_chart(p) for p in _ORTHOSCHEME_EXPLICIT[key])
-    elif key in ((4, 3, 6), (5, 3, 6)):
-        verts = _flag_simplex(build_cell(key))
-    else:
+    if key not in _ORTHOSCHEME_SYMBOLS:
         raise UnsupportedSymbolError(f"no orthoscheme construction for {key}")
-
-    walls = tuple(
-        _wall_through([verts[j] for j in range(4) if j != i], verts[i])
-        for i in range(4)
+    matrix = coxeter_matrix(key)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix.b)
+    normals = eigenvectors * np.sqrt(np.abs(eigenvalues))
+    dual = np.linalg.inv(normals @ MINKOWSKI).T
+    if dual[0, 0] < 0:
+        normals[:, 0] = -normals[:, 0]
+        dual[:, 0] = -dual[:, 0]
+    return Orthoscheme(
+        vertices=tuple(ProjectivePoint(a) for a in dual),
+        walls=tuple(Hyperplane(n) for n in normals),
+        matrix=matrix,
+        volume=_volume.orthoscheme_volume(key).value,
     )
-    return Orthoscheme(verts, walls, coxeter_matrix(key),
-                       _volume.orthoscheme_volume(key).value)
-
-
-def _flag_simplex(cell: Cell):
-    """(ideal vertex, edge foot, face center, cell center) flag of a cell."""
-    apex = 3
-    cyc = next(face.indices for face in cell.faces if apex in face.indices)
-    nxt = cyc[(cyc.index(apex) + 1) % len(cyc)]
-    a0 = cell.vertices[apex]
-    a1 = ProjectivePoint.from_chart(0.5 * (a0.chart() + cell.vertices[nxt].chart()))
-    a2 = ProjectivePoint.from_chart(
-        np.mean([cell.vertices[i].chart() for i in cyc], axis=0)
-    )
-    a3 = cell.incenter
-    return (a0, a1, a2, a3)

@@ -329,4 +329,4 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
     region = [v.chart() for v in cell.vertices]
     carve = (_union_predicate(cell, levels), exact, chart, radius)
-    return monte_carlo_volume(region, samples, seed, carve=carve)
+    return monte_carlo_volume(region, [f.indices for f in cell.faces], samples, seed, carve=carve)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -167,8 +168,11 @@ _MC_CHUNK = 1 << 16
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 
 
-def _hull_fan(pts: np.ndarray):
-    """Tetrahedral fan of the convex hull of ``pts`` from its vertex mean.
+def _hull_fan(pts: np.ndarray, faces):
+    """Tetrahedral fan of a convex polyhedron from its vertex mean: each
+    face, a cycle of indices into ``pts`` in convex order, is split into
+    triangles from its first vertex, and each triangle is coned from the
+    mean of the points on the faces.
 
     Returns the apex, per-tetrahedron step matrices and Euclidean volumes.
     For sorted uniforms lo <= mid, apex + steps[k] @ (lo, mid, 1) is uniform
@@ -178,20 +182,24 @@ def _hull_fan(pts: np.ndarray):
     gauge t with density 3 t^2 on [0, 1] makes the point uniform in the
     tetrahedron, and restricting t to [t0, t1] makes it uniform in the
     slab between the copies of that face scaled about the apex by t0 and t1.
+    GeometryError unless every index is an integer index into ``pts``, every
+    face has 3 or more vertices, every edge lies on exactly two faces and
+    the fan has positive volume.
     """
-    # the one user of scipy.spatial, so importing horopack does not load it
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise GeometryError(f"degenerate region: {exc}") from exc
-    if hull.volume <= 0.0:
-        raise GeometryError("degenerate region: zero Euclidean volume")
-    apex = pts[hull.vertices].mean(axis=0)
-    p0, p1, p2 = (pts[hull.simplices[:, i]] for i in range(3))
+    cycles = [[_index(i, len(pts), "face vertex") for i in face] for face in faces]
+    if not cycles or min(map(len, cycles)) < 3:
+        raise GeometryError("region needs faces of at least 3 vertices each")
+    edges = Counter(frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1]))
+    open_edges = sorted(tuple(sorted(e)) for e, n in edges.items() if n != 2)
+    if open_edges:
+        raise GeometryError(f"edges {open_edges} do not lie on exactly two faces")
+    triangles = np.array([(c[0], c[k], c[k + 1]) for c in cycles for k in range(1, len(c) - 1)])
+    apex = pts[np.unique(triangles)].mean(axis=0)
+    p0, p1, p2 = (pts[triangles[:, i]] for i in range(3))
     steps = np.stack((p0 - p1, p1 - p2, p2 - apex), axis=2)
     volumes = np.abs(np.linalg.det(np.stack((p0, p1, p2), axis=1) - apex)) / 6.0
+    if not volumes.sum() > 0.0:
+        raise GeometryError("degenerate region: zero Euclidean volume")
     return apex, steps, volumes
 
 
@@ -251,13 +259,14 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate)
     return total, total_sq, accepted, carved
 
 
-def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeResult:
+def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> VolumeResult:
     """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
-    ``region`` is a vertex set given as chart 3-vectors.  Draws points
-    uniformly in the convex hull, through a tetrahedral fan from the vertex
-    mean (each chunk splits its points among the tetrahedra by a multinomial
-    draw weighted by volume), and averages the chart volume element
+    ``region`` is a vertex set given as chart 3-vectors and ``faces`` its
+    faces as index cycles in convex order (``_hull_fan``).  Draws points
+    uniformly in the polyhedron, through the tetrahedral fan of its faces
+    from the vertex mean (each chunk splits its points among the tetrahedra
+    by a multinomial draw weighted by volume), and averages the chart volume element
     1/(1 - x^2 - y^2 - z^2)^2 times the chart volume sampled.  Points on or
     outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
@@ -288,8 +297,9 @@ def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeRes
     samples add no variance, and the core removes the variance between the
     strata.  With radius 0, or without a carve-out, the core is empty.
 
-    GeometryError unless the region's points are finite, the carve's
-    ``volume`` and ``chart_volume`` are finite and >= 0, and 0 <= radius < 1.
+    GeometryError unless the region's points are finite, its faces are
+    valid, the carve's ``volume`` and ``chart_volume`` are finite and >= 0,
+    and 0 <= radius < 1.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
@@ -308,7 +318,7 @@ def monte_carlo_volume(region, samples: int, seed: int, carve=None) -> VolumeRes
         raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
     if not 0.0 <= radius < 1.0:
         raise GeometryError(f"carve-free radius {radius!r} must be in [0, 1)")
-    apex, steps, volumes = _hull_fan(pts)
+    apex, steps, volumes = _hull_fan(pts, faces)
     hull_vol = float(volumes.sum())
     weights = volumes / hull_vol
     n_core = math.floor(samples * _core_scale(pts, apex, radius) ** 3)

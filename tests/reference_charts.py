@@ -1,11 +1,18 @@
-"""The hand-placed Klein charts of the four cells, kept as the reference for
-the orbit construction in ``horopack.coxeter``.
+"""The hand-placed Klein charts of the four cells and of their
+characteristic orthoschemes, kept as the reference for the constructions in
+``horopack.coxeter``.
 
-Each function returns the cell's vertices in the numbering the package uses
-(vertex 3 is the pole (0, 0, 1); the dodecahedron's vertices 0-7 are the
-cube's).  ``build_cell`` takes its vertices from the orbit of the pole under
-the reflection group [p, q] instead; tests require the two to agree within
-a few ulp, with the same faces, edges and neighbour cycles.
+Each ``REFERENCE_CHARTS`` function returns the cell's vertices in the
+numbering the package uses (vertex 3 is the pole (0, 0, 1); the
+dodecahedron's vertices 0-7 are the cube's).  ``build_cell`` takes its
+vertices from the orbit of the pole under the reflection group [p, q]
+instead; tests require the two to agree within a few ulp, with the same
+faces, edges and neighbour cycles.
+
+``reference_orthoscheme`` places the simplex A0..A3 by hand for (3,6,3) and
+(4,4,4), and as the flag of a built cell for (4,3,6) and (5,3,6).
+``build_orthoscheme`` realises it from the Coxeter matrix instead; tests
+require the two to agree on every vertex class and finite distance.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from horopack.coxeter import build_cell
+from horopack.lorentz import ProjectivePoint
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -109,3 +119,46 @@ REFERENCE_CHARTS = {
     (4, 3, 6): _cube_charts,
     (5, 3, 6): _dodecahedron_charts,
 }
+
+
+# vertex-to-vertex charts of the two orthoschemes with both principal
+# vertices A0 and A3 ideal
+_ORTHOSCHEME_CHARTS = {
+    (3, 6, 3): np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [_SQ3 / 4, 0.25, 0.0],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    ),
+    (4, 4, 4): np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    ),
+}
+
+
+def flag_simplex(cell):
+    """(ideal vertex, edge foot, face center, cell center) flag of a cell."""
+    apex = 3
+    cyc = next(face.indices for face in cell.faces if apex in face.indices)
+    nxt = cyc[(cyc.index(apex) + 1) % len(cyc)]
+    a0 = cell.vertices[apex]
+    a1 = ProjectivePoint.from_chart(0.5 * (a0.chart() + cell.vertices[nxt].chart()))
+    a2 = ProjectivePoint.from_chart(
+        np.mean([cell.vertices[i].chart() for i in cyc], axis=0)
+    )
+    a3 = cell.incenter
+    return (a0, a1, a2, a3)
+
+
+def reference_orthoscheme(symbol):
+    """Vertices A0..A3 of the characteristic orthoscheme ``symbol``."""
+    if symbol in _ORTHOSCHEME_CHARTS:
+        return tuple(ProjectivePoint.from_chart(p) for p in _ORTHOSCHEME_CHARTS[symbol])
+    return flag_simplex(build_cell(symbol))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_charts import REFERENCE_CHARTS
+from reference_charts import REFERENCE_CHARTS, reference_orthoscheme
 
 import horopack
 from horopack import cli
@@ -31,7 +31,7 @@ from horopack.coxeter import (
     build_orthoscheme,
     coxeter_matrix,
 )
-from horopack.lorentz import Hyperplane, PointClass, ProjectivePoint, bilinear_form
+from horopack.lorentz import Hyperplane, PointClass, ProjectivePoint, bilinear_form, distance
 from horopack.packing import catalog, families
 from horopack.volume import _DIGITS, orthoscheme_volume
 
@@ -300,6 +300,37 @@ def test_orthoscheme_walls_realize_coxeter_matrix(symbol):
                 assert incidence < 1e-12
 
 
+@pytest.mark.parametrize("symbol", [(4, 3, 6), (5, 3, 6)])
+def test_cell_flag_realizes_coxeter_matrix(symbol):
+    # the flag of the built cell (ideal vertex, edge foot, face centre, cell
+    # centre) is a simplex whose walls have the Coxeter matrix's Gram matrix,
+    # which ties the cell to its characteristic orthoscheme
+    flag = reference_orthoscheme(symbol)
+    walls = [
+        Hyperplane(
+            _null_covector(np.stack([flag[j].coords for j in range(4) if j != i]), flag[i].coords)
+        )
+        for i in range(4)
+    ]
+    gram = np.array([[bilinear_form(u, w) for w in walls] for u in walls])
+    assert np.allclose(gram, coxeter_matrix(symbol).b, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("symbol", [(3, 6, 3), (4, 4, 4), (4, 3, 6), (5, 3, 6)])
+def test_orthoscheme_matches_reference_simplex(symbol):
+    # the simplex realised from the matrix is the hand-placed one (or the
+    # cell's flag) up to an isometry: same vertex classes, same distances
+    ortho = build_orthoscheme(symbol)
+    reference = reference_orthoscheme(symbol)
+    assert [p.classify() for p in ortho.vertices] == [p.classify() for p in reference]
+    finite = [i for i, p in enumerate(reference) if p.classify() is PointClass.INTERIOR]
+    assert len(finite) >= 2
+    for i, j in itertools.combinations(finite, 2):
+        assert distance(ortho.vertices[i], ortho.vertices[j]) == pytest.approx(
+            distance(reference[i], reference[j]), rel=0, abs=1e-12
+        )
+
+
 def test_unsupported_symbols_raise():
     with pytest.raises(UnsupportedSymbolError):
         build_cell((3, 5, 3))
@@ -421,16 +452,19 @@ def test_gram_entries_are_exact(symbol):
     assert seen == set(exact)
 
 
-def test_building_the_cells_loads_no_scipy_spatial():
-    # the import path needs only numpy: importing horopack, building the
-    # cells and running table2, bf and a sweep load no scipy module at all
-    # (scipy.spatial has one user, the Monte Carlo fan, which imports it itself)
+def test_building_the_cells_loads_no_scipy():
+    # the runtime needs only numpy: importing horopack, building the cells
+    # and the orthoschemes, and running table2, bf, a sweep and the Monte
+    # Carlo volumes load no scipy module at all
     code = (
         "import contextlib, io, sys, horopack\n"
         "from horopack import cli\n"
         "for tiling in horopack.coxeter.FULLY_ASYMPTOTIC_TILINGS:\n"
         "    horopack.build_cell(tiling)\n"
-        "for argv in (['table2'], ['bf'], ['sweep', '536', '--family', 'apex']):\n"
+        "for symbol in ((3, 6, 3), (4, 4, 4), (4, 3, 6), (5, 3, 6)):\n"
+        "    horopack.build_orthoscheme(symbol)\n"
+        "for argv in (['table2'], ['bf'], ['sweep', '536', '--family', 'apex'],\n"
+        "             ['volumes', '--samples', '10000']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"

@@ -6,9 +6,16 @@ import time
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.spatial import ConvexHull
 from scipy.special import polygamma, zeta
 
-from horopack.coxeter import build_cell, build_orthoscheme, coxeter_matrix, vertex_distance
+from horopack.coxeter import (
+    FULLY_ASYMPTOTIC_TILINGS,
+    build_cell,
+    build_orthoscheme,
+    coxeter_matrix,
+    vertex_distance,
+)
 from horopack.horoball import cell_volume_oracle, same_type_level, vertex_sector_volume
 from horopack.lorentz import GeometryError
 from horopack.packing import balanced_levels, ball_gap, catalog, families
@@ -163,17 +170,26 @@ def cube_region(a=0.3):
     return corners
 
 
+# the six squares of cube_region, corner i having the bits of i as (x, y, z)
+CUBE_FACES = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]
+
+
+def hull_faces(points):
+    """Qhull's triangles of the convex hull of ``points``: valid faces."""
+    return ConvexHull(np.asarray(points, dtype=float)).simplices
+
+
 def test_monte_carlo_matches_quadrature():
-    res = monte_carlo_volume(cube_region(), samples=200_000, seed=123)
+    res = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123)
     assert res.stderr > 0
     assert abs(res.value - CUBE_ORACLE) < 4.0 * res.stderr
     assert res.stderr < 0.01 * CUBE_ORACLE
 
 
 def test_monte_carlo_deterministic():
-    a = monte_carlo_volume(cube_region(), samples=50_000, seed=9)
-    b = monte_carlo_volume(cube_region(), samples=50_000, seed=9)
-    c = monte_carlo_volume(cube_region(), samples=50_000, seed=10)
+    a = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
+    b = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
+    c = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=10)
     assert a.value == b.value and a.stderr == b.stderr
     assert c.value != a.value
 
@@ -187,9 +203,9 @@ def test_monte_carlo_carve_out_additivity():
     def in_ball(pts):
         return np.einsum("ij,ij->i", pts, pts) <= r_ball * r_ball
 
-    plain = monte_carlo_volume(cube_region(), samples=400_000, seed=77)
+    plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=400_000, seed=77)
     carved = monte_carlo_volume(
-        cube_region(), samples=400_000, seed=78,
+        cube_region(), CUBE_FACES, samples=400_000, seed=78,
         carve=(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3, 0.0),
     )
     sigma = math.hypot(plain.stderr, carved.stderr)
@@ -215,8 +231,8 @@ def test_monte_carlo_asymmetric_pieces_sum_to_cube():
     # fan tetrahedra differ in volume; wrong fan weights bias both estimates
     below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
     assert len(below) > 4 and len(above) > 4
-    lo = monte_carlo_volume(below, samples=200_000, seed=31)
-    hi = monte_carlo_volume(above, samples=200_000, seed=32)
+    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31)
+    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32)
     sigma = math.hypot(lo.stderr, hi.stderr)
     assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
     assert sigma < 0.01 * CUBE_ORACLE
@@ -230,7 +246,7 @@ def test_monte_carlo_sample_accounting():
 
     samples = 150_001
     res = monte_carlo_volume(
-        cube_region(0.7), samples=samples, seed=5,
+        cube_region(0.7), CUBE_FACES, samples=samples, seed=5,
         carve=(in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3, 0.0),
     )
     assert res.accepted + res.carved + res.rejected == samples
@@ -238,7 +254,7 @@ def test_monte_carlo_sample_accounting():
     # samples are uniform in the cube: the carved share is the ball's share
     ball_share = 4.0 / 3.0 * math.pi * 0.3**3 / 1.4**3
     assert res.carved / samples == pytest.approx(ball_share, rel=0.1)
-    plain = monte_carlo_volume(cube_region(), samples=20_000, seed=5)
+    plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=20_000, seed=5)
     assert (plain.accepted, plain.carved, plain.rejected) == (20_000, 0, 0)
     closed = orthoscheme_volume((4, 3, 6))
     assert (closed.accepted, closed.carved, closed.rejected) == (0, 0, 0)
@@ -246,16 +262,74 @@ def test_monte_carlo_sample_accounting():
 
 def test_monte_carlo_validation():
     with pytest.raises(GeometryError):
-        monte_carlo_volume(cube_region(), samples=500, seed=1)
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=500, seed=1)
     with pytest.raises(GeometryError):
-        monte_carlo_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)], samples=10_000, seed=1)
+        monte_carlo_volume(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 1)], samples=10_000, seed=1
+        )
+    # a square seen from both sides closes a surface of zero volume
     coplanar = [(0, 0, 0), (0.1, 0, 0), (0, 0.1, 0), (0.1, 0.1, 0)]
-    with pytest.raises(GeometryError):
-        monte_carlo_volume(coplanar, samples=10_000, seed=1)
+    with pytest.raises(GeometryError, match="zero Euclidean volume"):
+        monte_carlo_volume(coplanar, [(0, 1, 3, 2), (0, 2, 3, 1)], samples=10_000, seed=1)
     for bad in (math.nan, math.inf):
         region = cube_region()[:-1] + [(bad, 0.3, 0.3)]
         with pytest.raises(GeometryError, match="must be finite"):
-            monte_carlo_volume(region, samples=10_000, seed=1)
+            monte_carlo_volume(region, CUBE_FACES, samples=10_000, seed=1)
+
+
+BAD_CUBE_FACES = {
+    "index out of range": ([(0, 1, 3, 8)] + CUBE_FACES[1:], "index below 8"),
+    "negative index": ([(0, 1, 3, -1)] + CUBE_FACES[1:], "index below 8"),
+    "float index": ([(0, 1, 3, 2.0)] + CUBE_FACES[1:], "must be an integer"),
+    "two-vertex face": (CUBE_FACES + [(0, 1)], "at least 3 vertices"),
+    "dropped face": (CUBE_FACES[:-1], "exactly two faces"),
+    "no faces": ([], "at least 3 vertices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CUBE_FACES))
+def test_monte_carlo_rejects_bad_faces(case):
+    # the faces are read whole: every index an integer index into the
+    # region, every face a polygon, every edge on two faces
+    faces, message = BAD_CUBE_FACES[case]
+    with pytest.raises(GeometryError, match=message):
+        monte_carlo_volume(cube_region(), faces, samples=10_000, seed=1)
+
+
+def fan_triples(pts, faces):
+    """Vertex index triples of the fan's face triangles, read back from its
+    step matrices as the nearest vertices."""
+    apex, steps, _ = _hull_fan(pts, faces)
+    p2 = apex + steps[:, :, 2]
+    p1 = p2 + steps[:, :, 1]
+    p0 = p1 + steps[:, :, 0]
+    return [
+        tuple(int(np.argmin(np.linalg.norm(pts - q, axis=1))) for q in triangle)
+        for triangle in zip(p0, p1, p2)
+    ]
+
+
+def cell_region(symbol):
+    cell = build_cell(symbol)
+    return np.array([v.chart() for v in cell.vertices]), [f.indices for f in cell.faces]
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+def test_cell_fan_ignores_vertex_noise(symbol):
+    # moving every chart coordinate by one ulp either way keeps the fan's
+    # triangles, which come from the faces and not from a hull of the points
+    pts, faces = cell_region(symbol)
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(5):
+        noisy = np.nextafter(pts, np.where(rng.random(pts.shape) < 0.5, -np.inf, np.inf))
+        assert fan_triples(noisy, faces) == fan_triples(pts, faces)
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+def test_cell_fan_volume_is_the_hull_volume(symbol):
+    pts, faces = cell_region(symbol)
+    volumes = _hull_fan(pts, faces)[2]
+    assert volumes.sum() == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
 
 
 # entry points that read an integer, each with an integer it accepts
@@ -266,9 +340,9 @@ INTEGER_READERS = {
     "families": (lambda w: families((w, 3, 6)), 4),
     "orthoscheme_volume": (lambda w: orthoscheme_volume((w, 3, 6)), 4),
     "monte_carlo_samples": (
-        lambda n: monte_carlo_volume(cube_region(), samples=n, seed=1), 10_000),
+        lambda n: monte_carlo_volume(cube_region(), CUBE_FACES, samples=n, seed=1), 10_000),
     "monte_carlo_seed": (
-        lambda seed: monte_carlo_volume(cube_region(), samples=10_000, seed=seed), 1),
+        lambda seed: monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=seed), 1),
     "oracle_seed": (
         lambda seed: cell_volume_oracle(build_cell((3, 3, 6)), 10_000, seed), 1),
 }
@@ -322,7 +396,7 @@ def _nowhere(pts):
 def test_monte_carlo_rejects_bad_chart_volume(chart):
     with pytest.raises(GeometryError, match="chart volume"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, chart, 0.0)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, 0.0, chart, 0.0)
         )
 
 
@@ -331,7 +405,7 @@ def test_monte_carlo_rejects_bad_carved_volume(volume):
     # the carve's hyperbolic volume is added to the estimate as it stands
     with pytest.raises(GeometryError, match="carved volume"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(_nowhere, volume, 0.0, 0.0)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, volume, 0.0, 0.0)
         )
 
 
@@ -339,7 +413,7 @@ def test_monte_carlo_rejects_bad_carved_volume(volume):
 def test_monte_carlo_rejects_bad_carve_free_radius(radius):
     with pytest.raises(GeometryError, match="carve-free radius"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(_nowhere, 0.0, 0.0, radius)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, 0.0, 0.0, radius)
         )
 
 
@@ -347,10 +421,10 @@ def test_monte_carlo_core_stratum_on_cube():
     # a carve that removes nothing but promises radius 0.2 gives the cube a
     # core (scale 0.2 / 0.3 sqrt(3) about the origin) sampled on its own
     empty = monte_carlo_volume(
-        cube_region(), samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.0)
+        cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.0)
     )
     cored = monte_carlo_volume(
-        cube_region(), samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.2)
+        cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.2)
     )
     assert abs(cored.value - CUBE_ORACLE) < 4.0 * cored.stderr
     assert cored.stderr < empty.stderr
@@ -362,8 +436,8 @@ def test_monte_carlo_core_stratum_off_centre_pieces():
     # quadratic per vertex rather than by the radius alone
     below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
     carve = (_nowhere, 0.0, 0.0, 0.2)
-    lo = monte_carlo_volume(below, samples=200_000, seed=31, carve=carve)
-    hi = monte_carlo_volume(above, samples=200_000, seed=32, carve=carve)
+    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31, carve=carve)
+    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32, carve=carve)
     sigma = math.hypot(lo.stderr, hi.stderr)
     assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
     assert sigma < 0.01 * CUBE_ORACLE
@@ -373,10 +447,10 @@ def test_monte_carlo_all_core_matches_one_stratum():
     # the cube's corners are 0.52 from the origin, so radius 0.6 makes the
     # whole hull the core: the same draws as radius 0, now booked to the core
     one = monte_carlo_volume(
-        cube_region(), samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.0)
+        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.0)
     )
     core = monte_carlo_volume(
-        cube_region(), samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.6)
+        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.6)
     )
     assert (core.value, core.stderr) == (one.value, one.stderr)
     assert (core.accepted, core.carved, core.rejected) == (50_000, 0, 0)
@@ -387,7 +461,7 @@ def test_core_scale_reaches_the_radius():
     # from inside; an apex outside the ball leaves no core
     for piece in cube_pieces((1.0, 0.5, 0.25), 0.1):
         pts = np.array(piece, dtype=float)
-        apex = _hull_fan(pts)[0]
+        apex = pts.mean(axis=0)
         t0 = _core_scale(pts, apex, 0.2)
         assert 0.0 < t0 < 1.0
         reach = np.linalg.norm(apex + t0 * (pts - apex), axis=1).max()
@@ -399,7 +473,7 @@ def test_monte_carlo_rejects_carving_the_whole_hull():
     # the cube of half-width 0.3 has chart volume 0.216
     whole = (_nowhere, 0.0, 0.108 + 0.108 + 1e-9, 0.0)
     with pytest.raises(GeometryError, match="carved chart volume"):
-        monte_carlo_volume(cube_region(), samples=10_000, seed=1, carve=whole)
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=whole)
 
 
 def test_monte_carlo_rejects_every_sample_carved():
@@ -408,7 +482,7 @@ def test_monte_carlo_rejects_every_sample_carved():
 
     with pytest.raises(GeometryError, match="all 10000 samples"):
         monte_carlo_volume(
-            cube_region(), samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1, 0.0)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1, 0.0)
         )
 
 
