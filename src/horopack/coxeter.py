@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -119,7 +120,8 @@ class Cell:
     the Heron area of the vertex's horospheric polygon at level 1, read off
     the Lorentz form (the Gram table) once by build_cell, with no horosphere
     crossing.  build_cell shares one Cell per tiling, so every array is
-    read-only.
+    read-only.  ``vertex_law`` and ``edge_law`` are the scalar views of these
+    tables that the per-call paths read, built when first read.
     """
 
     tiling: tuple
@@ -147,6 +149,33 @@ class Cell:
         """
         v = _volume._index(vertex, self.n_vertices, "vertex")
         return float(self.face_bounds[v]), self.bound_faces[v]
+
+    @cached_property
+    def vertex_law(self) -> tuple:
+        """(C, H): ``sector_coefficients`` and ``face_bounds`` as tuples of
+        Python floats, one entry per vertex."""
+        return tuple(self.sector_coefficients.tolist()), tuple(self.face_bounds.tolist())
+
+    @cached_property
+    def edge_law(self) -> MappingProxyType:
+        """Sliding-tangency row (h_i0, h_j0, lo, hi, kappa) of every directed
+        edge (i, j), keyed by the pair of int indices; read-only.
+
+        kappa = K_ij, and (h_i0, h_j0) are the tangent levels 2 h_i0 h_j0 =
+        kappa with equal sectors C_i h_i0^2 = C_j h_j0^2.  [lo, hi] is the
+        range of the offset x, h_i = h_i0 e^x and h_j = h_j0 e^-x, within
+        both face bounds.
+        """
+        c, bounds = self.sector_coefficients, self.face_bounds
+        rows = {}
+        for edge in self.edges:
+            for i, j in (edge, edge[::-1]):
+                kappa = float(self.gram[i, j])
+                hi0 = math.sqrt(0.5 * kappa * math.sqrt(c[j] / c[i]))
+                hj0 = 0.5 * kappa / hi0
+                lo, hi = -math.log(bounds[j] / hj0), math.log(bounds[i] / hi0)
+                rows[i, j] = (hi0, hj0, lo, hi, kappa)
+        return MappingProxyType(rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,8 @@ gap along the joining line is log(kappa / (2 h1 h2))).
 
 A ball's volume inside its cell is the paper's law C_v h^2:
 ``vertex_sector_volume(cell, vertex, h)`` forms the same product as
-``packing.evaluate``, for packings and the Monte Carlo carve-outs alike.
+``packing.evaluate``, for packings, the sliding-tangency law and the Monte
+Carlo carve-outs alike.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
 read off the Lorentz form when the cell is built by the level-free kernel
 ``_sector_coefficient``: the level-1 chord toward neighbours a, b is the
@@ -77,6 +78,8 @@ class Horoball:
 def _real(value, what: str = "level h") -> float:
     """``value`` as a Python float; GeometryError names ``what`` unless it
     is a ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
+    if type(value) is float:
+        return value
     if not isinstance(value, numbers.Real):
         raise GeometryError(f"{what} = {value!r} must be a real number")
     return float(value)
@@ -211,15 +214,18 @@ def vertex_sector_volume(cell, vertex: int, h: float) -> float:
 
     Within the face-tangency bound the ball meets the cell in its vertex
     cone, so the volume is the cell's sector coefficient C_v times h^2, the
-    product ``packing.evaluate`` forms.  Crossing a non-adjacent face raises
-    FaceOverflowError with the violated face index; GeometryError names a
-    vertex index outside the cell or a level that is not a positive real
-    number.
+    product ``packing.evaluate`` forms.  C_v and the bound H_v are read from
+    the cell's per-vertex float tuples (``Cell.vertex_law``); the sliding-
+    tangency law prices both balls of its edge row here.  Crossing a
+    non-adjacent face raises FaceOverflowError with the violated face index
+    (``Cell.face_bound``); GeometryError names a vertex index outside the
+    cell or a level that is not a positive real number.
     """
     v = _index(vertex, cell.n_vertices, "vertex")
-    bound, face_idx = cell.face_bound(v)
     h = _real(h)
-    if h > bound + FACE_TOL:
+    coefficients, bounds = cell.vertex_law
+    if h > bounds[v] + FACE_TOL:
+        bound, face_idx = cell.face_bound(v)
         raise FaceOverflowError(
             f"horoball level {h:.12g} at vertex {v} crosses "
             f"non-adjacent face {face_idx} (bound {bound:.12g})",
@@ -227,7 +233,7 @@ def vertex_sector_volume(cell, vertex: int, h: float) -> float:
         )
     if not h > 0.0:
         raise GeometryError(f"level h = {h} must be positive")
-    return float(cell.sector_coefficients[v] * (h * h))
+    return coefficients[v] * (h * h)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,8 @@ over an s-grid on its own cell, so ``sweep`` prices the grid in one call;
 ``Family.levels(s)``, ``validate_packing`` and ``density`` are m = 1 views.
 A cascade runs step by step: each step is one table of kappa / 2 from its
 targets to its sources, and one gather, divide and minimum over the s-grid.
+The sliding-tangency law of a tangent pair, ``volume_function``, reads one
+row per directed edge from the cell's ``edge_law`` table.
 """
 
 from __future__ import annotations
@@ -133,12 +135,18 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
         raise GeometryError(
             f"vertex pair {i},{j} is not two distinct vertices of {cell.tiling}"
         )
+    return _pair_gap(float(cell.gram[i, j]), levels, i, j)
+
+
+def _pair_gap(kappa: float, levels, i: int, j: int) -> float:
+    """log(kappa / (2 h_i h_j)) of two checked vertex indices; GeometryError
+    names a level that is not positive and finite."""
     for v in (i, j):
         if levels[v] <= 0.0 or levels[v] == math.inf:
             raise GeometryError(
                 f"level {levels[v]!r} at vertex {v} is not positive and finite"
             )
-    return math.log(float(cell.gram[i, j]) / (2.0 * levels[i] * levels[j]))
+    return math.log(kappa / (2.0 * levels[i] * levels[j]))
 
 
 def _gaps(cell: Cell, h: np.ndarray, first, second) -> np.ndarray:
@@ -235,22 +243,32 @@ def density(config: PackingConfiguration) -> DensityReport:
     return _reports((config,), evaluate(config.cell, (config.levels,)))[0]
 
 
+def _edge_row(cell: Cell, edge) -> tuple[int, int, tuple]:
+    """The int indices of a directed edge and its row of ``Cell.edge_law``.
+
+    Both indices are read by ``_integer`` before the lookup, since a float
+    pair such as (0.0, 1.0) hashes like (0, 1); GeometryError unless the
+    pair is a cell edge, in either orientation.
+    """
+    i, j = edge
+    i, j = _integer(i, "vertex index"), _integer(j, "vertex index")
+    row = cell.edge_law.get((i, j))
+    if row is None:
+        raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.tiling}")
+    return i, j, row
+
+
 def balanced_levels(cell: Cell, edge) -> tuple[float, float]:
     """Tangent levels on the edge with equal sector volumes on both sides.
 
     With sector coefficients C_i, C_j and tangency 2 h_i h_j = kappa, equal
     volumes C_i h_i^2 = C_j h_j^2 fix the balanced state used as x = 0 of
-    the sliding-tangency volume function.  GeometryError unless the pair is
-    a cell edge, in either orientation.
+    the sliding-tangency volume function.  Read from the edge's row of
+    ``Cell.edge_law``; GeometryError unless the pair is a cell edge, in
+    either orientation.
     """
-    i, j = edge
-    i, j = _integer(i, "vertex index"), _integer(j, "vertex index")
-    if not (0 <= i < cell.n_vertices and j in cell.neighbors[i]):
-        raise GeometryError(f"vertex pair {i},{j} is not an edge of {cell.tiling}")
-    kappa = float(cell.gram[i, j])
-    coefficients = cell.sector_coefficients
-    hi = math.sqrt(0.5 * kappa * math.sqrt(coefficients[j] / coefficients[i]))
-    return hi, 0.5 * kappa / hi
+    _, _, (hi0, hj0, _, _, _) = _edge_row(cell, edge)
+    return hi0, hj0
 
 
 def admissible_interval(cell: Cell, edge) -> tuple[float, float]:
@@ -258,11 +276,10 @@ def admissible_interval(cell: Cell, edge) -> tuple[float, float]:
 
     Positive x enlarges the ball at edge[0] by e^x (and shrinks the other by
     the same factor); the interval ends where either ball reaches its face
-    bound.
+    bound.  Read from the edge's row of ``Cell.edge_law``.
     """
-    hi0, hj0 = balanced_levels(cell, edge)
-    i, j = edge
-    return -math.log(cell.face_bounds[j] / hj0), math.log(cell.face_bounds[i] / hi0)
+    _, _, (_, _, lo, hi, _) = _edge_row(cell, edge)
+    return lo, hi
 
 
 class AdmissibilityError(GeometryError):
@@ -279,7 +296,9 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     x is the hyperbolic distance of the contact point from the balanced
     point (positive toward edge[1]); the pair stays tangent while one ball
     grows by e^x and the other shrinks by e^-x, so V(x) = V(0) cosh(2x).
-    Both sector volumes are priced at the slid levels by
+    The law needs no per-call geometry: the balanced levels, the admissible
+    interval and kappa are one row of the cell's ``edge_law`` table, and
+    both sector volumes are priced at the slid levels by
     vertex_sector_volume (C_v h^2).  x is read like a level, so anything
     but a real number raises GeometryError; NaN and infinite offsets fail
     the interval check, and a NaN level fails the tangency check.
@@ -287,8 +306,8 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
     i, j = edge
     x = _real(x, "offset x")
     cell = config.cell
-    lo, hi = admissible_interval(cell, (i, j))
-    if not abs(ball_gap(cell, config.levels, i, j)) <= 1e-6:
+    i, j, (hi0, hj0, lo, hi, kappa) = _edge_row(cell, (i, j))
+    if not abs(_pair_gap(kappa, config.levels, i, j)) <= 1e-6:
         raise InvalidPackingError(f"volume function needs tangent balls on edge {i},{j}")
     if not (lo - DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
         raise AdmissibilityError(
@@ -296,7 +315,6 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
             f"[{lo:.12g}, {hi:.12g}] for edge {i},{j}",
             interval=(lo, hi),
         )
-    hi0, hj0 = balanced_levels(cell, (i, j))
     return vertex_sector_volume(cell, i, hi0 * math.exp(x)) + vertex_sector_volume(
         cell, j, hj0 * math.exp(-x)
     )
@@ -305,8 +323,7 @@ def volume_function(config: PackingConfiguration, edge, x: float) -> float:
 def contact_offset(config: PackingConfiguration, edge) -> float:
     """Offset x of the configuration's contact on the edge from balance;
     GeometryError unless the level at edge[0] is positive and finite."""
-    i, _ = edge
-    hi0, _ = balanced_levels(config.cell, edge)
+    i, _, (hi0, _, _, _, _) = _edge_row(config.cell, edge)
     if not 0.0 < config.levels[i] < math.inf:
         raise GeometryError(
             f"level {config.levels[i]!r} at vertex {i} is not positive and finite"

@@ -2,7 +2,8 @@
 
 ``vertex_sector_volume`` and ``volume_function`` price a ball in its cell as
 C_v h^2, the product ``packing.evaluate`` forms, so they are pinned to that
-product exactly (``==``).  The Heron kernel ``_sector_coefficient`` runs when
+product exactly (``==``); the per-edge table ``Cell.edge_law`` behind
+``volume_function`` is pinned to its closed form from K, C and H.  The Heron kernel ``_sector_coefficient`` runs when
 a cell is built and in ``cone_sector_volume``; it reads the level-1 chords
 off the Lorentz form (the Gram table for a cell), with no horosphere
 crossing, so the cone path equals the law bit for bit.  A 40-digit
@@ -17,7 +18,9 @@ relative from 0.1 H_v up; below that its chords cancel in cosh d - 1.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -27,6 +30,7 @@ from horosphere_reference import reference_crossing, reference_fan, reference_se
 from horopack import coxeter, horoball
 from horopack.coxeter import build_cell
 from horopack.horoball import (
+    FACE_TOL,
     FaceOverflowError,
     cell_volume_oracle,
     cone_sector_volume,
@@ -67,9 +71,25 @@ def heron_sector(cell, vertex: int, h: float) -> float:
     return cone_sector_volume(hb, [cell.vertices[j] for j in cell.neighbors[vertex]])
 
 
+def reference_balanced_levels(cell, edge) -> tuple[float, float]:
+    """2 h_i h_j = K_ij with C_i h_i^2 = C_j h_j^2, in closed form from the
+    cell's arrays (not from ``Cell.edge_law``)."""
+    i, j = edge
+    kappa = float(cell.gram[i, j])
+    coefficients = cell.sector_coefficients
+    hi = math.sqrt(0.5 * kappa * math.sqrt(coefficients[j] / coefficients[i]))
+    return hi, 0.5 * kappa / hi
+
+
+def reference_interval(cell, edge) -> tuple[float, float]:
+    hi0, hj0 = reference_balanced_levels(cell, edge)
+    i, j = edge
+    return -math.log(cell.face_bounds[j] / hj0), math.log(cell.face_bounds[i] / hi0)
+
+
 def reference_volume_function(cell, edge, x: float) -> float:
     i, j = edge
-    hi0, hj0 = balanced_levels(cell, edge)
+    hi0, hj0 = reference_balanced_levels(cell, edge)
     return law(cell, i, hi0 * math.exp(x)) + law(cell, j, hj0 * math.exp(-x))
 
 
@@ -180,6 +200,31 @@ def test_random_levels_match_reference(tiling):
         assert volume_function(config, (i, j), x) == reference_volume_function(
             cell, (i, j), x
         )
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_edge_law_is_the_closed_form(tiling):
+    # the per-edge table gives the closed form's values bit for bit, on
+    # every directed edge and at seeded offsets across the interval
+    cell = build_cell(tiling)
+    rng = np.random.default_rng(2417)
+    assert len(cell.edge_law) == 2 * len(cell.edges)
+    for a, b in cell.edges:
+        for edge in ((a, b), (b, a)):
+            i, j = edge
+            hi0, hj0 = reference_balanced_levels(cell, edge)
+            lo, hi = reference_interval(cell, edge)
+            assert balanced_levels(cell, edge) == (hi0, hj0)
+            assert admissible_interval(cell, edge) == (lo, hi)
+            levels = [1e-3] * cell.n_vertices
+            levels[i], levels[j] = hi0, hj0
+            config = configuration(tiling, levels)
+            for x in [0.0, lo, hi, *(lo + rng.random(4) * (hi - lo)).tolist()]:
+                assert volume_function(config, edge, x) == reference_volume_function(
+                    cell, edge, x
+                )
+    with pytest.raises(TypeError):
+        cell.edge_law[cell.edges[0]] = (1.0, 1.0, -1.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("tiling", TILINGS)
@@ -306,22 +351,59 @@ def test_balanced_levels_reject_pairs_that_are_not_edges():
         assert balanced_levels(cell, (j, i)) == pytest.approx(balanced_levels(cell, (i, j))[::-1])
 
 
+def test_edge_indices_are_read_whole():
+    # a float pair hashes like the int pair, so the indices are read before
+    # the table lookup: floats and strings are refused, numpy ints read as
+    # ints, and a pair of vertices that share no edge is refused either way
+    # round
+    config, edge = _tangent_pair((4, 3, 6))
+    cell = config.cell
+    i, j = edge
+    readers = (
+        lambda pair: balanced_levels(cell, pair),
+        lambda pair: admissible_interval(cell, pair),
+        lambda pair: volume_function(config, pair, 0.0),
+        lambda pair: contact_offset(config, pair),
+    )
+    far = [k for k in range(cell.n_vertices) if k != i and k not in cell.neighbors[i]]
+    assert far
+    for read in readers:
+        for bad in ((float(i), float(j)), (i, float(j)), (str(i), j), (i, str(j))):
+            with pytest.raises(GeometryError, match="vertex index must be an integer"):
+                read(bad)
+        assert read((np.int64(i), np.int64(j))) == read((i, j))
+        for k in far:
+            for a, b in ((i, k), (k, i)):
+                with pytest.raises(GeometryError, match=f"pair {a},{b} is not an edge"):
+                    read((a, b))
+
+
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_level_above_face_bound_names_the_face(tiling):
+    # the tolerance is FACE_TOL, and the message and face index are the
+    # cell's face_bound
     cell = build_cell(tiling)
     for v in range(cell.n_vertices):
         bound, face = cell.face_bound(v)
-        for h in (1.01 * bound, math.inf):
-            with pytest.raises(FaceOverflowError) as exc:
+        assert vertex_sector_volume(cell, v, bound + 0.5 * FACE_TOL) == law(
+            cell, v, bound + 0.5 * FACE_TOL
+        )
+        for h in (bound + 2.0 * FACE_TOL, 1.01 * bound, math.inf):
+            text = (
+                f"horoball level {h:.12g} at vertex {v} crosses "
+                f"non-adjacent face {face} (bound {bound:.12g})"
+            )
+            with pytest.raises(FaceOverflowError, match=re.escape(text)) as exc:
                 vertex_sector_volume(cell, v, h)
             assert exc.value.face_index == face
 
 
 def test_non_positive_levels_raise():
-    cell = build_cell((3, 3, 6))
-    for h in (0.0, -0.5, math.nan):
-        with pytest.raises(GeometryError):
-            vertex_sector_volume(cell, 0, h)
+    for cell in map(build_cell, TILINGS):
+        for v, h in itertools.product(range(cell.n_vertices), (0.0, -0.5, math.nan)):
+            with pytest.raises(GeometryError, match=f"level h = {h} must be positive") as exc:
+                vertex_sector_volume(cell, v, h)
+            assert type(exc.value) is GeometryError
 
 
 def test_levels_are_read_as_real_numbers():
@@ -339,6 +421,13 @@ def test_levels_are_read_as_real_numbers():
                 read(h)
         value = read(np.float64(0.3))
         assert type(value) is float and value == read(0.3)
+    # the reader itself: a float comes back as it is, other reals as floats
+    for value in (0.3, -0.0, 3, True, np.float64(0.3), np.int64(2)):
+        read = horoball._real(value)
+        assert type(read) is float and read == float(value)
+    for value in ("0.3", None, np.array(0.3), [0.3], 0.3j):
+        with pytest.raises(GeometryError, match="real number"):
+            horoball._real(value)
 
 
 def test_ray_target_behind_the_center_raises():
