@@ -62,8 +62,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_tiling(text: str) -> tuple[int, int, int]:
-    digits = [c for c in text if c.isdigit()]
-    if len(digits) == 3:
+    digits = [c for c in text if c.isalnum()]
+    if len(digits) == 3 and all(c in "0123456789" for c in digits):
         weights = tuple(int(c) for c in digits)
         if weights in FULLY_ASYMPTOTIC_TILINGS:
             return weights

@@ -7,9 +7,9 @@ distances through its inverse.  The cells of the four fully asymptotic
 honeycombs (3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6) are built from the
 same data: a cell's vertices are the orbit of one ideal vertex under the
 reflection group [p, q] of the matrix's leading block, and its faces the
-orbit of one face centre.  Their characteristic orthoschemes come from the
-full matrix: wall normals from its eigendecomposition, vertices as the dual
-basis of the normals.
+images of one face under that group.  Their characteristic orthoschemes
+come from the full matrix: wall normals from its eigendecomposition,
+vertices as the dual basis of the normals.
 """
 
 from __future__ import annotations
@@ -107,14 +107,19 @@ class Cell:
 
     ``tiling`` is the Schlafli symbol (p, q, r) and ``orthoscheme_symbol``
     that of the characteristic orthoscheme, both plain tuples of ints.  All
-    vertices are ideal and stored chart-normalized (x0 = 1).  ``neighbors``
-    lists, for each vertex, the adjacent vertex indices in cyclic order around
-    the vertex (as seen from outside the model ball), and ``incenter`` is
+    vertices are ideal and stored chart-normalized (x0 = 1).  ``symmetries``
+    is the cell's reflection group, one vertex permutation per row (|G| x n),
+    the identity first.  The faces are the images of the face at the pole,
+    each cycle counterclockwise seen from outside the model ball, and
+    ``neighbors`` rings each vertex's adjacent vertices in the same sense,
+    chained from its face cycles from the smallest index.  ``incenter`` is
     the point equidistant from all face planes.  ``volume`` is the
     closed-form hyperbolic cell volume, orthoschemes_per_cell times the
     characteristic orthoscheme volume.  ``gram`` is the vertex table
-    K_ij = -<E_i, E_j> (zero diagonal), ``face_bounds`` and ``bound_faces``
-    hold each vertex's face-tangency level H_v and the face that sets it.
+    K_ij = -<E_i, E_j> (exact zero diagonal), ``face_bounds`` and
+    ``bound_faces`` hold each vertex's face-tangency level H_v and the face
+    that sets it.  A symmetry keeps K_ij sqrt(C_i C_j) and H_v sqrt(C_v),
+    not K and H themselves where the chart is boosted, on (3,3,6).
     ``edge_index`` stacks the endpoint arrays of ``edges`` (2 x E), and
     ``sector_coefficients`` holds the C_v of Vol(B(h) ∩ cell) = C_v h^2: half
     the Heron area of the vertex's horospheric polygon at level 1, read off
@@ -139,6 +144,7 @@ class Cell:
     bound_faces: tuple
     edge_index: np.ndarray
     sector_coefficients: np.ndarray
+    symmetries: np.ndarray
 
     def face_bound(self, vertex: int) -> tuple:
         """(H, face_position) tightest non-adjacent face constraint for a ball.
@@ -200,20 +206,6 @@ def _null_covector(rows, inside) -> np.ndarray:
     return b
 
 
-def _angular_order(chart_pts, indices, axis, centre) -> list:
-    """``indices`` sorted by the angle of their points about the line through
-    ``centre`` along ``axis``, counterclockwise seen from the axis tip."""
-    e1 = np.cross(axis, np.array([0.31, 0.51, 0.81]))
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-
-    def angle(i):
-        t = chart_pts[i] - centre
-        return math.atan2(t @ e2, t @ e1)
-
-    return sorted(indices, key=angle)
-
-
 # Orbit coordinates are exact to 40 digits (volume._DIGITS), so a rounding
 # residue (an exact zero, or two copies of one orbit point) is far below this.
 _EXACT_ZERO = Decimal("1e-30")
@@ -239,17 +231,24 @@ def _mirrors(p: int, q: int) -> tuple:
     return ((zero, s, (1 - s * s).sqrt()), (-cq, sq, zero), (Decimal(1), zero, zero))
 
 
-def _orbit(seed, mirrors) -> list:
+def _orbit(seed, mirrors) -> tuple:
     """Orbit of a unit vector under the reflections in ``mirrors``, in
-    breadth-first order from ``seed``."""
-    pts = [seed]
+    breadth-first order from ``seed``, and for each mirror the orbit
+    position of each point's image."""
+    pts, images = [seed], tuple([] for _ in mirrors)
     for x in pts:
-        for n in mirrors:
+        for n, image in zip(mirrors, images):
             d = 2 * sum(a * b for a, b in zip(x, n))
             y0, y1, y2 = y = tuple(a - d * b for a, b in zip(x, n))
-            if all(abs(y0 - z0) + abs(y1 - z1) + abs(y2 - z2) > _EXACT_ZERO for z0, z1, z2 in pts):
+            k = next(
+                (k for k, (z0, z1, z2) in enumerate(pts)
+                 if abs(y0 - z0) + abs(y1 - z1) + abs(y2 - z2) <= _EXACT_ZERO),
+                len(pts),
+            )
+            if k == len(pts):
                 pts.append(y)
-    return pts
+            image.append(k)
+    return pts, images
 
 
 def _floats(points) -> np.ndarray:
@@ -258,44 +257,60 @@ def _floats(points) -> np.ndarray:
 
 
 def _cell_points(tiling, beta, anchor, order):
-    """Klein-chart vertices, unit-sphere vertices, face centres and incentre
-    of the ideal regular cell {p, q}.
+    """Klein-chart vertices, incentre, symmetries and face cycles of the
+    ideal regular cell {p, q}.
 
     In the chart the cell is the Euclidean {p, q} inscribed in the unit
-    sphere: its vertices are the orbit of the pole under [p, q] and its
-    face centres the orbit of the direction where mirrors 0 and 1 meet,
-    both computed to 40 digits.  The orbits are rotated about z until
-    vertex ``anchor`` lies at azimuth +90 degrees.  The vertices, numbered
-    by ``order`` (the orbit position of each vertex), are then boosted
-    along z by ``beta``, which moves the incentre from the origin to
-    (0, 0, -beta).
+    sphere: its vertices are the orbit of the pole under [p, q], computed to
+    40 digits and numbered by ``order`` (the orbit position of each vertex).
+    The orbit also gives each mirror's permutation of the vertices, and the
+    symmetries are their products, breadth-first from the identity, each
+    mapped to whether it is odd.  The face at the pole is the pole's orbit
+    under the rotation "mirror 0, then mirror 1", and every other face its
+    image under a symmetry, reversed under an odd one, so every cycle runs
+    counterclockwise seen from outside; each starts at its smallest index,
+    and the faces follow the lexicographic order of their centres (the sums
+    of their vertices).  The orbit is rotated about z until vertex
+    ``anchor`` lies at azimuth +90 degrees, then boosted along z by
+    ``beta``, which moves the incentre from the origin to (0, 0, -beta).
     """
     p, q, _ = tiling
     with decimal.localcontext(_volume._DIGITS):
-        n0, n1, _ = mirrors = _mirrors(p, q)
         zero = Decimal(0)
-        orbit = _orbit((zero, zero, Decimal(1)), mirrors)
-        # n1 x n0 points to the centre of a face at the pole
-        meet = tuple(n1[i - 2] * n0[i - 1] - n1[i - 1] * n0[i - 2] for i in range(3))
-        norm = sum(c * c for c in meet).sqrt()
-        centres = _orbit(tuple(c / norm for c in meet), mirrors)
+        orbit, images = _orbit((zero, zero, Decimal(1)), _mirrors(p, q))
+        unorder = sorted(range(len(order)), key=order.__getitem__)
+        s0, s1, _ = reflections = [tuple(unorder[image[k]] for k in order) for image in images]
+        group = {tuple(range(len(order))): False}
+        queue = list(group)
+        for g in queue:
+            for m in reflections:
+                h = tuple(m[v] for v in g)
+                if h not in group:
+                    group[h] = not group[g]
+                    queue.append(h)
+        cycle = [POLE]
+        while (v := s1[s0[cycle[-1]]]) != POLE:
+            cycle.append(v)
+        cycles = {}
+        for g, odd in group.items():
+            face = [g[v] for v in (cycle[::-1] if odd else cycle)]
+            start = face.index(min(face))
+            cycles.setdefault(frozenset(face), tuple(face[start:] + face[:start]))
 
         x, y, _ = orbit[order[anchor]]
         r = (x * x + y * y).sqrt()
         cos, sin = y / r, x / r
-
-        def turn(points):
-            return [(cos * x - sin * y, sin * x + cos * y, z) for x, y, z in points]
-
-        sphere = turn(orbit[k] for k in order)
+        turned = [(cos * x - sin * y, sin * x + cos * y, z) for x, y, z in orbit]
+        sphere = [turned[k] for k in order]
+        centres = _floats([map(sum, zip(*(sphere[v] for v in f))) for f in cycles.values()])
+        faces = tuple(f for _, f in sorted(zip(centres.tolist(), cycles.values())))
         beta = Decimal(beta.numerator) / beta.denominator
         k = (1 - beta * beta).sqrt()
         chart = [
             (x * k / (1 - beta * z), y * k / (1 - beta * z), (z - beta) / (1 - beta * z))
             for x, y, z in sphere
         ]
-        incenter = (zero, zero, -beta)
-        return _floats(chart), _floats(sphere), _floats(turn(centres)), _floats([incenter])[0]
+        return _floats(chart), _floats([(zero, zero, -beta)])[0], group, faces
 
 
 # Congruent faces give a vertex equal margins in exact arithmetic; margins
@@ -317,48 +332,37 @@ def _face_bounds(coords, faces) -> tuple:
 
 
 def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
-    chart_pts, sphere_pts, centres, inside = _cell_points(tiling, beta, anchor, order)
+    chart_pts, inside, group, cycles = _cell_points(tiling, beta, anchor, order)
     vertices = tuple(ProjectivePoint.from_chart(p) for p in chart_pts)
     for v in vertices:
         if classify(v) is not PointClass.ABSOLUTE:
             raise GeometryError(f"cell vertex {v} is not ideal")
     incenter = ProjectivePoint.from_chart(inside)
-
-    # a face is the p vertices nearest its centre; faces follow their
-    # centres in lexicographic order, and each cycle runs counterclockwise
-    # seen from outside from its smallest index
-    faces = []
-    for centre in sorted(centres.tolist()):
-        idx = np.argsort(sphere_pts @ centre)[-tiling[0]:].tolist()
-        centroid = chart_pts[idx].mean(axis=0)
-        idx = _angular_order(chart_pts, idx, centroid - inside, centroid)
-        start = idx.index(min(idx))
-        idx = idx[start:] + idx[:start]
-        plane = _null_covector(np.stack([vertices[i].coords for i in idx]), incenter.coords)
-        faces.append(Face(indices=tuple(idx), plane=Hyperplane(plane)))
-    faces = tuple(faces)
-
-    # consecutive vertices of a face cycle share an edge
-    pairs = {(i, j) for f in faces for i, j in zip(f.indices, f.indices[1:] + f.indices[:1])}
-    edges = tuple(sorted({(min(p), max(p)) for p in pairs}))
-
-    adj = {i: [] for i in range(len(vertices))}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    neighbors = tuple(
-        tuple(_angular_order(chart_pts, adj[i], chart_pts[i], chart_pts[i]))
-        for i in range(len(vertices))
+    coords = np.stack([v.coords for v in vertices])
+    faces = tuple(
+        Face(idx, Hyperplane(_null_covector(coords[list(idx)], incenter.coords))) for idx in cycles
     )
 
-    coords = np.stack([v.coords for v in vertices])
+    # around a vertex v, seen from outside, each face's successor of v is
+    # followed by its predecessor; consecutive vertices share an edge
+    turn = {(v, b): a for f in cycles for a, v, b in zip(f[-1:] + f[:-1], f, f[1:] + f[:1])}
+    edges = tuple(sorted({(min(e), max(e)) for e in turn}))
+    neighbors = []
+    for v in range(len(vertices)):
+        ring = [min(b for w, b in turn if w == v)]
+        while (a := turn[v, ring[-1]]) != ring[0]:
+            ring.append(a)
+        neighbors.append(tuple(ring))
+
     gram = -bilinear_matrix(coords, coords)
+    np.fill_diagonal(gram, 0.0)  # ideal vertices are null
     face_bounds, bound_faces = _face_bounds(coords, faces)
     edge_index = np.array(edges).T
     sector_coefficients = np.array(
         [_sector_coefficient(coords[v], coords[list(nbrs)]) for v, nbrs in enumerate(neighbors)]
     )
-    for table in (gram, face_bounds, edge_index, sector_coefficients):
+    symmetries = np.array(list(group))
+    for table in (gram, face_bounds, edge_index, sector_coefficients, symmetries):
         table.setflags(write=False)
 
     vol = count * _volume.orthoscheme_volume(ortho_symbol).value
@@ -367,7 +371,7 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
         vertices=vertices,
         edges=edges,
         faces=faces,
-        neighbors=neighbors,
+        neighbors=tuple(neighbors),
         n_vertices=len(vertices),
         orthoscheme_symbol=ortho_symbol,
         orthoschemes_per_cell=count,
@@ -378,8 +382,12 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
         bound_faces=tuple(int(k) for k in bound_faces),
         edge_index=edge_index,
         sector_coefficients=sector_coefficients,
+        symmetries=symmetries,
     )
 
+
+# The number of the vertex at the pole (0, 0, 1), where every cell's orbit starts.
+POLE = 3
 
 # tiling -> (characteristic orthoscheme, orthoschemes per cell, boost beta,
 # anchor vertex, orbit position of each vertex).  The numbering is the one

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coxeter import Cell, build_cell
+from .coxeter import POLE, Cell, build_cell
 from .horoball import (
     FACE_TOL,
     Horoball,
@@ -154,6 +154,15 @@ def _gaps(cell: Cell, h: np.ndarray, first, second) -> np.ndarray:
     return np.log(cell.gram[first, second] / (2.0 * h[:, first] * h[:, second]))
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; GeometryError names ``what`` unless
+    their dtype is numeric (numpy would read numeric strings)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise GeometryError(f"{what} must be real numbers, got dtype {a.dtype}")
+    return np.asarray(a, dtype=float)
+
+
 def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
     """Gap of every vertex pair; diagnostic (validation is edge-scoped)."""
     first, second = np.triu_indices(config.cell.n_vertices, 1)
@@ -189,10 +198,10 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     Both tests read the cell tables K and H; a NaN gap or level fails them.
     A row's violation is its first overlapping edge, else its first ball past
     the face bound.  Densities add the sectors left to right, like ``sum``.
-    GeometryError unless the levels form an (m, n) array, n the cell's
-    vertex count.
+    GeometryError unless the levels form an (m, n) array of numbers, n the
+    cell's vertex count.
     """
-    h = np.asarray(levels, dtype=float)
+    h = _float_array(levels, "levels")
     if h.ndim != 2 or h.shape[1] != cell.n_vertices:
         raise GeometryError(
             f"{cell.tiling} needs an (m, {cell.n_vertices}) level "
@@ -366,7 +375,7 @@ class Family:
     def level_matrix(self, grid) -> np.ndarray:
         """(m, n) levels at the anchor types s of ``grid`` on the family's
         cell; GeometryError names the first s outside the family's range."""
-        s = np.asarray(grid, dtype=float).reshape(-1)
+        s = _float_array(grid, "family type s").reshape(-1)
         lo, hi = self.s_range
         inside = (lo - DOMAIN_TOL <= s) & (s <= hi + DOMAIN_TOL)
         if not inside.all():
@@ -389,39 +398,22 @@ class Family:
         return configuration(self.tiling, self.levels(s), label=label)
 
 
-def _cube_orbit(cell: Cell) -> tuple[int, ...]:
-    """The inscribed-cube vertices of the dodecahedral cell (pair parameters
-    2/3, 4/3, 2 only among themselves)."""
-    kappas = cell.gram[:8, :8][np.triu_indices(8, 1)]
-    if (np.abs(kappas[:, None] - (2.0 / 3.0, 4.0 / 3.0, 2.0)).min(axis=1) > 1e-9).any():
-        raise GeometryError("unexpected inscribed-cube geometry")
-    return tuple(range(8))
-
-
-# Vertex roles: the pole is vertex 3 of every cell; ring, mates and anti are
-# the cube-orbit vertices at the smallest, middle and largest value of the
-# pole's row of K (its nearest vertices, its alternating-tetrad mates, its
-# antipode through the center), with no mates when the row has two values.
-# The cube orbit is the inscribed cube of the dodecahedral cell, whose other
-# twelve vertices are the outer role, and the whole cell otherwise.
-_POLE = 3
+# Vertex roles: the pole, the cube (vertices 0-7 of the dodecahedral cell,
+# the whole cell otherwise) and the outer vertices, and ring, mates and anti:
+# the orbits on the cube of the symmetries that fix the pole and the cube,
+# ranked by the pole's row of K (its nearest vertices, its alternating-tetrad
+# mates, its antipode through the center), with no mates when there are two.
 _RANKED_ROLES = {1: ("ring",), 2: ("ring", "anti"), 3: ("ring", "mates", "anti")}
 
 
 def _roles(cell: Cell) -> dict[str, tuple[int, ...]]:
-    n = cell.n_vertices
-    cube = _cube_orbit(cell) if cell.tiling == (5, 3, 6) else tuple(range(n))
-    roles = {
-        "pole": (_POLE,),
-        "cube": cube,
-        "outer": tuple(v for v in range(n) if v not in cube),
-    }
-    others = np.array([v for v in cube if v != _POLE])
-    row = cell.gram[_POLE, others]
-    values = np.sort(row)
-    values = values[np.r_[True, np.diff(values) > 1e-9]]
-    for role, kappa in zip(_RANKED_ROLES[len(values)], values):
-        roles[role] = tuple(others[np.abs(row - kappa) < 1e-9].tolist())
+    n, g = cell.n_vertices, cell.symmetries
+    k = 8 if cell.tiling == (5, 3, 6) else n
+    fixing = g[(g[:, POLE] == POLE) & (g[:, :k] < k).all(axis=1)]
+    orbits = {tuple(sorted(set(fixing[:, v].tolist()))) for v in range(k) if v != POLE}
+    ranked = sorted(orbits, key=lambda orbit: cell.gram[POLE, orbit[0]])
+    roles = {"pole": (POLE,), "cube": tuple(range(k)), "outer": tuple(range(k, n))}
+    roles.update(zip(_RANKED_ROLES[len(ranked)], ranked))
     return roles
 
 

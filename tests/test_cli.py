@@ -149,6 +149,24 @@ def test_sweep_errors(capsys):
         assert out == "" and "error:" in err
 
 
+def test_tiling_arguments_are_three_digits_without_letters(tmp_path, capsys):
+    # any punctuation around the three digits reads the same tiling
+    outputs = []
+    for k, spelling in enumerate(("336", "3,3,6", "(3,3,6)", "3-3-6")):
+        out = tmp_path / f"spelling{k}.csv"
+        argv = ["sweep", spelling, "--family", "main", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(read_csv(out))
+    assert all(o == outputs[0] for o in outputs)
+    capsys.readouterr()
+    for spelling in ("x3y3z6junk", "336a", "d336", "3e3,6", "33", "\u00b2336", "3\u0663\u0666"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", spelling, "--family", "main"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unsupported tiling" in err
+
+
 def test_sweep_negative_range_both_forms(tmp_path):
     rows = []
     for k, form in enumerate((["--s-range", "-0.3:0.1"], ["--s-range=-0.3:0.1"])):

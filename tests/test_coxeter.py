@@ -19,7 +19,6 @@ from reference_charts import REFERENCE_CHARTS, reference_orthoscheme
 import horopack
 from horopack import cli
 from horopack.coxeter import (
-    _angular_order,
     _face_bounds,
     _mirrors,
     _null_covector,
@@ -45,6 +44,7 @@ COUNTS = {
     (5, 3, 6): (20, 30, 12),
 }
 ORTHOSCHEMES_PER_CELL = {(3, 3, 6): 6, (3, 4, 4): 16, (4, 3, 6): 48, (5, 3, 6): 120}
+GROUP_ORDER = {(3, 3, 6): 24, (3, 4, 4): 48, (4, 3, 6): 48, (5, 3, 6): 120}
 EDGE_KAPPA = {
     (3, 3, 6): {1.0, 1.5},
     (3, 4, 4): {1.0},
@@ -237,7 +237,8 @@ def test_cell_arrays_are_read_only(symbol):
     # build_cell shares one Cell per tiling, so a write would reach every caller
     cell = build_cell(symbol)
     first, second = cell.edge_index
-    for table in (cell.gram, cell.face_bounds, cell.sector_coefficients, first, second):
+    tables = (cell.gram, cell.face_bounds, cell.sector_coefficients, cell.symmetries)
+    for table in (*tables, first, second):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
@@ -390,9 +391,95 @@ def test_orbit_cells_match_the_reference_charts(symbol):
         if sum({i, j} <= f for f in faces) == 2
     )
     assert list(cell.edges) == edges
-    for v, cycle in enumerate(cell.neighbors):
+    # each neighbour ring is the angular order about the vertex, seen from
+    # outside, from its smallest index; around v, each face's successor of v
+    # is followed by its predecessor
+    for v, ring in enumerate(cell.neighbors):
         adjacent = [u for e in edges if v in e for u in e if u != v]
-        assert list(cycle) == _angular_order(ref, adjacent, ref[v], ref[v])
+        want = _angular_order(ref, adjacent, ref[v], ref[v])
+        start = want.index(ring[0])
+        assert list(ring) == want[start:] + want[:start]
+        assert ring[0] == min(ring)
+        for idx in (f.indices for f in cell.faces if v in f.indices):
+            k = idx.index(v)
+            after = ring[(ring.index(idx[(k + 1) % len(idx)]) + 1) % len(ring)]
+            assert after == idx[k - 1]
+
+
+def _angular_order(chart_pts, indices, axis, centre) -> list:
+    """``indices`` sorted by the angle of their points about the line through
+    ``centre`` along ``axis``, counterclockwise seen from the axis tip."""
+    e1 = np.cross(axis, np.array([0.31, 0.51, 0.81]))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+
+    def angle(i):
+        t = chart_pts[i] - centre
+        return math.atan2(t @ e2, t @ e1)
+
+    return sorted(indices, key=angle)
+
+
+def _cycle(indices) -> tuple:
+    """A vertex cycle rotated to start at its smallest index."""
+    start = indices.index(min(indices))
+    return tuple(indices[start:] + indices[:start])
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_symmetries_form_the_reflection_group(symbol):
+    # |G| vertex permutations, the identity first, closed under composition,
+    # each mapping the edges and the faces onto themselves; an odd element
+    # reverses every face cycle and an even one keeps every cycle's sense
+    cell = build_cell(symbol)
+    g, n = cell.symmetries, cell.n_vertices
+    assert g.shape == (GROUP_ORDER[symbol], n)
+    assert g[0].tolist() == list(range(n))
+    assert (np.sort(g, axis=1) == np.arange(n)).all()
+    rows = {tuple(row) for row in g.tolist()}
+    assert len(rows) == len(g)
+    assert {tuple(a[b].tolist()) for a in g for b in g} == rows
+    edges = set(cell.edges)
+    cycles = {f.indices for f in cell.faces}
+    for row in g.tolist():
+        assert {(min(row[i], row[j]), max(row[i], row[j])) for i, j in edges} == edges
+        images = [[row[v] for v in f] for f in cycles]
+        kept = {_cycle(f) for f in images} == cycles
+        reversed_ = {_cycle(f[::-1]) for f in images} == cycles
+        assert kept != reversed_
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_symmetries_keep_the_chart_free_tables(symbol):
+    # the chart normalizes every vertex to x0 = 1, so a symmetry keeps
+    # K_ij sqrt(C_i C_j) and H_v sqrt(C_v); K itself moves on the boosted
+    # (3,3,6) chart, where C_3 differs from C_0
+    cell = build_cell(symbol)
+    root = np.sqrt(cell.sector_coefficients)
+    k_hat = cell.gram * np.outer(root, root)
+    h_hat = cell.face_bounds * root
+    for g in cell.symmetries:
+        np.testing.assert_allclose(k_hat[np.ix_(g, g)], k_hat, rtol=2e-15, atol=0)
+        np.testing.assert_allclose(h_hat[g], h_hat, rtol=5.3e-15, atol=0)
+    moved = max(np.abs(cell.gram[np.ix_(g, g)] - cell.gram).max() for g in cell.symmetries)
+    assert bool(moved > 0.1) == (symbol == (3, 3, 6))
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_gram_diagonal_is_an_exact_zero(symbol):
+    # ideal vertices are null: the diagonal is +0.0, not -0.0 or a residue
+    diagonal = np.diag(build_cell(symbol).gram)
+    assert (diagonal == 0.0).all() and not np.signbit(diagonal).any()
+
+
+def test_dodecahedral_cube_has_the_pyritohedral_stabiliser():
+    # vertices 0-7 of (5,3,6) are an inscribed cube: pair parameters 2/3,
+    # 4/3 and 2 among themselves, and 24 symmetries map them onto themselves
+    cell = build_cell((5, 3, 6))
+    kappas = cell.gram[:8, :8][np.triu_indices(8, 1)]
+    assert (np.abs(kappas[:, None] - (2.0 / 3.0, 4.0 / 3.0, 2.0)).min(axis=1) <= 1e-9).all()
+    g = cell.symmetries
+    assert np.count_nonzero((g[:, :8] < 8).all(axis=1)) == 24
 
 
 # faces that bound each vertex at its least margin, in exact arithmetic

@@ -18,7 +18,7 @@ import pytest
 
 from horopack import cli
 from horopack.coxeter import build_cell
-from horopack.horoball import FACE_TOL
+from horopack.horoball import FACE_TOL, same_type_level
 from horopack.lorentz import GeometryError
 from horopack.packing import (
     PAIR_TOL,
@@ -356,6 +356,56 @@ def test_evaluate_rejects_level_arrays_that_are_not_m_by_n():
             evaluate(cell, levels)
     with pytest.raises(GeometryError, match=r"\(3, 3, 6\) needs 4 levels, got 3"):
         PackingConfiguration(cell=cell, levels=(0.5, 0.5, 1.0))
+
+
+def test_numeric_strings_are_not_levels():
+    # numpy would read "0.5" as 0.5; levels and family types are numbers
+    cell = build_cell((3, 3, 6))
+    fam = family((3, 3, 6), "main")
+    for call in (
+        lambda: evaluate(cell, [["0.5"] * 4]),
+        lambda: evaluate(cell, np.array([[b"0.5"] * 4])),
+        lambda: evaluate(cell, [[0.5, None, 0.5, 0.5]]),
+        lambda: fam.level_matrix(["0.1", "0.2"]),
+        lambda: fam.levels("0.25"),
+        lambda: fam.at("0.25"),
+        lambda: sweep((3, 3, 6), "main", ["0.1", "0.2"]),
+    ):
+        with pytest.raises(GeometryError, match="must be real numbers"):
+            call()
+    # bools, ints and numpy numbers still read as before
+    assert evaluate(cell, np.ones((1, 4), dtype=np.int32)).density.tolist() == (
+        evaluate(cell, [[1.0] * 4]).density.tolist()
+    )
+    assert fam.levels(np.float32(0.25)) == fam.levels(float(np.float32(0.25)))
+    assert fam.levels(False) == fam.levels(0)
+
+
+@pytest.mark.parametrize("symbol", TILINGS)
+def test_symmetric_levels_keep_density_and_validity(symbol):
+    # a symmetry g carries the chart-free levels h_v sqrt(C_v) to
+    # h'_v = h_g(v) sqrt(C_g(v) / C_v): the same density within a few ulp and
+    # the same validity, for the catalog states and seeded random rows
+    cell = build_cell(symbol)
+    root = np.sqrt(cell.sector_coefficients)
+    rng = np.random.default_rng(2501)
+    same_type = [same_type_level(cell, v) for v in range(cell.n_vertices)]
+    h = np.vstack([
+        [config.levels for config in catalog(symbol)],
+        rng.uniform(0.7, 1.15, (16, cell.n_vertices)) * same_type,
+    ])
+    ev = evaluate(cell, h)
+    valid = [v is None for v in ev.violations]
+    assert 0 < sum(valid) < len(h)
+    hat = h * root
+    for g in cell.symmetries:
+        moved = evaluate(cell, hat[:, g] / root)
+        assert (np.abs(moved.density - ev.density) <= 8 * np.spacing(ev.density)).all()
+        assert [v is None for v in moved.violations] == valid
+    # permuting the chart levels themselves is wrong where the chart is
+    # boosted: on (3,3,6), C_3 differs from C_0
+    naive = max(np.abs(evaluate(cell, h[:, g]).density / ev.density - 1).max() for g in cell.symmetries)
+    assert bool(naive > 0.1) == (symbol == (3, 3, 6))
 
 
 def test_invalid_rows_raise_the_density_error():
