@@ -34,7 +34,6 @@ point itself.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +49,7 @@ from .lorentz import (
     classify,
     rotation_from_z,
 )
-from .volume import VolumeResult, _index, monte_carlo_volume
+from .volume import VolumeResult, _index, _real, monte_carlo_volume
 
 # Slack allowed on face tangency.
 FACE_TOL = 1e-9
@@ -73,16 +72,6 @@ class Horoball:
     center: ProjectivePoint
     s: float
     h: float
-
-
-def _real(value, what: str = "level h") -> float:
-    """``value`` as a Python float; GeometryError names ``what`` unless it
-    is a ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
-    if type(value) is float:
-        return value
-    if not isinstance(value, numbers.Real):
-        raise GeometryError(f"{what} = {value!r} must be a real number")
-    return float(value)
 
 
 def horoball_level(center, h: float) -> Horoball:
@@ -293,17 +282,31 @@ def _union_predicate(cell, levels):
     that is (1 - p.c) / h <= sqrt(1 - |p|^2), so one (k x 3) @ (3 x n) product
     and a minimum over the k balls test them all.  Points on or outside the
     unit sphere are in no ball.
+
+    With t = p.c, |p| >= t gives (1 - t)^2 <= h^2 (1 - t^2), so every point
+    of the ball has t >= (1 - h^2) / (1 + h^2), the ball's type s: the ball
+    lies in the half-space p.c >= s, whose plane touches it at s c.  A ball
+    whose half-space misses the bounding box of the points (the box's
+    largest p.c is below s) holds none of them and is left out of the
+    product.  That leaves the result unchanged; when the points are a block
+    of one fan tetrahedron, as ``monte_carlo_volume`` draws them, it leaves
+    out most balls.
     """
+    chart = np.array([v.chart() for v in cell.vertices])
     inv_h = np.array([1.0 / h for h in levels])[:, None]
-    scaled = np.array([v.chart() for v in cell.vertices]) * inv_h
+    scaled = chart * inv_h
+    # the types s, less a slack that rounding in the box's largest p.c cannot cross
+    reach = np.array([(1.0 - h * h) / (1.0 + h * h) for h in levels]) - 1e-12
 
     def predicate(pts: np.ndarray) -> np.ndarray:
         q = pts.T
-        depth = scaled @ q
-        np.subtract(inv_h, depth, out=depth)
+        top = np.maximum(chart * q.min(axis=1), chart * q.max(axis=1)).sum(axis=1)
+        near = top >= reach
+        depth = scaled[near] @ q
+        np.subtract(inv_h[near], depth, out=depth)
         r2 = np.einsum("ij,ij->j", q, q)
         with np.errstate(invalid="ignore"):
-            return depth.min(axis=0) <= np.sqrt(1.0 - r2)
+            return depth.min(axis=0, initial=np.inf) <= np.sqrt(1.0 - r2)
 
     return predicate
 
@@ -317,7 +320,10 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     sectors are known exactly (C_v h^2, vertex_sector_volume); only the compact
     remainder is sampled, at its known chart volume (the cell's less the
     balls' chart sectors).  The balls form one carve-out, tested together by
-    a fused predicate.
+    a fused predicate (``_union_predicate``) that leaves out the balls far
+    from each block of points; ``monte_carlo_volume`` draws each block in
+    one tetrahedron of the cell's fan, on a grid of cells whose variances
+    give the standard error.
 
     The carve-out is free of points nearer the origin than
     radius = min_v (1 - h_v^2) / (1 + h_v^2), where ``monte_carlo_volume``

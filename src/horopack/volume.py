@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +30,16 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise GeometryError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value, what: str = "level h") -> float:
+    """``value`` as a Python float; GeometryError names ``what`` unless it
+    is a ``numbers.Real`` (numeric strings are refused, numpy floats pass)."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise GeometryError(f"{what} = {value!r} must be a real number")
+    return float(value)
 
 
 def _index(value, size: int, what: str) -> int:
@@ -94,9 +105,10 @@ def lobachevsky(theta: float) -> float:
 
     Odd, pi-periodic; maximum at pi/6.  Evaluated by the zeta power series
     after reduction to [0, pi/2] via Lob(pi - t) = -Lob(t).  GeometryError
-    unless theta is finite.
+    unless theta is a finite real number (read as levels are, by ``_real``:
+    numeric strings are refused).
     """
-    theta = float(theta)
+    theta = _real(theta, "Lobachevsky angle")
     if not math.isfinite(theta):
         raise GeometryError(f"Lobachevsky function needs a finite angle, got {theta!r}")
     t = math.fmod(theta, math.pi)
@@ -161,10 +173,15 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 
 # --- Monte Carlo oracle -----------------------------------------------------
 
-# Points per chunk of a stratum.  The largest array of a chunk, the
-# (balls x points) table of the dodecahedral cell's 20-ball carve-out in a
-# shell chunk, then takes 10 MB; core chunks never build it.
-_MC_CHUNK = 1 << 16
+# Points per block of one fan tetrahedron, a whole number of rounds of its
+# cell grid.  Blocks this small keep a block's arrays in cache: the largest,
+# the (balls x points) depth table of the carve-out balls whose half-spaces
+# meet the block's bounding box (2 to 9 of the dodecahedral cell's 20 balls
+# in a shell block), takes at most 1.2 MB; core blocks never build it.
+_MC_CHUNK = 1 << 14
+# Most bits of the cell grid on one tetrahedron's uniforms (u, a, b); 2^14
+# cells fill one block.
+_MC_GRID_BITS = 14
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 
 
@@ -223,40 +240,166 @@ def _core_scale(pts: np.ndarray, apex: np.ndarray, radius: float) -> float:
     return min(1.0, float(roots.min()))
 
 
+def _allocate(n: int, weights: np.ndarray) -> list:
+    """``n`` samples over the fan's tetrahedra: 2 each, and the rest in
+    proportion to ``weights`` by cumulative rounding.  Needs n >= 2 len(weights)."""
+    cumulative = np.cumsum(weights)
+    edges = np.rint((n - 2 * len(weights)) * cumulative / cumulative[-1]).astype(np.int64)
+    return (2 + np.diff(edges, prepend=0)).tolist()
+
+
+def _grid_shape(count: int) -> tuple:
+    """(slices, face_bits) of the cell grid of a tetrahedron with ``count``
+    >= 2 samples: count // 2 cells, at most 2^_MC_GRID_BITS, so that every
+    cell gets 2 or more samples.  The gauge u is cut into 8 to 15 slices
+    (fewer only below 8 cells) and the face uniforms (a, b) into 2^face_bits
+    cells; at 10^6 samples on the four cells this split had 1.2 to 1.7 times
+    less variance than a grid with about as many intervals along each
+    uniform."""
+    cells = min(count // 2, 1 << _MC_GRID_BITS)
+    face_bits = max(cells.bit_length() - 4, 0)
+    return cells >> face_bits, face_bits
+
+
+@lru_cache(maxsize=None)
+def _face_grid(face_bits: int) -> tuple:
+    """Side lengths (2, 1) and lower corners of the cells of a grid on the
+    unit square of (a, b), a cut into 2^ceil(face_bits / 2) intervals and b
+    into 2^floor(face_bits / 2), listed in the order they are visited and
+    then once more, as a (2, 2^(face_bits + 1)) table: the cells visited
+    from position s on are its columns s .. s + 2^face_bits - 1.
+
+    Bit i of the visit position is the (i // 2)-th most significant bit of
+    coordinate i mod 2, so the first 4 positions visit the 4 quadrants, the
+    first 16 every cell of the 4 x 4 grid, and so on: any run of visits is
+    spread over the square."""
+    dims = np.array([[(face_bits + 1) // 2], [face_bits // 2]])
+    position = np.arange(1 << face_bits)
+    index = np.zeros((2, 1 << face_bits), dtype=np.int64)
+    for i in range(face_bits):
+        index[i % 2] |= ((position >> i) & 1) << (dims[i % 2, 0] - 1 - i // 2)
+    side, corners = np.ldexp(1.0, -dims), np.tile(np.ldexp(index, -dims), 2)
+    side.setflags(write=False)
+    corners.setflags(write=False)
+    return side, corners
+
+
+def _fold(values: np.ndarray, cells: int) -> np.ndarray:
+    """Sums per cell of a block whose point j lies in cell j mod ``cells``."""
+    whole = len(values) // cells * cells
+    sums = values[:whole].reshape(-1, cells).sum(axis=0)
+    sums[: len(values) - whole] += values[whole:]
+    return sums
+
+
 def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate):
     """Draw ``n`` points uniformly in the slab c0 <= t^3 <= c1 of the fan and
-    sum the chart volume element over those not carved by ``predicate``
-    (None carves nothing and is never called).  The gauge is drawn as
-    t = cbrt(c0 + u (c1 - c0)) for a uniform u.
+    estimate the mean chart volume element over the part of the slab not
+    carved by ``predicate`` (None carves nothing and is never called).
 
-    Returns (sum f, sum f^2, accepted, carved).
+    Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
+    more, the rest in proportion to its weight w_k), and its uniforms
+    (u, a, b) are stratified on a grid of K_k equal cells (``_grid_shape``:
+    2 or more samples per cell), slices of u times a grid on the face
+    uniforms.  A point is apex + t steps[k] @ (lo, mid, 1) with lo, mid =
+    sorted(a, b) and t = cbrt(c0 + u (c1 - c0)), so every cell is a known
+    share w_k / K_k of the slab's chart volume.  The samples visit the cells
+    in whole rounds, then one partial round over the face cells that follow
+    a random start in their visit order (``_face_grid``), so the cells with
+    one sample more lie spread over the tetrahedron.  A block of points lies
+    in one tetrahedron, which lets ``predicate`` leave out the carve-out
+    pieces far from the block.
+
+    With y the volume element of a point not carved (0 outside the unit
+    ball) and x = 1 for it, y = x = 0 for a carved one, the combined ratio
+    estimator (Cochran, Sampling Techniques, 3rd ed., 6.11-6.12) of the mean
+    over the uncarved slab is R = sum W_c ybar_c / sum W_c xbar_c, with
+    variance sum W_c^2 s_c^2 / n_c / (sum W_c xbar_c)^2, s_c^2 the
+    within-cell variance of y - R x.  Without a carve-out x = 1 throughout
+    and R is the stratified mean.
+
+    Returns (R, variance of R, accepted, carved), with R = 0 and variance 0
+    when no sample is left (n = 0, or every sample carved).
     """
-    total = total_sq = 0.0
+    if n == 0:
+        return 0.0, 0.0, 0, 0
     accepted = carved = 0
-    remaining = n
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        remaining -= m
-        counts = rng.multinomial(m, weights)
-        a, b, u = rng.random((3, m))
-        face = np.stack((np.minimum(a, b), np.maximum(a, b), np.ones(m)))
-        x = np.empty((3, m))  # one point per column, grouped by tetrahedron
-        end = 0
-        for k, count in enumerate(counts):
-            start, end = end, end + count
-            x[:, start:end] = steps[k] @ face[:, start:end]
-        x *= np.cbrt(c0 + u * (c1 - c0))
-        x += apex[:, None]
-        r2 = np.einsum("ij,ij->j", x, x)
-        inside = r2 < 1.0
-        cut = inside & predicate(x.T) if predicate else np.zeros(m, dtype=bool)
-        keep = inside & ~cut
-        f = 1.0 / (1.0 - r2[keep]) ** 2
-        total += float(f.sum())
-        total_sq += float(f @ f)
-        accepted += f.size
-        carved += int(np.count_nonzero(cut))
-    return total, total_sq, accepted, carved
+    # sums over the cells of W_c ybar_c, W_c xbar_c and the terms of the
+    # variance that multiply 1, -2 R and R^2
+    y_bar = x_bar = var_y = var_xy = var_x = 0.0
+    for k, count in enumerate(_allocate(n, weights)):
+        slices, face_bits = _grid_shape(count)
+        cells = slices << face_bits
+        # column j slices + i of a round is slice i of t^3 = c0 + (c1 - c0) u
+        # over face cell j, the face cells taken in visit order from a random
+        # start
+        thick = (c1 - c0) / slices
+        side, corners = _face_grid(face_bits)
+        start = int(rng.integers(1 << face_bits))
+        offset = np.empty((3, cells))
+        offset[0] = np.tile(c0 + thick * np.arange(slices), 1 << face_bits)
+        offset[1:] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
+        scale = np.vstack(([thick], side))
+        span, base = steps[k][:, :2], steps[k][:, 2:]
+        block = max(1, _MC_CHUNK // cells) * cells
+        y_sum = np.zeros(cells)
+        y_sq = np.zeros(cells)
+        x_sum = np.zeros(cells)
+        for first in range(0, count, block):
+            m = min(block, count - first)
+            whole = m // cells * cells
+            r = rng.random((3, m))  # rows t^3, a, b once put into their cells
+            r *= scale
+            r[:, :whole].reshape(3, -1, cells)[...] += offset[:, None, :]
+            r[:, whole:] += offset[:, : m - whole]
+            face = np.empty((2, m))
+            np.minimum(r[1], r[2], out=face[0])
+            np.maximum(r[1], r[2], out=face[1])
+            x = span @ face
+            x += base
+            x *= np.cbrt(r[0])
+            x += apex[:, None]
+            r2 = np.einsum("ij,ij->j", x, x)
+            keep = r2 < 1.0
+            if predicate:
+                cut = predicate(x.T)
+                if not (isinstance(cut, np.ndarray) and cut.dtype == bool and cut.shape == (m,)):
+                    raise GeometryError(
+                        f"carve predicate must return one boolean per point: {m} points, "
+                        f"got {type(cut).__name__} of shape {np.shape(cut)}"
+                    )
+                cut = cut & keep
+                carved += int(np.count_nonzero(cut))
+                x_sum += _fold(~cut, cells)
+                keep &= ~cut
+            accepted += int(np.count_nonzero(keep))
+            w = 1.0 - r2
+            w *= w
+            np.maximum(w, 1e-300, out=w)  # finite where r2 = 1, a point never kept
+            y = np.divide(keep, w, out=w)
+            y_sum += _fold(y, cells)
+            y_sq += _fold(y * y, cells)
+        # cells visited first hold q + 1 samples, the rest q >= 2
+        q, rest = divmod(count, cells)
+        if not predicate:
+            x_sum = np.full(cells, float(q))
+            x_sum[:rest] += 1.0
+        for size, part in ((q + 1, slice(0, rest)), (q, slice(rest, cells))):
+            sy, sx = y_sum[part], x_sum[part]
+            share = weights[k] / cells / size  # W_c / n_c
+            y_bar += share * sy.sum()
+            x_bar += share * sx.sum()
+            # W_c^2 s_c^2 / n_c, s_c^2 = (sum d^2 - (sum d)^2 / n_c) / (n_c - 1) for
+            # d = y - R x, expanded in R by sum x y = sum y and sum x^2 = sum x
+            coef = share * share * size / (size - 1)
+            var_y += coef * (y_sq[part].sum() - sy @ sy / size)
+            var_xy += coef * (sy.sum() - sy @ sx / size)
+            var_x += coef * (sx.sum() - sx @ sx / size)
+    if carved == n:
+        return 0.0, 0.0, accepted, carved
+    ratio = float(y_bar / x_bar)
+    var = float(max(var_y - 2.0 * ratio * var_xy + ratio * ratio * var_x, 0.0) / (x_bar * x_bar))
+    return ratio, var, accepted, carved
 
 
 def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> VolumeResult:
@@ -265,8 +408,8 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     ``region`` is a vertex set given as chart 3-vectors and ``faces`` its
     faces as index cycles in convex order (``_hull_fan``).  Draws points
     uniformly in the polyhedron, through the tetrahedral fan of its faces
-    from the vertex mean (each chunk splits its points among the tetrahedra
-    by a multinomial draw weighted by volume), and averages the chart volume element
+    from the vertex mean, stratified by tetrahedron and on a grid inside each
+    (``_stratum``), and averages the chart volume element
     1/(1 - x^2 - y^2 - z^2)^2 times the chart volume sampled.  Points on or
     outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
@@ -274,12 +417,14 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     ``carve`` is one (predicate, volume, chart_volume, radius) tuple: points
     where predicate(points) is True are excluded from the sampled region, its
     hyperbolic ``volume`` is added back to the estimate and its Euclidean
-    ``chart_volume`` is taken off the hull's.  ``points`` is an (n, 3) array.
-    The carved region must be a subset of the region that lies inside the
-    unit ball (only inside points are ever carved), and ``radius`` promises
-    that no point with |p| < radius is carved.  This keeps the sampled
-    integrand bounded when the region has ideal vertices, where naive
-    sampling has infinite variance and a meaningless standard error.
+    ``chart_volume`` is taken off the hull's.  ``points`` is an (n, 3) array
+    of points of one fan tetrahedron, and the predicate returns a boolean
+    array of n entries.  The carved region must be a subset of the region
+    that lies inside the unit ball (only inside points are ever carved), and
+    ``radius`` promises that no point with |p| < radius is carved.  This
+    keeps the sampled integrand bounded when the region has ideal vertices,
+    where naive sampling has infinite variance and a meaningless standard
+    error.
 
     The hull is sampled as two radial strata of the fan whose chart volumes
     are known exactly: the core, the hull scaled about the apex by the
@@ -290,16 +435,21 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     are uniform in the shell less the carve-out, whose chart volume is the
     hull's less the core's and ``chart_volume``.  Samples are split in
     proportion to chart volume, with no pilot run: n = floor(samples t0^3)
-    go to the core, and t0^3 is then lowered to n / samples, so the split is
-    exact and no stratum holds volume but no samples.  The estimate is
-    ``volume`` plus each stratum's chart volume V times its mean over its
-    kept samples, with standard error^2 = sum V^2 var / kept.  Carved
-    samples add no variance, and the core removes the variance between the
-    strata.  With radius 0, or without a carve-out, the core is empty.
+    go to the core, lowered to leave the shell 2 per fan tetrahedron and to 0
+    if the core would get fewer than 2 per tetrahedron, and t0^3 is then
+    lowered to n / samples, so the split is exact and no stratum holds
+    volume but too few samples.  The estimate is ``volume`` plus each
+    stratum's known chart volume (the shell's less ``chart_volume``) times
+    its ratio estimate, with standard error^2 = sum V^2 var(R).  Carved
+    samples add no variance, the core removes the variance between the
+    strata, and the grid cells remove most of it within them.  With radius
+    0, or without a carve-out, the core is empty.
 
     GeometryError unless the region's points are finite, its faces are
-    valid, the carve's ``volume`` and ``chart_volume`` are finite and >= 0,
-    and 0 <= radius < 1.
+    valid and give no more than samples / 2 fan tetrahedra, the carve's
+    ``volume`` and ``chart_volume`` are finite real numbers >= 0, its
+    ``radius`` a real number in [0, 1), and its predicate returns one
+    boolean per point.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
@@ -312,6 +462,9 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
     predicate, exact, chart, radius = carve if carve is not None else (None, 0.0, 0.0, 0.0)
+    exact = _real(exact, "carved volume")
+    chart = _real(chart, "carved chart volume")
+    radius = _real(radius, "carve-free radius")
     if not 0.0 <= exact < math.inf:
         raise GeometryError(f"carved volume {exact!r} must be finite and >= 0")
     if not 0.0 <= chart < math.inf:
@@ -319,9 +472,18 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     if not 0.0 <= radius < 1.0:
         raise GeometryError(f"carve-free radius {radius!r} must be in [0, 1)")
     apex, steps, volumes = _hull_fan(pts, faces)
+    least = 2 * len(volumes)  # fewest samples of a stratum: 2 per tetrahedron
+    if samples < least:
+        raise GeometryError(
+            f"{samples} samples leave fewer than 2 for each of {len(volumes)} fan tetrahedra"
+        )
     hull_vol = float(volumes.sum())
     weights = volumes / hull_vol
     n_core = math.floor(samples * _core_scale(pts, apex, radius) ** 3)
+    if n_core < samples:
+        n_core = min(n_core, samples - least)
+    if n_core < least:
+        n_core = 0
     n_shell = samples - n_core
     share = n_core / samples  # t0^3 of the core actually used
     core = hull_vol * share
@@ -332,21 +494,16 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
         )
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    core_sum, core_sq, core_in, _ = _stratum(
+    core_ratio, core_var, core_in, _ = _stratum(
         rng, apex, steps, weights, n_core, 0.0, share, None
     )
-    total, total_sq, accepted, carved = _stratum(
+    ratio, ratio_var, accepted, carved = _stratum(
         rng, apex, steps, weights, n_shell, share, 1.0, predicate
     )
-    kept = n_shell - carved
-    if shell > 0.0 and kept == 0:
+    if shell > 0.0 and carved == n_shell:
         raise GeometryError(f"all {n_shell} samples outside the core were carved out")
-    est, var = exact, 0.0
-    for vol, s, sq, k in ((core, core_sum, core_sq, n_core), (shell, total, total_sq, kept)):
-        if k:
-            mean = s / k
-            est += vol * mean
-            var += vol * vol * max(sq / k - mean * mean, 0.0) / k
+    est = exact + core * core_ratio + shell * ratio
+    var = core * core * core_var + shell * shell * ratio_var
     accepted += core_in
     rejected = samples - accepted - carved
     return VolumeResult(est, math.sqrt(var), accepted, rejected, carved)

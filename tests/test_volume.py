@@ -22,7 +22,10 @@ from horopack.packing import balanced_levels, ball_gap, catalog, families
 from horopack import volume
 from horopack.volume import (
     _LOB_COEF,
+    MIN_SAMPLES,
     _core_scale,
+    _face_grid,
+    _grid_shape,
     _hull_fan,
     bf_constant,
     bf_series_tail_bound,
@@ -121,6 +124,14 @@ def test_lobachevsky_rejects_non_finite_angles_and_returns_floats():
     assert type(lobachevsky(np.float64(0.9))) is float
     for symbol in CELL_VOLUMES:
         assert type(build_cell(symbol).volume) is float
+
+
+@pytest.mark.parametrize("theta", ["0.5", None, 1 + 0j, np.array([0.5])])
+def test_lobachevsky_reads_its_angle_as_a_real_number(theta):
+    # read as levels are: a numeric string is refused, not parsed
+    with pytest.raises(GeometryError, match="Lobachevsky angle .* must be a real number"):
+        lobachevsky(theta)
+    assert lobachevsky(np.float32(0.5)) == lobachevsky(float(np.float32(0.5)))
 
 
 @pytest.mark.parametrize("symbol", sorted(ORTHOSCHEME_VOLUMES))
@@ -467,6 +478,126 @@ def test_core_scale_reaches_the_radius():
         reach = np.linalg.norm(apex + t0 * (pts - apex), axis=1).max()
         assert reach == pytest.approx(0.2, rel=1e-12)
         assert _core_scale(pts, apex, 0.5 * np.linalg.norm(apex)) == 0.0
+
+
+@pytest.mark.parametrize("field, index", [
+    ("carved volume", 1), ("carved chart volume", 2), ("carve-free radius", 3),
+])
+def test_monte_carlo_reads_the_carve_as_real_numbers(field, index):
+    carve = [_nowhere, 0.0, 0.0, 0.0]
+    carve[index] = "0.01"
+    with pytest.raises(GeometryError, match=f"{field} = '0.01' must be a real number"):
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=tuple(carve))
+
+
+@pytest.mark.parametrize("answer", [
+    lambda pts: True,
+    lambda pts: np.zeros((len(pts), 1), dtype=bool),
+    lambda pts: np.zeros(len(pts) + 1, dtype=bool),
+    lambda pts: np.zeros(len(pts)),
+    lambda pts: [False] * len(pts),
+])
+def test_monte_carlo_needs_one_boolean_per_point(answer):
+    with pytest.raises(GeometryError, match="one boolean per point"):
+        monte_carlo_volume(
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(answer, 0.0, 0.1, 0.0)
+        )
+
+
+def per_cell(count):
+    """Fewest samples a cell of a tetrahedron with ``count`` samples gets."""
+    slices, face_bits = _grid_shape(count)
+    return count // (slices << face_bits)
+
+
+def test_grid_cells_hold_two_samples_and_tile_the_square():
+    for count in range(2, 5000):
+        slices, face_bits = _grid_shape(count)
+        cells = slices << face_bits
+        assert per_cell(count) >= 2
+        assert cells > count // 4
+        assert 8 <= slices < 16 or face_bits == 0
+    cap = 1 << volume._MC_GRID_BITS
+    assert cap <= volume._MC_CHUNK
+    assert _grid_shape(10**9)[0] << _grid_shape(10**9)[1] == cap
+    for face_bits in range(volume._MC_GRID_BITS + 1):
+        side, corners = _face_grid(face_bits)
+        assert np.prod(side) == 0.5**face_bits
+        # the second half repeats the first, which holds every cell once
+        assert np.array_equal(corners[:, 1 << face_bits :], corners[:, : 1 << face_bits])
+        corners = corners[:, : 1 << face_bits]
+        index = corners / side
+        assert np.array_equal(index, np.rint(index))
+        assert len({tuple(i) for i in index.T}) == 1 << face_bits
+        assert ((index >= 0) & (index < 1 / side)).all()
+        # every aligned run of 4 visits has one cell in each quadrant of the
+        # square, so the cells of a partial round are spread over it
+        if face_bits >= 2:
+            runs = (corners >= 0.5).T.reshape(-1, 4, 2)
+            assert all(len({tuple(quadrant) for quadrant in run}) == 4 for run in runs)
+
+
+_ALLOCATE = volume._allocate
+
+
+def _fan_sizes(pts, faces, radius, monkeypatch):
+    """Per-tetrahedron sample counts of the strata of a run at MIN_SAMPLES
+    that draw samples."""
+    seen = []
+
+    def spy(n, weights):
+        counts = _ALLOCATE(n, weights)
+        seen.append(counts)
+        return counts
+
+    monkeypatch.setattr(volume, "_allocate", spy)
+    monte_carlo_volume(pts, faces, MIN_SAMPLES, 1, carve=(_nowhere, 0.0, 0.0, radius))
+    return seen
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, monkeypatch):
+    cell = build_cell(symbol)
+    levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
+    radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
+    pts, faces = cell_region(symbol)
+    for counts in _fan_sizes(pts, faces, radius, monkeypatch):
+        assert min(map(per_cell, counts)) >= 2
+        assert len(counts) == len(_hull_fan(pts, faces)[2])
+
+
+def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeypatch):
+    # at radius 0.2 the first piece's core gets 223 samples, at radius 0.12
+    # it would get 9, fewer than 2 for each of its 16 tetrahedra, and is left
+    # empty; the second piece's core gets none at either radius
+    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
+    for piece, radius, strata in ((below, 0.2, 2), (below, 0.12, 1), (above, 0.2, 1)):
+        seen = _fan_sizes(piece, hull_faces(piece), radius, monkeypatch)
+        assert len(seen) == strata
+        for counts in seen:
+            assert min(map(per_cell, counts)) >= 2
+
+
+def prism(sides, radius=0.3, height=0.1):
+    """An n-gon prism: its vertices and its faces, two n-gons and n squares;
+    its fan has 4 n - 4 tetrahedra."""
+    angle = 2.0 * math.pi * np.arange(sides) / sides
+    ring = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+    pts = np.vstack([np.column_stack((ring, np.full(sides, z))) for z in (-height, height)])
+    top = list(range(sides, 2 * sides))
+    walls = [(i, (i + 1) % sides, sides + (i + 1) % sides, sides + i) for i in range(sides)]
+    return pts, [list(range(sides))[::-1], top] + walls
+
+
+def test_monte_carlo_needs_two_samples_per_fan_tetrahedron():
+    # 2 x (4 n - 4) samples are the fewest a stratum of the n-gon prism takes
+    pts, faces = prism(1252)
+    assert len(_hull_fan(pts, faces)[2]) == 5004
+    with pytest.raises(GeometryError, match="10000 samples leave fewer than 2 for each of 5004"):
+        monte_carlo_volume(pts, faces, samples=10_000, seed=1)
+    pts, faces = prism(1251)
+    res = monte_carlo_volume(pts, faces, samples=10_000, seed=1)
+    assert res.accepted == 10_000
 
 
 def test_monte_carlo_rejects_carving_the_whole_hull():
