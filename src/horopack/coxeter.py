@@ -25,15 +25,12 @@ from types import MappingProxyType
 import numpy as np
 
 from . import volume as _volume
-from .horoball import _sector_coefficient
 from .lorentz import (
     GeometryError,
     Hyperplane,
     MINKOWSKI,
     PointClass,
     ProjectivePoint,
-    bilinear_form,
-    bilinear_matrix,
     classify,
 )
 
@@ -94,14 +91,6 @@ def vertex_distance(m: CoxeterMatrix, i: int, j: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Face:
-    """Cell facet: cyclically ordered vertex indices plus the inward wall."""
-
-    indices: tuple
-    plane: Hyperplane
-
-
-@dataclass(frozen=True, eq=False)
 class Cell:
     """Fully asymptotic honeycomb cell in a fixed projective chart.
 
@@ -109,22 +98,21 @@ class Cell:
     that of the characteristic orthoscheme, both plain tuples of ints.  All
     vertices are ideal and stored chart-normalized (x0 = 1).  ``symmetries``
     is the cell's reflection group, one vertex permutation per row (|G| x n),
-    the identity first.  The faces are the images of the face at the pole,
-    each cycle counterclockwise seen from outside the model ball, and
-    ``neighbors`` rings each vertex's adjacent vertices in the same sense,
-    chained from its face cycles from the smallest index.  ``incenter`` is
-    the point equidistant from all face planes.  ``volume`` is the
-    closed-form hyperbolic cell volume, orthoschemes_per_cell times the
-    characteristic orthoscheme volume.  ``gram`` is the vertex table
-    K_ij = -<E_i, E_j> (exact zero diagonal), ``face_bounds`` and
-    ``bound_faces`` hold each vertex's face-tangency level H_v and the face
-    that sets it.  A symmetry keeps K_ij sqrt(C_i C_j) and H_v sqrt(C_v),
-    not K and H themselves where the chart is boosted, on (3,3,6).
-    ``edge_index`` stacks the endpoint arrays of ``edges`` (2 x E), and
-    ``sector_coefficients`` holds the C_v of Vol(B(h) ∩ cell) = C_v h^2: half
-    the Heron area of the vertex's horospheric polygon at level 1, read off
-    the Lorentz form (the Gram table) once by build_cell, with no horosphere
-    crossing.  build_cell shares one Cell per tiling, so every array is
+    the identity first.  ``faces`` holds the images of the face at the pole
+    as vertex index cycles, each counterclockwise seen from outside the
+    model ball, and ``neighbors`` rings each vertex's adjacent vertices in
+    the same sense, chained from its face cycles from the smallest index.
+    ``volume`` is the closed-form hyperbolic cell volume,
+    orthoschemes_per_cell times the characteristic orthoscheme volume.
+    ``gram`` is the vertex table K_ij = -<E_i, E_j> (exact zero diagonal),
+    ``face_bounds`` and ``bound_faces`` hold each vertex's face-tangency
+    level H_v and the face that sets it, and ``sector_coefficients`` the C_v
+    of Vol(B(h) ∩ cell) = C_v h^2.  build_cell reads all three tables off
+    the 40-digit K and rounds each entry once (``_tables``), with no face
+    plane and no horosphere crossing.  A symmetry keeps K_ij sqrt(C_i C_j)
+    and H_v sqrt(C_v), not K and H themselves where the chart is boosted, on
+    (3,3,6).  ``edge_index`` stacks the endpoint arrays of ``edges``
+    (2 x E).  build_cell shares one Cell per tiling, so every array is
     read-only.  ``vertex_law`` and ``edge_law`` are the scalar views of these
     tables that the per-call paths read, built when first read.
     """
@@ -138,7 +126,6 @@ class Cell:
     orthoscheme_symbol: tuple
     orthoschemes_per_cell: int
     volume: float
-    incenter: ProjectivePoint
     gram: np.ndarray
     face_bounds: np.ndarray
     bound_faces: tuple
@@ -195,19 +182,9 @@ class Orthoscheme:
     volume: float
 
 
-def _null_covector(rows, inside) -> np.ndarray:
-    """Covector b with <b, q> = 0 on the rows q (the SVD's least-squares
-    null vector), oriented so that <b, inside> >= 0."""
-    # <b, q> = 0 is (q MINKOWSKI) b = 0
-    _, _, vt = np.linalg.svd(rows @ MINKOWSKI)
-    b = vt[-1]
-    if bilinear_form(b, inside) < 0:
-        b = -b
-    return b
-
-
 # Orbit coordinates are exact to 40 digits (volume._DIGITS), so a rounding
-# residue (an exact zero, or two copies of one orbit point) is far below this.
+# residue (an exact zero, two copies of one orbit point, or two squared face
+# margins that tie) is far below this.
 _EXACT_ZERO = Decimal("1e-30")
 
 
@@ -257,8 +234,8 @@ def _floats(points) -> np.ndarray:
 
 
 def _cell_points(tiling, beta, anchor, order):
-    """Klein-chart vertices, incentre, symmetries and face cycles of the
-    ideal regular cell {p, q}.
+    """Klein-chart vertices, symmetries, face cycles and tables of the ideal
+    regular cell {p, q}.
 
     In the chart the cell is the Euclidean {p, q} inscribed in the unit
     sphere: its vertices are the orbit of the pole under [p, q], computed to
@@ -272,7 +249,8 @@ def _cell_points(tiling, beta, anchor, order):
     and the faces follow the lexicographic order of their centres (the sums
     of their vertices).  The orbit is rotated about z until vertex
     ``anchor`` lies at azimuth +90 degrees, then boosted along z by
-    ``beta``, which moves the incentre from the origin to (0, 0, -beta).
+    ``beta``, which moves the cell's centre from the origin to
+    (0, 0, -beta).  ``_tables`` reads K, C and H off the 40-digit chart.
     """
     p, q, _ = tiling
     with decimal.localcontext(_volume._DIGITS):
@@ -310,42 +288,65 @@ def _cell_points(tiling, beta, anchor, order):
             (x * k / (1 - beta * z), y * k / (1 - beta * z), (z - beta) / (1 - beta * z))
             for x, y, z in sphere
         ]
-        return _floats(chart), _floats([(zero, zero, -beta)])[0], group, faces
+        return _floats(chart), group, faces, _tables(chart, faces)
 
 
-# Congruent faces give a vertex equal margins in exact arithmetic; margins
-# this close (relative) to the least one tie.
-_TIE_REL = 1e-12
+def _tables(chart, faces) -> tuple:
+    """K, C, H and the bounding faces of a cell from its decimal chart, each
+    entry rounded once to float.
 
+    The chart points lie on the unit sphere, so K_ij = -<E_i, E_j> =
+    1 - p_i.p_j.  C_v is half the Heron area of the vertex's horospheric
+    polygon at level 1, with chords sqrt(2 K_ab / (K_va K_vb)) between the
+    crossings toward neighbours a, b: each face at v gives the side between
+    its neighbours of v, and the polygon is fanned from the first of them.
+    H_v is the least margin <E_v, n_f> over the faces f not at v, n_f the
+    unit inward normal: for three vertices a, b, d of f, <E_v, n_f>^2 is
+    det G(v, a, b, d) / det G(a, b, d) = -det K[v, a, b, d] / (2 K_ab K_bd K_da),
+    and the zero-diagonal determinant is x^2 + y^2 + z^2 - 2 (xy + yz + zx)
+    with x = K_va K_bd, y = K_vb K_da, z = K_vd K_ab.  The bounding face is
+    the lowest index whose squared margin ties the least one.
+    """
+    k = [[1 - sum(a * b for a, b in zip(p, q)) for q in chart] for p in chart]
 
-def _face_bounds(coords, faces) -> tuple:
-    """Each vertex's face bound H_v, its least margin <E_v, b_f> over the
-    faces it is not on, and the face that sets it: the lowest face index
-    among the margins that tie with the least, so that float noise does not
-    choose between congruent faces."""
-    margins = bilinear_matrix(coords, np.stack([f.plane.normal for f in faces]))
-    for k, face in enumerate(faces):
-        margins[list(face.indices), k] = math.inf
-    bounds = margins.min(axis=1, keepdims=True)
-    ties = margins <= bounds + _TIE_REL * np.abs(bounds)
-    return bounds[:, 0], np.argmax(ties, axis=1)
+    def chord(v, a, b):
+        return (2 * k[a][b] / (k[v][a] * k[v][b])).sqrt()
+
+    def squared_margin(v, a, b, d):
+        x, y, z = k[v][a] * k[b][d], k[v][b] * k[d][a], k[v][d] * k[a][b]
+        det = x * x + y * y + z * z - 2 * (x * y + y * z + z * x)
+        return -det / (2 * k[a][b] * k[b][d] * k[d][a])
+
+    coefficients, bounds, bound_faces = [], [], []
+    for v in range(len(chart)):
+        sides = [(f[f.index(v) - 1], f[(f.index(v) + 1) % len(f)]) for f in faces if v in f]
+        fan = sides[0][0]
+        area = Decimal(0)
+        for a, b in sides:
+            if fan not in (a, b):
+                x, y, z = chord(v, fan, a), chord(v, a, b), chord(v, b, fan)
+                s = (x + y + z) / 2
+                area += (s * (s - x) * (s - y) * (s - z)).sqrt()
+        coefficients.append(float(area / 2))
+        margins = {i: squared_margin(v, *f[:3]) for i, f in enumerate(faces) if v not in f}
+        least = min(margins.values())
+        bounds.append(float(least.sqrt()))
+        bound_faces.append(next(i for i, m in margins.items() if m - least <= _EXACT_ZERO))
+    return _floats(k), np.array(coefficients), np.array(bounds), tuple(bound_faces)
 
 
 def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
-    chart_pts, inside, group, cycles = _cell_points(tiling, beta, anchor, order)
+    chart_pts, group, faces, (gram, sector_coefficients, face_bounds, bound_faces) = _cell_points(
+        tiling, beta, anchor, order
+    )
     vertices = tuple(ProjectivePoint.from_chart(p) for p in chart_pts)
     for v in vertices:
         if classify(v) is not PointClass.ABSOLUTE:
             raise GeometryError(f"cell vertex {v} is not ideal")
-    incenter = ProjectivePoint.from_chart(inside)
-    coords = np.stack([v.coords for v in vertices])
-    faces = tuple(
-        Face(idx, Hyperplane(_null_covector(coords[list(idx)], incenter.coords))) for idx in cycles
-    )
 
     # around a vertex v, seen from outside, each face's successor of v is
     # followed by its predecessor; consecutive vertices share an edge
-    turn = {(v, b): a for f in cycles for a, v, b in zip(f[-1:] + f[:-1], f, f[1:] + f[:1])}
+    turn = {(v, b): a for f in faces for a, v, b in zip(f[-1:] + f[:-1], f, f[1:] + f[:1])}
     edges = tuple(sorted({(min(e), max(e)) for e in turn}))
     neighbors = []
     for v in range(len(vertices)):
@@ -354,13 +355,7 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
             ring.append(a)
         neighbors.append(tuple(ring))
 
-    gram = -bilinear_matrix(coords, coords)
-    np.fill_diagonal(gram, 0.0)  # ideal vertices are null
-    face_bounds, bound_faces = _face_bounds(coords, faces)
     edge_index = np.array(edges).T
-    sector_coefficients = np.array(
-        [_sector_coefficient(coords[v], coords[list(nbrs)]) for v, nbrs in enumerate(neighbors)]
-    )
     symmetries = np.array(list(group))
     for table in (gram, face_bounds, edge_index, sector_coefficients, symmetries):
         table.setflags(write=False)
@@ -376,10 +371,9 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
         orthoscheme_symbol=ortho_symbol,
         orthoschemes_per_cell=count,
         volume=vol,
-        incenter=incenter,
         gram=gram,
         face_bounds=face_bounds,
-        bound_faces=tuple(int(k) for k in bound_faces),
+        bound_faces=bound_faces,
         edge_index=edge_index,
         sector_coefficients=sector_coefficients,
         symmetries=symmetries,

@@ -22,13 +22,12 @@ A ball's volume inside its cell is the paper's law C_v h^2:
 ``packing.evaluate``, for packings, the sliding-tangency law and the Monte
 Carlo carve-outs alike.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
-read off the Lorentz form when the cell is built by the level-free kernel
-``_sector_coefficient``: the level-1 chord toward neighbours a, b is the
-Lorentz length of E_a / kappa_a - E_b / kappa_b, kappa = -<E_v, .>, which
-for ideal neighbours is sqrt(2 K_ab / (K_va K_vb)) in the Gram table.  No
-horosphere crossing is computed.  ``cone_sector_volume`` prices a Horoball in
-any cone as h^2 times the same kernel; ``ray_crossing`` gives the crossing
-point itself.
+whose chord toward neighbours a, b is sqrt(2 K_ab / (K_va K_vb)) in the
+Gram table; the cell is built with C_v read off its 40-digit K.
+``cone_sector_volume`` prices a Horoball in any cone as h^2 times the float
+kernel ``_sector_coefficient``, which forms the same chords as the Lorentz
+lengths of E_a / kappa_a - E_b / kappa_b, kappa = -<E_v, .>.  No horosphere
+crossing is computed; ``ray_crossing`` gives the crossing point itself.
 """
 
 from __future__ import annotations
@@ -167,7 +166,9 @@ def _sector_coefficient(c: np.ndarray, targets: np.ndarray) -> float:
     <c, w / kappa_w> = -1 for every w, so the horospheric chord is
     |x_u - x_w| = h |u / kappa_u - w / kappa_w| in the Lorentz form (for
     ideal targets, h sqrt(2 K_uw / (kappa_u kappa_w))).  C is half the Heron
-    area of the level-1 chords, fanned from the first ray.
+    area of the level-1 chords, fanned from the first ray, in floats: on a
+    cell's rounded chart it lies within a few ulp of the cell's C_v, which
+    build_cell reads off the 40-digit Gram table.
     """
     kappa = -bilinear_matrix(c[None, :], targets)[0]
     if not np.all(kappa > 0.0):
@@ -190,7 +191,8 @@ def cone_sector_volume(hb: Horoball, ray_targets) -> float:
     ideal center, so it cuts the horosphere in an intrinsic straight line and
     the crossings bound a Euclidean polygon; its area is h^2 times that of
     the level-1 polygon, whose Heron fan ``_sector_coefficient`` reads off
-    the Lorentz form.
+    the Lorentz form of the targets in floats.  At a cell vertex this is
+    within a few ulp of the law C_v h^2, not equal to it.
     """
     targets = [as_vector(t) for t in ray_targets]
     if len(targets) < 3:
@@ -341,4 +343,4 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
     region = [v.chart() for v in cell.vertices]
     carve = (_union_predicate(cell, levels), exact, chart, radius)
-    return monte_carlo_volume(region, [f.indices for f in cell.faces], samples, seed, carve=carve)
+    return monte_carlo_volume(region, cell.faces, samples, seed, carve=carve)

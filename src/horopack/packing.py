@@ -494,7 +494,7 @@ def _resolve_families(tiling) -> tuple[Family, ...]:
         for target_roles, source_roles in steps:
             targets, sources = vertices(target_roles), vertices(source_roles)
             kappas = cell.gram[np.ix_(targets, sources)]
-            nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
+            nearest = kappas == kappas.min(axis=1, keepdims=True)
             step = (targets, sources, np.where(nearest, 0.5 * kappas, math.inf))
             for table in step:
                 table.flags.writeable = False

@@ -22,6 +22,8 @@ import math
 
 from scipy.integrate import quad
 
+from reference_charts import face_planes
+
 from horopack.coxeter import Cell
 from horopack.lorentz import rotation_from_z
 
@@ -69,8 +71,8 @@ def sector_volume_quadrature(cell: Cell, vertex: int, h: float) -> float:
 
     # half-spaces {p . n >= c} seen from the rotated frame
     planes = []
-    for face in cell.faces:
-        b = face.plane.normal
+    for plane in face_planes(cell):
+        b = plane.normal
         planes.append((rot.T @ b[1:], float(b[0])))
 
     z_center = 0.5 * (1.0 + s)

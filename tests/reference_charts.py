@@ -13,6 +13,11 @@ faces, edges and neighbour cycles.
 (4,4,4), and as the flag of a built cell for (4,3,6) and (5,3,6).
 ``build_orthoscheme`` realises it from the Coxeter matrix instead; tests
 require the two to agree on every vertex class and finite distance.
+
+``face_planes`` fits each face's plane to its float vertices (the SVD null
+vector), oriented toward the cell's ``incenter``.  ``build_cell`` reads its
+face bounds off the Gram table instead, with no plane; tests check the
+planes' dihedral products and margins against those tables.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import numpy as np
 
 from horopack.coxeter import build_cell
-from horopack.lorentz import ProjectivePoint
+from horopack.lorentz import MINKOWSKI, Hyperplane, ProjectivePoint, bilinear_form
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -143,17 +148,51 @@ _ORTHOSCHEME_CHARTS = {
 }
 
 
+# the point equidistant from all face planes: the chart origin, except on
+# the (3,3,6) chart, which is centred on the face opposite the pole
+INCENTER_CHART = {
+    (3, 3, 6): (0.0, 0.0, 1.0 / 3.0),
+    (3, 4, 4): (0.0, 0.0, 0.0),
+    (4, 3, 6): (0.0, 0.0, 0.0),
+    (5, 3, 6): (0.0, 0.0, 0.0),
+}
+
+
+def incenter(cell) -> ProjectivePoint:
+    return ProjectivePoint.from_chart(INCENTER_CHART[cell.tiling])
+
+
+def null_covector(rows, inside) -> np.ndarray:
+    """Covector b with <b, q> = 0 on the rows q (the SVD's least-squares
+    null vector), oriented so that <b, inside> >= 0."""
+    # <b, q> = 0 is (q MINKOWSKI) b = 0
+    _, _, vt = np.linalg.svd(rows @ MINKOWSKI)
+    b = vt[-1]
+    if bilinear_form(b, inside) < 0:
+        b = -b
+    return b
+
+
+def face_planes(cell, coords=None) -> list:
+    """Each face's inward plane through its vertices, fitted to the cell's
+    vertex coordinates or to the (n, 4) array ``coords``."""
+    if coords is None:
+        coords = np.stack([v.coords for v in cell.vertices])
+    inside = incenter(cell).coords
+    return [Hyperplane(null_covector(coords[list(f)], inside)) for f in cell.faces]
+
+
 def flag_simplex(cell):
     """(ideal vertex, edge foot, face center, cell center) flag of a cell."""
     apex = 3
-    cyc = next(face.indices for face in cell.faces if apex in face.indices)
+    cyc = next(face for face in cell.faces if apex in face)
     nxt = cyc[(cyc.index(apex) + 1) % len(cyc)]
     a0 = cell.vertices[apex]
     a1 = ProjectivePoint.from_chart(0.5 * (a0.chart() + cell.vertices[nxt].chart()))
     a2 = ProjectivePoint.from_chart(
         np.mean([cell.vertices[i].chart() for i in cyc], axis=0)
     )
-    a3 = cell.incenter
+    a3 = incenter(cell)
     return (a0, a1, a2, a3)
 
 

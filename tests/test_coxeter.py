@@ -9,20 +9,24 @@ import math
 import os
 import subprocess
 import sys
-from decimal import Decimal
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from reference_charts import REFERENCE_CHARTS, reference_orthoscheme
+from reference_charts import (
+    INCENTER_CHART,
+    REFERENCE_CHARTS,
+    face_planes,
+    incenter,
+    null_covector,
+    reference_orthoscheme,
+)
 
 import horopack
 from horopack import cli
 from horopack.coxeter import (
-    _face_bounds,
     _mirrors,
-    _null_covector,
-    Face,
     FULLY_ASYMPTOTIC_TILINGS,
     GeometryError,
     UnsupportedSymbolError,
@@ -45,29 +49,44 @@ COUNTS = {
 }
 ORTHOSCHEMES_PER_CELL = {(3, 3, 6): 6, (3, 4, 4): 16, (4, 3, 6): 48, (5, 3, 6): 120}
 GROUP_ORDER = {(3, 3, 6): 24, (3, 4, 4): 48, (4, 3, 6): 48, (5, 3, 6): 120}
+
+# the exact values of K_ij = -<E_i, E_j> off the diagonal, of the sector
+# coefficients C_v and of the face bounds H_v, to 50 digits
+with mpmath.workdps(50):
+    _R2, _R3, _R5 = mpmath.sqrt(2), mpmath.sqrt(3), mpmath.sqrt(5)
+    _ONE = mpmath.mpf(1)
+    EXACT_GRAM = {
+        (3, 3, 6): (_ONE, 3 * _ONE / 2),
+        (3, 4, 4): (_ONE, 2 * _ONE),
+        (4, 3, 6): (2 * _ONE / 3, 4 * _ONE / 3, 2 * _ONE),
+        (5, 3, 6): ((3 - _R5) / 3, 2 * _ONE / 3, 4 * _ONE / 3, (3 + _R5) / 3, 2 * _ONE),
+    }
+    EXACT_COEFFICIENTS = {
+        (3, 3, 6): (_R3 / 6, 3 * _R3 / 8),
+        (3, 4, 4): (_ONE,),
+        (4, 3, 6): (3 * _R3 / 4,),
+        (5, 3, 6): (_R3 * (21 + 9 * _R5) / 16,),
+    }
+    EXACT_FACE_BOUNDS = {
+        (3, 3, 6): (_ONE, 3 * _ONE / 2),
+        (3, 4, 4): (_R2,),
+        (4, 3, 6): (_R2,),
+        (5, 3, 6): (_ONE,),
+    }
+
+
+# the edge values of K
 EDGE_KAPPA = {
     (3, 3, 6): {1.0, 1.5},
     (3, 4, 4): {1.0},
     (4, 3, 6): {2.0 / 3.0},
-    (5, 3, 6): {(3.0 - math.sqrt(5.0)) / 3.0},
-}
-FACE_BOUNDS = {
-    (3, 3, 6): {1.0, 1.5},
-    (3, 4, 4): {math.sqrt(2.0)},
-    (4, 3, 6): {math.sqrt(2.0)},
-    (5, 3, 6): {1.0},
+    (5, 3, 6): {float(EXACT_GRAM[(5, 3, 6)][0])},
 }
 ADJACENT_FACE_DOT = {
     (3, 3, 6): -0.5,
     (3, 4, 4): 0.0,
     (4, 3, 6): -0.5,
     (5, 3, 6): -0.5,
-}
-INCENTER_CHART = {
-    (3, 3, 6): (0.0, 0.0, 1.0 / 3.0),
-    (3, 4, 4): (0.0, 0.0, 0.0),
-    (4, 3, 6): (0.0, 0.0, 0.0),
-    (5, 3, 6): (0.0, 0.0, 0.0),
 }
 
 
@@ -161,27 +180,26 @@ def test_cell_vertices_ideal_and_vertex_up(symbol):
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_face_planes_contain_their_vertices(symbol):
     cell = build_cell(symbol)
-    for face in cell.faces:
-        b = face.plane.normal
-        assert face.plane.is_spacelike()
-        for i in face.indices:
+    for face, plane in zip(cell.faces, face_planes(cell)):
+        b = plane.normal
+        assert plane.is_spacelike()
+        for i in face:
             assert abs(bilinear_form(cell.vertices[i], b)) < 1e-13
         # inward orientation: the incenter has positive margin
-        assert bilinear_form(cell.incenter, b) > 0
+        assert bilinear_form(incenter(cell), b) > 0
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_dihedral_products(symbol):
     cell = build_cell(symbol)
     expected = ADJACENT_FACE_DOT[symbol]
+    planes = face_planes(cell)
     seen = 0
     for i in range(len(cell.faces)):
         for j in range(i + 1, len(cell.faces)):
-            shared = set(cell.faces[i].indices) & set(cell.faces[j].indices)
+            shared = set(cell.faces[i]) & set(cell.faces[j])
             if len(shared) == 2:
-                dot = bilinear_form(
-                    cell.faces[i].plane.normal, cell.faces[j].plane.normal
-                )
+                dot = bilinear_form(planes[i].normal, planes[j].normal)
                 assert dot == pytest.approx(expected, abs=1e-12)
                 seen += 1
     assert seen == len(cell.edges)
@@ -189,14 +207,9 @@ def test_dihedral_products(symbol):
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_edge_kappa_values(symbol):
+    # every edge's K is one of the exact edge values, rounded once
     cell = build_cell(symbol)
-    kappas = {round(cell.gram[i, j], 10) for i, j in cell.edges}
-    expected = {round(k, 10) for k in EDGE_KAPPA[symbol]}
-    assert kappas == expected
-    i, j = cell.edges[0]
-    assert cell.gram[i, j] == pytest.approx(
-        -bilinear_form(cell.vertices[i], cell.vertices[j]), abs=0
-    )
+    assert {cell.gram[i, j] for i, j in cell.edges} == EDGE_KAPPA[symbol]
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -205,30 +218,34 @@ def test_face_bounds(symbol):
     bounds = set()
     for v in range(cell.n_vertices):
         h_max, face_idx = cell.face_bound(v)
-        assert v not in cell.faces[face_idx].indices
+        assert v not in cell.faces[face_idx]
         assert h_max > 0
-        bounds.add(round(h_max, 10))
-    assert bounds == {round(b, 10) for b in FACE_BOUNDS[symbol]}
+        bounds.add(h_max)
+    assert bounds == {float(b) for b in EXACT_FACE_BOUNDS[symbol]}
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_cell_tables_match_scalar_forms(symbol):
-    # the cached K and H tables against the scalar form they replace
+    # the K and H tables against the scalar forms on the float chart and its
+    # fitted face planes: each entry is the exact value nearest its scalar
+    # form, rounded once, and the bounding face is the lowest whose margin
+    # ties the least one within 1e-12
     cell = build_cell(symbol)
+    planes = face_planes(cell)
     for i in range(cell.n_vertices):
         for j in range(cell.n_vertices):
             if i != j:
-                expected = -bilinear_form(cell.vertices[i], cell.vertices[j])
-                assert cell.gram[i, j] == pytest.approx(expected, abs=0)
+                scalar = -bilinear_form(cell.vertices[i], cell.vertices[j])
+                exact = min(EXACT_GRAM[symbol], key=lambda e: abs(e - scalar))
+                assert cell.gram[i, j] == float(exact)
         margins = {
-            k: bilinear_form(cell.vertices[i].coords, face.plane.normal)
-            for k, face in enumerate(cell.faces)
-            if i not in face.indices
+            k: bilinear_form(cell.vertices[i].coords, plane.normal)
+            for k, (face, plane) in enumerate(zip(cell.faces, planes))
+            if i not in face
         }
         best = min(margins.values())
         bound, face_idx = cell.face_bound(i)
-        assert bound == pytest.approx(best, abs=0)
-        # faces within 1e-12 of the least margin tie; the lowest index wins
+        assert bound == float(min(EXACT_FACE_BOUNDS[symbol], key=lambda e: abs(e - best)))
         assert face_idx == min(k for k, m in margins.items() if m <= best + 1e-12 * abs(best))
 
 
@@ -247,9 +264,9 @@ def test_cell_arrays_are_read_only(symbol):
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_incenter(symbol):
     cell = build_cell(symbol)
-    assert np.allclose(cell.incenter.chart(), INCENTER_CHART[symbol], atol=1e-12)
+    assert np.allclose(incenter(cell).chart(), INCENTER_CHART[symbol], atol=1e-12)
     # equidistant from all face planes
-    margins = [bilinear_form(cell.incenter, f.plane.normal) for f in cell.faces]
+    margins = [bilinear_form(incenter(cell), plane.normal) for plane in face_planes(cell)]
     assert max(margins) - min(margins) < 1e-12
 
 
@@ -309,7 +326,7 @@ def test_cell_flag_realizes_coxeter_matrix(symbol):
     flag = reference_orthoscheme(symbol)
     walls = [
         Hyperplane(
-            _null_covector(np.stack([flag[j].coords for j in range(4) if j != i]), flag[i].coords)
+            null_covector(np.stack([flag[j].coords for j in range(4) if j != i]), flag[i].coords)
         )
         for i in range(4)
     ]
@@ -378,9 +395,8 @@ def test_orbit_cells_match_the_reference_charts(symbol):
     # seen from outside and starting at its smallest index
     faces = _support_faces(ref)
     order = sorted(faces, key=lambda f: tuple(np.round(faces[f], 9)))
-    assert [frozenset(f.indices) for f in cell.faces] == order
-    for face in cell.faces:
-        idx = face.indices
+    assert [frozenset(f) for f in cell.faces] == order
+    for idx in cell.faces:
         assert idx[0] == min(idx)
         n = faces[frozenset(idx)]
         for a, b, c in zip(idx, idx[1:] + idx[:1], idx[2:] + idx[:2]):
@@ -400,7 +416,7 @@ def test_orbit_cells_match_the_reference_charts(symbol):
         start = want.index(ring[0])
         assert list(ring) == want[start:] + want[:start]
         assert ring[0] == min(ring)
-        for idx in (f.indices for f in cell.faces if v in f.indices):
+        for idx in (f for f in cell.faces if v in f):
             k = idx.index(v)
             after = ring[(ring.index(idx[(k + 1) % len(idx)]) + 1) % len(ring)]
             assert after == idx[k - 1]
@@ -440,7 +456,7 @@ def test_symmetries_form_the_reflection_group(symbol):
     assert len(rows) == len(g)
     assert {tuple(a[b].tolist()) for a in g for b in g} == rows
     edges = set(cell.edges)
-    cycles = {f.indices for f in cell.faces}
+    cycles = set(cell.faces)
     for row in g.tolist():
         assert {(min(row[i], row[j]), max(row[i], row[j])) for i, j in edges} == edges
         images = [[row[v] for v in f] for f in cycles]
@@ -488,55 +504,59 @@ TIED_BOUND_FACES = {(3, 3, 6): 1, (3, 4, 4): 4, (4, 3, 6): 3, (5, 3, 6): 3}
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_bound_faces_do_not_depend_on_float_noise(symbol):
-    # the reference charts differ from the orbit cells in the last ulps,
-    # which reorders margins that tie in exact arithmetic; the bounding face
-    # is the lowest tied index either way, and the bound itself agrees
+    # congruent faces tie in exact arithmetic, so there is a choice to make:
+    # the bounding face is the lowest index among the exact ties, the
+    # squared margins -det K[v, a, b, d] / (2 K_ab K_bd K_da) over three
+    # vertices of the face, on the exact K.  The planes fitted to the
+    # reference charts, which differ from the orbit cells in the last ulps,
+    # tie within 1e-12 on the same faces, and their least margin is H_v
     cell = build_cell(symbol)
-    ref = [ProjectivePoint.from_chart(p) for p in REFERENCE_CHARTS[symbol]()]
-    coords = np.stack([p.coords for p in ref])
-    faces = [
-        Face(f.indices, Hyperplane(_null_covector(coords[list(f.indices)], cell.incenter.coords)))
-        for f in cell.faces
-    ]
-    bounds, bound_faces = _face_bounds(coords, faces)
-    assert tuple(bound_faces.tolist()) == cell.bound_faces
-    np.testing.assert_allclose(bounds, cell.face_bounds, rtol=1e-14, atol=0.0)
+    ref = np.stack([ProjectivePoint.from_chart(p).coords for p in REFERENCE_CHARTS[symbol]()])
+    planes = face_planes(cell, ref)
+    with mpmath.workdps(50):
+        k = mpmath.matrix(
+            [[min(EXACT_GRAM[symbol], key=lambda e: abs(e - x)) if x else 0 for x in row]
+             for row in cell.gram.tolist()]
+        )
+        for v in range(cell.n_vertices):
+            far = [f for f, face in enumerate(cell.faces) if v not in face]
+            squared = {}
+            for f in far:
+                a, b, d = cell.faces[f][:3]
+                idx = [v, a, b, d]
+                sub = mpmath.matrix([[k[i, j] for j in idx] for i in idx])
+                squared[f] = -mpmath.det(sub) / (2 * k[a, b] * k[b, d] * k[d, a])
+            least = min(squared.values())
+            ties = [f for f in far if squared[f] - least < mpmath.mpf(10) ** -40]
+            assert len(ties) == TIED_BOUND_FACES[symbol]
+            assert cell.bound_faces[v] == ties[0]
+            assert cell.face_bounds[v] == float(mpmath.sqrt(least))
 
-    # congruent faces tie in exact arithmetic, so there is a choice to make
-    for v, vertex in enumerate(cell.vertices):
-        margins = [
-            bilinear_form(vertex.coords, f.plane.normal) for f in cell.faces if v not in f.indices
-        ]
-        tied = sum(m == pytest.approx(cell.face_bounds[v], rel=1e-12) for m in margins)
-        assert tied == TIED_BOUND_FACES[symbol]
-
-
-# the exact values of K_ij = -<E_i, E_j> off the diagonal
-with decimal.localcontext(_DIGITS):
-    _R5 = Decimal(5).sqrt()
-    EXACT_GRAM = {
-        (3, 3, 6): (Decimal(1), Decimal(3) / 2),
-        (3, 4, 4): (Decimal(1), Decimal(2)),
-        (4, 3, 6): (Decimal(2) / 3, Decimal(4) / 3, Decimal(2)),
-        (5, 3, 6): ((3 - _R5) / 3, Decimal(2) / 3, Decimal(4) / 3, (3 + _R5) / 3, Decimal(2)),
-    }
-GRAM_REL_TOL = {(3, 3, 6): 0.0, (3, 4, 4): 0.0, (4, 3, 6): 1e-15, (5, 3, 6): 1e-15}
+            margins = {f: bilinear_form(ref[v], planes[f].normal) for f in far}
+            best = min(margins.values())
+            assert [f for f in far if margins[f] <= best + 1e-12 * best] == ties
+            assert best == pytest.approx(cell.face_bounds[v], rel=1e-14)
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_gram_entries_are_exact(symbol):
-    # every off-diagonal K_ij is its exact value: bit for bit where the
-    # coordinates are exact in binary, and within 1e-15 elsewhere
+    # every off-diagonal K_ij is its exact value rounded once, and every
+    # exact value occurs
     cell = build_cell(symbol)
-    exact = EXACT_GRAM[symbol]
-    seen = set()
-    with decimal.localcontext(_DIGITS):
-        for i, j in itertools.permutations(range(cell.n_vertices), 2):
-            k = Decimal(float(cell.gram[i, j]))
-            nearest = min(exact, key=lambda e: abs(k - e))
-            assert float(abs(k - nearest) / nearest) <= GRAM_REL_TOL[symbol]
-            seen.add(nearest)
-    assert seen == set(exact)
+    off_diagonal = cell.gram[~np.eye(cell.n_vertices, dtype=bool)]
+    assert set(off_diagonal.tolist()) == {float(e) for e in EXACT_GRAM[symbol]}
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_sector_coefficients_and_face_bounds_are_exact(symbol):
+    # every C_v and H_v is its closed form rounded once, and every closed
+    # form occurs: the tables are read off the 40-digit K, not the float chart
+    cell = build_cell(symbol)
+    for table, exact in (
+        (cell.sector_coefficients, EXACT_COEFFICIENTS),
+        (cell.face_bounds, EXACT_FACE_BOUNDS),
+    ):
+        assert set(table.tolist()) == {float(e) for e in exact[symbol]}
 
 
 def test_building_the_cells_loads_no_scipy():

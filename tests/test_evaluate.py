@@ -10,6 +10,7 @@ every row, so every comparison is exact (``==``).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -55,6 +56,22 @@ def reference_links(cell, targets, sources):
         (targets[r], sources[c], 0.5 * kappas[r, c].item())
         for r, c in np.argwhere(nearest).tolist()
     ]
+
+
+@pytest.mark.parametrize("tiling, name", FAMILIES)
+def test_nearest_sources_need_no_tolerance(tiling, name):
+    # K is rounded once, so a target's nearest sources tie bit for bit: the
+    # family's 1001-point level matrix is the same under the 1e-9 rule of
+    # reference_links as under the cascade's exact one
+    fam = family(tiling, name)
+    loose = []
+    for targets, sources, _ in fam.cascade:
+        kappas = fam.cell.gram[np.ix_(targets, sources)]
+        nearest = kappas <= kappas.min(axis=1, keepdims=True) + 1e-9
+        loose.append((targets, sources, np.where(nearest, 0.5 * kappas, math.inf)))
+    grid = np.linspace(*fam.s_range, 1001)
+    tolerant = dataclasses.replace(fam, cascade=tuple(loose))
+    assert tolerant.level_matrix(grid).tobytes() == fam.level_matrix(grid).tobytes()
 
 
 @functools.cache

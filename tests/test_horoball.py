@@ -400,10 +400,9 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
         return got
 
     region = [v.chart() for v in cell.vertices]
-    faces = [f.indices for f in cell.faces]
     carve = (checked, exact, chart_volume, radius)
-    horoball.monte_carlo_volume(region, faces, 200_000, 5, carve=carve)
-    assert len(blocks) >= sum(len(f.indices) - 2 for f in cell.faces)  # one per tetrahedron
+    horoball.monte_carlo_volume(region, cell.faces, 200_000, 5, carve=carve)
+    assert len(blocks) >= sum(len(f) - 2 for f in cell.faces)  # one per tetrahedron
     assert all(same for _, same in blocks)
     assert sum(hits for hits, _ in blocks) > 0
     # a block of one point just inside a ball's point nearest the origin has

@@ -3,12 +3,13 @@
 ``vertex_sector_volume`` and ``volume_function`` price a ball in its cell as
 C_v h^2, the product ``packing.evaluate`` forms, so they are pinned to that
 product exactly (``==``); the per-edge table ``Cell.edge_law`` behind
-``volume_function`` is pinned to its closed form from K, C and H.  The Heron kernel ``_sector_coefficient`` runs when
-a cell is built and in ``cone_sector_volume``; it reads the level-1 chords
-off the Lorentz form (the Gram table for a cell), with no horosphere
-crossing, so the cone path equals the law bit for bit.  A 40-digit
-``decimal`` oracle built from the Gram table checks its accuracy at every
-level.  The object-based sector path (``ray_crossing`` on ProjectivePoints,
+``volume_function`` is pinned to its closed form from K, C and H.  The float
+Heron kernel ``_sector_coefficient`` runs only in ``cone_sector_volume``; it
+reads the level-1 chords off the Lorentz form, with no horosphere crossing.
+On a cell's rounded chart it stays within 4 ulp of the stored C_v, which
+``build_cell`` reads off the 40-digit Gram table instead.  A 40-digit
+``decimal`` oracle built from the float chart checks both at every level.
+The object-based sector path (``ray_crossing`` on ProjectivePoints,
 ``horospheric_chord_length`` and ``heron_area`` from
 ``horosphere_reference``, fanned from the first crossing) agrees to 1e-12
 relative from 0.1 H_v up; below that its chords cancel in cosh d - 1.
@@ -144,10 +145,14 @@ def _states(tiling):
 
 
 def assert_sector_accuracy(cell, v: int, h: float, coefficient: Decimal) -> None:
-    """The cone path at level h is the law, within 2e-14 of the 40-digit
-    oracle and, from 0.1 H_v up, within 1e-12 of the object-based fan."""
+    """The float kernel on the rounded chart within 4 ulp of the stored C_v,
+    and the cone path at level h within 2e-14 of the 40-digit oracle and,
+    from 0.1 H_v up, within 1e-12 of the object-based fan."""
+    stored = cell.sector_coefficients[v]
+    ring = np.stack([cell.vertices[j].coords for j in cell.neighbors[v]])
+    kernel = horoball._sector_coefficient(cell.vertices[v].coords, ring)
+    assert abs(kernel - stored) <= 4 * np.spacing(stored)
     sector = heron_sector(cell, v, h)
-    assert sector == law(cell, v, h)
     with decimal.localcontext(DIGITS):
         exact = coefficient * Decimal(h) * Decimal(h)
     assert relative_error(sector, exact) <= 2e-14
@@ -289,24 +294,25 @@ def test_one_price_for_every_family_entry(tiling):
 def test_chart_free_tables_are_one_value_per_cell(tiling):
     # every vertex and every edge of a cell is alike, so the level-free
     # face bounds H_v sqrt(C_v) and edge entries K_ij sqrt(C_i C_j) are one
-    # value each
+    # value each, bit for bit, as each of K, C and H is rounded once
     cell = build_cell(tiling)
     c = cell.sector_coefficients
     i, j = cell.edge_index
     for table in (cell.face_bounds * np.sqrt(c), cell.gram[i, j] * np.sqrt(c[i] * c[j])):
-        assert (table.max() - table.min()) / table.mean() <= 4e-15
+        assert table.max() == table.min()
 
 
 def test_no_heron_after_the_cells_are_built(monkeypatch):
     pairs = {tiling: _tangent_pair(tiling) for tiling in TILINGS}
 
     def refuse(*args):
-        raise AssertionError("Heron kernel called after the cell was built")
+        raise AssertionError("float Heron kernel called")
 
-    # the kernel as horoball calls it, and as coxeter bound it to build cells
+    # building a cell does not run the float kernel either; a fresh build
+    # leaves build_cell's cache, which the cached families share, alone
     monkeypatch.setattr(horoball, "_sector_coefficient", refuse)
-    monkeypatch.setattr(coxeter, "_sector_coefficient", refuse)
     for tiling, (config, edge) in pairs.items():
+        coxeter._assemble_cell(tiling, *coxeter._CELL_RECIPES[tiling])
         density(config)
         for fam in families(tiling):
             sweep(tiling, fam, np.linspace(*fam.s_range, 11))

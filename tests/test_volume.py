@@ -322,7 +322,7 @@ def fan_triples(pts, faces):
 
 def cell_region(symbol):
     cell = build_cell(symbol)
-    return np.array([v.chart() for v in cell.vertices]), [f.indices for f in cell.faces]
+    return np.array([v.chart() for v in cell.vertices]), cell.faces
 
 
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
