@@ -20,7 +20,8 @@ gap along the joining line is log(kappa / (2 h1 h2))).
 A ball's volume inside its cell is the paper's law C_v h^2:
 ``vertex_sector_volume(cell, vertex, h)`` forms the same product as
 ``packing.evaluate``, for packings, the sliding-tangency law and the Monte
-Carlo carve-outs alike.
+Carlo carve-outs alike; the carve-outs reach ``volume.monte_carlo_volume``
+as the balls' chart centres and levels, and it tests the sign of Q itself.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
 whose chord toward neighbours a, b is sqrt(2 K_ab / (K_va K_vb)) in the
 Gram table; the cell is built with C_v read off its 40-digit K.
@@ -275,44 +276,6 @@ def same_type_level(cell, vertex: int) -> float:
     return math.sqrt(0.5 * kmin)
 
 
-def _union_predicate(cell, levels):
-    """Membership in any of the balls of the given levels at the cell's
-    vertices, for an (n, 3) array of chart points.
-
-    A point p of the open unit ball lies in the ball with chart center c and
-    level h when Q = (1 - p.c)^2 - h^2 (1 - |p|^2) <= 0.  As 1 - p.c > 0 there,
-    that is (1 - p.c) / h <= sqrt(1 - |p|^2), so one (k x 3) @ (3 x n) product
-    and a minimum over the k balls test them all.  Points on or outside the
-    unit sphere are in no ball.
-
-    With t = p.c, |p| >= t gives (1 - t)^2 <= h^2 (1 - t^2), so every point
-    of the ball has t >= (1 - h^2) / (1 + h^2), the ball's type s: the ball
-    lies in the half-space p.c >= s, whose plane touches it at s c.  A ball
-    whose half-space misses the bounding box of the points (the box's
-    largest p.c is below s) holds none of them and is left out of the
-    product.  That leaves the result unchanged; when the points are a block
-    of one fan tetrahedron, as ``monte_carlo_volume`` draws them, it leaves
-    out most balls.
-    """
-    chart = np.array([v.chart() for v in cell.vertices])
-    inv_h = np.array([1.0 / h for h in levels])[:, None]
-    scaled = chart * inv_h
-    # the types s, less a slack that rounding in the box's largest p.c cannot cross
-    reach = np.array([(1.0 - h * h) / (1.0 + h * h) for h in levels]) - 1e-12
-
-    def predicate(pts: np.ndarray) -> np.ndarray:
-        q = pts.T
-        top = np.maximum(chart * q.min(axis=1), chart * q.max(axis=1)).sum(axis=1)
-        near = top >= reach
-        depth = scaled[near] @ q
-        np.subtract(inv_h[near], depth, out=depth)
-        r2 = np.einsum("ij,ij->j", q, q)
-        with np.errstate(invalid="ignore"):
-            return depth.min(axis=0, initial=np.inf) <= np.sqrt(1.0 - r2)
-
-    return predicate
-
-
 def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     """Monte Carlo volume of a fully asymptotic cell with sound error bars.
 
@@ -321,26 +284,14 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     0.1% (pairwise disjoint and inside their face bounds), whose cell
     sectors are known exactly (C_v h^2, vertex_sector_volume); only the compact
     remainder is sampled, at its known chart volume (the cell's less the
-    balls' chart sectors).  The balls form one carve-out, tested together by
-    a fused predicate (``_union_predicate``) that leaves out the balls far
-    from each block of points; ``monte_carlo_volume`` draws each block in
-    one tetrahedron of the cell's fan, on a grid of cells whose variances
-    give the standard error.
-
-    The carve-out is free of points nearer the origin than
-    radius = min_v (1 - h_v^2) / (1 + h_v^2), where ``monte_carlo_volume``
-    ends its cusp-free core.  That is the Klein radius of ball v's point
-    nearest the origin: ball v is symmetric about the geodesic from the
-    origin to its ideal vertex, on the unit sphere, so its nearest point
-    lies on that geodesic, at chart point s_v c_v with s_v the ball's type;
-    and the Klein radius tanh(d) grows monotonically with the hyperbolic
-    distance d from the origin, so no point of the ball is nearer in the
-    chart either.
+    balls' chart sectors).  The balls go to ``monte_carlo_volume`` as their
+    chart centres, the cell's vertices, and levels: it tests them on each
+    block of points it draws in one tetrahedron of the cell's fan, and
+    derives from their types the cusp-free core it never tests.
     """
     levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
     exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))
     chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(levels))
-    radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
     region = [v.chart() for v in cell.vertices]
-    carve = (_union_predicate(cell, levels), exact, chart, radius)
+    carve = (region, levels, exact, chart)
     return monte_carlo_volume(region, cell.faces, samples, seed, carve=carve)

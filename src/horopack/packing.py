@@ -72,10 +72,10 @@ class Violation:
 class PackingConfiguration:
     """One horoball per ideal vertex of one cell.
 
-    ``levels`` holds the chart Busemann level h of each vertex's ball; the
-    type s of a ball is ``horoball(v).s``.  GeometryError unless there is
-    one level per vertex.  The structure can represent invalid candidates;
-    validity is checked by validate_packing.
+    ``levels`` holds the chart Busemann level h of each vertex's ball, read
+    by ``_real``; the type s of a ball is ``horoball(v).s``.  GeometryError
+    unless there is one real level per vertex.  The structure can represent
+    invalid candidates (NaN or non-positive levels); validate_packing checks.
     """
 
     cell: Cell
@@ -88,6 +88,8 @@ class PackingConfiguration:
             raise GeometryError(
                 f"{self.tiling} needs {n} levels, got {len(self.levels)}"
             )
+        # from a list: tuple(map(...)) regrows its tuple, raising sweep's peak RSS
+        object.__setattr__(self, "levels", tuple([_real(h) for h in self.levels]))
 
     @property
     def tiling(self) -> tuple[int, int, int]:
@@ -173,7 +175,7 @@ def all_pair_gaps(config: PackingConfiguration) -> dict[tuple[int, int], float]:
 def configuration(tiling, levels, label: Optional[str] = None) -> PackingConfiguration:
     """Build a configuration from finite, positive per-vertex levels, each
     a real number."""
-    config = PackingConfiguration(build_cell(tiling), tuple(map(_real, levels)), label)
+    config = PackingConfiguration(build_cell(tiling), tuple(levels), label)
     if not all(map(math.isfinite, config.levels)):
         raise GeometryError(f"horoball levels must be finite, got {config.levels}")
     if min(config.levels) <= 0.0:
@@ -530,7 +532,7 @@ def sweep(tiling, fam, grid) -> list[DensityReport]:
             f"not to {build_cell(tiling).tiling}"
         )
     levels = fam.level_matrix(grid)
-    configs = [PackingConfiguration(fam.cell, tuple(row)) for row in levels.tolist()]
+    configs = [PackingConfiguration(fam.cell, row) for row in levels.tolist()]
     return _reports(configs, evaluate(fam.cell, levels))
 
 

@@ -292,10 +292,55 @@ def _fold(values: np.ndarray, cells: int) -> np.ndarray:
     return sums
 
 
-def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate):
+def _in_balls(x: np.ndarray, r2: np.ndarray, balls) -> np.ndarray:
+    """Membership of the (3, m) chart points ``x``, with |x|^2 = ``r2``, in
+    any of the ``balls`` of ``_carve_balls``.
+
+    A point p of the open unit ball lies in the ball with ideal centre c and
+    level h when (1 - p.c)^2 <= h^2 (1 - |p|^2), that is (1 - p.c) / h <=
+    sqrt(1 - |p|^2) as 1 - p.c > 0, so one (k x 3) @ (3 x m) product and a
+    minimum over the k balls test them all; points on or outside the unit
+    sphere are in no ball.  A ball whose half-space p.c_v >= s_v
+    (``monte_carlo_volume``) misses the bounding box of the points holds
+    none of them and is left out, most balls on a block of one tetrahedron.
+    """
+    centres, inv_h, scaled, reach = balls
+    top = np.maximum(centres * x.min(axis=1), centres * x.max(axis=1)).sum(axis=1)
+    near = top >= reach
+    depth = scaled[near] @ x
+    np.subtract(inv_h[near], depth, out=depth)
+    with np.errstate(invalid="ignore"):
+        return depth.min(axis=0, initial=np.inf) <= np.sqrt(1.0 - r2)
+
+
+def _carve_balls(centres, levels) -> tuple:
+    """The ``_in_balls`` table of ideal balls at chart ``centres`` (a (k, 3)
+    array, k >= 1, of points on the unit sphere) with ``levels`` h (positive
+    finite real numbers, read by ``_real``), and the carve-free radius
+    max(0, min_v s_v) of their types s_v = (1 - h_v^2) / (1 + h_v^2);
+    GeometryError otherwise."""
+    c = np.asarray(centres, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1:
+        raise GeometryError(f"carve centres must form a (k, 3) array, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise GeometryError("carve centres must be finite")
+    if not (np.abs(np.linalg.norm(c, axis=1) - 1.0) <= 1e-12).all():
+        raise GeometryError("carve centres must lie on the unit sphere")
+    if np.shape(levels) != (len(c),):
+        raise GeometryError(f"carve needs one level per centre: {len(c)} centres")
+    h = np.array([_real(level) for level in levels])
+    if not ((h > 0.0) & (h < math.inf)).all():
+        raise GeometryError(f"carve levels {h.tolist()} must be positive and finite")
+    inv_h = (1.0 / h)[:, None]
+    types = (1.0 - h * h) / (1.0 + h * h)
+    # the types less a slack that rounding in a box's largest p.c cannot cross
+    return (c, inv_h, c * inv_h, types - 1e-12), max(0.0, float(types.min()))
+
+
+def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
     """Draw ``n`` points uniformly in the slab c0 <= t^3 <= c1 of the fan and
     estimate the mean chart volume element over the part of the slab not
-    carved by ``predicate`` (None carves nothing and is never called).
+    carved by ``balls`` (``_in_balls``; None carves nothing).
 
     Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
     more, the rest in proportion to its weight w_k), and its uniforms
@@ -307,8 +352,8 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate)
     in whole rounds, then one partial round over the face cells that follow
     a random start in their visit order (``_face_grid``), so the cells with
     one sample more lie spread over the tetrahedron.  A block of points lies
-    in one tetrahedron, which lets ``predicate`` leave out the carve-out
-    pieces far from the block.
+    in one tetrahedron, which lets ``_in_balls`` leave out the balls far
+    from the block; it reuses the block's |p|^2.
 
     With y the volume element of a point not carved (0 outside the unit
     ball) and x = 1 for it, y = x = 0 for a carved one, the combined ratio
@@ -361,14 +406,9 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate)
             x += apex[:, None]
             r2 = np.einsum("ij,ij->j", x, x)
             keep = r2 < 1.0
-            if predicate:
-                cut = predicate(x.T)
-                if not (isinstance(cut, np.ndarray) and cut.dtype == bool and cut.shape == (m,)):
-                    raise GeometryError(
-                        f"carve predicate must return one boolean per point: {m} points, "
-                        f"got {type(cut).__name__} of shape {np.shape(cut)}"
-                    )
-                cut = cut & keep
+            if balls:
+                cut = _in_balls(x, r2, balls)
+                cut &= keep
                 carved += int(np.count_nonzero(cut))
                 x_sum += _fold(~cut, cells)
                 keep &= ~cut
@@ -381,7 +421,7 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, predicate)
             y_sq += _fold(y * y, cells)
         # cells visited first hold q + 1 samples, the rest q >= 2
         q, rest = divmod(count, cells)
-        if not predicate:
+        if not balls:
             x_sum = np.full(cells, float(q))
             x_sum[:rest] += 1.0
         for size, part in ((q + 1, slice(0, rest)), (q, slice(rest, cells))):
@@ -414,26 +454,30 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
 
-    ``carve`` is one (predicate, volume, chart_volume, radius) tuple: points
-    where predicate(points) is True are excluded from the sampled region, its
-    hyperbolic ``volume`` is added back to the estimate and its Euclidean
-    ``chart_volume`` is taken off the hull's.  ``points`` is an (n, 3) array
-    of points of one fan tetrahedron, and the predicate returns a boolean
-    array of n entries.  The carved region must be a subset of the region
-    that lies inside the unit ball (only inside points are ever carved), and
-    ``radius`` promises that no point with |p| < radius is carved.  This
-    keeps the sampled integrand bounded when the region has ideal vertices,
-    where naive sampling has infinite variance and a meaningless standard
-    error.
+    ``carve`` is one (centres, levels, volume, chart_volume) tuple of ideal
+    balls: ball v has its ideal centre at the chart point centres[v] on the
+    unit sphere and the chart Busemann level levels[v] (``horoball``).
+    Points in any ball are excluded from the sampled region, the balls'
+    hyperbolic ``volume`` inside the region is added back to the estimate
+    and their Euclidean ``chart_volume`` inside it is taken off the hull's.
+    Carving the cusps keeps the sampled integrand bounded when the region has
+    ideal vertices, where naive sampling has infinite variance and a
+    meaningless standard error.
+
+    No ball reaches nearer the origin than the carve-free radius
+    max(0, min_v s_v), s_v = (1 - h_v^2) / (1 + h_v^2) the type of ball v: a
+    point p of ball v has (1 - t)^2 <= h_v^2 (1 - |p|^2) <= h_v^2 (1 - t^2)
+    with t = p.c_v <= |p|, so |p| >= t >= s_v.  The ball lies in the
+    half-space p.c_v >= s_v, whose plane touches it at s_v c_v.
 
     The hull is sampled as two radial strata of the fan whose chart volumes
     are known exactly: the core, the hull scaled about the apex by the
-    largest t0 that keeps it within ``radius`` of the origin (chart volume
-    t0^3 H of the hull's H; t0 = 0 unless the apex lies within ``radius``),
-    and the shell, the rest.  The core holds no carve-out, so its points are
-    never tested by the predicate; the shell's samples that are not carved
-    are uniform in the shell less the carve-out, whose chart volume is the
-    hull's less the core's and ``chart_volume``.  Samples are split in
+    largest t0 that keeps it within the carve-free radius of the origin
+    (chart volume t0^3 H of the hull's H; t0 = 0 unless the apex lies within
+    that radius), and the shell, the rest.  The core meets no ball, so its
+    points are never tested; the shell's samples that are not carved are
+    uniform in the shell less the balls, whose chart volume is the hull's
+    less the core's and ``chart_volume``.  Samples are split in
     proportion to chart volume, with no pilot run: n = floor(samples t0^3)
     go to the core, lowered to leave the shell 2 per fan tetrahedron and to 0
     if the core would get fewer than 2 per tetrahedron, and t0^3 is then
@@ -442,14 +486,15 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     stratum's known chart volume (the shell's less ``chart_volume``) times
     its ratio estimate, with standard error^2 = sum V^2 var(R).  Carved
     samples add no variance, the core removes the variance between the
-    strata, and the grid cells remove most of it within them.  With radius
-    0, or without a carve-out, the core is empty.
+    strata, and the grid cells remove most of it within them.  Without a
+    carve-out, or with a ball that reaches the origin (h_v >= 1), the core
+    is empty.
 
     GeometryError unless the region's points are finite, its faces are
     valid and give no more than samples / 2 fan tetrahedra, the carve's
-    ``volume`` and ``chart_volume`` are finite real numbers >= 0, its
-    ``radius`` a real number in [0, 1), and its predicate returns one
-    boolean per point.
+    centres form a (k, 3) array of k >= 1 finite points on the unit sphere
+    with one positive finite real level each, and its ``volume`` and
+    ``chart_volume`` are finite real numbers >= 0.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
     pts = np.asarray(region, dtype=float)
@@ -461,16 +506,17 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
-    predicate, exact, chart, radius = carve if carve is not None else (None, 0.0, 0.0, 0.0)
-    exact = _real(exact, "carved volume")
-    chart = _real(chart, "carved chart volume")
-    radius = _real(radius, "carve-free radius")
+    if carve is None:
+        balls, radius, exact, chart = None, 0.0, 0.0, 0.0
+    else:
+        centres, levels, exact, chart = carve
+        balls, radius = _carve_balls(centres, levels)
+        exact = _real(exact, "carved volume")
+        chart = _real(chart, "carved chart volume")
     if not 0.0 <= exact < math.inf:
         raise GeometryError(f"carved volume {exact!r} must be finite and >= 0")
     if not 0.0 <= chart < math.inf:
         raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
-    if not 0.0 <= radius < 1.0:
-        raise GeometryError(f"carve-free radius {radius!r} must be in [0, 1)")
     apex, steps, volumes = _hull_fan(pts, faces)
     least = 2 * len(volumes)  # fewest samples of a stratum: 2 per tetrahedron
     if samples < least:
@@ -498,7 +544,7 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
         rng, apex, steps, weights, n_core, 0.0, share, None
     )
     ratio, ratio_var, accepted, carved = _stratum(
-        rng, apex, steps, weights, n_shell, share, 1.0, predicate
+        rng, apex, steps, weights, n_shell, share, 1.0, balls
     )
     if shell > 0.0 and carved == n_shell:
         raise GeometryError(f"all {n_shell} samples outside the core were carved out")

@@ -13,7 +13,7 @@ from horosphere_reference import (
 )
 from quadrature import sector_volume_quadrature
 
-from horopack import horoball
+from horopack import volume
 from horopack.coxeter import build_cell
 from horopack.horoball import (
     FaceOverflowError,
@@ -26,7 +26,6 @@ from horopack.horoball import (
     same_type_level,
     vertex_sector_volume,
     _chart_sector,
-    _union_predicate,
 )
 from horopack.lorentz import (
     MINKOWSKI,
@@ -262,6 +261,14 @@ def _ball_predicate(hb):
     return predicate
 
 
+def _in_cusps(cell, pts):
+    """The sampler's membership test of the oracle's cusp balls on the
+    (n, 3) array ``pts``."""
+    chart = np.array([v.chart() for v in cell.vertices])
+    balls, _ = volume._carve_balls(chart, cusp_levels(cell))
+    return volume._in_balls(pts.T, np.einsum("ij,ij->i", pts, pts), balls)
+
+
 @pytest.mark.parametrize("symbol", [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)])
 def test_union_predicate_matches_separate_balls(symbol):
     cell = build_cell(symbol)
@@ -271,7 +278,7 @@ def test_union_predicate_matches_separate_balls(symbol):
     # small Dirichlet weights put many of the points near the cusps
     rng = np.random.default_rng(2024)
     pts = rng.dirichlet(np.full(len(chart), 1.0 / len(chart)), size=100_000) @ chart
-    fused = _union_predicate(cell, levels)(pts)
+    fused = _in_cusps(cell, pts)
     separate = np.zeros(len(pts), dtype=bool)
     for hb in balls:
         separate |= _ball_predicate(hb)(pts)
@@ -325,32 +332,32 @@ def test_cell_volume_oracle_error_bars_cover(symbol):
     assert 0.8 <= np.std(z) <= 1.2
 
 
-def _oracle_carve(cell, monkeypatch):
-    """The carve tuple ``cell_volume_oracle`` hands to the sampler."""
-    seen = []
-    monkeypatch.setattr(
-        horoball, "monte_carlo_volume", lambda *args, carve: seen.append(carve)
-    )
-    cell_volume_oracle(cell, 10_000, 1)
-    return seen[0]
-
-
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_cell_volume_oracle_carve_free_radius_is_tight(symbol, monkeypatch):
-    # no carved point lies nearer the origin than the promised radius, and
-    # every ball reaches in to its own type s_v = (1 - h^2) / (1 + h^2)
+    # the sampler derives its core's radius from the balls' types, no ball
+    # reaches inside it, and every ball reaches in to its own type
+    # s_v = (1 - h^2) / (1 + h^2)
     cell = build_cell(symbol)
-    predicate, _, _, radius = _oracle_carve(cell, monkeypatch)
     levels = cusp_levels(cell)
-    assert radius == min((1.0 - h * h) / (1.0 + h * h) for h in levels)
+    types = np.array([(1.0 - h * h) / (1.0 + h * h) for h in levels])
+    seen = []
+    core_scale = volume._core_scale
+
+    def spy(pts, apex, radius):
+        seen.append(radius)
+        return core_scale(pts, apex, radius)
+
+    monkeypatch.setattr(volume, "_core_scale", spy)
+    cell_volume_oracle(cell, 10_000, 1)
+    assert seen == [types.min()]
+    radius = seen[0]
     chart = np.array([v.chart() for v in cell.vertices])
     rng = np.random.default_rng(7)
     dirs = rng.standard_normal((100_000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     near = dirs * (radius * rng.random(100_000) ** (1.0 / 3.0))[:, None]
-    assert not predicate(np.vstack((near, (radius - 1e-9) * chart))).any()
-    types = np.array([(1.0 - h * h) / (1.0 + h * h) for h in levels])
-    assert predicate((types + 1e-9)[:, None] * chart).all()
+    assert not _in_cusps(cell, np.vstack((near, (radius - 1e-9) * chart))).any()
+    assert _in_cusps(cell, (types + 1e-9)[:, None] * chart).all()
 
 
 @pytest.mark.parametrize("symbol", [(4, 3, 6), (5, 3, 6)])
@@ -368,15 +375,13 @@ def test_cell_volume_oracle_error_bars_cover_at_200k(symbol):
 
 
 def _full_union(cell, levels):
-    """``_union_predicate`` without its bounding-box prefilter: every ball
+    """``volume._in_balls`` without its bounding-box prefilter: every ball
     tested for every point, by the same arithmetic."""
     inv_h = np.array([1.0 / h for h in levels])[:, None]
     scaled = np.array([v.chart() for v in cell.vertices]) * inv_h
 
-    def predicate(pts):
-        q = pts.T
-        depth = inv_h - scaled @ q
-        r2 = np.einsum("ij,ij->j", q, q)
+    def predicate(x, r2):
+        depth = inv_h - scaled @ x
         with np.errstate(invalid="ignore"):
             return depth.min(axis=0) <= np.sqrt(1.0 - r2)
 
@@ -385,34 +390,33 @@ def _full_union(cell, levels):
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
-    # every block the sampler hands the carve-out lies in one fan
-    # tetrahedron; dropping the balls whose half-space misses its bounding
-    # box must not change a single answer
+    # every block the sampler tests lies in one fan tetrahedron; dropping the
+    # balls whose half-space misses its bounding box must not change a
+    # single answer
     cell = build_cell(symbol)
-    predicate, exact, chart_volume, radius = _oracle_carve(cell, monkeypatch)
-    monkeypatch.undo()
     full = _full_union(cell, cusp_levels(cell))
+    in_balls = volume._in_balls
     blocks = []
 
-    def checked(pts):
-        got = predicate(pts)
-        blocks.append((int(got.sum()), bool(np.array_equal(got, full(pts)))))
+    def checked(x, r2, balls):
+        got = in_balls(x, r2, balls)
+        blocks.append((int(got.sum()), bool(np.array_equal(got, full(x, r2)))))
         return got
 
-    region = [v.chart() for v in cell.vertices]
-    carve = (checked, exact, chart_volume, radius)
-    horoball.monte_carlo_volume(region, cell.faces, 200_000, 5, carve=carve)
+    monkeypatch.setattr(volume, "_in_balls", checked)
+    cell_volume_oracle(cell, 200_000, 5)
     assert len(blocks) >= sum(len(f) - 2 for f in cell.faces)  # one per tetrahedron
     assert all(same for _, same in blocks)
     assert sum(hits for hits, _ in blocks) > 0
     # a block of one point just inside a ball's point nearest the origin has
     # its box's largest p.c barely past the ball's half-space, and a block
     # of one point just outside it misses the ball
+    monkeypatch.undo()
     chart = np.array([v.chart() for v in cell.vertices])
     types = np.array([(1.0 - h * h) / (1.0 + h * h) for h in cusp_levels(cell)])
     for c, s in zip(chart, types):
-        assert predicate(((s + 1e-9) * c)[None, :]).tolist() == [True]
-        assert predicate(((s - 1e-9) * c)[None, :]).tolist() == [False]
+        assert _in_cusps(cell, ((s + 1e-9) * c)[None, :]).tolist() == [True]
+        assert _in_cusps(cell, ((s - 1e-9) * c)[None, :]).tolist() == [False]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,20 @@ def test_validate_packing_flags_nan_levels():
         assert validate_packing(config) is not None
         with pytest.raises(InvalidPackingError):
             density(config)
+
+
+def test_configuration_reads_its_levels_as_floats():
+    # a hand-built configuration reads its levels once: a Fraction prices
+    # like its float, and a numeric string is refused at construction
+    cell = build_cell((3, 3, 6))
+    exact = PackingConfiguration(cell, (Fraction(1, 2),) * 4)
+    assert exact.levels == (0.5,) * 4
+    assert all(type(h) is float for h in exact.levels)
+    plain = density(PackingConfiguration(cell, (0.5,) * 4))
+    report = density(exact)
+    assert (report.density, report.sector_volumes) == (plain.density, plain.sector_volumes)
+    with pytest.raises(GeometryError, match=r"level h = '0.5' must be a real number"):
+        PackingConfiguration(cell, ("0.5",) * 4)
 
 
 def _coefficient_path_states(symbol):

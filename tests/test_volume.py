@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -190,6 +191,63 @@ def hull_faces(points):
     return ConvexHull(np.asarray(points, dtype=float)).simplices
 
 
+def cusp_ball(s, centre=(0.0, 0.0, 1.0)):
+    """Centres and levels of one ideal ball of type s, which lies in the
+    half-space p.c >= s.  Centred at (0, 0, 1) it is the ellipsoid with
+    centre (0, 0, (1 + s) / 2) and semi-axes sqrt((1 - s) / 2),
+    sqrt((1 - s) / 2) and (1 - s) / 2."""
+    return [centre], [math.sqrt((1.0 - s) / (1.0 + s))]
+
+
+# the ball of type 0.35 lies in z >= 0.35 and misses the cube of half-width
+# 0.3, so it carves nothing from it and leaves a carve-free core of radius 0.35
+MISS = (*cusp_ball(0.35), 0.0, 0.0)
+
+
+@lru_cache(maxsize=None)
+def cube_cap(s, a=0.3):
+    """Hyperbolic and chart volumes of the ball of type s at (0, 0, 1)
+    inside the cube [-a, a]^3, by quadrature over its quarter x, y >= 0 with
+    the integral over y in closed form."""
+    half = (1.0 - s) / 2.0
+
+    def section(z):  # squared radius of the ball's section at height z
+        return half * (1.0 - ((z - 1.0 + half) / half) ** 2)
+
+    def x_top(z):
+        return min(a, math.sqrt(max(section(z), 0.0)))
+
+    def y_top(x, z):
+        return min(a, math.sqrt(max(section(z) - x * x, 0.0)))
+
+    def hyperbolic(x, z):  # integral of (c - y^2)^-2 over 0 <= y <= y_top
+        c, y = 1.0 - x * x - z * z, y_top(x, z)
+        return y / (2.0 * c * (c - y * y)) + math.atanh(y / math.sqrt(c)) / (2.0 * c**1.5)
+
+    return tuple(
+        4.0 * integrate.dblquad(f, s, min(a, 1.0), 0.0, x_top, epsabs=1e-11, epsrel=1e-11)[0]
+        for f in (hyperbolic, y_top)
+    )
+
+
+def test_cube_cap_quadrature():
+    # no section of the type-0.2 ball is clipped by the cube of half-width
+    # 0.7, which cuts it at z = 0.7: the chart volume is pi times the
+    # integral of the squared section radius 0.4 (1 - (z - 0.6)^2 / 0.16)
+    chart = 0.4 * math.pi * (0.5 - (0.1**3 + 0.4**3) / (3.0 * 0.16))
+    assert cube_cap(0.2, 0.7)[1] == pytest.approx(chart, rel=1e-9)
+    # in the cube of half-width 0.3 the sections of radius R > 0.3 lose four
+    # circular segments R^2 acos(0.3 / R) - 0.3 sqrt(R^2 - 0.3^2) each
+
+    def area(z):
+        r2 = 0.4 * (1.0 - (z - 0.6) ** 2 / 0.16)
+        cut = 0.0 if r2 <= 0.09 else r2 * math.acos(0.3 / math.sqrt(r2)) - 0.3 * math.sqrt(r2 - 0.09)
+        return math.pi * r2 - 4.0 * cut
+
+    chart = integrate.quad(area, 0.2, 0.3, epsabs=1e-13, epsrel=1e-12)[0]
+    assert cube_cap(0.2)[1] == pytest.approx(chart, rel=1e-8)
+
+
 def test_monte_carlo_matches_quadrature():
     res = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123)
     assert res.stderr > 0
@@ -206,19 +264,16 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_carve_out_additivity():
-    # carving an origin ball and adding its closed-form volume back must
-    # reproduce the plain estimate of the same region
-    r_ball = 0.15
-    exact = hyperbolic_ball_volume(r_ball)
-
-    def in_ball(pts):
-        return np.einsum("ij,ij->i", pts, pts) <= r_ball * r_ball
-
+    # carving the type-0.2 ball, which meets the cube in 0.2 <= z <= 0.3,
+    # and adding its volume in the cube back must reproduce the plain
+    # estimate of the same region
+    exact, chart = cube_cap(0.2)
     plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=400_000, seed=77)
     carved = monte_carlo_volume(
         cube_region(), CUBE_FACES, samples=400_000, seed=78,
-        carve=(in_ball, exact, 4.0 / 3.0 * math.pi * r_ball**3, 0.0),
+        carve=(*cusp_ball(0.2), exact, chart),
     )
+    assert carved.carved > 0
     sigma = math.hypot(plain.stderr, carved.stderr)
     assert abs(carved.value - plain.value) < 4.0 * sigma
     assert abs(carved.value - CUBE_ORACLE) < 4.0 * carved.stderr
@@ -251,19 +306,17 @@ def test_monte_carlo_asymmetric_pieces_sum_to_cube():
 
 def test_monte_carlo_sample_accounting():
     # the cube of half-width 0.7 pokes out of the unit ball, so some samples
-    # are rejected; a ball of Klein radius 0.3 at the origin carves out others
-    def in_ball(pts):
-        return np.einsum("ij,ij->i", pts, pts) <= 0.3**2
-
+    # are rejected; the type-0.2 ball, cut by the cube at z = 0.7, carves
+    # out others
     samples = 150_001
     res = monte_carlo_volume(
         cube_region(0.7), CUBE_FACES, samples=samples, seed=5,
-        carve=(in_ball, hyperbolic_ball_volume(0.3), 4.0 / 3.0 * math.pi * 0.3**3, 0.0),
+        carve=(*cusp_ball(0.2), *cube_cap(0.2, 0.7)),
     )
     assert res.accepted + res.carved + res.rejected == samples
     assert min(res.accepted, res.carved, res.rejected) > 0
     # samples are uniform in the cube: the carved share is the ball's share
-    ball_share = 4.0 / 3.0 * math.pi * 0.3**3 / 1.4**3
+    ball_share = cube_cap(0.2, 0.7)[1] / 1.4**3
     assert res.carved / samples == pytest.approx(ball_share, rel=0.1)
     plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=20_000, seed=5)
     assert (plain.accepted, plain.carved, plain.rejected) == (20_000, 0, 0)
@@ -399,15 +452,11 @@ def test_vertex_indices_are_read_whole_and_in_range(entry):
             read(bad)
 
 
-def _nowhere(pts):
-    return np.zeros(len(pts), dtype=bool)
-
-
 @pytest.mark.parametrize("chart", [math.nan, math.inf, -1e-3])
 def test_monte_carlo_rejects_bad_chart_volume(chart):
     with pytest.raises(GeometryError, match="chart volume"):
         monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, 0.0, chart, 0.0)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(*MISS[:3], chart)
         )
 
 
@@ -416,27 +465,52 @@ def test_monte_carlo_rejects_bad_carved_volume(volume):
     # the carve's hyperbolic volume is added to the estimate as it stands
     with pytest.raises(GeometryError, match="carved volume"):
         monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, volume, 0.0, 0.0)
+            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(*MISS[:2], volume, 0.0)
         )
 
 
-@pytest.mark.parametrize("radius", [math.nan, math.inf, -1e-3, 1.0])
-def test_monte_carlo_rejects_bad_carve_free_radius(radius):
-    with pytest.raises(GeometryError, match="carve-free radius"):
-        monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(_nowhere, 0.0, 0.0, radius)
-        )
+BAD_CENTRES = {
+    "one vector": ((0.0, 0.0, 1.0), "must form a \\(k, 3\\) array"),
+    "two coordinates": ([(0.0, 1.0)], "must form a \\(k, 3\\) array"),
+    "no centres": (np.empty((0, 3)), "must form a \\(k, 3\\) array"),
+    "nan": ([(math.nan, 0.0, 1.0)], "must be finite"),
+    "inf": ([(0.0, 0.0, math.inf)], "must be finite"),
+    "inside the sphere": ([(0.0, 0.0, 0.9)], "on the unit sphere"),
+    "just off the sphere": ([(0.0, 0.0, 1.0 + 1e-9)], "on the unit sphere"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CENTRES))
+def test_monte_carlo_rejects_bad_carve_centres(case):
+    # the membership test needs 1 - p.c > 0 inside the unit ball, which
+    # holds for centres on the unit sphere
+    centres, message = BAD_CENTRES[case]
+    carve = (centres, *MISS[1:])
+    with pytest.raises(GeometryError, match=message):
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
+
+
+@pytest.mark.parametrize("level", [0, -1.0, math.inf, math.nan, "0.5"])
+def test_monte_carlo_rejects_bad_carve_levels(level):
+    # levels are read like every other level, by _real; numeric strings are refused
+    carve = (MISS[0], [level], *MISS[2:])
+    message = "must be a real number" if isinstance(level, str) else "must be positive and finite"
+    with pytest.raises(GeometryError, match=message):
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
+
+
+@pytest.mark.parametrize("levels", [[], [0.5, 0.5], 0.5, [[0.5]]])
+def test_monte_carlo_needs_one_carve_level_per_centre(levels):
+    carve = (MISS[0], levels, *MISS[2:])
+    with pytest.raises(GeometryError, match="one level per centre"):
+        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
 
 
 def test_monte_carlo_core_stratum_on_cube():
-    # a carve that removes nothing but promises radius 0.2 gives the cube a
-    # core (scale 0.2 / 0.3 sqrt(3) about the origin) sampled on its own
-    empty = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.0)
-    )
-    cored = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=(_nowhere, 0.0, 0.0, 0.2)
-    )
+    # a ball of type 0.35 that misses the cube gives it a core (scale
+    # 0.35 / 0.3 sqrt(3) about the origin) sampled on its own
+    empty = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123)
+    cored = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=MISS)
     assert abs(cored.value - CUBE_ORACLE) < 4.0 * cored.stderr
     assert cored.stderr < empty.stderr
     assert (cored.accepted, cored.carved, cored.rejected) == (200_000, 0, 0)
@@ -446,22 +520,20 @@ def test_monte_carlo_core_stratum_off_centre_pieces():
     # the pieces' apexes are off the origin, so the core is found by the
     # quadratic per vertex rather than by the radius alone
     below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
-    carve = (_nowhere, 0.0, 0.0, 0.2)
-    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31, carve=carve)
-    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32, carve=carve)
+    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31, carve=MISS)
+    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32, carve=MISS)
     sigma = math.hypot(lo.stderr, hi.stderr)
     assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
     assert sigma < 0.01 * CUBE_ORACLE
 
 
 def test_monte_carlo_all_core_matches_one_stratum():
-    # the cube's corners are 0.52 from the origin, so radius 0.6 makes the
-    # whole hull the core: the same draws as radius 0, now booked to the core
-    one = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.0)
-    )
+    # the cube's corners are 0.52 from the origin, so a ball of type 0.6,
+    # which misses the cube, makes the whole hull the core: the same draws as
+    # without a carve, now booked to the core
+    one = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
     core = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(_nowhere, 0.0, 0.0, 0.6)
+        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(*cusp_ball(0.6), 0.0, 0.0)
     )
     assert (core.value, core.stderr) == (one.value, one.stderr)
     assert (core.accepted, core.carved, core.rejected) == (50_000, 0, 0)
@@ -480,28 +552,12 @@ def test_core_scale_reaches_the_radius():
         assert _core_scale(pts, apex, 0.5 * np.linalg.norm(apex)) == 0.0
 
 
-@pytest.mark.parametrize("field, index", [
-    ("carved volume", 1), ("carved chart volume", 2), ("carve-free radius", 3),
-])
+@pytest.mark.parametrize("field, index", [("carved volume", 2), ("carved chart volume", 3)])
 def test_monte_carlo_reads_the_carve_as_real_numbers(field, index):
-    carve = [_nowhere, 0.0, 0.0, 0.0]
+    carve = list(MISS)
     carve[index] = "0.01"
     with pytest.raises(GeometryError, match=f"{field} = '0.01' must be a real number"):
         monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=tuple(carve))
-
-
-@pytest.mark.parametrize("answer", [
-    lambda pts: True,
-    lambda pts: np.zeros((len(pts), 1), dtype=bool),
-    lambda pts: np.zeros(len(pts) + 1, dtype=bool),
-    lambda pts: np.zeros(len(pts)),
-    lambda pts: [False] * len(pts),
-])
-def test_monte_carlo_needs_one_boolean_per_point(answer):
-    with pytest.raises(GeometryError, match="one boolean per point"):
-        monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(answer, 0.0, 0.1, 0.0)
-        )
 
 
 def per_cell(count):
@@ -540,9 +596,9 @@ def test_grid_cells_hold_two_samples_and_tile_the_square():
 _ALLOCATE = volume._allocate
 
 
-def _fan_sizes(pts, faces, radius, monkeypatch):
-    """Per-tetrahedron sample counts of the strata of a run at MIN_SAMPLES
-    that draw samples."""
+def _fan_sizes(run, monkeypatch):
+    """Per-tetrahedron sample counts of the strata that draw samples in
+    ``run()``."""
     seen = []
 
     def spy(n, weights):
@@ -551,17 +607,16 @@ def _fan_sizes(pts, faces, radius, monkeypatch):
         return counts
 
     monkeypatch.setattr(volume, "_allocate", spy)
-    monte_carlo_volume(pts, faces, MIN_SAMPLES, 1, carve=(_nowhere, 0.0, 0.0, radius))
+    run()
+    monkeypatch.undo()
     return seen
 
 
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
 def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, monkeypatch):
     cell = build_cell(symbol)
-    levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
-    radius = min((1.0 - h * h) / (1.0 + h * h) for h in levels)
     pts, faces = cell_region(symbol)
-    for counts in _fan_sizes(pts, faces, radius, monkeypatch):
+    for counts in _fan_sizes(lambda: cell_volume_oracle(cell, MIN_SAMPLES, 1), monkeypatch):
         assert min(map(per_cell, counts)) >= 2
         assert len(counts) == len(_hull_fan(pts, faces)[2])
 
@@ -569,10 +624,21 @@ def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, 
 def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeypatch):
     # at radius 0.2 the first piece's core gets 223 samples, at radius 0.12
     # it would get 9, fewer than 2 for each of its 16 tetrahedra, and is left
-    # empty; the second piece's core gets none at either radius
-    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
-    for piece, radius, strata in ((below, 0.2, 2), (below, 0.12, 1), (above, 0.2, 1)):
-        seen = _fan_sizes(piece, hull_faces(piece), radius, monkeypatch)
+    # empty; the second piece's core gets none at either radius.  The radius
+    # is the type of a ball that misses the piece: centred on the cut's unit
+    # normal n, the ball lies in p.n >= s, and the first piece in
+    # p.n <= 0.1 / |n| < 0.12 (the second piece lies on the other side)
+    normal = np.array([1.0, 0.5, 0.25])
+    below, above = cube_pieces(normal, 0.1)
+    normal /= np.linalg.norm(normal)
+    for piece, side, radius, strata in (
+        (below, 1.0, 0.2, 2), (below, 1.0, 0.12, 1), (above, -1.0, 0.2, 1),
+    ):
+        carve = (*cusp_ball(radius, side * normal), 0.0, 0.0)
+        seen = _fan_sizes(
+            lambda: monte_carlo_volume(piece, hull_faces(piece), MIN_SAMPLES, 1, carve=carve),
+            monkeypatch,
+        )
         assert len(seen) == strata
         for counts in seen:
             assert min(map(per_cell, counts)) >= 2
@@ -602,19 +668,18 @@ def test_monte_carlo_needs_two_samples_per_fan_tetrahedron():
 
 def test_monte_carlo_rejects_carving_the_whole_hull():
     # the cube of half-width 0.3 has chart volume 0.216
-    whole = (_nowhere, 0.0, 0.108 + 0.108 + 1e-9, 0.0)
+    whole = (*MISS[:3], 0.108 + 0.108 + 1e-9)
     with pytest.raises(GeometryError, match="carved chart volume"):
         monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=whole)
 
 
 def test_monte_carlo_rejects_every_sample_carved():
-    def everywhere(pts):
-        return np.ones(len(pts), dtype=bool)
-
+    # the box [-0.05, 0.05]^2 x [0.8, 0.9] lies inside the type-0.2 ball and
+    # has no core, so a carve that leaves it chart volume carves every sample
+    box = [(x, y, z) for x in (-0.05, 0.05) for y in (-0.05, 0.05) for z in (0.8, 0.9)]
+    carve = (*cusp_ball(0.2), 0.0, 5e-4)
     with pytest.raises(GeometryError, match="all 10000 samples"):
-        monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(everywhere, 0.0, 0.1, 0.0)
-        )
+        monte_carlo_volume(box, CUBE_FACES, samples=10_000, seed=1, carve=carve)
 
 
 def test_series_constant_against_trigamma():
