@@ -1,5 +1,6 @@
-"""Lobachevsky function, closed-form orthoscheme volumes, series constant,
-and a Monte Carlo volume oracle in the Klein chart.
+"""Lobachevsky function, the three-term volume of an orthoscheme with an
+ideal vertex, series constant, and a Monte Carlo volume oracle in the Klein
+chart.
 
 All volumes are hyperbolic volumes at curvature k = 1.
 """
@@ -136,39 +137,37 @@ def lobachevsky(theta: float) -> float:
 
 
 def orthoscheme_volume(symbol) -> VolumeResult:
-    """Closed-form volume of the hyperbolic orthoscheme (n1, n2, n3).
+    """Closed-form volume of the orthoscheme (n1, n2, n3) whose (n2, n3)
+    vertex is ideal, as in every characteristic orthoscheme of a fully
+    asymptotic cell.
 
-    Uses the classical three-angle expression: with a_i = pi/n_i and the
-    auxiliary angle theta given by
+    With a_i = pi/n_i the classical formula takes theta from
+    tan(theta) = sqrt(cos^2 a2 - sin^2 a1 sin^2 a3) / (cos a1 cos a3) and
+    sums 1/4 [Lob(a1+theta) - Lob(a1-theta) + Lob(a3+theta) - Lob(a3-theta)
+    - Lob(pi/2-a2+theta) + Lob(pi/2-a2-theta) + 2 Lob(pi/2-theta)].  The
+    (n2, n3) vertex is ideal exactly when 1/n2 + 1/n3 = 1/2, i.e.
+    a2 = pi/2 - a3; then the root is sin a3 cos a1, so theta = a3 = pi/n3
+    (cos a1 > 0 for n1 >= 3).  Lob(a3-theta) and Lob(pi/2-a2-theta) are
+    Lob(0) = 0, Lob(a3+theta) and -Lob(pi/2-a2+theta) cancel as
+    +-Lob(2 a3), and
 
-        tan(theta) = sqrt(cos^2 a2 - sin^2 a1 sin^2 a3) / (cos a1 cos a3),
+        vol = 1/4 [Lob(a1 + a3) - Lob(a1 - a3) + 2 Lob(pi/2 - a3)].
 
-    the volume is 1/4 [ Lob(a1+theta) - Lob(a1-theta) + Lob(a3+theta)
-    - Lob(a3-theta) - Lob(pi/2 - a2 + theta) + Lob(pi/2 - a2 - theta)
-    + 2 Lob(pi/2 - theta) ].
+    The volume is finite when the (n1, n2) vertex is finite or ideal,
+    1/n1 + 1/n2 >= 1/2.  Seven symbols pass: (3,3,6), (4,3,6), (5,3,6),
+    (6,3,6), (3,4,4), (4,4,4) and (3,6,3); any other raises GeometryError.
     """
     ws = tuple(_integer(w, "Schlafli weight") for w in symbol)
     if len(ws) != 3:
         raise GeometryError(f"orthoscheme volume needs a rank-4 symbol, got {ws}")
-    a1, a2, a3 = (math.pi / n for n in ws)
-    num = math.cos(a2) ** 2 - math.sin(a1) ** 2 * math.sin(a3) ** 2
-    if num < -1e-15:
-        raise GeometryError(f"symbol {ws} is not a hyperbolic orthoscheme")
-    theta = math.atan2(math.sqrt(max(num, 0.0)), math.cos(a1) * math.cos(a3))
-    lob = lobachevsky
-    half_pi = math.pi / 2.0
-    vol = 0.25 * (
-        lob(a1 + theta)
-        - lob(a1 - theta)
-        + lob(a3 + theta)
-        - lob(a3 - theta)
-        - lob(half_pi - a2 + theta)
-        + lob(half_pi - a2 - theta)
-        + 2.0 * lob(half_pi - theta)
-    )
-    if vol <= 0.0:
-        raise GeometryError(f"symbol {ws} has no positive hyperbolic volume")
-    return VolumeResult(value=vol)
+    n1, n2, n3 = ws
+    if not (min(ws) >= 3 and n2 * n3 == 2 * (n2 + n3) and n1 * n2 <= 2 * (n1 + n2)):
+        raise GeometryError(
+            f"symbol {ws} is not a finite orthoscheme with an ideal (n2, n3) vertex"
+        )
+    a1, a3 = math.pi / n1, math.pi / n3
+    vol = lobachevsky(a1 + a3) - lobachevsky(a1 - a3) + 2.0 * lobachevsky(math.pi / 2.0 - a3)
+    return VolumeResult(value=0.25 * vol)
 
 
 # --- Monte Carlo oracle -----------------------------------------------------

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from horosphere_reference import reference_sector
 
+from horopack.cli import main
 from horopack.coxeter import build_cell
 from horopack.horoball import pencil_value
 from horopack.lorentz import GeometryError
@@ -144,6 +147,24 @@ OPTIMAL_LABELS = {
     (4, 3, 6): {"B3", "B4"},
     (5, 3, 6): {"B3"},
 }
+
+
+def _table2_closed_forms() -> dict:
+    """Each optimum at 50 digits: the numerator sum C_v h_v^2 over the cell
+    volume, with L(pi/k) = Cl_2(2 pi/k)/2."""
+    with mpmath.workdps(50):
+        r3, r15 = mpmath.sqrt(3), mpmath.sqrt(15)
+        lob = lambda k: mpmath.clsin(2, 2 * mpmath.pi / k) / 2
+        return {
+            (3, 3, 6): (r3 / 2) / (3 * lob(3)),
+            (3, 4, 4): 3 / (8 * lob(4)),
+            (4, 3, 6): (5 * r3 / 2) / (15 * lob(3)),
+            (5, 3, 6): (6 * r3 + 3 * r15 / 2)
+            / (30 * (lob(mpmath.mpf(30) / 11) - lob(30) + 2 * lob(3))),
+        }
+
+
+TABLE2_CLOSED_FORMS = _table2_closed_forms()
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -623,3 +644,20 @@ def test_certify_optimum(symbol):
     assert best == pytest.approx(expected, abs=1e-12)
     for r in reports:
         assert r.density >= best - 1e-6
+
+
+@pytest.mark.parametrize("symbol", SUPPORTED)
+def test_certify_optimum_at_its_closed_form(symbol):
+    exact = TABLE2_CLOSED_FORMS[symbol]
+    for r in certify_optimum(symbol):
+        ulps = float((mpmath.mpf(r.density) - exact) / math.ulp(float(exact)))
+        assert abs(ulps) <= 4.0, (r.config.label, ulps)
+
+
+def test_table2_prints_each_closed_form_rounded_to_15_digits(tmp_path, capsys):
+    out = tmp_path / "table2.csv"
+    assert main(["table2", "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        printed = [row["density"] for row in csv.DictReader(fh)]
+    assert printed == [mpmath.nstr(TABLE2_CLOSED_FORMS[s], 15) for s in SUPPORTED]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -52,12 +54,6 @@ CATALAN = 0.915965594177219015054603514932
 
 # chart volume of the cube [-0.3, 0.3]^3, adaptive quadrature of (1-r^2)^-2
 CUBE_ORACLE = 0.2629565977926768
-
-
-def hyperbolic_ball_volume(klein_radius: float) -> float:
-    """Closed-form volume pi*(sinh(2 rho) - 2 rho) of a ball of Klein radius r."""
-    rho = math.atanh(klein_radius)
-    return math.pi * (math.sinh(2.0 * rho) - 2.0 * rho)
 
 
 def quad_lobachevsky(theta):
@@ -157,20 +153,67 @@ def test_cell_volumes_against_classical_constants():
     )
 
 
-def test_hyperbolic_ball_volume():
-    assert hyperbolic_ball_volume(0.0) == 0.0
-    assert hyperbolic_ball_volume(0.5) == pytest.approx(
-        math.pi * (4.0 / 3.0 - math.log(3.0)), abs=1e-14
-    )
-    # Euclidean limit for small radii
-    r = 1e-3
-    rho = math.atanh(r)
-    assert hyperbolic_ball_volume(r) == pytest.approx(
-        4.0 * math.pi / 3.0 * rho**3, rel=1e-5
-    )
-    radii = np.linspace(0.05, 0.9, 10)
-    vols = [hyperbolic_ball_volume(r) for r in radii]
-    assert all(a < b for a, b in zip(vols, vols[1:]))
+# the symbols with an ideal (n2, n3) vertex and a finite volume
+IDEAL_END_SYMBOLS = {
+    (3, 3, 6), (4, 3, 6), (5, 3, 6), (6, 3, 6), (3, 4, 4), (4, 4, 4), (3, 6, 3),
+}
+
+
+def seven_term_volume(symbol):
+    """The classical orthoscheme volume at 50 digits, theta by atan2:
+    1/4 [L(a1+t) - L(a1-t) + L(a3+t) - L(a3-t) - L(pi/2-a2+t)
+    + L(pi/2-a2-t) + 2 L(pi/2-t)], with L(x) = Cl_2(2x)/2."""
+    with mpmath.workdps(50):
+        a1, a2, a3 = (mpmath.pi / n for n in symbol)
+        num = mpmath.cos(a2) ** 2 - mpmath.sin(a1) ** 2 * mpmath.sin(a3) ** 2
+        t = mpmath.atan2(mpmath.sqrt(max(num, 0)), mpmath.cos(a1) * mpmath.cos(a3))
+        lob = lambda x: mpmath.clsin(2, 2 * x) / 2
+        half = mpmath.pi / 2
+        return (
+            lob(a1 + t) - lob(a1 - t) + lob(a3 + t) - lob(a3 - t)
+            - lob(half - a2 + t) + lob(half - a2 - t) + 2 * lob(half - t)
+        ) / 4
+
+
+def ulps(value: float, exact) -> float:
+    return float((mpmath.mpf(value) - exact) / math.ulp(float(exact)))
+
+
+def test_cell_volumes_pinned_to_50_digits():
+    with mpmath.workdps(50):
+        lob = lambda k: mpmath.clsin(2, 2 * mpmath.pi / k) / 2
+        closed = {
+            (3, 3, 6): 3 * lob(3),
+            (3, 4, 4): 8 * lob(4),
+            (4, 3, 6): 15 * lob(3),
+            (5, 3, 6): 30 * (lob(mpmath.mpf(30) / 11) - lob(30) + 2 * lob(3)),
+        }
+        for tiling, exact in closed.items():
+            cell = build_cell(tiling)
+            oracle = cell.orthoschemes_per_cell * seven_term_volume(cell.orthoscheme_symbol)
+            assert abs(oracle - exact) < mpmath.mpf(10) ** -40, tiling
+            assert abs(ulps(cell.volume, oracle)) <= 2.0, tiling
+
+
+@pytest.mark.parametrize("symbol", sorted(IDEAL_END_SYMBOLS))
+def test_orthoscheme_volume_against_the_seven_term_formula(symbol):
+    assert abs(ulps(orthoscheme_volume(symbol).value, seven_term_volume(symbol))) <= 16.0
+
+
+def test_orthoscheme_volume_domain():
+    # exactly the symbols with 1/n2 + 1/n3 = 1/2 and 1/n1 + 1/n2 >= 1/2,
+    # each n_i >= 3; compact, reversed, Euclidean and non-positive ones fail
+    accepted = set()
+    for symbol in itertools.product(range(2, 9), repeat=3):
+        try:
+            orthoscheme_volume(symbol)
+        except GeometryError:
+            continue
+        accepted.add(symbol)
+    assert accepted == IDEAL_END_SYMBOLS
+    for symbol in [(4, 3, 5), (6, 3, 4), (2, 4, 4), (7, 3, 6), (3, 0, 0), (3, 1, -2), (3, -2, 1)]:
+        with pytest.raises(GeometryError, match="ideal"):
+            orthoscheme_volume(symbol)
 
 
 def cube_region(a=0.3):
