@@ -21,8 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 
@@ -32,7 +35,9 @@ from . import __version__
 from .coxeter import FULLY_ASYMPTOTIC_TILINGS, build_cell
 from .horoball import cell_volume_oracle, pencil_value, polar_point
 from .lorentz import GeometryError
-from .packing import balanced_levels, catalog, certify_optimum, family, sweep
+from .packing import (
+    _require_valid, balanced_levels, catalog, certify_optimum, evaluate, family
+)
 from .volume import MIN_SAMPLES, bf_constant, bf_series_tail_bound, orthoscheme_volume
 
 SCHEMA_VERSION = 1
@@ -77,13 +82,28 @@ def _tiling_name(weights) -> str:
     return "(" + ",".join(str(w) for w in weights) + ")"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in one call; a regular file is cut to the
+    new length after the write, not emptied before it (ext4 flushes a file
+    emptied by truncation when it is closed).  Pipes and devices work too."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_machine(path: str, fmt: str, columns, rows, meta) -> None:
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        floats = ",".join(["%.15g"] * len(columns)) + "\r\n"  # csv.writer's bytes
+        for row in rows:
+            if {*map(type, row)} == {float}:
+                buf.write(floats % tuple(row))
+            else:
                 writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        text = buf.getvalue()
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -94,8 +114,8 @@ def _write_machine(path: str, fmt: str, columns, rows, meta) -> None:
                 for row in rows
             ],
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    _write_text(path, text)
 
 
 def _write_manifest(out_path: str, args, started: float, tolerances) -> None:
@@ -108,8 +128,8 @@ def _write_manifest(out_path: str, args, started: float, tolerances) -> None:
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    _write_text(out_path + ".manifest.json", text)
 
 
 def _cmd_table2(args) -> tuple[int, tuple, list, dict]:
@@ -143,15 +163,16 @@ def _cmd_sweep(args) -> tuple[int, tuple, list, dict]:
     fam = family(args.tiling, args.family)
     lo, hi = fam.s_range if args.s_range is None else args.s_range
     grid = np.linspace(lo, hi, args.steps)
-    reports = sweep(args.tiling, fam, grid)
-    cell = reports[0].config.cell
+    cell, levels = fam.cell, fam.level_matrix(grid)
+    ev = evaluate(cell, levels)
+    _require_valid(ev)
     columns = ("s", "x", "density") + tuple(f"V{v}" for v in range(cell.n_vertices))
     i, balanced = fam.primary_edge[0], balanced_levels(cell, fam.primary_edge)[0]
+    dens, anchor = ev.density.tolist(), levels[:, i].tolist()
     rows = [  # x is contact_offset, with the balanced level looked up once
-        (s, math.log(r.config.levels[i] / balanced), r.density) + r.sector_volumes
-        for s, r in zip(grid.tolist(), reports)
+        (s, math.log(h / balanced), d, *sectors)
+        for s, h, d, sectors in zip(grid.tolist(), anchor, dens, ev.sectors.tolist())
     ]
-    dens = [r.density for r in reports]
     print(
         f"sweep {_tiling_name(fam.tiling)} family={fam.name} "
         f"s in [{_fmt(lo)}, {_fmt(hi)}] steps={len(grid)}"
@@ -308,8 +329,7 @@ def _cmd_scene(args) -> tuple[int, tuple, list, dict]:
         for face in _grid_faces(base + 1, theta_steps, phi_steps):
             lines.append("f " + " ".join(str(i) for i in face))
 
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(
         f"scene written to {args.out}: {cell.n_vertices} horoballs, "
         f"{vertex_count} mesh vertices, worst quadric residual {worst_residual:.3g}"

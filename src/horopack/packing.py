@@ -232,11 +232,16 @@ def evaluate(cell: Cell, levels) -> Evaluation:
     return Evaluation(sectors, dens, violations)
 
 
-def _reports(configs, ev: Evaluation) -> list[DensityReport]:
-    """Density reports of evaluated configurations, or InvalidPackingError."""
+def _require_valid(ev: Evaluation) -> None:
+    """InvalidPackingError naming the first violation of ``ev``, if any."""
     bad = next((v for v in ev.violations if v is not None), None)
     if bad is not None:
         raise InvalidPackingError(bad.detail)
+
+
+def _reports(configs, ev: Evaluation) -> list[DensityReport]:
+    """Density reports of evaluated configurations, or InvalidPackingError."""
+    _require_valid(ev)
     return [
         DensityReport(d, tuple(sectors), config)
         for config, sectors, d in zip(configs, ev.sectors.tolist(), ev.density.tolist())

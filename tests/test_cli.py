@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import decimal
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 import horopack
+from horopack import cli
 from horopack.cli import main
 from horopack.horoball import pencil_value
-from horopack.packing import catalog
+from horopack.packing import Family, InvalidPackingError, catalog, family, sweep
 
 DIGITS = decimal.Context(prec=40)
 
@@ -423,3 +426,130 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsy
     assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
     manifest = json.loads((here / "table2.csv.manifest.json").read_text())
     assert manifest["tolerances"]["tol"] is None and manifest["seed"] is None
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+
+
+def reference_machine_text(fmt, columns, rows, meta) -> str:
+    """Data file text as the csv.writer + ``_fmt`` writer produced it."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
+        return buf.getvalue()
+    payload = {
+        "schema_version": 1,
+        **meta,
+        "columns": list(columns),
+        "rows": [
+            [v if not isinstance(v, float) else float(f"{v:.15g}") for v in row]
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e-300, math.inf, -math.inf, math.nan, 0.1 + 0.2)
+
+
+def machine_tables(capsys):
+    """(name, columns, rows) of every subcommand with a data file, and edge rows."""
+    parse = cli._build_parser().parse_args
+    argvs = [["table2"], ["bf"], ["volumes", "--samples", "10000", "--seed", "7"]]
+    argvs += [
+        ["sweep", "".join(map(str, tiling)), "--family", fam.name, "--steps", "101"]
+        for tiling in ((3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6))
+        for fam in horopack.families(tiling)
+    ]
+    tables = []
+    for argv in argvs:
+        _, columns, rows, _ = cli._DISPATCH[argv[0]](parse(argv))
+        tables.append((" ".join(argv), columns, rows))
+    columns = tuple("abcdefg")
+    tables.append(("edge floats", columns, [EDGE_FLOATS, EDGE_FLOATS[::-1]]))
+    tables.append(("mixed", columns[:4], [("x,y", 3, -0.0, math.nan), (1.5, "", 0, 2.0)]))
+    capsys.readouterr()
+    return tables
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_machine_writer_matches_reference_bytes(fmt, tmp_path, capsys):
+    meta = {"command": "test", "version": horopack.__version__}
+    out = tmp_path / f"out.{fmt}"
+    for name, columns, rows in machine_tables(capsys):
+        cli._write_machine(str(out), fmt, columns, rows, meta)
+        expected = reference_machine_text(fmt, columns, rows, meta).encode()
+        assert out.read_bytes() == expected, name
+
+
+def test_out_may_be_a_pipe_or_a_device(tmp_path, capsys):
+    # links keep the manifest sidecar in tmp_path; the data goes through them
+    regular = tmp_path / "bf.csv"
+    assert main(["bf", "--out", str(regular)]) == 0
+    pipe, null = tmp_path / "pipe.csv", tmp_path / "null.csv"
+    pipe.symlink_to("/dev/stdout")
+    null.symlink_to("/dev/null")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "horopack.cli", "bf", "--out", str(pipe)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert regular.read_bytes() in done.stdout
+    assert main(["bf", "--out", str(null)]) == 0
+    assert _without_wall_time(tmp_path / "null.csv.manifest.json")["command"][-1] == str(null)
+
+
+def _without_out(manifest_path, out) -> dict:
+    manifest = _without_wall_time(manifest_path)
+    command = manifest["command"]
+    assert command[command.index("--out") + 1] == str(out)
+    command[command.index("--out") + 1] = "OUT"
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["sweep", "536", "--family", "cube", "--steps", "50"],
+         ["sweep", "536", "--family", "cube", "--steps", "3"]),
+        (["sweep", "536", "--family", "cube", "--steps", "50", "--format", "json"],
+         ["sweep", "536", "--family", "cube", "--steps", "3", "--format", "json"]),
+        (["scene", "336", "--label", "B1", "--grid", "24x12"],
+         ["scene", "336", "--label", "B1", "--grid", "6x3"]),
+    ],
+    ids=["csv", "json", "scene"],
+)
+def test_shorter_overwrite_leaves_no_stale_tail(first, second, tmp_path, capsys):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(first + ["--out", str(reused)]) == 0
+    longer = reused.stat().st_size
+    assert main(second + ["--out", str(reused)]) == 0
+    assert main(second + ["--out", str(fresh)]) == 0
+    assert reused.stat().st_size < longer
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert _without_out(f"{reused}.manifest.json", reused) == _without_out(
+        f"{fresh}.manifest.json", fresh
+    )
+
+
+def test_sweep_refuses_a_corrupted_row(monkeypatch, capsys):
+    level_matrix = Family.level_matrix
+
+    def corrupted(self, grid):
+        levels = level_matrix(self, grid)
+        levels[2] *= 3.0  # the balls of one row overlap
+        return levels
+
+    monkeypatch.setattr(Family, "level_matrix", corrupted)
+    fam = family((4, 3, 6), "polar")
+    with pytest.raises(InvalidPackingError) as expected:
+        sweep((4, 3, 6), fam, np.linspace(*fam.s_range, 5))
+    assert main(["sweep", "436", "--family", "polar", "--steps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected.value}\n"
+    assert captured.out == ""
