@@ -175,8 +175,8 @@ def orthoscheme_volume(symbol) -> VolumeResult:
 # Points per block of one fan tetrahedron, a whole number of rounds of its
 # cell grid.  Blocks this small keep a block's arrays in cache: the largest,
 # the (balls x points) depth table of the carve-out balls whose half-spaces
-# meet the block's bounding box (2 to 9 of the dodecahedral cell's 20 balls
-# in a shell block), takes at most 1.2 MB; core blocks never build it.
+# reach the tetrahedron (the 3 balls at its face corners on every cell),
+# takes 0.4 MB.
 _MC_CHUNK = 1 << 14
 # Most bits of the cell grid on one tetrahedron's uniforms (u, a, b); 2^14
 # cells fill one block.
@@ -299,17 +299,27 @@ def _in_balls(x: np.ndarray, r2: np.ndarray, balls) -> np.ndarray:
     level h when (1 - p.c)^2 <= h^2 (1 - |p|^2), that is (1 - p.c) / h <=
     sqrt(1 - |p|^2) as 1 - p.c > 0, so one (k x 3) @ (3 x m) product and a
     minimum over the k balls test them all; points on or outside the unit
-    sphere are in no ball.  A ball whose half-space p.c_v >= s_v
-    (``monte_carlo_volume``) misses the bounding box of the points holds
-    none of them and is left out, most balls on a block of one tetrahedron.
+    sphere are in no ball.
     """
-    centres, inv_h, scaled, reach = balls
-    top = np.maximum(centres * x.min(axis=1), centres * x.max(axis=1)).sum(axis=1)
-    near = top >= reach
-    depth = scaled[near] @ x
-    np.subtract(inv_h[near], depth, out=depth)
+    _, inv_h, scaled, _ = balls
+    depth = scaled @ x
+    np.subtract(inv_h, depth, out=depth)
     with np.errstate(invalid="ignore"):
-        return depth.min(axis=0, initial=np.inf) <= np.sqrt(1.0 - r2)
+        return depth.min(axis=0) <= np.sqrt(1.0 - r2)
+
+
+def _near_balls(balls, corners: np.ndarray):
+    """The ``balls`` whose half-space p.c_v >= s_v (``monte_carlo_volume``)
+    reaches one of the (3, 4) ``corners`` of a tetrahedron, or None if
+    ``balls`` is None or none does.  A linear function is largest over a
+    tetrahedron at a corner, so a ball left out holds no point of it."""
+    if balls is None:
+        return None
+    centres, _, _, reach = balls
+    near = (centres @ corners).max(axis=1) >= reach
+    if not near.any():
+        return None
+    return tuple(table[near] for table in balls)
 
 
 def _carve_balls(centres, levels) -> tuple:
@@ -332,7 +342,8 @@ def _carve_balls(centres, levels) -> tuple:
         raise GeometryError(f"carve levels {h.tolist()} must be positive and finite")
     inv_h = (1.0 / h)[:, None]
     types = (1.0 - h * h) / (1.0 + h * h)
-    # the types less a slack that rounding in a box's largest p.c cannot cross
+    # the types less a slack that rounding in a corner's or a point's p.c
+    # cannot cross
     return (c, inv_h, c * inv_h, types - 1e-12), max(0.0, float(types.min()))
 
 
@@ -350,9 +361,9 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
     share w_k / K_k of the slab's chart volume.  The samples visit the cells
     in whole rounds, then one partial round over the face cells that follow
     a random start in their visit order (``_face_grid``), so the cells with
-    one sample more lie spread over the tetrahedron.  A block of points lies
-    in one tetrahedron, which lets ``_in_balls`` leave out the balls far
-    from the block; it reuses the block's |p|^2.
+    one sample more lie spread over the tetrahedron.  Only the balls that
+    reach the tetrahedron (``_near_balls``) are tested on its points, by
+    ``_in_balls``, which reuses their |p|^2.
 
     With y the volume element of a point not carved (0 outside the unit
     ball) and x = 1 for it, y = x = 0 for a carved one, the combined ratio
@@ -385,6 +396,9 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
         offset[1:] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
         scale = np.vstack(([thick], side))
         span, base = steps[k][:, :2], steps[k][:, 2:]
+        # the apex and the face corners p2, p1, p0 of the tetrahedron
+        corners = np.hstack((np.zeros((3, 1)), np.cumsum(steps[k][:, ::-1], axis=1)))
+        near = _near_balls(balls, corners + apex[:, None])
         block = max(1, _MC_CHUNK // cells) * cells
         y_sum = np.zeros(cells)
         y_sq = np.zeros(cells)
@@ -405,8 +419,8 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
             x += apex[:, None]
             r2 = np.einsum("ij,ij->j", x, x)
             keep = r2 < 1.0
-            if balls:
-                cut = _in_balls(x, r2, balls)
+            if near:
+                cut = _in_balls(x, r2, near)
                 cut &= keep
                 carved += int(np.count_nonzero(cut))
                 x_sum += _fold(~cut, cells)
@@ -420,7 +434,7 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
             y_sq += _fold(y * y, cells)
         # cells visited first hold q + 1 samples, the rest q >= 2
         q, rest = divmod(count, cells)
-        if not balls:
+        if not near:
             x_sum = np.full(cells, float(q))
             x_sum[:rest] += 1.0
         for size, part in ((q + 1, slice(0, rest)), (q, slice(rest, cells))):

@@ -375,8 +375,8 @@ def test_cell_volume_oracle_error_bars_cover_at_200k(symbol):
 
 
 def _full_union(cell, levels):
-    """``volume._in_balls`` without its bounding-box prefilter: every ball
-    tested for every point, by the same arithmetic."""
+    """``volume._in_balls`` on every ball of the cell: every ball tested for
+    every point, by the same arithmetic."""
     inv_h = np.array([1.0 / h for h in levels])[:, None]
     scaled = np.array([v.chart() for v in cell.vertices]) * inv_h
 
@@ -391,8 +391,8 @@ def _full_union(cell, levels):
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
     # every block the sampler tests lies in one fan tetrahedron; dropping the
-    # balls whose half-space misses its bounding box must not change a
-    # single answer
+    # balls whose half-space misses the tetrahedron's corners must not change
+    # a single answer
     cell = build_cell(symbol)
     full = _full_union(cell, cusp_levels(cell))
     in_balls = volume._in_balls
@@ -408,15 +408,44 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
     assert len(blocks) >= sum(len(f) - 2 for f in cell.faces)  # one per tetrahedron
     assert all(same for _, same in blocks)
     assert sum(hits for hits, _ in blocks) > 0
-    # a block of one point just inside a ball's point nearest the origin has
-    # its box's largest p.c barely past the ball's half-space, and a block
-    # of one point just outside it misses the ball
+    # a point just inside a ball's point nearest the origin lies in the
+    # ball, and a point just outside it does not
     monkeypatch.undo()
     chart = np.array([v.chart() for v in cell.vertices])
     types = np.array([(1.0 - h * h) / (1.0 + h * h) for h in cusp_levels(cell)])
     for c, s in zip(chart, types):
         assert _in_cusps(cell, ((s + 1e-9) * c)[None, :]).tolist() == [True]
         assert _in_cusps(cell, ((s - 1e-9) * c)[None, :]).tolist() == [False]
+
+
+@pytest.mark.parametrize("symbol", ALL_CELLS)
+def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, monkeypatch):
+    # a ball is tested on a fan tetrahedron's points when its half-space
+    # reaches one of the tetrahedron's four corners; on every cell that
+    # leaves exactly the balls at the three corners of its face triangle
+    cell = build_cell(symbol)
+    chart = np.array([v.chart() for v in cell.vertices])
+    balls, _ = volume._carve_balls(chart, cusp_levels(cell))
+    apex, steps, _ = volume._hull_fan(chart, cell.faces)
+    triangles = [(f[0], f[k], f[k + 1]) for f in cell.faces for k in range(1, len(f) - 1)]
+    assert len(triangles) == len(steps)
+    for step, triangle in zip(steps, triangles):
+        p2 = apex + step[:, 2]
+        p1 = p2 + step[:, 1]
+        corners = np.column_stack((apex, p1 + step[:, 0], p1, p2))
+        kept = volume._near_balls(balls, corners)[0]
+        assert sorted(map(tuple, kept)) == sorted(tuple(chart[v]) for v in triangle)
+    # and the sampler tests every block on three balls
+    in_balls = volume._in_balls
+    sizes = set()
+
+    def spy(x, r2, near):
+        sizes.add(len(near[0]))
+        return in_balls(x, r2, near)
+
+    monkeypatch.setattr(volume, "_in_balls", spy)
+    cell_volume_oracle(cell, 20_000, 1)
+    assert sizes == {3}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
