@@ -787,6 +787,28 @@ def test_series_constant_against_trigamma():
     assert bf_constant() == pytest.approx(0.85327609, abs=1e-7)
 
 
+def _bf_exact():
+    with mpmath.workdps(30):
+        return mpmath.sqrt(3) / (6 * mpmath.clsin(2, 2 * mpmath.pi / 3) / 2)
+
+
+def test_series_constant_within_one_ulp_and_its_bound():
+    # sqrt(3)/(6 Lob(pi/3)) at 30 digits, Lob(x) = Cl_2(2x)/2
+    exact = _bf_exact()
+    error = abs(float(mpmath.mpf(bf_constant()) - exact))
+    assert error <= math.ulp(float(exact))
+    assert error <= bf_series_tail_bound() <= 1e-14
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5, 20])
+def test_series_tail_bound_holds_with_few_blocks(blocks, monkeypatch):
+    # with few blocks the Euler-Maclaurin remainder dominates the rounding,
+    # and the stated bound must still cover the error
+    monkeypatch.setattr(volume, "BF_SERIES_BLOCKS", blocks)
+    error = abs(float(mpmath.mpf(bf_constant.__wrapped__()) - _bf_exact()))
+    assert error <= bf_series_tail_bound()
+
+
 def test_series_constant_is_fast():
     t0 = time.perf_counter()
     value = bf_constant.__wrapped__()
