@@ -7,10 +7,11 @@ cataloged arrangement), ``bf`` (the packing-density upper-bound constant).
 
 Exit codes: 0 all requested checks pass, 1 a tolerance check failed, 2 usage
 error (bad input, or an output path that cannot be written).  Machine outputs
-(``--out``) are byte-identical across identical invocations; each output file
-gets a ``<out>.manifest.json`` sidecar holding the command line, seed,
-tolerances, library version, and wall time (the wall time lives only in the
-sidecar to keep the data files reproducible).
+(``--out``) are byte-identical across identical invocations; each output that
+is a regular file gets a ``<out>.manifest.json`` sidecar holding the command
+line, seed, tolerances, library version, and wall time (the wall time lives
+only in the sidecar to keep the data files reproducible).  An output that is
+not a regular file, such as a pipe or a device, gets no sidecar.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by later calls; each call parses into a fresh namespace.
@@ -486,7 +487,8 @@ def main(argv=None) -> int:
                 meta = {"command": args.command, "version": __version__}
                 _write_machine(out, args.format, columns, rows, meta)
                 print(f"wrote {out}")
-            _write_manifest(out, args, started, tolerances)
+            if stat.S_ISREG(os.stat(out).st_mode):
+                _write_manifest(out, args, started, tolerances)
     except (GeometryError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -487,7 +487,7 @@ def test_machine_writer_matches_reference_bytes(fmt, tmp_path, capsys):
 
 
 def test_out_may_be_a_pipe_or_a_device(tmp_path, capsys):
-    # links keep the manifest sidecar in tmp_path; the data goes through them
+    # the data goes through links in tmp_path, so nothing is created under /dev
     regular = tmp_path / "bf.csv"
     assert main(["bf", "--out", str(regular)]) == 0
     pipe, null = tmp_path / "pipe.csv", tmp_path / "null.csv"
@@ -501,7 +501,20 @@ def test_out_may_be_a_pipe_or_a_device(tmp_path, capsys):
     assert done.returncode == 0, done.stderr
     assert regular.read_bytes() in done.stdout
     assert main(["bf", "--out", str(null)]) == 0
-    assert _without_wall_time(tmp_path / "null.csv.manifest.json")["command"][-1] == str(null)
+    # only the regular file gets a manifest sidecar
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bf.csv", "bf.csv.manifest.json", "null.csv", "pipe.csv",
+    ]
+
+
+@pytest.mark.parametrize("command", [["bf"], ["scene", "336", "--label", "B1", "--grid", "6x3"]])
+def test_no_manifest_for_an_output_that_is_not_a_regular_file(command, tmp_path, capsys):
+    # a literal --out /dev/null would name the sidecar /dev/null.manifest.json;
+    # a link to it in tmp_path shows where a sidecar would go
+    null = tmp_path / "null.out"
+    null.symlink_to("/dev/null")
+    assert main([*command, "--out", str(null)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["null.out"]
 
 
 def _without_out(manifest_path, out) -> dict:
