@@ -273,9 +273,10 @@ def _core_integral(apex, steps, t0: float, order: int = 16) -> float:
     d = steps @ np.stack((u, 1.0 - v, np.ones_like(u)))  # (tetrahedra, 3, nodes)
     twice_ad = 2.0 * np.einsum("j,kjq->kq", apex, d)
     dd = np.einsum("kjq,kjq->kq", d, d)
+    gap_at_apex = 1.0 - float(apex @ apex)
     per_tetrahedron = np.zeros(len(steps))
     for ti, wi in zip(t, 0.5 * t0 * w * t * t):
-        gap = 1.0 - float(apex @ apex) - ti * (twice_ad + ti * dd)  # 1 - |p|^2
+        gap = gap_at_apex - ti * (twice_ad + ti * dd)  # 1 - |p|^2
         per_tetrahedron += wi * (gap**-2 @ weights)
     return float(np.abs(np.linalg.det(steps)) @ per_tetrahedron)
 
