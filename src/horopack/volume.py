@@ -325,12 +325,13 @@ def _face_grid(face_bits: int) -> tuple:
     return side, corners
 
 
-def _fold(values: np.ndarray, cells: int) -> np.ndarray:
-    """Sums per cell of a block whose point j lies in cell j mod ``cells``."""
+def _fold(values: np.ndarray, cells: int, into: np.ndarray, work: np.ndarray) -> None:
+    """Adds to ``into`` the sums per cell of a block whose point j lies in
+    cell j mod ``cells``, summed in ``work`` (``cells`` long)."""
     whole = len(values) // cells * cells
-    sums = values[:whole].reshape(-1, cells).sum(axis=0)
-    sums[: len(values) - whole] += values[whole:]
-    return sums
+    np.add.reduce(values[:whole].reshape(-1, cells), axis=0, out=work)
+    work[: len(values) - whole] += values[whole:]
+    into += work
 
 
 def _in_balls(x: np.ndarray, r2: np.ndarray, balls) -> np.ndarray:
@@ -421,6 +422,10 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
     when every sample is carved.
     """
     accepted = carved = 0
+    # a block's arrays are views of this one allocation, which every block
+    # reuses: allocated anew per block, their memory went back to the system
+    # when freed and took minor page faults again in the next block
+    work = np.empty(11 * _MC_CHUNK)
     # sums over the cells of W_c ybar_c, W_c xbar_c and the terms of the
     # variance that multiply 1, -2 R and R^2
     y_bar = x_bar = var_y = var_xy = var_x = 0.0
@@ -439,8 +444,8 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
         scale = np.vstack(([thick], side))
         span, base = steps[k][:, :2], steps[k][:, 2:]
         # the apex and the face corners p2, p1, p0 of the tetrahedron
-        corners = np.hstack((np.zeros((3, 1)), np.cumsum(steps[k][:, ::-1], axis=1)))
-        near = _near_balls(balls, corners + apex[:, None])
+        vertices = np.hstack((np.zeros((3, 1)), np.cumsum(steps[k][:, ::-1], axis=1)))
+        near = _near_balls(balls, vertices + apex[:, None])
         block = max(1, _MC_CHUNK // cells) * cells
         y_sum = np.zeros(cells)
         y_sq = np.zeros(cells)
@@ -448,32 +453,34 @@ def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
         for first in range(0, count, block):
             m = min(block, count - first)
             whole = m // cells * cells
-            r = rng.random((3, m))  # rows t^3, a, b once put into their cells
+            r = rng.random(out=work[: 3 * m].reshape(3, m))  # t^3, a, b once put into their cells
+            face = work[3 * m : 5 * m].reshape(2, m)
+            x = work[5 * m : 8 * m].reshape(3, m)
+            r2, w, sums = work[8 * m : 9 * m], work[9 * m : 10 * m], work[10 * m : 10 * m + cells]
             r *= scale
             r[:, :whole].reshape(3, -1, cells)[...] += offset[:, None, :]
             r[:, whole:] += offset[:, : m - whole]
-            face = np.empty((2, m))
             np.minimum(r[1], r[2], out=face[0])
             np.maximum(r[1], r[2], out=face[1])
-            x = span @ face
+            np.matmul(span, face, out=x)
             x += base
-            x *= np.cbrt(r[0])
+            x *= np.cbrt(r[0], out=r[0])
             x += apex[:, None]
-            r2 = np.einsum("ij,ij->j", x, x)
+            np.einsum("ij,ij->j", x, x, out=r2)
             keep = r2 < 1.0
             if near:
                 cut = _in_balls(x, r2, near)
                 cut &= keep
                 carved += int(np.count_nonzero(cut))
-                x_sum += _fold(~cut, cells)
+                _fold(~cut, cells, x_sum, sums)
                 keep &= ~cut
             accepted += int(np.count_nonzero(keep))
-            w = 1.0 - r2
+            np.subtract(1.0, r2, out=w)
             w *= w
             np.maximum(w, 1e-300, out=w)  # finite where r2 = 1, a point never kept
             y = np.divide(keep, w, out=w)
-            y_sum += _fold(y, cells)
-            y_sq += _fold(y * y, cells)
+            _fold(y, cells, y_sum, sums)
+            _fold(np.multiply(y, y, out=r2), cells, y_sq, sums)
         # cells visited first hold q + 1 samples, the rest q >= 2
         q, rest = divmod(count, cells)
         if not near:
