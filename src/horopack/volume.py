@@ -57,7 +57,10 @@ class VolumeResult:
     """A volume with its standard error (0 for closed forms).
 
     Monte Carlo results also account for every sample drawn:
-    ``accepted + carved + rejected == samples``.
+    ``accepted + carved + rejected == samples``.  ``carved`` counts the
+    samples that fall in a neighbour ball: a sample on a ray from a ball's
+    centre starts past that ball, so the ray's share in it is weighed out,
+    not counted.
     """
 
     value: float
@@ -281,23 +284,25 @@ def _core_integral(apex, steps, t0: float, order: int = 16) -> float:
     return float(np.abs(np.linalg.det(steps)) @ per_tetrahedron)
 
 
-def _allocate(n: int, weights: np.ndarray) -> list:
-    """``n`` samples over the fan's tetrahedra: 2 each, and the rest in
-    proportion to ``weights`` by cumulative rounding.  Needs n >= 2 len(weights)."""
+def _allocate(n: int, weights: np.ndarray, least: np.ndarray) -> list:
+    """``n`` samples over the fan's tetrahedra: ``least`` each, and the rest
+    in proportion to ``weights`` by cumulative rounding.  Needs n >=
+    sum(least)."""
     cumulative = np.cumsum(weights)
-    edges = np.rint((n - 2 * len(weights)) * cumulative / cumulative[-1]).astype(np.int64)
-    return (2 + np.diff(edges, prepend=0)).tolist()
+    edges = np.rint((n - least.sum()) * cumulative / cumulative[-1]).astype(np.int64)
+    return (least + np.diff(edges, prepend=0)).tolist()
 
 
-def _grid_shape(count: int) -> tuple:
-    """(slices, face_bits) of the cell grid of a tetrahedron with ``count``
-    >= 2 samples: count // 2 cells, at most 2^_MC_GRID_BITS, so that every
-    cell gets 2 or more samples.  The gauge u is cut into 8 to 15 slices
-    (fewer only below 8 cells) and the face uniforms (a, b) into 2^face_bits
-    cells; at 10^6 samples on the four cells this split had 1.2 to 1.7 times
-    less variance than a grid with about as many intervals along each
-    uniform."""
-    cells = min(count // 2, 1 << _MC_GRID_BITS)
+def _grid_shape(count: int, pieces: int = 1) -> tuple:
+    """(slices, face_bits) of the cell grid of each of ``pieces`` pieces
+    with ``count`` >= 2 samples each: count // 2 cells, at most
+    2^_MC_GRID_BITS // pieces, so that every cell gets 2 or more samples and
+    a round over the cells of all the pieces fits a block.  The gauge u is
+    cut into 8 to 15 slices (fewer only below 8 cells) and the face uniforms
+    (a, b) into 2^face_bits cells; at 10^6 samples on the four cells this
+    split had 1.2 to 1.7 times less variance than a grid with about as many
+    intervals along each uniform."""
+    cells = min(count // 2, (1 << _MC_GRID_BITS) // pieces)
     face_bits = max(cells.bit_length() - 4, 0)
     return cells >> face_bits, face_bits
 
@@ -325,44 +330,68 @@ def _face_grid(face_bits: int) -> tuple:
     return side, corners
 
 
-def _fold(values: np.ndarray, cells: int, into: np.ndarray, work: np.ndarray) -> None:
-    """Adds to ``into`` the sums per cell of a block whose point j lies in
-    cell j mod ``cells``, summed in ``work`` (``cells`` long)."""
-    whole = len(values) // cells * cells
-    np.add.reduce(values[:whole].reshape(-1, cells), axis=0, out=work)
-    work[: len(values) - whole] += values[whole:]
-    into += work
+def _fold(values: np.ndarray, cells: int, into: np.ndarray) -> None:
+    """Adds to ``into`` (pieces x ``cells``) the sums per cell of a
+    (pieces, m) block whose point j of each piece lies in cell j mod
+    ``cells``."""
+    m = values.shape[1]
+    for first in range(0, m - cells + 1, cells):
+        into += values[:, first : first + cells]
+    into[:, : m % cells] += values[:, m - m % cells :]
 
 
-def _in_balls(x: np.ndarray, r2: np.ndarray, balls) -> np.ndarray:
-    """Membership of the (3, m) chart points ``x``, with |x|^2 = ``r2``, in
-    any of the ``balls`` of ``_carve_balls``.
+def _in_balls(e: np.ndarray, tau, gap: np.ndarray, balls) -> np.ndarray:
+    """Membership of the chart points p = a + tau e, with 1 - |p|^2 =
+    ``gap``, in any of the ``balls``: for the (3, m) points e (tau = 1) and
+    the table of ``_carve_balls``, whose a is the origin, or for the
+    (pieces, 3, m) ray directions of a block, their (pieces, 1, m) tau and
+    the per-piece table of ``_near_balls``, whose a is each piece's apex.
 
     A point p of the open unit ball lies in the ball with ideal centre c and
-    level h when (1 - p.c)^2 <= h^2 (1 - |p|^2), that is (1 - p.c) / h <=
-    sqrt(1 - |p|^2) as 1 - p.c > 0, so one (k x 3) @ (3 x m) product and a
-    minimum over the k balls test them all; points on or outside the unit
-    sphere are in no ball.
+    level h when (1 - p.c)^2 <= h^2 (1 - |p|^2), that is ((1 - p.c) / h)^2
+    <= gap, where (1 - p.c) / h = (1 - a.c) / h - tau (c / h).e is positive;
+    so one (k x 3) @ (3 x m) product and a minimum over the k balls test
+    them all.  Points on or outside the unit sphere (gap <= 0) are in no
+    ball.
     """
-    _, inv_h, scaled, _ = balls
-    depth = scaled @ x
-    np.subtract(inv_h, depth, out=depth)
-    with np.errstate(invalid="ignore"):
-        return depth.min(axis=0) <= np.sqrt(1.0 - r2)
+    _, at_apex, scaled, _ = balls
+    depth = scaled @ e
+    depth *= tau
+    np.subtract(at_apex, depth, out=depth)
+    nearest = depth[..., 0, :] if depth.shape[-2] == 1 else depth.min(axis=-2)
+    nearest *= nearest
+    return nearest <= gap
 
 
-def _near_balls(balls, corners: np.ndarray):
-    """The ``balls`` whose half-space p.c_v >= s_v (``monte_carlo_volume``)
-    reaches one of the (3, 4) ``corners`` of a tetrahedron, or None if
-    ``balls`` is None or none does.  A linear function is largest over a
-    tetrahedron at a corner, so a ball left out holds no point of it."""
+def _near_balls(balls, corners: np.ndarray, own=None):
+    """Per piece, the ``balls`` whose half-space p.c_v >= s_v
+    (``monte_carlo_volume``) reaches one of the piece's (pieces, 3, 4)
+    ``corners``, less its ``own`` ball (an index per piece), or None if
+    ``balls`` is None or no piece keeps one.  A linear function is largest
+    over a tetrahedron at a corner, so a ball left out holds no point of it.
+
+    The table has the layout of ``_carve_balls``'s with a leading piece
+    axis, its second column the depth (1 - a.c) / h at the piece's apex a,
+    the first corner, for ``_in_balls``; it is padded to the most balls a
+    piece keeps by balls that hold no point (at depth inf)."""
     if balls is None:
         return None
-    centres, _, _, reach = balls
-    near = (centres @ corners).max(axis=1) >= reach
-    if not near.any():
+    centres, inv_h, scaled, reach = balls
+    near = (centres @ corners).max(axis=-1) >= reach
+    if own is not None:
+        near &= np.arange(len(centres)) != np.asarray(own)[:, None]
+    width = int(near.sum(axis=1).max())
+    if width == 0:
         return None
-    return tuple(table[near] for table in balls)
+    order = np.argsort(~near, axis=1, kind="stable")[:, :width]
+    kept = np.take_along_axis(near, order, axis=1)[:, :, None]
+    at_apex = inv_h[order] - scaled[order] @ corners[:, :, :1]
+    return (
+        np.where(kept, centres[order], 0.0),
+        np.where(kept, at_apex, np.inf),
+        np.where(kept, scaled[order], 0.0),
+        np.where(kept[:, :, 0], reach[order], np.inf),
+    )
 
 
 def _carve_balls(centres, levels) -> tuple:
@@ -390,128 +419,291 @@ def _carve_balls(centres, levels) -> tuple:
     return (c, inv_h, c * inv_h, types - 1e-12), max(0.0, float(types.min()))
 
 
-def _stratum(rng, apex, steps, weights, n: int, c0: float, c1: float, balls):
-    """Draw ``n`` points uniformly in the slab c0 <= t^3 <= c1 of the fan and
-    estimate the mean chart volume element over the part of the slab not
-    carved by ``balls`` (``_in_balls``; None carves nothing).  The slab is
-    the shell of ``monte_carlo_volume``, c0 = t0^3 and c1 = 1; when c0 = c1
-    it has no thickness and every point lies on the faces scaled by t0.
+def _piece_rows() -> np.ndarray:
+    """The 18 pieces of a split fan tetrahedron as rows (apex, q0, q1, q2)
+    of indices into its 14 points: the face corners p0, p1, p2, the edge
+    midpoints m01, m12, m20 and the centroid g (0-6), then the same scaled
+    about the fan's apex by t0 (7-13).  Corner i owns the frustum over the
+    quad (p_i, m_ij, g, m_ik); its six rows fan it from p_i over the faces
+    that do not hold p_i: the inner quad and the two sides through g."""
+    rows, g, s = [], 6, 7
+    for i, (a, b) in enumerate(((3, 5), (4, 3), (5, 4))):
+        rows += [
+            (i, i + s, a + s, g + s), (i, i + s, g + s, b + s),
+            (i, a, g, g + s), (i, a, g + s, a + s),
+            (i, g, b, b + s), (i, g, b + s, g + s),
+        ]
+    return np.array(rows)
+
+
+_PIECE_ROWS = _piece_rows()
+
+
+def _shell_pieces(apex, steps, t0: float, balls) -> list:
+    """The pieces the shell t0 <= t <= 1 of each fan tetrahedron is sampled
+    in, one (apexes, steps, shares, h2, near) tuple per tetrahedron.
+
+    A tetrahedron whose three face corners are ball centres (to 1e-12) is
+    split into one region per corner p_i: the frustum, between scales t0
+    and 1 about the fan's apex, of the cone over the quad (p_i, m_ij, g,
+    m_ik) of edge midpoints and centroid, fanned from p_i into 6 tetrahedra
+    (``_PIECE_ROWS``; those of zero volume, when t0 = 0, are dropped).  A
+    piece from p_i carries the squared level ``h2`` (pieces x 1) of its own
+    ball, which its rays cut exactly.  Any other tetrahedron is one piece
+    from the fan's apex with h2 None.  ``steps`` maps (lo, mid, 1) to a
+    piece's face as ``_hull_fan``'s do, ``shares`` are the pieces' shares of
+    the tetrahedron's shell, and ``near`` is the ``_near_balls`` table of
+    the other balls that reach each piece.
+    """
+    p2 = apex + steps[:, :, 2]
+    p1 = p2 + steps[:, :, 1]
+    corners = np.stack((p1 + steps[:, :, 0], p1, p2), axis=1)  # (tetrahedra, 3, 3)
+    split = np.zeros(len(steps), dtype=bool)
+    if balls is not None:
+        centres, inv_h = balls[0], balls[1][:, 0]
+        match = np.abs(corners[:, :, None, :] - centres).max(axis=3) <= 1e-12
+        own = match.argmax(axis=2)
+        split = match.any(axis=2).all(axis=1)
+        corners[split] = centres[own[split]]
+    whole = np.concatenate((np.zeros((len(steps), 3, 1)), np.cumsum(steps[:, :, ::-1], axis=2)), 2)
+    near_whole = _near_balls(balls, whole + apex[:, None])
+    if split.any():
+        c = corners[split]
+        points = np.concatenate((c, 0.5 * (c + np.roll(c, -1, axis=1)), c.mean(1, keepdims=True)), 1)
+        points = np.concatenate((points, apex + t0 * (points - apex)), axis=1)
+        rows = points[:, _PIECE_ROWS]  # (split, 18, 4, 3): apex, q0, q1, q2
+        a, q0, q1, q2 = (rows[:, :, i] for i in range(4))
+        piece_steps = np.stack((q0 - q1, q1 - q2, q2 - a), axis=3)
+        volumes = np.abs(np.linalg.det(piece_steps))  # 6 times the pieces' volumes
+        ball = own[split][:, _PIECE_ROWS[:, 0]]
+        h2 = inv_h[ball] ** -2.0
+        near_split = _near_balls(
+            balls, np.swapaxes(rows, 2, 3).reshape(-1, 3, 4), ball.ravel()
+        )
+    pieces, j = [], 0
+    for k in range(len(steps)):
+        if not split[k]:
+            near = _piece_balls(near_whole, [k])
+            pieces.append((apex[None], steps[k][None], np.ones(1), None, near))
+            continue
+        keep = np.flatnonzero(volumes[j] > 0.0)
+        near = _piece_balls(near_split, j * len(_PIECE_ROWS) + keep)
+        shares = volumes[j, keep] / volumes[j, keep].sum()
+        pieces.append((rows[j, keep, 0], piece_steps[j, keep], shares, h2[j, keep, None], near))
+        j += 1
+    return pieces
+
+
+def _piece_balls(near, index):
+    """The rows ``index`` of a ``_near_balls`` table, or None if it is None
+    or they keep no ball."""
+    if near is None or not np.isfinite(near[1][index]).any():
+        return None
+    return tuple(table[index] for table in near)
+
+
+def _stratum(rng, pieces, weights, n: int, c0: float):
+    """Draw ``n`` points in the shell c0 <= t^3 <= 1 of the fan, in the
+    ``pieces`` of ``_shell_pieces``, and estimate the mean chart volume
+    element over the part of the shell outside the balls.  When c0 = 1 the
+    shell has no thickness and every point lies on the hull's faces.
 
     Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
-    more, the rest in proportion to its weight w_k), and its uniforms
-    (u, a, b) are stratified on a grid of K_k equal cells (``_grid_shape``:
-    2 or more samples per cell), slices of u times a grid on the face
-    uniforms.  A point is apex + t steps[k] @ (lo, mid, 1) with lo, mid =
-    sorted(a, b) and t = cbrt(c0 + u (c1 - c0)), so every cell is a known
-    share w_k / K_k of the slab's chart volume.  The samples visit the cells
-    in whole rounds, then one partial round over the face cells that follow
-    a random start in their visit order (``_face_grid``), so the cells with
-    one sample more lie spread over the tetrahedron.  Only the balls that
-    reach the tetrahedron (``_near_balls``) are tested on its points, by
-    ``_in_balls``, which reuses their |p|^2.
+    more per piece, the rest in proportion to its weight w_k), split evenly
+    over its P pieces, one more for the first count mod P of them.  A
+    piece's uniforms (u, a, b) are stratified on a grid of G equal cells
+    (``_grid_shape``: 2 or more samples per cell), slices of u times a grid
+    on the face uniforms, the same grid for every piece of the tetrahedron.
+    A point is apex + tau steps @ (lo, mid, 1) with lo, mid = sorted(a, b)
+    and tau^3 = l + u (1 - l), uniform in tau^3 over [l, 1].  On a piece
+    from the fan's apex l = c0 and every point has weight 1.  On a piece
+    from a ball's centre c, the ray c + tau e, e = steps @ (lo, mid, 1),
+    lies in that ball exactly for tau <= tau_e = -2 h^2 (c.e) / ((c.e)^2 +
+    h^2 |e|^2) (|c| = 1), so l = min(tau_e^3, 1): the ray skips its own
+    ball and the point carries the weight 1 - l of the part of the ray it
+    stands for.  Every cell is a
+    known share w_k s_p / G of the shell's chart volume, s_p the piece's
+    share of the tetrahedron's shell.  The samples visit the cells in whole
+    rounds, then one partial round over the face cells that follow a random
+    start in their visit order (``_face_grid``), so the cells with one
+    sample more lie spread over the piece.  Every piece's points are tested
+    by ``_in_balls`` against the balls that ``_near_balls`` keeps for it
+    (on the four cells 0 or 1), its own ball excluded.  All the pieces of
+    a tetrahedron share one block, with a leading piece axis.
 
-    With y the volume element of a point not carved (0 outside the unit
-    ball) and x = 1 for it, y = x = 0 for a carved one, the combined ratio
-    estimator (Cochran, Sampling Techniques, 3rd ed., 6.11-6.12) of the mean
-    over the uncarved slab is R = sum W_c ybar_c / sum W_c xbar_c, with
-    variance sum W_c^2 s_c^2 / n_c / (sum W_c xbar_c)^2, s_c^2 the
-    within-cell variance of y - R x.  Without a carve-out x = 1 throughout
-    and R is the stratified mean.
+    With y the weight times the volume element of a point not carved (0
+    outside the unit ball) and x the weight of a point not carved, y = x =
+    0 for a carved one, the combined ratio estimator (Cochran, Sampling
+    Techniques, 3rd ed., 6.11-6.12) of the mean over the shell outside the
+    balls is R = sum W_c ybar_c / sum W_c xbar_c, with variance sum W_c^2
+    s_c^2 / n_c / (sum W_c xbar_c)^2, s_c^2 the within-cell variance of y -
+    R x.  Without a carve-out x = 1 throughout and R is the stratified mean.
 
     Returns (R, variance of R, accepted, carved), with R = 0 and variance 0
-    when every sample is carved.
+    when no sample carries weight.
     """
     accepted = carved = 0
     # a block's arrays are views of this one allocation, which every block
     # reuses: allocated anew per block, their memory went back to the system
     # when freed and took minor page faults again in the next block
+    # (the last 2 _MC_CHUNK hold a tetrahedron's sums of y and x per cell)
     work = np.empty(11 * _MC_CHUNK)
-    # sums over the cells of W_c ybar_c, W_c xbar_c and the terms of the
-    # variance that multiply 1, -2 R and R^2
-    y_bar = x_bar = var_y = var_xy = var_x = 0.0
-    for k, count in enumerate(_allocate(n, weights)):
-        slices, face_bits = _grid_shape(count)
+    sums = work[9 * _MC_CHUNK :]
+    # sums over the cells of W_c ybar_c, W_c xbar_c and the variance terms
+    # of y^2, x y and x^2
+    totals = np.zeros(5)
+    least = np.array([2 * len(piece[0]) for piece in pieces])
+    for (apexes, steps, shares, h2, near), weight, count in zip(
+        pieces, weights, _allocate(n, weights, least)
+    ):
+        n_pieces = len(apexes)
+        each, extra = divmod(count, n_pieces)  # pieces below extra draw each + 1
+        slots = each + (extra > 0)
+        slices, face_bits = _grid_shape(each, n_pieces)
         cells = slices << face_bits
-        # column j slices + i of a round is slice i of t^3 = c0 + (c1 - c0) u
-        # over face cell j, the face cells taken in visit order from a random
-        # start
-        thick = (c1 - c0) / slices
+        # column j slices + i of a round is slice i of u over face cell j,
+        # the face cells taken in visit order from a random start; on a
+        # piece from the apex u is t^3 itself
+        low = c0 if h2 is None else 0.0
+        thick = (1.0 - low) / slices
         side, corners = _face_grid(face_bits)
         start = int(rng.integers(1 << face_bits))
-        offset = np.empty((3, cells))
-        offset[0] = np.tile(c0 + thick * np.arange(slices), 1 << face_bits)
-        offset[1:] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
-        scale = np.vstack(([thick], side))
-        span, base = steps[k][:, :2], steps[k][:, 2:]
-        # the apex and the face corners p2, p1, p0 of the tetrahedron
-        vertices = np.hstack((np.zeros((3, 1)), np.cumsum(steps[k][:, ::-1], axis=1)))
-        near = _near_balls(balls, vertices + apex[:, None])
-        block = max(1, _MC_CHUNK // cells) * cells
-        y_sum = np.zeros(cells)
-        y_sq = np.zeros(cells)
-        x_sum = np.zeros(cells)
-        for first in range(0, count, block):
-            m = min(block, count - first)
+        offset = np.empty((3, 1, cells))
+        offset[0, 0] = np.tile(low + thick * np.arange(slices), 1 << face_bits)
+        offset[1:, 0] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
+        scale = np.vstack(([thick], side))[:, :, None]
+        # d = -2 a.e and 1 - |p|^2 = 1 - |a|^2 + tau (d - tau |e|^2) for p =
+        # a + tau e; on a piece from a ball's centre |a| = 1 and its own ball
+        # ends at tau_e = d / (d^2 / (4 h^2) + |e|^2)
+        minus_twice_apexes = -2.0 * apexes[:, None, :]
+        gap_at_apex = 1.0 - np.einsum("pj,pj->p", apexes, apexes)[:, None]
+        if h2 is not None:
+            quarter_inv_h2 = 0.25 / h2
+        room = _MC_CHUNK // n_pieces  # the most samples per piece a block holds
+        block = room // cells * cells
+        per_cell = sums[: 2 * n_pieces * cells].reshape(2, n_pieces, cells)
+        per_cell.fill(0.0)
+        # the pieces that draw one sample more and the rest, each with its
+        # samples per cell n_c, and 1 / (n_c (n_c - 1)) repeated over a block
+        groups = []
+        for rows, drawn in ((slice(0, extra), each + 1), (slice(extra, n_pieces), each)):
+            if rows.start == rows.stop:
+                continue
+            q, rest = divmod(drawn, cells)
+            n_c = np.full(cells, float(q))
+            n_c[:rest] += 1.0
+            inverse = np.tile(1.0 / (n_c * (n_c - 1.0)), -(-min(slots, room) // cells))
+            groups.append((rows, n_c, inverse))
+        # per piece, the sums over its samples of (y, x) (y, x)^T / (n_c (n_c - 1))
+        second = np.zeros((n_pieces, 2, 2))
+        first = 0
+        while first < slots:
+            m = slots - first if slots - first <= room else block
+            b = n_pieces * m  # the block's arrays of b doubles each fill work in turn
             whole = m // cells * cells
-            r = rng.random(out=work[: 3 * m].reshape(3, m))  # t^3, a, b once put into their cells
-            face = work[3 * m : 5 * m].reshape(2, m)
-            x = work[5 * m : 8 * m].reshape(3, m)
-            r2, w, sums = work[8 * m : 9 * m], work[9 * m : 10 * m], work[10 * m : 10 * m + cells]
+            r = rng.random(out=work[: 3 * b].reshape(3, n_pieces, m))
             r *= scale
-            r[:, :whole].reshape(3, -1, cells)[...] += offset[:, None, :]
-            r[:, whole:] += offset[:, : m - whole]
-            np.minimum(r[1], r[2], out=face[0])
-            np.maximum(r[1], r[2], out=face[1])
-            np.matmul(span, face, out=x)
-            x += base
-            x *= np.cbrt(r[0], out=r[0])
-            x += apex[:, None]
-            np.einsum("ij,ij->j", x, x, out=r2)
-            keep = r2 < 1.0
+            rounds = r[:, :, :whole].reshape(3, n_pieces, -1, cells)
+            np.add(rounds, offset[:, :, None, :], out=rounds)
+            np.add(r[:, :, whole:], offset[:, :, : m - whole], out=r[:, :, whole:])
+            face = work[3 * b : 6 * b].reshape(n_pieces, 3, m)  # (lo, mid, 1)
+            np.minimum(r[1], r[2], out=face[:, 0])
+            np.maximum(r[1], r[2], out=face[:, 1])
+            face[:, 2] = 1.0
+            e = work[6 * b : 9 * b].reshape(n_pieces, 3, m)
+            np.matmul(steps, face, out=e)
+            tau, d, ee = r
+            np.matmul(minus_twice_apexes, e, out=d[:, None, :])
+            np.einsum("pjm,pjm->pm", e, e, out=ee)
+            # y and x, where face was
+            yx = work[3 * b : 5 * b].reshape(2, n_pieces, m)
+            y, x = yx
+            gap = work[5 * b : 6 * b].reshape(n_pieces, m)
+            if h2 is None:
+                x[...] = 1.0
+            else:
+                np.multiply(d, d, out=y)
+                y *= quarter_inv_h2
+                y += ee
+                np.divide(d, y, out=y)  # tau_e
+                cut_off = np.multiply(y, y, out=gap)
+                cut_off *= y
+                np.minimum(cut_off, 1.0, out=cut_off)
+                np.subtract(1.0, cut_off, out=x)  # the point's weight
+                tau *= x
+                tau += cut_off
+            np.cbrt(tau, out=tau)
+            np.multiply(tau, ee, out=gap)
+            np.subtract(d, gap, out=gap)
+            gap *= tau
+            if h2 is None:
+                gap += gap_at_apex
+            inside = gap > 0.0
+            if extra and first + m == slots:
+                # the last slot, which the pieces past extra do not draw
+                # (extra > 0 only on split tetrahedra)
+                inside[extra:, -1] = False
+                x[extra:, -1] = 0.0
+            accepted += int(np.count_nonzero(inside))
             if near:
-                cut = _in_balls(x, r2, near)
-                cut &= keep
-                carved += int(np.count_nonzero(cut))
-                _fold(~cut, cells, x_sum, sums)
-                keep &= ~cut
-            accepted += int(np.count_nonzero(keep))
-            np.subtract(1.0, r2, out=w)
-            w *= w
-            np.maximum(w, 1e-300, out=w)  # finite where r2 = 1, a point never kept
-            y = np.divide(keep, w, out=w)
-            _fold(y, cells, y_sum, sums)
-            _fold(np.multiply(y, y, out=r2), cells, y_sq, sums)
-        # cells visited first hold q + 1 samples, the rest q >= 2
-        q, rest = divmod(count, cells)
-        if not near:
-            x_sum = np.full(cells, float(q))
-            x_sum[:rest] += 1.0
-        for size, part in ((q + 1, slice(0, rest)), (q, slice(rest, cells))):
-            sy, sx = y_sum[part], x_sum[part]
-            share = weights[k] / cells / size  # W_c / n_c
-            y_bar += share * sy.sum()
-            x_bar += share * sx.sum()
-            # W_c^2 s_c^2 / n_c, s_c^2 = (sum d^2 - (sum d)^2 / n_c) / (n_c - 1) for
-            # d = y - R x, expanded in R by sum x y = sum y and sum x^2 = sum x
-            coef = share * share * size / (size - 1)
-            var_y += coef * (y_sq[part].sum() - sy @ sy / size)
-            var_xy += coef * (sy.sum() - sy @ sx / size)
-            var_x += coef * (sx.sum() - sx @ sx / size)
-    if carved == n:
-        return 0.0, 0.0, accepted, carved
-    ratio = float(y_bar / x_bar)
-    var = float(max(var_y - 2.0 * ratio * var_xy + ratio * ratio * var_x, 0.0) / (x_bar * x_bar))
-    return ratio, var, accepted, carved
+                cut = _in_balls(e, tau[:, None, :], gap, near)
+                cut &= inside
+                hits = int(np.count_nonzero(cut))
+                if hits:
+                    carved += hits
+                    accepted -= hits
+                    x[cut] = 0.0
+            np.multiply(gap, gap, out=y)
+            np.maximum(y, 1e-300, out=y)  # finite where gap = 0, a point outside
+            np.divide(x, y, out=y)
+            if not inside.all():
+                y[~inside] = 0.0
+            _fold(y, cells, per_cell[0])
+            _fold(x, cells, per_cell[1])
+            weighted = work[: 2 * b].reshape(2, n_pieces, m)
+            for rows, _, inverse in groups:
+                np.multiply(yx[:, rows], inverse[:m], out=weighted[:, rows])
+                second[rows] += np.matmul(
+                    weighted[:, rows].transpose(1, 0, 2), yx[:, rows].transpose(1, 2, 0)
+                )
+            first += m
+        # every cell of piece p has W_c = w_k s_p / G; the combined ratio
+        # estimator needs sum W_c ybar_c, sum W_c xbar_c and, with d = y -
+        # R x, sum W_c^2 s_c^2 / n_c, s_c^2 = (sum d^2 - (sum d)^2 / n_c) /
+        # (n_c - 1), expanded in R
+        share = weight * shares / cells
+        share2 = share * share
+        totals[2:] += share2 @ second.reshape(n_pieces, 4)[:, [0, 1, 3]]
+        for rows, n_c, inverse in groups:
+            sy, sx = per_cell[:, rows]
+            totals[0] += share[rows] @ (sy @ (1.0 / n_c))
+            totals[1] += share[rows] @ (sx @ (1.0 / n_c))
+            spread = inverse[:cells] / n_c
+            totals[2] -= share2[rows] @ ((sy * sy) @ spread)
+            totals[3] -= share2[rows] @ ((sy * sx) @ spread)
+            totals[4] -= share2[rows] @ ((sx * sx) @ spread)
+    return (*_combined_ratio(*totals.tolist()), accepted, carved)
+
+
+def _combined_ratio(y_bar, x_bar, var_y, var_xy, var_x) -> tuple:
+    """R = sum W_c ybar_c / sum W_c xbar_c and its variance from the sums
+    over the cells of W_c ybar_c and W_c xbar_c and of the terms of sum
+    W_c^2 s_c^2 / n_c that multiply 1, -2 R and R^2; (0, 0) when no sample
+    carries weight (x_bar = 0)."""
+    if x_bar == 0.0:
+        return 0.0, 0.0
+    ratio = y_bar / x_bar
+    return ratio, max(var_y - 2.0 * ratio * var_xy + ratio * ratio * var_x, 0.0) / (x_bar * x_bar)
 
 
 def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> VolumeResult:
     """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
 
     ``region`` is a vertex set given as chart 3-vectors and ``faces`` its
-    faces as index cycles in convex order (``_hull_fan``).  Draws points
-    uniformly in the polyhedron, through the tetrahedral fan of its faces
-    from the vertex mean, stratified by tetrahedron and on a grid inside each
-    (``_stratum``), and averages the chart volume element
+    faces as index cycles in convex order (``_hull_fan``).  Draws points in
+    the polyhedron through the tetrahedral fan of its faces from the vertex
+    mean, in pieces of each tetrahedron and stratified on a grid inside each
+    piece (``_stratum``), and averages the chart volume element
     1/(1 - x^2 - y^2 - z^2)^2 times the chart volume sampled.  Points on or
     outside the unit sphere count as rejected and contribute 0.
     Deterministic for a fixed (seed, samples).
@@ -539,20 +731,26 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     element is analytic on it, so it is integrated, not sampled
     (``_core_integral``, an order-16 tensor Gauss-Legendre rule), and the
     difference from the order-12 rule is booked as its error.  Every sample
-    goes to the shell, one stratum t0^3 <= t^3 <= 1 (``_stratum``); its
-    samples that are not carved are uniform in the shell less the balls,
-    whose chart volume (1 - t0^3) H - ``chart_volume`` is known exactly
-    from the hull's H.  This is the limit of Neyman allocation in which the
-    core, whose variance is nil, gets no samples, and it needs no pilot run.
-    The estimate is ``volume`` plus the core's integral plus the shell's
-    chart volume times its ratio estimate, with standard error^2 = V^2
-    var(R) + (Q16 - Q12)^2.  Carved samples add no variance and the grid
-    cells remove most of it within the shell.  Without a carve-out, or with
-    a ball that reaches the origin (h_v >= 1), the core is empty; when the
-    whole hull is core the shell has no thickness and adds no volume.
+    goes to the shell, t0^3 <= t^3 <= 1, in the pieces of
+    ``_shell_pieces``.  A fan tetrahedron whose three face corners are ball
+    centres is sampled along rays from those cusps: its shell is cut into
+    one region per corner, fanned from the corner, and every ray skips the
+    corner's own ball exactly and weighs the point by the share of the ray
+    it stands for.  Any other tetrahedron is one piece from the fan's apex.
+    The neighbour balls are still tested on each piece's points.  The
+    weighted samples not carved stand for the shell less the balls, whose
+    chart volume (1 - t0^3) H - ``chart_volume`` is known exactly from the
+    hull's H.  This is the limit of Neyman allocation in which the core,
+    whose variance is nil, gets no samples, and it needs no pilot run.  The
+    estimate is ``volume`` plus the core's integral plus the shell's chart
+    volume times its ratio estimate, with standard error^2 = V^2 var(R) +
+    (Q16 - Q12)^2.  The balls add no variance and the grid cells remove most
+    of it within the shell.  Without a carve-out, or with a ball that
+    reaches the origin (h_v >= 1), the core is empty; when the whole hull
+    is core the shell has no thickness and adds no volume.
 
     GeometryError unless the region's points are finite, its faces are
-    valid and give no more than samples / 2 fan tetrahedra, the carve's
+    valid and give no more than samples / 2 pieces of the fan, the carve's
     centres form a (k, 3) array of k >= 1 finite points on the unit sphere
     with one positive finite real level each, and its ``volume`` and
     ``chart_volume`` are finite real numbers >= 0.
@@ -579,12 +777,14 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     if not 0.0 <= chart < math.inf:
         raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
     apex, steps, volumes = _hull_fan(pts, faces)
-    if samples < 2 * len(volumes):
+    t0 = _core_scale(pts, apex, radius)
+    pieces = _shell_pieces(apex, steps, t0, balls)
+    n_pieces = sum(len(piece[0]) for piece in pieces)
+    if samples < 2 * n_pieces:
         raise GeometryError(
-            f"{samples} samples leave fewer than 2 for each of {len(volumes)} fan tetrahedra"
+            f"{samples} samples leave fewer than 2 for each of {n_pieces} pieces of the fan"
         )
     hull_vol = float(volumes.sum())
-    t0 = _core_scale(pts, apex, radius)
     shell_hull = hull_vol * (1.0 - t0**3)
     shell = shell_hull - chart
     if not (shell > 0.0 or shell == chart == 0.0):
@@ -593,9 +793,7 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     core_error = core - _core_integral(apex, steps, t0, _CORE_CHECK_ORDER)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    ratio, ratio_var, accepted, carved = _stratum(
-        rng, apex, steps, volumes / hull_vol, samples, t0**3, 1.0, balls
-    )
+    ratio, ratio_var, accepted, carved = _stratum(rng, pieces, volumes / hull_vol, samples, t0**3)
     if shell > 0.0 and carved == samples:
         raise GeometryError(f"all {samples} samples of the shell were carved out")
     est = exact + core + shell * ratio

@@ -574,20 +574,21 @@ def test_monte_carlo_all_core_matches_one_stratum(monkeypatch):
     # the cube's corners are 0.52 from the origin, so a ball of type 0.6,
     # which misses the cube, makes the whole hull the core: the quadrature
     # alone gives the volume, and the one stratum, the shell t^3 in [1, 1]
-    # of zero thickness, takes every sample on the hull's boundary with no
-    # path of its own, adding no volume and no variance
+    # of zero thickness, takes every sample on the hull's boundary in one
+    # piece per fan tetrahedron from the apex, as no corner carries a ball,
+    # with no path of its own, adding no volume and no variance
     strata = []
     stratum = volume._stratum
 
-    def spy(rng, apex, steps, weights, n, c0, c1, balls):
-        strata.append((n, c0, c1))
-        return stratum(rng, apex, steps, weights, n, c0, c1, balls)
+    def spy(rng, pieces, weights, n, c0):
+        strata.append((n, c0, [len(piece[0]) for piece in pieces], [piece[3] for piece in pieces]))
+        return stratum(rng, pieces, weights, n, c0)
 
     monkeypatch.setattr(volume, "_stratum", spy)
     core = monte_carlo_volume(
         cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(*cusp_ball(0.6), 0.0, 0.0)
     )
-    assert strata == [(50_000, 1.0, 1.0)]
+    assert strata == [(50_000, 1.0, [1] * 12, [None] * 12)]
     assert core.value == pytest.approx(CUBE_ORACLE, rel=1e-12)
     assert core.stderr <= 1e-12 * CUBE_ORACLE
     assert core.accepted + core.carved + core.rejected == 50_000
@@ -651,10 +652,12 @@ def test_monte_carlo_reads_the_carve_as_real_numbers(field, index):
         monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=tuple(carve))
 
 
-def per_cell(count):
-    """Fewest samples a cell of a tetrahedron with ``count`` samples gets."""
-    slices, face_bits = _grid_shape(count)
-    return count // (slices << face_bits)
+def per_cell(count, pieces=1):
+    """Fewest samples a cell gets in a tetrahedron with ``count`` samples
+    over ``pieces`` pieces."""
+    each = count // pieces
+    slices, face_bits = _grid_shape(each, pieces)
+    return each // (slices << face_bits)
 
 
 def test_grid_cells_hold_two_samples_and_tile_the_square():
@@ -688,13 +691,13 @@ _ALLOCATE = volume._allocate
 
 
 def _fan_sizes(run, monkeypatch):
-    """Per-tetrahedron sample counts of the strata that draw samples in
-    ``run()``."""
+    """Per-tetrahedron sample counts and piece counts of the strata that
+    draw samples in ``run()``."""
     seen = []
 
-    def spy(n, weights):
-        counts = _ALLOCATE(n, weights)
-        seen.append(counts)
+    def spy(n, weights, least):
+        counts = _ALLOCATE(n, weights, least)
+        seen.append((counts, (least // 2).tolist()))
         return counts
 
     monkeypatch.setattr(volume, "_allocate", spy)
@@ -705,11 +708,15 @@ def _fan_sizes(run, monkeypatch):
 
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
 def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, monkeypatch):
+    # every fan tetrahedron of a cell is split into 18 pieces, one frustum
+    # per face corner fanned into 6, and every cell of every piece's grid
+    # holds 2 samples or more
     cell = build_cell(symbol)
     pts, faces = cell_region(symbol)
-    for counts in _fan_sizes(lambda: cell_volume_oracle(cell, MIN_SAMPLES, 1), monkeypatch):
-        assert min(map(per_cell, counts)) >= 2
+    for counts, pieces in _fan_sizes(lambda: cell_volume_oracle(cell, MIN_SAMPLES, 1), monkeypatch):
+        assert min(map(per_cell, counts, pieces)) >= 2
         assert len(counts) == len(_hull_fan(pts, faces)[2])
+        assert set(pieces) == {18}
 
 
 def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeypatch):
@@ -732,8 +739,89 @@ def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeyp
             monkeypatch,
         )
         assert len(seen) == strata
-        for counts in seen:
-            assert min(map(per_cell, counts)) >= 2
+        for counts, pieces in seen:
+            assert min(map(per_cell, counts, pieces)) >= 2
+
+
+def _cell_shell(symbol, t0=None):
+    """The fan, core scale and shell pieces of a cell with the oracle's
+    cusp balls (or with the core scale ``t0``)."""
+    pts, faces = cell_region(symbol)
+    cell = build_cell(symbol)
+    levels = [0.999 * same_type_level(cell, v) for v in range(len(pts))]
+    balls, radius = volume._carve_balls(pts, levels)
+    apex, steps, volumes = _hull_fan(pts, faces)
+    if t0 is None:
+        t0 = _core_scale(pts, apex, radius)
+    return pts, levels, (apex, steps, volumes), t0, volume._shell_pieces(apex, steps, t0, balls)
+
+
+def _barycentric(apexes, steps, points):
+    """Barycentric coordinates (pieces, points, 4) of ``points`` in each
+    piece (apex, q0, q1, q2)."""
+    corners = np.cumsum(steps[:, :, ::-1], axis=2)  # q2, q1, q0 less the apex
+    local = np.linalg.solve(corners[:, None], (points[None] - apexes[:, None])[..., None])[..., 0]
+    return np.concatenate((1.0 - local.sum(axis=2, keepdims=True), local), axis=2)
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+@pytest.mark.parametrize("core", [True, False])
+def test_shell_pieces_tile_each_fan_tetrahedron(symbol, core):
+    # the 18 pieces of a fan tetrahedron, 6 from each face corner, tile its
+    # shell between the scales t0 and 1 about the apex: their volumes add
+    # up to the shell's, and a point of the shell lies in exactly one of
+    # them.  Each piece's apex is the ball centre at its corner and carries
+    # that ball's squared level.  With no core (t0 = 0) each corner's
+    # inner quad collapses to the apex and 2 pieces of 6 remain
+    pts, levels, (fan_apex, fan_steps, volumes), t0, pieces = _cell_shell(
+        symbol, None if core else 0.0
+    )
+    assert (t0 > 0.0) == core
+    rng = np.random.default_rng(5)
+    for (apexes, steps, shares, h2, _), volume_k, k in zip(pieces, volumes, itertools.count()):
+        piece_volumes = np.abs(np.linalg.det(steps)) / 6.0
+        assert len(apexes) == (18 if core else 6)
+        assert piece_volumes.min() > 0.0
+        assert piece_volumes.sum() == pytest.approx(volume_k * (1.0 - t0**3), rel=1e-12)
+        assert shares == pytest.approx(piece_volumes / piece_volumes.sum(), rel=1e-12)
+        for a, level2 in zip(apexes, h2[:, 0]):
+            [v] = np.flatnonzero((pts == a).all(axis=1))
+            assert level2 == pytest.approx(levels[v] ** 2, rel=1e-15)
+        if k % 4:
+            continue
+        # uniform points of the fan tetrahedron's shell
+        lo, mid = np.sort(rng.random((2, 2000)), axis=0)
+        t = np.cbrt(t0**3 + (1.0 - t0**3) * rng.random(2000))
+        points = fan_apex + t[:, None] * (np.stack((lo, mid, np.ones(2000)), 1) @ fan_steps[k].T)
+        inside = (_barycentric(apexes, steps, points) > -1e-12).all(axis=2)
+        assert (inside.sum(axis=0) >= 1).all()
+        assert (inside.sum(axis=0) <= 2).all()
+        assert (inside.sum(axis=0) == 1).mean() > 0.999
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+def test_piece_tables_test_rays_as_the_pencil_form(symbol):
+    # a piece's table holds each ball's depth (1 - a.c) / h at the piece's
+    # apex a, so the ray form of _in_balls answers for p = a + tau e what the
+    # pencil form (1 - p.c)^2 <= h^2 (1 - |p|^2) answers; here every ball of
+    # the cell is kept, the piece's own ball included
+    pts, levels, _, _, pieces = _cell_shell(symbol)
+    balls, _ = volume._carve_balls(pts, levels)
+    everywhere = (*balls[:3], np.full(len(pts), -np.inf))
+    h = np.array(levels)[None, :, None]
+    rng = np.random.default_rng(3)
+    for apexes, steps, _, _, _ in pieces:
+        corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
+        lo, mid = np.sort(rng.random((2, len(apexes), 200)), axis=0)
+        e = steps @ np.stack((lo, mid, np.ones_like(lo)), axis=1)
+        tau = rng.random((len(apexes), 1, 200))
+        p = apexes[:, :, None] + tau * e
+        gap = 1.0 - np.einsum("pjm,pjm->pm", p, p)
+        got = volume._in_balls(e, tau, gap, volume._near_balls(everywhere, corners))
+        pencil = (1.0 - pts @ p) ** 2 - h * h * gap[:, None, :]  # (pieces, balls, points)
+        sure = (np.abs(pencil) > 1e-12).all(axis=1)
+        assert np.array_equal(got[sure], (pencil <= 0.0).any(axis=1)[sure])
+        assert 0.0 < got.mean() < 1.0
 
 
 def prism(sides, radius=0.3, height=0.1):
