@@ -293,7 +293,7 @@ def _allocate(n: int, weights: np.ndarray, least: np.ndarray) -> list:
     return (least + np.diff(edges, prepend=0)).tolist()
 
 
-def _grid_shape(count: int, pieces: int = 1) -> tuple:
+def _grid_shape(count: int, pieces: int) -> tuple:
     """(slices, face_bits) of the cell grid of each of ``pieces`` pieces
     with ``count`` >= 2 samples each: count // 2 cells, at most
     2^_MC_GRID_BITS // pieces, so that every cell gets 2 or more samples and
@@ -521,15 +521,15 @@ def _stratum(rng, pieces, weights, n: int, c0: float):
     lies in that ball exactly for tau <= tau_e = -2 h^2 (c.e) / ((c.e)^2 +
     h^2 |e|^2) (|c| = 1), so l = min(tau_e^3, 1): the ray skips its own
     ball and the point carries the weight 1 - l of the part of the ray it
-    stands for.  Every cell is a
-    known share w_k s_p / G of the shell's chart volume, s_p the piece's
-    share of the tetrahedron's shell.  The samples visit the cells in whole
-    rounds, then one partial round over the face cells that follow a random
-    start in their visit order (``_face_grid``), so the cells with one
-    sample more lie spread over the piece.  Every piece's points are tested
-    by ``_in_balls`` against the balls that ``_near_balls`` keeps for it
-    (on the four cells 0 or 1), its own ball excluded.  All the pieces of
-    a tetrahedron share one block, with a leading piece axis.
+    stands for.  Every cell is a known share w_k s_p / G of the shell's
+    chart volume, s_p the piece's share of the tetrahedron's shell.  The
+    samples visit the cells in whole rounds, then one partial round over the
+    face cells that follow a random start in their visit order
+    (``_face_grid``), so the cells with one sample more lie spread over the
+    piece.  Every piece's points are tested by ``_in_balls`` against the
+    balls that ``_near_balls`` keeps for it (on the four cells 0 or 1), its
+    own ball excluded.  All the pieces of a tetrahedron share one block,
+    with a leading piece axis.
 
     With y the weight times the volume element of a point not carved (0
     outside the unit ball) and x the weight of a point not carved, y = x =

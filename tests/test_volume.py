@@ -662,14 +662,17 @@ def per_cell(count, pieces=1):
 
 def test_grid_cells_hold_two_samples_and_tile_the_square():
     for count in range(2, 5000):
-        slices, face_bits = _grid_shape(count)
+        slices, face_bits = _grid_shape(count, 1)
         cells = slices << face_bits
         assert per_cell(count) >= 2
         assert cells > count // 4
         assert 8 <= slices < 16 or face_bits == 0
     cap = 1 << volume._MC_GRID_BITS
     assert cap <= volume._MC_CHUNK
-    assert _grid_shape(10**9)[0] << _grid_shape(10**9)[1] == cap
+    assert _grid_shape(10**9, 1)[0] << _grid_shape(10**9, 1)[1] == cap
+    # the cells of all 18 pieces of a split tetrahedron fit one block
+    slices, face_bits = _grid_shape(10**9, 18)
+    assert cap // 36 < slices << face_bits <= cap // 18
     for face_bits in range(volume._MC_GRID_BITS + 1):
         side, corners = _face_grid(face_bits)
         assert np.prod(side) == 0.5**face_bits
