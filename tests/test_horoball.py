@@ -447,6 +447,7 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
     cell_volume_oracle(cell, 200_000, 5)
     assert len(blocks) >= sum(len(f) - 2 for f in cell.faces)  # one per tetrahedron
     assert all(same for _, same in blocks)
+    # on (3,4,4) no neighbour ball holds a sample (carved == 0)
     assert sum(hits for hits, _ in blocks) > 0 or symbol == (3, 4, 4)
     # a point just inside a ball's point nearest the origin lies in the
     # ball, and a point just outside it does not
