@@ -59,7 +59,6 @@ from .volume import (
     bf_constant,
     bf_series_tail_bound,
     lobachevsky,
-    monte_carlo_volume,
     orthoscheme_volume,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "family",
     "horoball_level",
     "lobachevsky",
-    "monte_carlo_volume",
     "orthoscheme_volume",
     "polar_point",
     "reflect",

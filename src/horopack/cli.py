@@ -201,7 +201,7 @@ def _cmd_volumes(args) -> tuple[int, tuple, list, dict]:
     print(f"Cell volumes (Monte Carlo: {args.samples} samples, seed {args.seed})")
     for weights in FULLY_ASYMPTOTIC_TILINGS:
         cell = build_cell(weights)
-        ortho_volume = orthoscheme_volume(cell.orthoscheme_symbol).value
+        ortho_volume = orthoscheme_volume(cell.orthoscheme_symbol)
         mc = cell_volume_oracle(cell, args.samples, args.seed)
         sigmas = abs(mc.value - cell.volume) / mc.stderr if mc.stderr else 0.0
         ok = sigmas <= 3.0

@@ -360,7 +360,7 @@ def _assemble_cell(tiling, ortho_symbol, count, beta, anchor, order) -> Cell:
     for table in (gram, face_bounds, edge_index, sector_coefficients, symmetries):
         table.setflags(write=False)
 
-    vol = count * _volume.orthoscheme_volume(ortho_symbol).value
+    vol = count * _volume.orthoscheme_volume(ortho_symbol)
     return Cell(
         tiling=tiling,
         vertices=vertices,
@@ -442,5 +442,5 @@ def build_orthoscheme(symbol) -> Orthoscheme:
         vertices=tuple(ProjectivePoint(a) for a in dual),
         walls=tuple(Hyperplane(n) for n in normals),
         matrix=matrix,
-        volume=_volume.orthoscheme_volume(key).value,
+        volume=_volume.orthoscheme_volume(key),
     )

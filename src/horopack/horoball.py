@@ -20,11 +20,11 @@ gap along the joining line is log(kappa / (2 h1 h2))).
 A ball's volume inside its cell is the paper's law C_v h^2:
 ``vertex_sector_volume(cell, vertex, h)`` forms the same product as
 ``packing.evaluate``, for packings, the sliding-tangency law and the Monte
-Carlo carve-outs alike; the carve-outs reach ``volume.monte_carlo_volume``
-as the balls' chart centres and levels.  It samples the cell near each cusp
-along rays from the ideal vertex, which leave the cusp's ball exactly at the
-tau_e that ``_chart_sector`` integrates, and tests the sign of Q itself only
-for the neighbour balls.
+Carlo carve-outs alike; ``volume.monte_carlo_volume`` takes the cell and
+one carve-out level per vertex, the ball of vertex v centred at vertex v.
+It samples the cell near each cusp along rays from the ideal vertex, which
+leave the cusp's ball exactly at the tau_e that ``_chart_sector``
+integrates, and tests the sign of Q itself only for the neighbour balls.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
 whose chord toward neighbours a, b is sqrt(2 K_ab / (K_va K_vb)) in the
 Gram table; the cell is built with C_v read off its 40-digit K.
@@ -272,19 +272,18 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     0.1% (pairwise disjoint and inside their face bounds), whose cell
     sectors are known exactly (C_v h^2, vertex_sector_volume); only the compact
     remainder is sampled, at its known chart volume (the cell's less the
-    balls' chart sectors).  The balls go to ``monte_carlo_volume`` as their
-    chart centres, the cell's vertices, and levels.  From their types it
-    derives the cusp-free core, which it integrates by quadrature, and it
-    spends every sample on the shell outside it.  Every face corner of the
-    cell's fan is a ball centre, so the shell is sampled along rays from the
-    cusps: each tetrahedron of the fan is cut into 18 pieces, 6 from each
-    corner of its face triangle, every ray skips its own cusp's ball exactly,
-    and the points of a piece are tested only against the 0 or 1 neighbour
-    balls that reach it.
+    balls' chart sectors).  ``monte_carlo_volume`` takes the cell and one
+    level per vertex and places ball v at vertex v.  From the balls' types
+    it derives the cusp-free core, which it integrates by quadrature, and it
+    spends every sample on the shell outside it, along rays from the cusps:
+    each tetrahedron of the fan over the cell's faces is cut into 18 pieces,
+    6 from each corner of its face triangle, every ray skips its own cusp's
+    ball exactly, and the points of a piece are tested only against the 0 or
+    1 neighbour balls that reach it.  GeometryError unless ``samples`` is an
+    integer of at least ``volume.MIN_SAMPLES`` and ``seed`` a non-negative
+    integer.
     """
-    levels = [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
+    levels = 0.999 * np.array([same_type_level(cell, v) for v in range(cell.n_vertices)])
     exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))
     chart = math.fsum(_chart_sector(cell, v, h) for v, h in enumerate(levels))
-    region = [v.chart() for v in cell.vertices]
-    carve = (region, levels, exact, chart)
-    return monte_carlo_volume(region, cell.faces, samples, seed, carve=carve)
+    return monte_carlo_volume(cell, levels, exact, chart, samples, seed)

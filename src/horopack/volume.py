@@ -1,6 +1,7 @@
 """Lobachevsky function, the three-term volume of an orthoscheme with an
-ideal vertex, series constant, and a Monte Carlo volume oracle in the Klein
-chart.
+ideal vertex, series constant, and a Monte Carlo volume oracle for the
+fully asymptotic cells in the Klein chart, which samples each cell along
+rays from its cusps.
 
 All volumes are hyperbolic volumes at curvature k = 1.
 """
@@ -11,7 +12,6 @@ import decimal
 import math
 import numbers
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -54,20 +54,18 @@ def _index(value, size: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """A volume with its standard error (0 for closed forms).
-
-    Monte Carlo results also account for every sample drawn:
-    ``accepted + carved + rejected == samples``.  ``carved`` counts the
-    samples that fall in a neighbour ball: a sample on a ray from a ball's
-    centre starts past that ball, so the ray's share in it is weighed out,
-    not counted.
+    """A Monte Carlo volume with its standard error and an account of every
+    sample drawn: ``accepted + carved + rejected == samples``.  ``carved``
+    counts the samples that fall in a neighbour ball: a sample on a ray from
+    a ball's centre starts past that ball, so the ray's share in it is
+    weighed out, not counted.
     """
 
     value: float
-    stderr: float = 0.0
-    accepted: int = 0
-    rejected: int = 0
-    carved: int = 0
+    stderr: float
+    accepted: int
+    rejected: int
+    carved: int
 
 
 # --- Lobachevsky function ---------------------------------------------------
@@ -139,7 +137,7 @@ def lobachevsky(theta: float) -> float:
 # --- orthoscheme and cell volumes -------------------------------------------
 
 
-def orthoscheme_volume(symbol) -> VolumeResult:
+def orthoscheme_volume(symbol) -> float:
     """Closed-form volume of the orthoscheme (n1, n2, n3) whose (n2, n3)
     vertex is ideal, as in every characteristic orthoscheme of a fully
     asymptotic cell.
@@ -170,7 +168,7 @@ def orthoscheme_volume(symbol) -> VolumeResult:
         )
     a1, a3 = math.pi / n1, math.pi / n3
     vol = lobachevsky(a1 + a3) - lobachevsky(a1 - a3) + 2.0 * lobachevsky(math.pi / 2.0 - a3)
-    return VolumeResult(value=0.25 * vol)
+    return 0.25 * vol
 
 
 # --- Monte Carlo oracle -----------------------------------------------------
@@ -196,7 +194,8 @@ def _hull_fan(pts: np.ndarray, faces):
     triangles from its first vertex, and each triangle is coned from the
     mean of the points on the faces.
 
-    Returns the apex, per-tetrahedron step matrices and Euclidean volumes.
+    Returns the apex, per-tetrahedron step matrices, Euclidean volumes and
+    face triangles, the last as rows (i0, i1, i2) of indices into ``pts``.
     For sorted uniforms lo <= mid, apex + steps[k] @ (lo, mid, 1) is uniform
     on the face (P0, P1, P2) of tetrahedron k opposite the apex: its
     barycentric weights (lo, mid - lo, 1 - mid) are the spacings of two
@@ -204,25 +203,13 @@ def _hull_fan(pts: np.ndarray, faces):
     gauge t with density 3 t^2 on [0, 1] makes the point uniform in the
     tetrahedron, and restricting t to [t0, t1] makes it uniform in the
     slab between the copies of that face scaled about the apex by t0 and t1.
-    GeometryError unless every index is an integer index into ``pts``, every
-    face has 3 or more vertices, every edge lies on exactly two faces and
-    the fan has positive volume.
     """
-    cycles = [[_index(i, len(pts), "face vertex") for i in face] for face in faces]
-    if not cycles or min(map(len, cycles)) < 3:
-        raise GeometryError("region needs faces of at least 3 vertices each")
-    edges = Counter(frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1]))
-    open_edges = sorted(tuple(sorted(e)) for e, n in edges.items() if n != 2)
-    if open_edges:
-        raise GeometryError(f"edges {open_edges} do not lie on exactly two faces")
-    triangles = np.array([(c[0], c[k], c[k + 1]) for c in cycles for k in range(1, len(c) - 1)])
+    triangles = np.array([(c[0], c[k], c[k + 1]) for c in faces for k in range(1, len(c) - 1)])
     apex = pts[np.unique(triangles)].mean(axis=0)
     p0, p1, p2 = (pts[triangles[:, i]] for i in range(3))
     steps = np.stack((p0 - p1, p1 - p2, p2 - apex), axis=2)
     volumes = np.abs(np.linalg.det(np.stack((p0, p1, p2), axis=1) - apex)) / 6.0
-    if not volumes.sum() > 0.0:
-        raise GeometryError("degenerate region: zero Euclidean volume")
-    return apex, steps, volumes
+    return apex, steps, volumes, triangles
 
 
 def _core_scale(pts: np.ndarray, apex: np.ndarray, radius: float) -> float:
@@ -363,26 +350,21 @@ def _in_balls(e: np.ndarray, tau, gap: np.ndarray, balls) -> np.ndarray:
     return nearest <= gap
 
 
-def _near_balls(balls, corners: np.ndarray, own=None):
+def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
     """Per piece, the ``balls`` whose half-space p.c_v >= s_v
     (``monte_carlo_volume``) reaches one of the piece's (pieces, 3, 4)
-    ``corners``, less its ``own`` ball (an index per piece), or None if
-    ``balls`` is None or no piece keeps one.  A linear function is largest
-    over a tetrahedron at a corner, so a ball left out holds no point of it.
+    ``corners``, less its ``own`` ball (a vertex number per piece).  A
+    linear function is largest over a tetrahedron at a corner, so a ball
+    left out holds no point of it.
 
     The table has the layout of ``_carve_balls``'s with a leading piece
     axis, its second column the depth (1 - a.c) / h at the piece's apex a,
     the first corner, for ``_in_balls``; it is padded to the most balls a
     piece keeps by balls that hold no point (at depth inf)."""
-    if balls is None:
-        return None
     centres, inv_h, scaled, reach = balls
     near = (centres @ corners).max(axis=-1) >= reach
-    if own is not None:
-        near &= np.arange(len(centres)) != np.asarray(own)[:, None]
+    near &= np.arange(len(centres)) != own[:, None]
     width = int(near.sum(axis=1).max())
-    if width == 0:
-        return None
     order = np.argsort(~near, axis=1, kind="stable")[:, :width]
     kept = np.take_along_axis(near, order, axis=1)[:, :, None]
     at_apex = inv_h[order] - scaled[order] @ corners[:, :, :1]
@@ -394,29 +376,16 @@ def _near_balls(balls, corners: np.ndarray, own=None):
     )
 
 
-def _carve_balls(centres, levels) -> tuple:
-    """The ``_in_balls`` table of ideal balls at chart ``centres`` (a (k, 3)
-    array, k >= 1, of points on the unit sphere) with ``levels`` h (positive
-    finite real numbers, read by ``_real``), and the carve-free radius
-    max(0, min_v s_v) of their types s_v = (1 - h_v^2) / (1 + h_v^2);
-    GeometryError otherwise."""
-    c = np.asarray(centres, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1:
-        raise GeometryError(f"carve centres must form a (k, 3) array, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise GeometryError("carve centres must be finite")
-    if not (np.abs(np.linalg.norm(c, axis=1) - 1.0) <= 1e-12).all():
-        raise GeometryError("carve centres must lie on the unit sphere")
-    if np.shape(levels) != (len(c),):
-        raise GeometryError(f"carve needs one level per centre: {len(c)} centres")
-    h = np.array([_real(level) for level in levels])
-    if not ((h > 0.0) & (h < math.inf)).all():
-        raise GeometryError(f"carve levels {h.tolist()} must be positive and finite")
+def _carve_balls(centres: np.ndarray, h: np.ndarray) -> tuple:
+    """The ``_in_balls`` table of ideal balls at the chart ``centres`` (a
+    (k, 3) array of points on the unit sphere) with the levels ``h`` (an
+    array of k), and the carve-free radius max(0, min_v s_v) of their types
+    s_v = (1 - h_v^2) / (1 + h_v^2)."""
     inv_h = (1.0 / h)[:, None]
     types = (1.0 - h * h) / (1.0 + h * h)
     # the types less a slack that rounding in a corner's or a point's p.c
     # cannot cross
-    return (c, inv_h, c * inv_h, types - 1e-12), max(0.0, float(types.min()))
+    return (centres, inv_h, centres * inv_h, types - 1e-12), max(0.0, float(types.min()))
 
 
 def _piece_rows() -> np.ndarray:
@@ -439,74 +408,50 @@ def _piece_rows() -> np.ndarray:
 _PIECE_ROWS = _piece_rows()
 
 
-def _shell_pieces(apex, steps, t0: float, balls) -> list:
+def _shell_pieces(apex, triangles, t0: float, balls) -> list:
     """The pieces the shell t0 <= t <= 1 of each fan tetrahedron is sampled
     in, one (apexes, steps, shares, h2, near) tuple per tetrahedron.
 
-    A tetrahedron whose three face corners are ball centres (to 1e-12) is
-    split into one region per corner p_i: the frustum, between scales t0
-    and 1 about the fan's apex, of the cone over the quad (p_i, m_ij, g,
-    m_ik) of edge midpoints and centroid, fanned from p_i into 6 tetrahedra
+    Every face corner of a cell's fan is a vertex, and ball v sits at vertex
+    v.  The shell of the tetrahedron over the face triangle (p0, p1, p2), a
+    row of vertex numbers in ``triangles``, is split into one region per
+    corner p_i: the frustum, between scales t0 and 1 about the fan's
+    ``apex``, of the cone over the quad (p_i, m_ij, g, m_ik) of edge
+    midpoints and centroid, fanned from p_i into 6 tetrahedra
     (``_PIECE_ROWS``; those of zero volume, when t0 = 0, are dropped).  A
-    piece from p_i carries the squared level ``h2`` (pieces x 1) of its own
-    ball, which its rays cut exactly.  Any other tetrahedron is one piece
-    from the fan's apex with h2 None.  ``steps`` maps (lo, mid, 1) to a
-    piece's face as ``_hull_fan``'s do, ``shares`` are the pieces' shares of
-    the tetrahedron's shell, and ``near`` is the ``_near_balls`` table of
-    the other balls that reach each piece.
+    piece from p_i carries the squared level ``h2`` (pieces x 1) of ball
+    p_i, which its rays cut exactly.  ``steps`` maps (lo, mid, 1) to a
+    piece's face as ``_hull_fan``'s do, ``shares`` are the pieces' shares
+    of the tetrahedron's shell, and ``near`` is the ``_near_balls`` table of
+    the other balls that reach each piece, or None if none does.
     """
-    p2 = apex + steps[:, :, 2]
-    p1 = p2 + steps[:, :, 1]
-    corners = np.stack((p1 + steps[:, :, 0], p1, p2), axis=1)  # (tetrahedra, 3, 3)
-    split = np.zeros(len(steps), dtype=bool)
-    if balls is not None:
-        centres, inv_h = balls[0], balls[1][:, 0]
-        match = np.abs(corners[:, :, None, :] - centres).max(axis=3) <= 1e-12
-        own = match.argmax(axis=2)
-        split = match.any(axis=2).all(axis=1)
-        corners[split] = centres[own[split]]
-    whole = np.concatenate((np.zeros((len(steps), 3, 1)), np.cumsum(steps[:, :, ::-1], axis=2)), 2)
-    near_whole = _near_balls(balls, whole + apex[:, None])
-    if split.any():
-        c = corners[split]
-        points = np.concatenate((c, 0.5 * (c + np.roll(c, -1, axis=1)), c.mean(1, keepdims=True)), 1)
-        points = np.concatenate((points, apex + t0 * (points - apex)), axis=1)
-        rows = points[:, _PIECE_ROWS]  # (split, 18, 4, 3): apex, q0, q1, q2
-        a, q0, q1, q2 = (rows[:, :, i] for i in range(4))
-        piece_steps = np.stack((q0 - q1, q1 - q2, q2 - a), axis=3)
-        volumes = np.abs(np.linalg.det(piece_steps))  # 6 times the pieces' volumes
-        ball = own[split][:, _PIECE_ROWS[:, 0]]
-        h2 = inv_h[ball] ** -2.0
-        near_split = _near_balls(
-            balls, np.swapaxes(rows, 2, 3).reshape(-1, 3, 4), ball.ravel()
-        )
-    pieces, j = [], 0
-    for k in range(len(steps)):
-        if not split[k]:
-            near = _piece_balls(near_whole, [k])
-            pieces.append((apex[None], steps[k][None], np.ones(1), None, near))
-            continue
-        keep = np.flatnonzero(volumes[j] > 0.0)
-        near = _piece_balls(near_split, j * len(_PIECE_ROWS) + keep)
-        shares = volumes[j, keep] / volumes[j, keep].sum()
-        pieces.append((rows[j, keep, 0], piece_steps[j, keep], shares, h2[j, keep, None], near))
-        j += 1
+    centres, inv_h = balls[0], balls[1][:, 0]
+    c = centres[triangles]  # (tetrahedra, 3, 3)
+    points = np.concatenate((c, 0.5 * (c + np.roll(c, -1, axis=1)), c.mean(1, keepdims=True)), 1)
+    points = np.concatenate((points, apex + t0 * (points - apex)), axis=1)
+    rows = points[:, _PIECE_ROWS]  # (tetrahedra, 18, 4, 3): apex, q0, q1, q2
+    a, q0, q1, q2 = (rows[:, :, i] for i in range(4))
+    steps = np.stack((q0 - q1, q1 - q2, q2 - a), axis=3)
+    volumes = np.abs(np.linalg.det(steps))  # 6 times the pieces' volumes
+    ball = triangles[:, _PIECE_ROWS[:, 0]]
+    h2 = inv_h[ball] ** -2.0
+    near = _near_balls(balls, np.swapaxes(rows, 2, 3).reshape(-1, 3, 4), ball.ravel())
+    pieces = []
+    for k in range(len(triangles)):
+        keep = np.flatnonzero(volumes[k] > 0.0)
+        kept = tuple(table[k * len(_PIECE_ROWS) + keep] for table in near)
+        shares = volumes[k, keep] / volumes[k, keep].sum()
+        pieces.append((
+            rows[k, keep, 0], steps[k, keep], shares, h2[k, keep, None],
+            kept if np.isfinite(kept[1]).any() else None,
+        ))
     return pieces
 
 
-def _piece_balls(near, index):
-    """The rows ``index`` of a ``_near_balls`` table, or None if it is None
-    or they keep no ball."""
-    if near is None or not np.isfinite(near[1][index]).any():
-        return None
-    return tuple(table[index] for table in near)
-
-
-def _stratum(rng, pieces, weights, n: int, c0: float):
-    """Draw ``n`` points in the shell c0 <= t^3 <= 1 of the fan, in the
-    ``pieces`` of ``_shell_pieces``, and estimate the mean chart volume
-    element over the part of the shell outside the balls.  When c0 = 1 the
-    shell has no thickness and every point lies on the hull's faces.
+def _stratum(rng, pieces, weights, n: int):
+    """Draw ``n`` points in the shell of the fan, in the ``pieces`` of
+    ``_shell_pieces``, and estimate the mean chart volume element over the
+    part of the shell outside the balls.
 
     Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
     more per piece, the rest in proportion to its weight w_k), split evenly
@@ -514,22 +459,20 @@ def _stratum(rng, pieces, weights, n: int, c0: float):
     piece's uniforms (u, a, b) are stratified on a grid of G equal cells
     (``_grid_shape``: 2 or more samples per cell), slices of u times a grid
     on the face uniforms, the same grid for every piece of the tetrahedron.
-    A point is apex + tau steps @ (lo, mid, 1) with lo, mid = sorted(a, b)
-    and tau^3 = l + u (1 - l), uniform in tau^3 over [l, 1].  On a piece
-    from the fan's apex l = c0 and every point has weight 1.  On a piece
-    from a ball's centre c, the ray c + tau e, e = steps @ (lo, mid, 1),
-    lies in that ball exactly for tau <= tau_e = -2 h^2 (c.e) / ((c.e)^2 +
-    h^2 |e|^2) (|c| = 1), so l = min(tau_e^3, 1): the ray skips its own
-    ball and the point carries the weight 1 - l of the part of the ray it
-    stands for.  Every cell is a known share w_k s_p / G of the shell's
-    chart volume, s_p the piece's share of the tetrahedron's shell.  The
-    samples visit the cells in whole rounds, then one partial round over the
-    face cells that follow a random start in their visit order
-    (``_face_grid``), so the cells with one sample more lie spread over the
-    piece.  Every piece's points are tested by ``_in_balls`` against the
-    balls that ``_near_balls`` keeps for it (on the four cells 0 or 1), its
-    own ball excluded.  All the pieces of a tetrahedron share one block,
-    with a leading piece axis.
+    A piece's apex is a ball's centre c, and a point is c + tau e, e = steps
+    @ (lo, mid, 1) with lo, mid = sorted(a, b).  The ray lies in that ball
+    exactly for tau <= tau_e = -2 h^2 (c.e) / ((c.e)^2 + h^2 |e|^2) (|c| =
+    1), so with l = min(tau_e^3, 1) the point takes tau^3 = l + u (1 - l),
+    uniform in tau^3 over [l, 1]: the ray skips its own ball and the point
+    carries the weight 1 - l of the part of the ray it stands for.  Every
+    cell is a known share w_k s_p / G of the shell's chart volume, s_p the
+    piece's share of the tetrahedron's shell.  The samples visit the cells
+    in whole rounds, then one partial round over the face cells that follow
+    a random start in their visit order (``_face_grid``), so the cells with
+    one sample more lie spread over the piece.  Every piece's points are
+    tested by ``_in_balls`` against the balls that ``_near_balls`` keeps for
+    it (on the four cells 0 or 1), its own ball excluded.  All the pieces of
+    a tetrahedron share one block, with a leading piece axis.
 
     With y the weight times the volume element of a point not carved (0
     outside the unit ball) and x the weight of a point not carved, y = x =
@@ -537,7 +480,7 @@ def _stratum(rng, pieces, weights, n: int, c0: float):
     Techniques, 3rd ed., 6.11-6.12) of the mean over the shell outside the
     balls is R = sum W_c ybar_c / sum W_c xbar_c, with variance sum W_c^2
     s_c^2 / n_c / (sum W_c xbar_c)^2, s_c^2 the within-cell variance of y -
-    R x.  Without a carve-out x = 1 throughout and R is the stratified mean.
+    R x.
 
     Returns (R, variance of R, accepted, carved), with R = 0 and variance 0
     when no sample carries weight.
@@ -562,23 +505,19 @@ def _stratum(rng, pieces, weights, n: int, c0: float):
         slices, face_bits = _grid_shape(each, n_pieces)
         cells = slices << face_bits
         # column j slices + i of a round is slice i of u over face cell j,
-        # the face cells taken in visit order from a random start; on a
-        # piece from the apex u is t^3 itself
-        low = c0 if h2 is None else 0.0
-        thick = (1.0 - low) / slices
+        # the face cells taken in visit order from a random start
+        thick = 1.0 / slices
         side, corners = _face_grid(face_bits)
         start = int(rng.integers(1 << face_bits))
         offset = np.empty((3, 1, cells))
-        offset[0, 0] = np.tile(low + thick * np.arange(slices), 1 << face_bits)
+        offset[0, 0] = np.tile(thick * np.arange(slices), 1 << face_bits)
         offset[1:, 0] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
         scale = np.vstack(([thick], side))[:, :, None]
-        # d = -2 a.e and 1 - |p|^2 = 1 - |a|^2 + tau (d - tau |e|^2) for p =
-        # a + tau e; on a piece from a ball's centre |a| = 1 and its own ball
+        # d = -2 a.e and, as the apex a is a ball's centre (|a| = 1), 1 -
+        # |p|^2 = tau (d - tau |e|^2) for p = a + tau e, and the own ball
         # ends at tau_e = d / (d^2 / (4 h^2) + |e|^2)
         minus_twice_apexes = -2.0 * apexes[:, None, :]
-        gap_at_apex = 1.0 - np.einsum("pj,pj->p", apexes, apexes)[:, None]
-        if h2 is not None:
-            quarter_inv_h2 = 0.25 / h2
+        quarter_inv_h2 = 0.25 / h2
         room = _MC_CHUNK // n_pieces  # the most samples per piece a block holds
         block = room // cells * cells
         per_cell = sums[: 2 * n_pieces * cells].reshape(2, n_pieces, cells)
@@ -619,29 +558,23 @@ def _stratum(rng, pieces, weights, n: int, c0: float):
             yx = work[3 * b : 5 * b].reshape(2, n_pieces, m)
             y, x = yx
             gap = work[5 * b : 6 * b].reshape(n_pieces, m)
-            if h2 is None:
-                x[...] = 1.0
-            else:
-                np.multiply(d, d, out=y)
-                y *= quarter_inv_h2
-                y += ee
-                np.divide(d, y, out=y)  # tau_e
-                cut_off = np.multiply(y, y, out=gap)
-                cut_off *= y
-                np.minimum(cut_off, 1.0, out=cut_off)
-                np.subtract(1.0, cut_off, out=x)  # the point's weight
-                tau *= x
-                tau += cut_off
+            np.multiply(d, d, out=y)
+            y *= quarter_inv_h2
+            y += ee
+            np.divide(d, y, out=y)  # tau_e
+            cut_off = np.multiply(y, y, out=gap)
+            cut_off *= y
+            np.minimum(cut_off, 1.0, out=cut_off)
+            np.subtract(1.0, cut_off, out=x)  # the point's weight
+            tau *= x
+            tau += cut_off
             np.cbrt(tau, out=tau)
             np.multiply(tau, ee, out=gap)
             np.subtract(d, gap, out=gap)
             gap *= tau
-            if h2 is None:
-                gap += gap_at_apex
             inside = gap > 0.0
             if extra and first + m == slots:
                 # the last slot, which the pieces past extra do not draw
-                # (extra > 0 only on split tetrahedra)
                 inside[extra:, -1] = False
                 x[extra:, -1] = 0.0
             accepted += int(np.count_nonzero(inside))
@@ -696,27 +629,22 @@ def _combined_ratio(y_bar, x_bar, var_y, var_xy, var_x) -> tuple:
     return ratio, max(var_y - 2.0 * ratio * var_xy + ratio * ratio * var_x, 0.0) / (x_bar * x_bar)
 
 
-def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> VolumeResult:
-    """Monte Carlo hyperbolic volume of a convex region in the Klein chart.
+def monte_carlo_volume(
+    cell, levels, exact: float, chart: float, samples: int, seed: int
+) -> VolumeResult:
+    """Monte Carlo hyperbolic volume of a fully asymptotic cell in the Klein
+    chart, with its cusps carved out by balls of known volume.
 
-    ``region`` is a vertex set given as chart 3-vectors and ``faces`` its
-    faces as index cycles in convex order (``_hull_fan``).  Draws points in
-    the polyhedron through the tetrahedral fan of its faces from the vertex
-    mean, in pieces of each tetrahedron and stratified on a grid inside each
-    piece (``_stratum``), and averages the chart volume element
-    1/(1 - x^2 - y^2 - z^2)^2 times the chart volume sampled.  Points on or
-    outside the unit sphere count as rejected and contribute 0.
-    Deterministic for a fixed (seed, samples).
-
-    ``carve`` is one (centres, levels, volume, chart_volume) tuple of ideal
-    balls: ball v has its ideal centre at the chart point centres[v] on the
-    unit sphere and the chart Busemann level levels[v] (``horoball``).
-    Points in any ball are excluded from the sampled region, the balls'
-    hyperbolic ``volume`` inside the region is added back to the estimate
-    and their Euclidean ``chart_volume`` inside it is taken off the hull's.
-    Carving the cusps keeps the sampled integrand bounded when the region has
-    ideal vertices, where naive sampling has infinite variance and a
-    meaningless standard error.
+    ``cell`` is a ``build_cell`` cell and ``levels`` an array of one chart
+    Busemann level per vertex: ball v has its ideal centre at vertex v and
+    level levels[v] (``horoball``).  Points in any ball are excluded from
+    the sampled region, the balls' hyperbolic volume ``exact`` inside the
+    cell is added back to the estimate and their Euclidean ``chart`` volume
+    inside it is taken off the hull's.  Carving the cusps keeps the sampled
+    integrand, the chart volume element 1/(1 - x^2 - y^2 - z^2)^2, bounded,
+    where naive sampling has infinite variance and a meaningless standard
+    error.  Points on or outside the unit sphere count as rejected and
+    contribute 0.  Deterministic for a fixed (seed, samples).
 
     No ball reaches nearer the origin than the carve-free radius
     max(0, min_v s_v), s_v = (1 - h_v^2) / (1 + h_v^2) the type of ball v: a
@@ -724,78 +652,49 @@ def monte_carlo_volume(region, faces, samples: int, seed: int, carve=None) -> Vo
     with t = p.c_v <= |p|, so |p| >= t >= s_v.  The ball lies in the
     half-space p.c_v >= s_v, whose plane touches it at s_v c_v.
 
-    The hull is split into two radial parts of the fan: the core, the hull
-    scaled about the apex by the largest t0 that keeps it within the
-    carve-free radius of the origin (t0 = 0 unless the apex lies within that
-    radius), and the shell, the rest.  The core meets no ball and the volume
-    element is analytic on it, so it is integrated, not sampled
-    (``_core_integral``, an order-16 tensor Gauss-Legendre rule), and the
-    difference from the order-12 rule is booked as its error.  Every sample
-    goes to the shell, t0^3 <= t^3 <= 1, in the pieces of
-    ``_shell_pieces``.  A fan tetrahedron whose three face corners are ball
-    centres is sampled along rays from those cusps: its shell is cut into
-    one region per corner, fanned from the corner, and every ray skips the
-    corner's own ball exactly and weighs the point by the share of the ray
-    it stands for.  Any other tetrahedron is one piece from the fan's apex.
-    The neighbour balls are still tested on each piece's points.  The
-    weighted samples not carved stand for the shell less the balls, whose
-    chart volume (1 - t0^3) H - ``chart_volume`` is known exactly from the
-    hull's H.  This is the limit of Neyman allocation in which the core,
-    whose variance is nil, gets no samples, and it needs no pilot run.  The
-    estimate is ``volume`` plus the core's integral plus the shell's chart
-    volume times its ratio estimate, with standard error^2 = V^2 var(R) +
-    (Q16 - Q12)^2.  The balls add no variance and the grid cells remove most
-    of it within the shell.  Without a carve-out, or with a ball that
-    reaches the origin (h_v >= 1), the core is empty; when the whole hull
-    is core the shell has no thickness and adds no volume.
+    The hull is coned from the vertex mean over its faces (``_hull_fan``)
+    and split into two radial parts of the fan: the core, the hull scaled
+    about the apex by the largest t0 that keeps it within the carve-free
+    radius of the origin (t0 = 0 unless the apex lies within that radius),
+    and the shell, the rest.  The core meets no ball and the volume element
+    is analytic on it, so it is integrated, not sampled (``_core_integral``,
+    an order-16 tensor Gauss-Legendre rule), and the difference from the
+    order-12 rule is booked as its error.  Every sample goes to the shell,
+    t0^3 <= t^3 <= 1, along rays from the cusps (``_shell_pieces``): the
+    shell of each fan tetrahedron is cut into one region per face corner,
+    fanned from the corner, and every ray skips the corner's own ball
+    exactly and weighs the point by the share of the ray it stands for.
+    The neighbour balls are still tested on each piece's points, and the
+    pieces are stratified on a grid (``_stratum``).  The weighted samples
+    not carved stand for the shell less the balls, whose chart volume
+    (1 - t0^3) H - ``chart`` is known exactly from the hull's H.  This is
+    the limit of Neyman allocation in which the core, whose variance is
+    nil, gets no samples, and it needs no pilot run.  The estimate is
+    ``exact`` plus the core's integral plus the shell's chart volume times
+    its ratio estimate, with standard error^2 = V^2 var(R) + (Q16 - Q12)^2.
+    The balls add no variance and the grid cells remove most of it within
+    the shell.
 
-    GeometryError unless the region's points are finite, its faces are
-    valid and give no more than samples / 2 pieces of the fan, the carve's
-    centres form a (k, 3) array of k >= 1 finite points on the unit sphere
-    with one positive finite real level each, and its ``volume`` and
-    ``chart_volume`` are finite real numbers >= 0.
+    GeometryError unless ``samples`` is an integer >= ``MIN_SAMPLES`` and
+    ``seed`` a non-negative integer.
     """
     samples, seed = _integer(samples, "sample count"), _integer(seed, "seed")
-    pts = np.asarray(region, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-        raise GeometryError("region needs at least 4 chart points in 3-space")
-    if not np.isfinite(pts).all():
-        raise GeometryError("region points must be finite")
     if samples < MIN_SAMPLES:
         raise GeometryError("need at least 10^4 samples")
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
-    if carve is None:
-        balls, radius, exact, chart = None, 0.0, 0.0, 0.0
-    else:
-        centres, levels, exact, chart = carve
-        balls, radius = _carve_balls(centres, levels)
-        exact = _real(exact, "carved volume")
-        chart = _real(chart, "carved chart volume")
-    if not 0.0 <= exact < math.inf:
-        raise GeometryError(f"carved volume {exact!r} must be finite and >= 0")
-    if not 0.0 <= chart < math.inf:
-        raise GeometryError(f"carved chart volume {chart!r} must be finite and >= 0")
-    apex, steps, volumes = _hull_fan(pts, faces)
+    pts = np.array([v.chart() for v in cell.vertices])
+    balls, radius = _carve_balls(pts, levels)
+    apex, steps, volumes, triangles = _hull_fan(pts, cell.faces)
     t0 = _core_scale(pts, apex, radius)
-    pieces = _shell_pieces(apex, steps, t0, balls)
-    n_pieces = sum(len(piece[0]) for piece in pieces)
-    if samples < 2 * n_pieces:
-        raise GeometryError(
-            f"{samples} samples leave fewer than 2 for each of {n_pieces} pieces of the fan"
-        )
+    pieces = _shell_pieces(apex, triangles, t0, balls)
     hull_vol = float(volumes.sum())
-    shell_hull = hull_vol * (1.0 - t0**3)
-    shell = shell_hull - chart
-    if not (shell > 0.0 or shell == chart == 0.0):
-        raise GeometryError(f"carved chart volume leaves {shell!r} of the shell's {shell_hull!r}")
+    shell = hull_vol * (1.0 - t0**3) - chart
     core = _core_integral(apex, steps, t0)
     core_error = core - _core_integral(apex, steps, t0, _CORE_CHECK_ORDER)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    ratio, ratio_var, accepted, carved = _stratum(rng, pieces, volumes / hull_vol, samples, t0**3)
-    if shell > 0.0 and carved == samples:
-        raise GeometryError(f"all {samples} samples of the shell were carved out")
+    ratio, ratio_var, accepted, carved = _stratum(rng, pieces, volumes / hull_vol, samples)
     est = exact + core + shell * ratio
     var = shell * shell * ratio_var + core_error * core_error
     rejected = samples - accepted - carved

@@ -245,7 +245,7 @@ def test_cell_volume_oracle_tetrahedron():
 
 def cusp_levels(cell):
     # the levels of the oracle's carve-out: same-type balls shrunk by 0.1%
-    return [0.999 * same_type_level(cell, v) for v in range(cell.n_vertices)]
+    return 0.999 * np.array([same_type_level(cell, v) for v in range(cell.n_vertices)])
 
 
 def _ball_predicate(hb):
@@ -396,9 +396,9 @@ def _pieces_of(cell, monkeypatch):
     seen = []
     stratum = volume._stratum
 
-    def spy(rng, pieces, weights, n, c0):
+    def spy(rng, pieces, weights, n):
         seen.append(pieces)
-        return stratum(rng, pieces, weights, n, c0)
+        return stratum(rng, pieces, weights, n)
 
     monkeypatch.setattr(volume, "_stratum", spy)
     cell_volume_oracle(cell, 10_000, 1)
@@ -422,14 +422,14 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
     tables = {}
     stratum = volume._stratum
 
-    def collect(rng, pieces, weights, n, c0):
+    def collect(rng, pieces, weights, n):
         for apexes, steps, _, h2, near in pieces:
             corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
-            own = [int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes]
+            own = np.array([int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes])
             scaled = (apexes / np.sqrt(h2))[:, None, :]
             own_ball = (apexes[:, None, :], np.zeros((len(apexes), 1, 1)), scaled, None)
             tables[id(near)] = volume._near_balls(everywhere, corners, own), own_ball
-        return stratum(rng, pieces, weights, n, c0)
+        return stratum(rng, pieces, weights, n)
 
     in_balls = volume._in_balls
     blocks = []

@@ -33,7 +33,6 @@ from horopack.volume import (
     bf_constant,
     bf_series_tail_bound,
     lobachevsky,
-    monte_carlo_volume,
     orthoscheme_volume,
 )
 
@@ -51,10 +50,6 @@ CELL_VOLUMES = {
     (5, 3, 6): 20.580199353900003,
 }
 CATALAN = 0.915965594177219015054603514932
-
-# chart volume of the cube [-0.3, 0.3]^3, adaptive quadrature of (1-r^2)^-2
-CUBE_ORACLE = 0.2629565977926768
-
 
 def quad_lobachevsky(theta):
     # split off the closed-form integral of -log(2t); the remainder
@@ -133,8 +128,8 @@ def test_lobachevsky_reads_its_angle_as_a_real_number(theta):
 
 @pytest.mark.parametrize("symbol", sorted(ORTHOSCHEME_VOLUMES))
 def test_orthoscheme_volume(symbol):
-    res = orthoscheme_volume(symbol)
-    assert res.value == pytest.approx(ORTHOSCHEME_VOLUMES[symbol], rel=1e-13)
+    assert type(orthoscheme_volume(symbol)) is float
+    assert orthoscheme_volume(symbol) == pytest.approx(ORTHOSCHEME_VOLUMES[symbol], rel=1e-13)
 
 
 @pytest.mark.parametrize("symbol", sorted(CELL_VOLUMES))
@@ -148,7 +143,7 @@ def test_cell_volumes_against_classical_constants():
     assert tetra == pytest.approx(2.0 * lobachevsky(math.pi / 6), abs=1e-13)
     octa = build_cell((3, 4, 4)).volume
     assert octa == pytest.approx(4.0 * CATALAN, abs=1e-12)
-    assert orthoscheme_volume((3, 6, 3)).value == pytest.approx(
+    assert orthoscheme_volume((3, 6, 3)) == pytest.approx(
         lobachevsky(math.pi / 6) / 3.0, abs=1e-14
     )
 
@@ -197,7 +192,7 @@ def test_cell_volumes_pinned_to_50_digits():
 
 @pytest.mark.parametrize("symbol", sorted(IDEAL_END_SYMBOLS))
 def test_orthoscheme_volume_against_the_seven_term_formula(symbol):
-    assert abs(ulps(orthoscheme_volume(symbol).value, seven_term_volume(symbol))) <= 16.0
+    assert abs(ulps(orthoscheme_volume(symbol), seven_term_volume(symbol))) <= 16.0
 
 
 def test_orthoscheme_volume_domain():
@@ -234,92 +229,35 @@ def hull_faces(points):
     return ConvexHull(np.asarray(points, dtype=float)).simplices
 
 
-def cusp_ball(s, centre=(0.0, 0.0, 1.0)):
-    """Centres and levels of one ideal ball of type s, which lies in the
-    half-space p.c >= s.  Centred at (0, 0, 1) it is the ellipsoid with
-    centre (0, 0, (1 + s) / 2) and semi-axes sqrt((1 - s) / 2),
-    sqrt((1 - s) / 2) and (1 - s) / 2."""
-    return [centre], [math.sqrt((1.0 - s) / (1.0 + s))]
-
-
-# the ball of type 0.35 lies in z >= 0.35 and misses the cube of half-width
-# 0.3, so it carves nothing from it and leaves a carve-free core of radius 0.35
-MISS = (*cusp_ball(0.35), 0.0, 0.0)
-
-
-@lru_cache(maxsize=None)
-def cube_cap(s, a=0.3):
-    """Hyperbolic and chart volumes of the ball of type s at (0, 0, 1)
-    inside the cube [-a, a]^3, by quadrature over its quarter x, y >= 0 with
-    the integral over y in closed form."""
-    half = (1.0 - s) / 2.0
-
-    def section(z):  # squared radius of the ball's section at height z
-        return half * (1.0 - ((z - 1.0 + half) / half) ** 2)
-
-    def x_top(z):
-        return min(a, math.sqrt(max(section(z), 0.0)))
-
-    def y_top(x, z):
-        return min(a, math.sqrt(max(section(z) - x * x, 0.0)))
-
-    def hyperbolic(x, z):  # integral of (c - y^2)^-2 over 0 <= y <= y_top
-        c, y = 1.0 - x * x - z * z, y_top(x, z)
-        return y / (2.0 * c * (c - y * y)) + math.atanh(y / math.sqrt(c)) / (2.0 * c**1.5)
-
-    return tuple(
-        4.0 * integrate.dblquad(f, s, min(a, 1.0), 0.0, x_top, epsabs=1e-11, epsrel=1e-11)[0]
-        for f in (hyperbolic, y_top)
-    )
-
-
-def test_cube_cap_quadrature():
-    # no section of the type-0.2 ball is clipped by the cube of half-width
-    # 0.7, which cuts it at z = 0.7: the chart volume is pi times the
-    # integral of the squared section radius 0.4 (1 - (z - 0.6)^2 / 0.16)
-    chart = 0.4 * math.pi * (0.5 - (0.1**3 + 0.4**3) / (3.0 * 0.16))
-    assert cube_cap(0.2, 0.7)[1] == pytest.approx(chart, rel=1e-9)
-    # in the cube of half-width 0.3 the sections of radius R > 0.3 lose four
-    # circular segments R^2 acos(0.3 / R) - 0.3 sqrt(R^2 - 0.3^2) each
-
-    def area(z):
-        r2 = 0.4 * (1.0 - (z - 0.6) ** 2 / 0.16)
-        cut = 0.0 if r2 <= 0.09 else r2 * math.acos(0.3 / math.sqrt(r2)) - 0.3 * math.sqrt(r2 - 0.09)
-        return math.pi * r2 - 4.0 * cut
-
-    chart = integrate.quad(area, 0.2, 0.3, epsabs=1e-13, epsrel=1e-12)[0]
-    assert cube_cap(0.2)[1] == pytest.approx(chart, rel=1e-8)
-
-
-def test_monte_carlo_matches_quadrature():
-    res = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123)
-    assert res.stderr > 0
-    assert abs(res.value - CUBE_ORACLE) < 4.0 * res.stderr
-    assert res.stderr < 0.01 * CUBE_ORACLE
-
-
 def test_monte_carlo_deterministic():
-    a = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
-    b = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=9)
-    c = monte_carlo_volume(cube_region(), CUBE_FACES, samples=50_000, seed=10)
-    assert a.value == b.value and a.stderr == b.stderr
-    assert c.value != a.value
+    for symbol in FULLY_ASYMPTOTIC_TILINGS:
+        cell = build_cell(symbol)
+        a = cell_volume_oracle(cell, samples=50_000, seed=9)
+        b = cell_volume_oracle(cell, samples=50_000, seed=9)
+        c = cell_volume_oracle(cell, samples=50_000, seed=10)
+        assert a.value == b.value and a.stderr == b.stderr
+        assert c.value != a.value
 
 
-def test_monte_carlo_carve_out_additivity():
-    # carving the type-0.2 ball, which meets the cube in 0.2 <= z <= 0.3,
-    # and adding its volume in the cube back must reproduce the plain
-    # estimate of the same region
-    exact, chart = cube_cap(0.2)
-    plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=400_000, seed=77)
-    carved = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=400_000, seed=78,
-        carve=(*cusp_ball(0.2), exact, chart),
-    )
-    assert carved.carved > 0
-    sigma = math.hypot(plain.stderr, carved.stderr)
-    assert abs(carved.value - plain.value) < 4.0 * sigma
-    assert abs(carved.value - CUBE_ORACLE) < 4.0 * carved.stderr
+def test_monte_carlo_sample_accounting():
+    # every sample is accepted, carved out by a neighbour ball or rejected
+    # outside the unit ball; the cells lie inside the ball, so none is
+    # rejected, and on (3,4,4) no neighbour ball holds a sample
+    samples = 150_001
+    for symbol in FULLY_ASYMPTOTIC_TILINGS:
+        res = cell_volume_oracle(build_cell(symbol), samples=samples, seed=5)
+        assert res.accepted + res.carved + res.rejected == samples
+        assert res.rejected == 0
+        assert (res.carved > 0) == (symbol != (3, 4, 4))
+
+
+def test_monte_carlo_validation():
+    cell = build_cell((3, 3, 6))
+    with pytest.raises(GeometryError, match="at least 10\\^4 samples"):
+        cell_volume_oracle(cell, MIN_SAMPLES - 1, 1)
+    with pytest.raises(GeometryError, match="seed must be non-negative"):
+        cell_volume_oracle(cell, MIN_SAMPLES, -1)
+    assert cell_volume_oracle(cell, MIN_SAMPLES, 1).accepted > 0
 
 
 def cube_pieces(normal, offset, a=0.3):
@@ -335,78 +273,10 @@ def cube_pieces(normal, offset, a=0.3):
     return list(corners[side < 0]) + cuts, list(corners[side > 0]) + cuts
 
 
-def test_monte_carlo_asymmetric_pieces_sum_to_cube():
-    # an oblique cut that misses the centre leaves two irregular pieces whose
-    # fan tetrahedra differ in volume; wrong fan weights bias both estimates
-    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
-    assert len(below) > 4 and len(above) > 4
-    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31)
-    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32)
-    sigma = math.hypot(lo.stderr, hi.stderr)
-    assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
-    assert sigma < 0.01 * CUBE_ORACLE
-
-
-def test_monte_carlo_sample_accounting():
-    # the cube of half-width 0.7 pokes out of the unit ball, so some samples
-    # are rejected; the type-0.2 ball, cut by the cube at z = 0.7, carves
-    # out others
-    samples = 150_001
-    res = monte_carlo_volume(
-        cube_region(0.7), CUBE_FACES, samples=samples, seed=5,
-        carve=(*cusp_ball(0.2), *cube_cap(0.2, 0.7)),
-    )
-    assert res.accepted + res.carved + res.rejected == samples
-    assert min(res.accepted, res.carved, res.rejected) > 0
-    # samples are uniform in the cube: the carved share is the ball's share
-    ball_share = cube_cap(0.2, 0.7)[1] / 1.4**3
-    assert res.carved / samples == pytest.approx(ball_share, rel=0.1)
-    plain = monte_carlo_volume(cube_region(), CUBE_FACES, samples=20_000, seed=5)
-    assert (plain.accepted, plain.carved, plain.rejected) == (20_000, 0, 0)
-    closed = orthoscheme_volume((4, 3, 6))
-    assert (closed.accepted, closed.carved, closed.rejected) == (0, 0, 0)
-
-
-def test_monte_carlo_validation():
-    with pytest.raises(GeometryError):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=500, seed=1)
-    with pytest.raises(GeometryError):
-        monte_carlo_volume(
-            [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 1)], samples=10_000, seed=1
-        )
-    # a square seen from both sides closes a surface of zero volume
-    coplanar = [(0, 0, 0), (0.1, 0, 0), (0, 0.1, 0), (0.1, 0.1, 0)]
-    with pytest.raises(GeometryError, match="zero Euclidean volume"):
-        monte_carlo_volume(coplanar, [(0, 1, 3, 2), (0, 2, 3, 1)], samples=10_000, seed=1)
-    for bad in (math.nan, math.inf):
-        region = cube_region()[:-1] + [(bad, 0.3, 0.3)]
-        with pytest.raises(GeometryError, match="must be finite"):
-            monte_carlo_volume(region, CUBE_FACES, samples=10_000, seed=1)
-
-
-BAD_CUBE_FACES = {
-    "index out of range": ([(0, 1, 3, 8)] + CUBE_FACES[1:], "index below 8"),
-    "negative index": ([(0, 1, 3, -1)] + CUBE_FACES[1:], "index below 8"),
-    "float index": ([(0, 1, 3, 2.0)] + CUBE_FACES[1:], "must be an integer"),
-    "two-vertex face": (CUBE_FACES + [(0, 1)], "at least 3 vertices"),
-    "dropped face": (CUBE_FACES[:-1], "exactly two faces"),
-    "no faces": ([], "at least 3 vertices"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_CUBE_FACES))
-def test_monte_carlo_rejects_bad_faces(case):
-    # the faces are read whole: every index an integer index into the
-    # region, every face a polygon, every edge on two faces
-    faces, message = BAD_CUBE_FACES[case]
-    with pytest.raises(GeometryError, match=message):
-        monte_carlo_volume(cube_region(), faces, samples=10_000, seed=1)
-
-
 def fan_triples(pts, faces):
     """Vertex index triples of the fan's face triangles, read back from its
     step matrices as the nearest vertices."""
-    apex, steps, _ = _hull_fan(pts, faces)
+    apex, steps, _, _ = _hull_fan(pts, faces)
     p2 = apex + steps[:, :, 2]
     p1 = p2 + steps[:, :, 1]
     p0 = p1 + steps[:, :, 0]
@@ -421,11 +291,19 @@ def cell_region(symbol):
     return np.array([v.chart() for v in cell.vertices]), cell.faces
 
 
+def oracle_levels(cell):
+    """The levels of ``cell_volume_oracle``'s cusp balls: the same-type
+    balls shrunk by 0.1%."""
+    return 0.999 * np.array([same_type_level(cell, v) for v in range(cell.n_vertices)])
+
+
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
 def test_cell_fan_ignores_vertex_noise(symbol):
     # moving every chart coordinate by one ulp either way keeps the fan's
     # triangles, which come from the faces and not from a hull of the points
     pts, faces = cell_region(symbol)
+    # the triangles the fan returns are the ones its steps span
+    assert fan_triples(pts, faces) == [tuple(t) for t in _hull_fan(pts, faces)[3].tolist()]
     rng = np.random.Generator(np.random.PCG64(7))
     for _ in range(5):
         noisy = np.nextafter(pts, np.where(rng.random(pts.shape) < 0.5, -np.inf, np.inf))
@@ -439,6 +317,13 @@ def test_cell_fan_volume_is_the_hull_volume(symbol):
     assert volumes.sum() == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
 
 
+def _sample_cell(symbol, samples, seed):
+    """``monte_carlo_volume`` on a cell with the oracle's cusp balls; the
+    balls' volumes are left at 0, which only shifts the estimate."""
+    cell = build_cell(symbol)
+    return volume.monte_carlo_volume(cell, oracle_levels(cell), 0.0, 0.0, samples, seed)
+
+
 # entry points that read an integer, each with an integer it accepts
 INTEGER_READERS = {
     "coxeter_matrix": (lambda w: coxeter_matrix((w, 3, 6)), 4),
@@ -446,10 +331,9 @@ INTEGER_READERS = {
     "build_orthoscheme": (lambda w: build_orthoscheme((w, 3, 6)), 4),
     "families": (lambda w: families((w, 3, 6)), 4),
     "orthoscheme_volume": (lambda w: orthoscheme_volume((w, 3, 6)), 4),
-    "monte_carlo_samples": (
-        lambda n: monte_carlo_volume(cube_region(), CUBE_FACES, samples=n, seed=1), 10_000),
-    "monte_carlo_seed": (
-        lambda seed: monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=seed), 1),
+    "monte_carlo_samples": (lambda n: _sample_cell((3, 3, 6), n, 1), 10_000),
+    "monte_carlo_seed": (lambda seed: _sample_cell((3, 3, 6), 10_000, seed), 1),
+    "oracle_samples": (lambda n: cell_volume_oracle(build_cell((3, 3, 6)), n, 1), 10_000),
     "oracle_seed": (
         lambda seed: cell_volume_oracle(build_cell((3, 3, 6)), 10_000, seed), 1),
 }
@@ -495,106 +379,6 @@ def test_vertex_indices_are_read_whole_and_in_range(entry):
             read(bad)
 
 
-@pytest.mark.parametrize("chart", [math.nan, math.inf, -1e-3])
-def test_monte_carlo_rejects_bad_chart_volume(chart):
-    with pytest.raises(GeometryError, match="chart volume"):
-        monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(*MISS[:3], chart)
-        )
-
-
-@pytest.mark.parametrize("volume", [math.nan, math.inf, -1.0])
-def test_monte_carlo_rejects_bad_carved_volume(volume):
-    # the carve's hyperbolic volume is added to the estimate as it stands
-    with pytest.raises(GeometryError, match="carved volume"):
-        monte_carlo_volume(
-            cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=(*MISS[:2], volume, 0.0)
-        )
-
-
-BAD_CENTRES = {
-    "one vector": ((0.0, 0.0, 1.0), "must form a \\(k, 3\\) array"),
-    "two coordinates": ([(0.0, 1.0)], "must form a \\(k, 3\\) array"),
-    "no centres": (np.empty((0, 3)), "must form a \\(k, 3\\) array"),
-    "nan": ([(math.nan, 0.0, 1.0)], "must be finite"),
-    "inf": ([(0.0, 0.0, math.inf)], "must be finite"),
-    "inside the sphere": ([(0.0, 0.0, 0.9)], "on the unit sphere"),
-    "just off the sphere": ([(0.0, 0.0, 1.0 + 1e-9)], "on the unit sphere"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_CENTRES))
-def test_monte_carlo_rejects_bad_carve_centres(case):
-    # the membership test needs 1 - p.c > 0 inside the unit ball, which
-    # holds for centres on the unit sphere
-    centres, message = BAD_CENTRES[case]
-    carve = (centres, *MISS[1:])
-    with pytest.raises(GeometryError, match=message):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
-
-
-@pytest.mark.parametrize("level", [0, -1.0, math.inf, math.nan, "0.5"])
-def test_monte_carlo_rejects_bad_carve_levels(level):
-    # levels are read like every other level, by _real; numeric strings are refused
-    carve = (MISS[0], [level], *MISS[2:])
-    message = "must be a real number" if isinstance(level, str) else "must be positive and finite"
-    with pytest.raises(GeometryError, match=message):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
-
-
-@pytest.mark.parametrize("levels", [[], [0.5, 0.5], 0.5, [[0.5]]])
-def test_monte_carlo_needs_one_carve_level_per_centre(levels):
-    carve = (MISS[0], levels, *MISS[2:])
-    with pytest.raises(GeometryError, match="one level per centre"):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=carve)
-
-
-def test_monte_carlo_core_stratum_on_cube():
-    # a ball of type 0.35 that misses the cube gives it a core (scale
-    # 0.35 / 0.3 sqrt(3) about the origin) sampled on its own
-    empty = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123)
-    cored = monte_carlo_volume(cube_region(), CUBE_FACES, samples=200_000, seed=123, carve=MISS)
-    assert abs(cored.value - CUBE_ORACLE) < 4.0 * cored.stderr
-    assert cored.stderr < empty.stderr
-    assert (cored.accepted, cored.carved, cored.rejected) == (200_000, 0, 0)
-
-
-def test_monte_carlo_core_stratum_off_centre_pieces():
-    # the pieces' apexes are off the origin, so the core is found by the
-    # quadratic per vertex rather than by the radius alone
-    below, above = cube_pieces((1.0, 0.5, 0.25), 0.1)
-    lo = monte_carlo_volume(below, hull_faces(below), samples=200_000, seed=31, carve=MISS)
-    hi = monte_carlo_volume(above, hull_faces(above), samples=200_000, seed=32, carve=MISS)
-    sigma = math.hypot(lo.stderr, hi.stderr)
-    assert abs(lo.value + hi.value - CUBE_ORACLE) < 4.0 * sigma
-    assert sigma < 0.01 * CUBE_ORACLE
-
-
-def test_monte_carlo_all_core_matches_one_stratum(monkeypatch):
-    # the cube's corners are 0.52 from the origin, so a ball of type 0.6,
-    # which misses the cube, makes the whole hull the core: the quadrature
-    # alone gives the volume, and the one stratum, the shell t^3 in [1, 1]
-    # of zero thickness, takes every sample on the hull's boundary in one
-    # piece per fan tetrahedron from the apex, as no corner carries a ball,
-    # with no path of its own, adding no volume and no variance
-    strata = []
-    stratum = volume._stratum
-
-    def spy(rng, pieces, weights, n, c0):
-        strata.append((n, c0, [len(piece[0]) for piece in pieces], [piece[3] for piece in pieces]))
-        return stratum(rng, pieces, weights, n, c0)
-
-    monkeypatch.setattr(volume, "_stratum", spy)
-    core = monte_carlo_volume(
-        cube_region(), CUBE_FACES, samples=50_000, seed=9, carve=(*cusp_ball(0.6), 0.0, 0.0)
-    )
-    assert strata == [(50_000, 1.0, [1] * 12, [None] * 12)]
-    assert core.value == pytest.approx(CUBE_ORACLE, rel=1e-12)
-    assert core.stderr <= 1e-12 * CUBE_ORACLE
-    assert core.accepted + core.carved + core.rejected == 50_000
-    assert (core.accepted, core.carved, core.rejected) == (50_000, 0, 0)
-
-
 def test_core_scale_reaches_the_radius():
     # the hull scaled about its apex by t0 touches the sphere |p| = radius
     # from inside; an apex outside the ball leaves no core
@@ -610,11 +394,12 @@ def test_core_scale_reaches_the_radius():
 
 def _core_cases():
     """Points, faces and carve-free radius of the four cells with the
-    oracle's cusp balls, the cube with ``MISS`` and the two cube pieces."""
+    oracle's cusp balls, and of the cube and the two cube pieces with the
+    radius 0.35 of a ball of type 0.35 at (0, 0, 1), which misses the cube."""
     for symbol in FULLY_ASYMPTOTIC_TILINGS:
         pts, faces = cell_region(symbol)
-        levels = [0.999 * same_type_level(build_cell(symbol), v) for v in range(len(pts))]
-        yield pytest.param(pts, faces, volume._carve_balls(pts, levels)[1], id=str(symbol))
+        radius = volume._carve_balls(pts, oracle_levels(build_cell(symbol)))[1]
+        yield pytest.param(pts, faces, radius, id=str(symbol))
     yield pytest.param(np.array(cube_region()), CUBE_FACES, 0.35, id="MISS cube")
     for name, piece in zip(("below", "above"), cube_pieces((1.0, 0.5, 0.25), 0.1)):
         yield pytest.param(np.array(piece), hull_faces(piece), 0.35, id=f"piece {name}")
@@ -622,7 +407,7 @@ def _core_cases():
 
 @pytest.mark.parametrize("pts, faces, radius", _core_cases())
 def test_core_rule_converged(pts, faces, radius):
-    apex, steps, _ = _hull_fan(pts, faces)
+    apex, steps, _, _ = _hull_fan(pts, faces)
     t0 = _core_scale(pts, apex, radius)
     assert t0 > 0.0
     low = volume._core_integral(apex, steps, t0)
@@ -633,23 +418,16 @@ def test_core_rule_converged(pts, faces, radius):
 
 @pytest.mark.parametrize("half_width", [0.5, 0.55, 0.56, 0.57])
 def test_core_rule_error_is_in_the_error_bar(half_width):
-    # an all-core cube whose corners come within 0.13 to 0.013 of the unit
-    # sphere: the order-16 rule misses by 3e-11 to 5e-5 relative, and the
-    # stated error, which holds the difference from order 12, covers it
+    # a cube whose corners come within 0.13 to 0.013 of the unit sphere,
+    # integrated whole as a core: the order-16 rule misses by 3e-11 to 5e-5
+    # relative, and the error booked for a core, the difference from order
+    # 12, covers it
     pts = np.array(cube_region(half_width))
-    radius = min(math.sqrt(3.0) * half_width + 1e-3, 0.9999)
-    res = monte_carlo_volume(pts, CUBE_FACES, 10_000, 1, carve=(*cusp_ball(radius), 0.0, 0.0))
-    apex, steps, _ = _hull_fan(pts, CUBE_FACES)
+    apex, steps, _, _ = _hull_fan(pts, CUBE_FACES)
+    value = volume._core_integral(apex, steps, 1.0)
+    error = value - volume._core_integral(apex, steps, 1.0, volume._CORE_CHECK_ORDER)
     reference = volume._core_integral(apex, steps, 1.0, order=64)
-    assert 0.0 < abs(res.value - reference) <= res.stderr
-
-
-@pytest.mark.parametrize("field, index", [("carved volume", 2), ("carved chart volume", 3)])
-def test_monte_carlo_reads_the_carve_as_real_numbers(field, index):
-    carve = list(MISS)
-    carve[index] = "0.01"
-    with pytest.raises(GeometryError, match=f"{field} = '0.01' must be a real number"):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=tuple(carve))
+    assert 0.0 < abs(value - reference) <= abs(error)
 
 
 def per_cell(count, pieces=1):
@@ -722,41 +500,16 @@ def test_every_cell_stratum_holds_two_samples_at_the_least_sample_count(symbol, 
         assert set(pieces) == {18}
 
 
-def test_every_piece_stratum_holds_two_samples_at_the_least_sample_count(monkeypatch):
-    # the core is integrated, not sampled, so every call draws one stratum,
-    # the shell, with all the samples, whatever the core: the first piece
-    # has a core at radius 0.2 and a thin one at radius 0.12, the second
-    # none at radius 0.2.  The radius is the type of a ball that misses the
-    # piece: centred on the cut's unit normal n, the ball lies in
-    # p.n >= s, and the first piece in p.n <= 0.1 / |n| < 0.12 (the second
-    # piece lies on the other side)
-    normal = np.array([1.0, 0.5, 0.25])
-    below, above = cube_pieces(normal, 0.1)
-    normal /= np.linalg.norm(normal)
-    for piece, side, radius, strata in (
-        (below, 1.0, 0.2, 1), (below, 1.0, 0.12, 1), (above, -1.0, 0.2, 1),
-    ):
-        carve = (*cusp_ball(radius, side * normal), 0.0, 0.0)
-        seen = _fan_sizes(
-            lambda: monte_carlo_volume(piece, hull_faces(piece), MIN_SAMPLES, 1, carve=carve),
-            monkeypatch,
-        )
-        assert len(seen) == strata
-        for counts, pieces in seen:
-            assert min(map(per_cell, counts, pieces)) >= 2
-
-
 def _cell_shell(symbol, t0=None):
     """The fan, core scale and shell pieces of a cell with the oracle's
     cusp balls (or with the core scale ``t0``)."""
     pts, faces = cell_region(symbol)
-    cell = build_cell(symbol)
-    levels = [0.999 * same_type_level(cell, v) for v in range(len(pts))]
+    levels = oracle_levels(build_cell(symbol))
     balls, radius = volume._carve_balls(pts, levels)
-    apex, steps, volumes = _hull_fan(pts, faces)
+    apex, steps, volumes, triangles = _hull_fan(pts, faces)
     if t0 is None:
         t0 = _core_scale(pts, apex, radius)
-    return pts, levels, (apex, steps, volumes), t0, volume._shell_pieces(apex, steps, t0, balls)
+    return pts, levels, (apex, steps, volumes), t0, volume._shell_pieces(apex, triangles, t0, balls)
 
 
 def _barycentric(apexes, steps, points):
@@ -807,11 +560,11 @@ def test_piece_tables_test_rays_as_the_pencil_form(symbol):
     # a piece's table holds each ball's depth (1 - a.c) / h at the piece's
     # apex a, so the ray form of _in_balls answers for p = a + tau e what the
     # pencil form (1 - p.c)^2 <= h^2 (1 - |p|^2) answers; here every ball of
-    # the cell is kept, the piece's own ball included
+    # the cell is kept, the piece's own ball included (no vertex is number -1)
     pts, levels, _, _, pieces = _cell_shell(symbol)
     balls, _ = volume._carve_balls(pts, levels)
     everywhere = (*balls[:3], np.full(len(pts), -np.inf))
-    h = np.array(levels)[None, :, None]
+    h = levels[None, :, None]
     rng = np.random.default_rng(3)
     for apexes, steps, _, _, _ in pieces:
         corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
@@ -820,49 +573,12 @@ def test_piece_tables_test_rays_as_the_pencil_form(symbol):
         tau = rng.random((len(apexes), 1, 200))
         p = apexes[:, :, None] + tau * e
         gap = 1.0 - np.einsum("pjm,pjm->pm", p, p)
-        got = volume._in_balls(e, tau, gap, volume._near_balls(everywhere, corners))
+        near = volume._near_balls(everywhere, corners, np.full(len(apexes), -1))
+        got = volume._in_balls(e, tau, gap, near)
         pencil = (1.0 - pts @ p) ** 2 - h * h * gap[:, None, :]  # (pieces, balls, points)
         sure = (np.abs(pencil) > 1e-12).all(axis=1)
         assert np.array_equal(got[sure], (pencil <= 0.0).any(axis=1)[sure])
         assert 0.0 < got.mean() < 1.0
-
-
-def prism(sides, radius=0.3, height=0.1):
-    """An n-gon prism: its vertices and its faces, two n-gons and n squares;
-    its fan has 4 n - 4 tetrahedra."""
-    angle = 2.0 * math.pi * np.arange(sides) / sides
-    ring = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
-    pts = np.vstack([np.column_stack((ring, np.full(sides, z))) for z in (-height, height)])
-    top = list(range(sides, 2 * sides))
-    walls = [(i, (i + 1) % sides, sides + (i + 1) % sides, sides + i) for i in range(sides)]
-    return pts, [list(range(sides))[::-1], top] + walls
-
-
-def test_monte_carlo_needs_two_samples_per_fan_tetrahedron():
-    # 2 x (4 n - 4) samples are the fewest a stratum of the n-gon prism takes
-    pts, faces = prism(1252)
-    assert len(_hull_fan(pts, faces)[2]) == 5004
-    with pytest.raises(GeometryError, match="10000 samples leave fewer than 2 for each of 5004"):
-        monte_carlo_volume(pts, faces, samples=10_000, seed=1)
-    pts, faces = prism(1251)
-    res = monte_carlo_volume(pts, faces, samples=10_000, seed=1)
-    assert res.accepted == 10_000
-
-
-def test_monte_carlo_rejects_carving_the_whole_hull():
-    # the cube of half-width 0.3 has chart volume 0.216
-    whole = (*MISS[:3], 0.108 + 0.108 + 1e-9)
-    with pytest.raises(GeometryError, match="carved chart volume"):
-        monte_carlo_volume(cube_region(), CUBE_FACES, samples=10_000, seed=1, carve=whole)
-
-
-def test_monte_carlo_rejects_every_sample_carved():
-    # the box [-0.05, 0.05]^2 x [0.8, 0.9] lies inside the type-0.2 ball and
-    # has no core, so a carve that leaves it chart volume carves every sample
-    box = [(x, y, z) for x in (-0.05, 0.05) for y in (-0.05, 0.05) for z in (0.8, 0.9)]
-    carve = (*cusp_ball(0.2), 0.0, 5e-4)
-    with pytest.raises(GeometryError, match="all 10000 samples"):
-        monte_carlo_volume(box, CUBE_FACES, samples=10_000, seed=1, carve=carve)
 
 
 def test_series_constant_against_trigamma():
