@@ -24,7 +24,7 @@ Carlo carve-outs alike; ``volume.monte_carlo_volume`` takes the cell and
 one carve-out level per vertex, the ball of vertex v centred at vertex v.
 It samples the cell near each cusp along rays from the ideal vertex, which
 leave the cusp's ball exactly at the tau_e that ``_chart_sector``
-integrates, and tests the sign of Q itself only for the neighbour balls.
+integrates, and solves Q <= 0 on each ray only for the neighbour balls.
 C_v is half the Heron area of the vertex's horospheric polygon at level 1,
 whose chord toward neighbours a, b is sqrt(2 K_ab / (K_va K_vb)) in the
 Gram table; the cell is built with C_v read off its 40-digit K.
@@ -277,11 +277,13 @@ def cell_volume_oracle(cell, samples: int, seed: int) -> VolumeResult:
     it derives the cusp-free core, which it integrates by quadrature, and it
     spends every sample on the shell outside it, along rays from the cusps:
     each tetrahedron of the fan over the cell's faces is cut into 18 pieces,
-    6 from each corner of its face triangle, every ray skips its own cusp's
-    ball exactly, and the points of a piece are tested only against the 0 or
-    1 neighbour balls that reach it.  GeometryError unless ``samples`` is an
-    integer of at least ``volume.MIN_SAMPLES`` and ``seed`` a non-negative
-    integer.
+    6 from each corner of its face triangle, and a sample is a point of a
+    piece's face standing for the ray from the cusp through it.  The ray is
+    integrated in closed form from where it leaves its own cusp's ball, less
+    where it crosses one of the 0 or 1 neighbour balls that reach the piece
+    (those rays count as ``carved``), so only the face point is random.
+    GeometryError unless ``samples`` is an integer of at least
+    ``volume.MIN_SAMPLES`` and ``seed`` a non-negative integer.
     """
     levels = 0.999 * np.array([same_type_level(cell, v) for v in range(cell.n_vertices)])
     exact = math.fsum(vertex_sector_volume(cell, v, h) for v, h in enumerate(levels))

@@ -55,10 +55,11 @@ def _index(value, size: int, what: str) -> int:
 @dataclass(frozen=True)
 class VolumeResult:
     """A Monte Carlo volume with its standard error and an account of every
-    sample drawn: ``accepted + carved + rejected == samples``.  ``carved``
-    counts the samples that fall in a neighbour ball: a sample on a ray from
-    a ball's centre starts past that ball, so the ray's share in it is
-    weighed out, not counted.
+    sample drawn: ``accepted + carved + rejected == samples``.  A sample is
+    a ray from a ball's centre, integrated past that ball in closed form;
+    ``carved`` counts the rays that cross a neighbour ball, whose share in
+    it is taken off, and ``rejected`` those whose far end lies on or past
+    the unit sphere.
     """
 
     value: float
@@ -173,15 +174,12 @@ def orthoscheme_volume(symbol) -> float:
 
 # --- Monte Carlo oracle -----------------------------------------------------
 
-# Points per block of one fan tetrahedron, a whole number of rounds of its
-# cell grid.  Blocks this small keep a block's arrays in cache: the largest,
-# the (balls x points) depth table of the carve-out balls whose half-spaces
-# reach the tetrahedron (the 3 balls at its face corners on every cell),
-# takes 0.4 MB.
-_MC_CHUNK = 1 << 14
-# Most bits of the cell grid on one tetrahedron's uniforms (u, a, b); 2^14
-# cells fill one block.
-_MC_GRID_BITS = 14
+# Most points per block of one fan tetrahedron, which holds a whole number
+# of rounds of its cell grid, and most cells of that grid over all of the
+# tetrahedron's pieces.  A block's 7 arrays of doubles stay in cache: with
+# the 18 pieces of a fan tetrahedron and 1024 cells each, a block of one
+# round takes 1 MB.
+_MC_CHUNK = 3 << 13
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 # order of the core rule whose difference from ``_core_integral``'s order 16
 # is booked as the core's error
@@ -280,18 +278,13 @@ def _allocate(n: int, weights: np.ndarray, least: np.ndarray) -> list:
     return (least + np.diff(edges, prepend=0)).tolist()
 
 
-def _grid_shape(count: int, pieces: int) -> tuple:
-    """(slices, face_bits) of the cell grid of each of ``pieces`` pieces
-    with ``count`` >= 2 samples each: count // 2 cells, at most
-    2^_MC_GRID_BITS // pieces, so that every cell gets 2 or more samples and
-    a round over the cells of all the pieces fits a block.  The gauge u is
-    cut into 8 to 15 slices (fewer only below 8 cells) and the face uniforms
-    (a, b) into 2^face_bits cells; at 10^6 samples on the four cells this
-    split had 1.2 to 1.7 times less variance than a grid with about as many
-    intervals along each uniform."""
-    cells = min(count // 2, (1 << _MC_GRID_BITS) // pieces)
-    face_bits = max(cells.bit_length() - 4, 0)
-    return cells >> face_bits, face_bits
+def _grid_shape(count: int, pieces: int) -> int:
+    """face_bits of the cell grid of each of ``pieces`` pieces with
+    ``count`` >= 2 samples each: the face uniforms (a, b) are cut into
+    2^face_bits cells, the largest power of two up to count // 2 and
+    _MC_CHUNK // pieces, so that every cell gets 2 or more samples and a
+    round over the cells of all the pieces fits a block."""
+    return min(count // 2, _MC_CHUNK // pieces).bit_length() - 1
 
 
 @lru_cache(maxsize=None)
@@ -327,27 +320,45 @@ def _fold(values: np.ndarray, cells: int, into: np.ndarray) -> None:
     into[:, : m % cells] += values[:, m - m % cells :]
 
 
-def _in_balls(e: np.ndarray, tau, gap: np.ndarray, balls) -> np.ndarray:
-    """Membership of the chart points p = a + tau e, with 1 - |p|^2 =
-    ``gap``, in any of the ``balls``: for the (3, m) points e (tau = 1) and
-    the table of ``_carve_balls``, whose a is the origin, or for the
-    (pieces, 3, m) ray directions of a block, their (pieces, 1, m) tau and
-    the per-piece table of ``_near_balls``, whose a is each piece's apex.
+def _crossings(d, ee, beta, alpha, a, c, cross, below):
+    """The rays of a block that cross one neighbour ball within the piece.
 
-    A point p of the open unit ball lies in the ball with ideal centre c and
-    level h when (1 - p.c)^2 <= h^2 (1 - |p|^2), that is ((1 - p.c) / h)^2
-    <= gap, where (1 - p.c) / h = (1 - a.c) / h - tau (c / h).e is positive;
-    so one (k x 3) @ (3 x m) product and a minimum over the k balls test
-    them all.  Points on or outside the unit sphere (gap <= 0) are in no
-    ball.
+    For the (n, m) forms d, |e|^2 = ``ee`` and beta = (c / h).e of n pieces'
+    rays, and the depth alpha = (1 - a.c) / h of the ball at each piece's
+    apex a (an (n, 1) column of ``_near_balls``' table), the point a + tau e
+    lies in the ball when (alpha - tau beta)^2 <= tau (d - tau |e|^2)
+    (``monte_carlo_volume``), that is q(tau) = A tau^2 - B tau + alpha^2 <= 0
+    with A = beta^2 + |e|^2 and B = 2 alpha beta + d.  As q(0) = alpha^2 > 0,
+    the ray crosses the ball at some tau in (0, 1) when q has two positive
+    roots, B^2 > 4 A alpha^2 and B > 0, which with alpha > 0 is B > 2 alpha
+    sqrt(A), and the nearer root lies below 1, which is q(1) < 0 or the
+    vertex B / (2 A) below 1, that is B - A > alpha^2 or B - A < A.  The test
+    runs on whole arrays; the roots are solved only on the rays that cross,
+    by the forms that do not cancel: t2 = (B + sqrt(B^2 - 4 A alpha^2)) /
+    (2 A) and t1 = alpha^2 / (A t2).
+
+    All arrays are C-contiguous; ``a`` and ``c`` are (n, m) scratch arrays,
+    ``cross`` and ``below`` boolean ones, and ``beta`` is overwritten by B.
+    Returns the flat indices of the crossing rays in the (n, m) arrays and
+    their roots t1 < t2.
     """
-    _, at_apex, scaled, _ = balls
-    depth = scaled @ e
-    depth *= tau
-    np.subtract(at_apex, depth, out=depth)
-    nearest = depth[..., 0, :] if depth.shape[-2] == 1 else depth.min(axis=-2)
-    nearest *= nearest
-    return nearest <= gap
+    np.multiply(beta, beta, out=a)
+    a += ee
+    beta *= 2.0 * alpha
+    beta += d
+    np.subtract(beta, a, out=c)
+    np.less(c, a, out=cross)
+    np.greater(c, alpha * alpha, out=below)
+    cross |= below
+    np.sqrt(a, out=c)
+    c *= 2.0 * alpha
+    np.greater(beta, c, out=below)
+    cross &= below
+    rays = np.flatnonzero(cross)
+    big_a, big_b = a.ravel().take(rays), beta.ravel().take(rays)
+    alpha2 = alpha[:, 0].take(rays // cross.shape[1]) ** 2
+    t2 = (big_b + np.sqrt(np.maximum(big_b * big_b - 4.0 * big_a * alpha2, 0.0))) / (2.0 * big_a)
+    return rays, alpha2 / (big_a * t2), t2
 
 
 def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
@@ -359,15 +370,17 @@ def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
 
     The table has the layout of ``_carve_balls``'s with a leading piece
     axis, its second column the depth (1 - a.c) / h at the piece's apex a,
-    the first corner, for ``_in_balls``; it is padded to the most balls a
-    piece keeps by balls that hold no point (at depth inf)."""
+    the first corner, for ``_ray_tables``; each piece's kept balls come
+    first, and it is padded to the most balls a piece keeps by balls that
+    hold no point (at depth inf)."""
     centres, inv_h, scaled, reach = balls
     near = (centres @ corners).max(axis=-1) >= reach
     near &= np.arange(len(centres)) != own[:, None]
     width = int(near.sum(axis=1).max())
     order = np.argsort(~near, axis=1, kind="stable")[:, :width]
     kept = np.take_along_axis(near, order, axis=1)[:, :, None]
-    at_apex = inv_h[order] - scaled[order] @ corners[:, :, :1]
+    # summed per ball, so that a ball's depth has the same bits in any table
+    at_apex = inv_h[order] - (scaled[order] * corners[:, None, :, 0]).sum(axis=2, keepdims=True)
     return (
         np.where(kept, centres[order], 0.0),
         np.where(kept, at_apex, np.inf),
@@ -377,10 +390,10 @@ def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
 
 
 def _carve_balls(centres: np.ndarray, h: np.ndarray) -> tuple:
-    """The ``_in_balls`` table of ideal balls at the chart ``centres`` (a
-    (k, 3) array of points on the unit sphere) with the levels ``h`` (an
-    array of k), and the carve-free radius max(0, min_v s_v) of their types
-    s_v = (1 - h_v^2) / (1 + h_v^2)."""
+    """The table of ideal balls at the chart ``centres`` (a (k, 3) array
+    of points on the unit sphere) with the levels ``h`` (an array of k):
+    rows (c, 1 / h, c / h, s - 1e-12), and the carve-free radius max(0,
+    min_v s_v) of their types s_v = (1 - h_v^2) / (1 + h_v^2)."""
     inv_h = (1.0 / h)[:, None]
     types = (1.0 - h * h) / (1.0 + h * h)
     # the types less a slack that rounding in a corner's or a point's p.c
@@ -423,7 +436,9 @@ def _shell_pieces(apex, triangles, t0: float, balls) -> list:
     p_i, which its rays cut exactly.  ``steps`` maps (lo, mid, 1) to a
     piece's face as ``_hull_fan``'s do, ``shares`` are the pieces' shares
     of the tetrahedron's shell, and ``near`` is the ``_near_balls`` table of
-    the other balls that reach each piece, or None if none does.
+    the other balls that reach each piece, or None if none does.  The
+    pieces that keep more balls come first, so the pieces that keep a ball
+    in any one column of ``near`` lead the tetrahedron's pieces.
     """
     centres, inv_h = balls[0], balls[1][:, 0]
     c = centres[triangles]  # (tetrahedra, 3, 3)
@@ -436,9 +451,11 @@ def _shell_pieces(apex, triangles, t0: float, balls) -> list:
     ball = triangles[:, _PIECE_ROWS[:, 0]]
     h2 = inv_h[ball] ** -2.0
     near = _near_balls(balls, np.swapaxes(rows, 2, 3).reshape(-1, 3, 4), ball.ravel())
+    reached = np.isfinite(near[1][:, :, 0]).sum(axis=1).reshape(len(triangles), -1)
     pieces = []
     for k in range(len(triangles)):
         keep = np.flatnonzero(volumes[k] > 0.0)
+        keep = keep[np.argsort(-reached[k, keep], kind="stable")]
         kept = tuple(table[k * len(_PIECE_ROWS) + keep] for table in near)
         shares = volumes[k, keep] / volumes[k, keep].sum()
         pieces.append((
@@ -448,78 +465,215 @@ def _shell_pieces(apex, triangles, t0: float, balls) -> list:
     return pieces
 
 
+def _ray_tables(apexes, steps, h2, near) -> tuple:
+    """The fixed coefficients of the forms ``_ray_block`` evaluates on the
+    rays p = a + tau e of a tetrahedron's pieces, e = steps @ (lo, mid, 1),
+    each a function of the face point (1, mid, lo) that ``_ray_block``
+    stores.
+
+    ``coef`` (pieces x 4 x 3) holds per piece the row of d = -2 a.e and the
+    Gram matrix of the steps, whose product with (1, mid, lo) is the vector
+    g with |e|^2 = g0 + mid g1 + lo g2; ``quarter_inv_h2`` is 1 / (4 h^2)
+    of the piece's own ball.  ``columns`` holds one entry per column of the
+    ``_near_balls`` table ``near`` (none when it is None): the depths alpha
+    of the column's balls at the apexes of the first n pieces, the ones
+    that keep a ball in that column (``_shell_pieces`` puts them first), and
+    the (n x 1 x 3) rows of beta = (c / h).e."""
+    flipped = steps[:, :, ::-1]
+    coef = np.concatenate(
+        (
+            np.einsum("pj,pjk->pk", -2.0 * apexes, flipped)[:, None],
+            np.einsum("pjk,pjl->pkl", flipped, flipped),
+        ),
+        axis=1,
+    )
+    columns = []
+    if near is not None:
+        _, at_apex, scaled, _ = near
+        for j in range(at_apex.shape[1]):
+            n = int(np.isfinite(at_apex[:, j, 0]).sum())
+            beta = (scaled[:n, j, :, None] * flipped[:n]).sum(axis=1, keepdims=True)
+            columns.append((at_apex[:n, j], beta))
+    return coef, 0.25 / h2, columns
+
+
+def _ray_block(r, tables, drawn: int, work: np.ndarray, flags: np.ndarray) -> tuple:
+    """The exact shares (y, x) of the rays through a block of face points of
+    a tetrahedron's pieces, with the counts of those accepted and carved.
+
+    ``r`` (2, pieces, m) holds the face uniforms (a, b), and lo, mid =
+    sorted(a, b) is a point of each piece's face; ``tables`` are the
+    piece's ``_ray_tables``.  Along the ray p = a + tau e from the piece's
+    apex a, a ball's centre with |a| = 1, the gap 1 - |p|^2 = tau (d - tau
+    |e|^2) with d = -2 a.e, the chart volume element is 1 / gap^2 and a
+    uniform point of the piece has density 3 tau^2 in tau.  The ray's share
+    of the piece between tau = s and t is therefore
+
+        integral 3 tau^2 / gap^2 dtau = 3 (t - s) / ((d - s |e|^2) (d - t |e|^2)),
+
+    its share of the chart volume t^3 - s^3.  The own ball holds the ray for
+    tau <= tau_e = d / (d^2 / (4 h^2) + |e|^2) (|a| = 1), where d - tau_e
+    |e|^2 = tau_e d^2 / (4 h^2), so with t_e = min(tau_e, 1) the ray carries
+    y = 3 (1 - t_e) / (tau_e d^2 / (4 h^2) (d - |e|^2)) and x = 1 - t_e^3.
+    A neighbour ball holds the ray on the interval [t1, t2] that
+    ``_crossings`` finds, clipped to [t_e, 1]; the balls are disjoint, so
+    it lies past the own ball, and its shares are taken off y and x.  This
+    is the expectation over tau of what a point drawn on the ray would
+    carry, so the gauge adds no variance.
+
+    A ray whose face end lies on or past the unit sphere (d - |e|^2 <= 0)
+    is rejected and carries y = 0; every other one is accepted unless it
+    crosses a neighbour ball, when it is carved.  Only the first ``drawn``
+    pieces draw the last point of the block; the others' last point carries
+    nothing and is not counted.  ``work`` holds the block's 7 arrays of
+    pieces x m doubles and ``flags`` 3 boolean ones.  Returns (yx, accepted,
+    carved), yx a (pieces, 2, m) view of the 5th and 6th of those arrays.
+    """
+    coef, quarter_inv_h2, columns = tables
+    _, n_pieces, m = r.shape
+    b = n_pieces * m
+    # one (pieces, m) array per quantity: ufuncs over whole arrays of their
+    # own run twice as fast as over rows interleaved in one buffer
+    slot = work[: 7 * b].reshape(7, n_pieces, m)
+    face = slot[4:7]  # (1, mid, lo)
+    np.minimum(r[0], r[1], out=face[2])
+    np.maximum(r[0], r[1], out=face[1])
+    face[0] = 1.0
+    np.matmul(coef, face.transpose(1, 0, 2), out=slot[:4].transpose(1, 0, 2))
+    d, ee, g1, g2 = slot[:4]
+    g1 *= face[1]
+    g2 *= face[2]
+    ee += g1
+    ee += g2
+    inside, cross, below = flags[: 3 * b].reshape(3, n_pieces, m)
+    cuts = []
+    for k, (alpha, coef_beta) in enumerate(columns):
+        n = len(alpha)
+        if k:
+            face[0, :n] = 1.0  # the row of ones was the last column's scratch
+        np.matmul(coef_beta, face[:, :n].transpose(1, 0, 2), out=slot[2, :n, None])
+        rays, t1, t2 = _crossings(
+            d[:n], ee[:n], slot[2, :n], alpha, slot[3, :n], face[0, :n], cross[:n], below[:n]
+        )
+        if len(rays):
+            dr, er = d.ravel().take(rays), ee.ravel().take(rays)
+            own_end = dr / (dr * dr * quarter_inv_h2[:, 0].take(rays // m) + er)
+            np.minimum(t2, 1.0, out=t2)
+            t1 = np.minimum(np.maximum(t1, own_end), t2)
+            y_cut = 3.0 * (t2 - t1) / ((dr - t1 * er) * (dr - t2 * er))
+            cuts.append((rays, y_cut, t2**3 - t1**3))
+    y, x = slot[4:6]
+    den, total, gap = slot[2], slot[3], slot[6]
+    np.multiply(d, d, out=den)
+    den *= quarter_inv_h2
+    np.add(den, ee, out=total)
+    np.divide(d, total, out=x)  # tau_e
+    den *= x  # d - tau_e |e|^2
+    np.subtract(d, ee, out=gap)  # d - |e|^2, the gap at the face end
+    np.greater(gap, 0.0, out=inside)
+    den *= gap
+    np.minimum(x, 1.0, out=x)  # t_e
+    np.subtract(1.0, x, out=y)
+    y /= den
+    y *= 3.0
+    np.multiply(x, x, out=total)
+    total *= x
+    np.subtract(1.0, total, out=x)
+    if drawn < n_pieces:
+        inside[drawn:, -1] = False
+        x[drawn:, -1] = 0.0
+    accepted = int(np.count_nonzero(inside))
+    if accepted < b:
+        y[~inside] = 0.0
+    carved = 0
+    for rays, y_cut, x_cut in cuts:
+        keep = inside.ravel().take(rays)
+        if not keep.all():
+            rays, y_cut, x_cut = rays[keep], y_cut[keep], x_cut[keep]
+        y.ravel()[rays] -= y_cut
+        x.ravel()[rays] -= x_cut
+        carved += len(rays)
+    return slot[4:6].transpose(1, 0, 2), accepted - carved, carved
+
+
+def _plan(count: int, n_pieces: int) -> tuple:
+    """(each, extra, face_bits, block) of a tetrahedron with ``count``
+    samples over ``n_pieces`` pieces: each piece draws ``each`` samples, the
+    first ``extra`` one more, on a grid of 2^face_bits cells
+    (``_grid_shape``), and a block holds at most ``block`` samples per
+    piece, whole rounds of the grid within _MC_CHUNK points but no more
+    than a piece draws."""
+    each, extra = divmod(count, n_pieces)
+    face_bits = _grid_shape(each, n_pieces)
+    per_block = _MC_CHUNK // n_pieces >> face_bits << face_bits
+    return each, extra, face_bits, min(each + (extra > 0), per_block)
+
+
 def _stratum(rng, pieces, weights, n: int):
-    """Draw ``n`` points in the shell of the fan, in the ``pieces`` of
+    """Draw ``n`` rays in the shell of the fan, in the ``pieces`` of
     ``_shell_pieces``, and estimate the mean chart volume element over the
     part of the shell outside the balls.
 
     Tetrahedron k gets a fixed share of the samples (``_allocate``: 2 or
     more per piece, the rest in proportion to its weight w_k), split evenly
     over its P pieces, one more for the first count mod P of them.  A
-    piece's uniforms (u, a, b) are stratified on a grid of G equal cells
-    (``_grid_shape``: 2 or more samples per cell), slices of u times a grid
-    on the face uniforms, the same grid for every piece of the tetrahedron.
-    A piece's apex is a ball's centre c, and a point is c + tau e, e = steps
-    @ (lo, mid, 1) with lo, mid = sorted(a, b).  The ray lies in that ball
-    exactly for tau <= tau_e = -2 h^2 (c.e) / ((c.e)^2 + h^2 |e|^2) (|c| =
-    1), so with l = min(tau_e^3, 1) the point takes tau^3 = l + u (1 - l),
-    uniform in tau^3 over [l, 1]: the ray skips its own ball and the point
-    carries the weight 1 - l of the part of the ray it stands for.  Every
-    cell is a known share w_k s_p / G of the shell's chart volume, s_p the
+    sample is one point (lo, mid) = sorted(a, b) of a piece's face, and
+    stands for the whole ray from the piece's apex, a ball's centre, through
+    it: ``_ray_block`` gives the ray's exact share y of the piece's integral
+    of the volume element and x of its chart volume, both outside the
+    piece's own ball and the neighbour balls that ``_near_balls`` keeps for
+    it (on the four cells 0 or 1).  This replaces a point drawn on the ray
+    by its expectation along the ray (conditional Monte Carlo), so only the
+    face is sampled.  A piece's face uniforms (a, b) are stratified on a
+    grid of G = 2^face_bits equal cells (``_grid_shape``: 2 or more samples
+    per cell), the same grid for every piece of the tetrahedron; every cell
+    is a known share w_k s_p / G of the shell's chart volume, s_p the
     piece's share of the tetrahedron's shell.  The samples visit the cells
-    in whole rounds, then one partial round over the face cells that follow
-    a random start in their visit order (``_face_grid``), so the cells with
-    one sample more lie spread over the piece.  Every piece's points are
-    tested by ``_in_balls`` against the balls that ``_near_balls`` keeps for
-    it (on the four cells 0 or 1), its own ball excluded.  All the pieces of
-    a tetrahedron share one block, with a leading piece axis.
+    in whole rounds, then one partial round over the cells that follow a
+    random start in their visit order (``_face_grid``), so the cells with
+    one sample more lie spread over the piece.  All the pieces of a
+    tetrahedron share one block, with a leading piece axis.
 
-    With y the weight times the volume element of a point not carved (0
-    outside the unit ball) and x the weight of a point not carved, y = x =
-    0 for a carved one, the combined ratio estimator (Cochran, Sampling
-    Techniques, 3rd ed., 6.11-6.12) of the mean over the shell outside the
-    balls is R = sum W_c ybar_c / sum W_c xbar_c, with variance sum W_c^2
-    s_c^2 / n_c / (sum W_c xbar_c)^2, s_c^2 the within-cell variance of y -
-    R x.
+    With y and x the shares of a ray (y = 0 for a rejected one), the
+    combined ratio estimator (Cochran, Sampling Techniques, 3rd ed.,
+    6.11-6.12) of the mean over the shell outside the balls is R = sum W_c
+    ybar_c / sum W_c xbar_c, with variance sum W_c^2 s_c^2 / n_c / (sum W_c
+    xbar_c)^2, s_c^2 the within-cell variance of y - R x.
 
     Returns (R, variance of R, accepted, carved), with R = 0 and variance 0
-    when no sample carries weight.
+    when no sample carries weight.  Rays that lie wholly in their own ball
+    within the piece (tau_e >= 1) carry y = x = 0 and count as accepted.
     """
     accepted = carved = 0
-    # a block's arrays are views of this one allocation, which every block
-    # reuses: allocated anew per block, their memory went back to the system
-    # when freed and took minor page faults again in the next block
-    # (the last 2 _MC_CHUNK hold a tetrahedron's sums of y and x per cell)
-    work = np.empty(11 * _MC_CHUNK)
-    sums = work[9 * _MC_CHUNK :]
+    least = np.array([2 * len(piece[0]) for piece in pieces])
+    counts = _allocate(n, weights, least)
+    plans = [_plan(count, len(piece[0])) for piece, count in zip(pieces, counts)]
+    # a block's arrays are views of these allocations, sized for the largest
+    # block, which every block reuses: allocated anew per block, their
+    # memory went back to the system when freed and took minor page faults
+    # again in the next block (the tetrahedron's sums of y and x per cell,
+    # then the block's 7 arrays)
+    sums_size = max(2 * len(piece[0]) << plan[2] for piece, plan in zip(pieces, plans))
+    block_size = max(len(piece[0]) * plan[3] for piece, plan in zip(pieces, plans))
+    work = np.empty(sums_size + 7 * block_size)
+    sums, blocks = work[:sums_size], work[sums_size:]
+    flags = np.empty(3 * block_size, dtype=bool)
     # sums over the cells of W_c ybar_c, W_c xbar_c and the variance terms
     # of y^2, x y and x^2
     totals = np.zeros(5)
-    least = np.array([2 * len(piece[0]) for piece in pieces])
-    for (apexes, steps, shares, h2, near), weight, count in zip(
-        pieces, weights, _allocate(n, weights, least)
+    for (apexes, steps, shares, h2, near), weight, (each, extra, face_bits, block) in zip(
+        pieces, weights, plans
     ):
+        tables = _ray_tables(apexes, steps, h2, near)
         n_pieces = len(apexes)
-        each, extra = divmod(count, n_pieces)  # pieces below extra draw each + 1
         slots = each + (extra > 0)
-        slices, face_bits = _grid_shape(each, n_pieces)
-        cells = slices << face_bits
-        # column j slices + i of a round is slice i of u over face cell j,
-        # the face cells taken in visit order from a random start
-        thick = 1.0 / slices
+        cells = 1 << face_bits
+        # column j of a round is face cell j, the cells taken in visit order
+        # from a random start
         side, corners = _face_grid(face_bits)
-        start = int(rng.integers(1 << face_bits))
-        offset = np.empty((3, 1, cells))
-        offset[0, 0] = np.tile(thick * np.arange(slices), 1 << face_bits)
-        offset[1:, 0] = np.repeat(corners[:, start : start + (1 << face_bits)], slices, axis=1)
-        scale = np.vstack(([thick], side))[:, :, None]
-        # d = -2 a.e and, as the apex a is a ball's centre (|a| = 1), 1 -
-        # |p|^2 = tau (d - tau |e|^2) for p = a + tau e, and the own ball
-        # ends at tau_e = d / (d^2 / (4 h^2) + |e|^2)
-        minus_twice_apexes = -2.0 * apexes[:, None, :]
-        quarter_inv_h2 = 0.25 / h2
-        room = _MC_CHUNK // n_pieces  # the most samples per piece a block holds
-        block = room // cells * cells
+        start = int(rng.integers(cells))
+        offset = corners[:, None, start : start + cells]
+        scale = side[:, :, None]
         per_cell = sums[: 2 * n_pieces * cells].reshape(2, n_pieces, cells)
         per_cell.fill(0.0)
         # the pieces that draw one sample more and the rest, each with its
@@ -531,74 +685,30 @@ def _stratum(rng, pieces, weights, n: int):
             q, rest = divmod(drawn, cells)
             n_c = np.full(cells, float(q))
             n_c[:rest] += 1.0
-            inverse = np.tile(1.0 / (n_c * (n_c - 1.0)), -(-min(slots, room) // cells))
+            inverse = np.tile(1.0 / (n_c * (n_c - 1.0)), -(-block // cells))
             groups.append((rows, n_c, inverse))
         # per piece, the sums over its samples of (y, x) (y, x)^T / (n_c (n_c - 1))
         second = np.zeros((n_pieces, 2, 2))
         first = 0
         while first < slots:
-            m = slots - first if slots - first <= room else block
-            b = n_pieces * m  # the block's arrays of b doubles each fill work in turn
+            m = min(slots - first, block)
+            b = n_pieces * m
             whole = m // cells * cells
-            r = rng.random(out=work[: 3 * b].reshape(3, n_pieces, m))
+            r = rng.random(out=blocks[: 2 * b].reshape(2, n_pieces, m))
             r *= scale
-            rounds = r[:, :, :whole].reshape(3, n_pieces, -1, cells)
+            rounds = r[:, :, :whole].reshape(2, n_pieces, -1, cells)
             np.add(rounds, offset[:, :, None, :], out=rounds)
             np.add(r[:, :, whole:], offset[:, :, : m - whole], out=r[:, :, whole:])
-            face = work[3 * b : 6 * b].reshape(n_pieces, 3, m)  # (lo, mid, 1)
-            np.minimum(r[1], r[2], out=face[:, 0])
-            np.maximum(r[1], r[2], out=face[:, 1])
-            face[:, 2] = 1.0
-            e = work[6 * b : 9 * b].reshape(n_pieces, 3, m)
-            np.matmul(steps, face, out=e)
-            tau, d, ee = r
-            np.matmul(minus_twice_apexes, e, out=d[:, None, :])
-            np.einsum("pjm,pjm->pm", e, e, out=ee)
-            # y and x, where face was
-            yx = work[3 * b : 5 * b].reshape(2, n_pieces, m)
-            y, x = yx
-            gap = work[5 * b : 6 * b].reshape(n_pieces, m)
-            np.multiply(d, d, out=y)
-            y *= quarter_inv_h2
-            y += ee
-            np.divide(d, y, out=y)  # tau_e
-            cut_off = np.multiply(y, y, out=gap)
-            cut_off *= y
-            np.minimum(cut_off, 1.0, out=cut_off)
-            np.subtract(1.0, cut_off, out=x)  # the point's weight
-            tau *= x
-            tau += cut_off
-            np.cbrt(tau, out=tau)
-            np.multiply(tau, ee, out=gap)
-            np.subtract(d, gap, out=gap)
-            gap *= tau
-            inside = gap > 0.0
-            if extra and first + m == slots:
-                # the last slot, which the pieces past extra do not draw
-                inside[extra:, -1] = False
-                x[extra:, -1] = 0.0
-            accepted += int(np.count_nonzero(inside))
-            if near:
-                cut = _in_balls(e, tau[:, None, :], gap, near)
-                cut &= inside
-                hits = int(np.count_nonzero(cut))
-                if hits:
-                    carved += hits
-                    accepted -= hits
-                    x[cut] = 0.0
-            np.multiply(gap, gap, out=y)
-            np.maximum(y, 1e-300, out=y)  # finite where gap = 0, a point outside
-            np.divide(x, y, out=y)
-            if not inside.all():
-                y[~inside] = 0.0
-            _fold(y, cells, per_cell[0])
-            _fold(x, cells, per_cell[1])
-            weighted = work[: 2 * b].reshape(2, n_pieces, m)
+            drawn = extra if extra and first + m == slots else n_pieces
+            yx, hits, cuts = _ray_block(r, tables, drawn, blocks, flags)
+            accepted += hits
+            carved += cuts
+            _fold(yx[:, 0], cells, per_cell[0])
+            _fold(yx[:, 1], cells, per_cell[1])
+            weighted = blocks[: 2 * b].reshape(2, n_pieces, m).transpose(1, 0, 2)
             for rows, _, inverse in groups:
-                np.multiply(yx[:, rows], inverse[:m], out=weighted[:, rows])
-                second[rows] += np.matmul(
-                    weighted[:, rows].transpose(1, 0, 2), yx[:, rows].transpose(1, 2, 0)
-                )
+                np.multiply(yx[rows], inverse[:m], out=weighted[rows])
+                second[rows] += np.matmul(weighted[rows], yx[rows].transpose(0, 2, 1))
             first += m
         # every cell of piece p has W_c = w_k s_p / G; the combined ratio
         # estimator needs sum W_c ybar_c, sum W_c xbar_c and, with d = y -
@@ -643,8 +753,11 @@ def monte_carlo_volume(
     inside it is taken off the hull's.  Carving the cusps keeps the sampled
     integrand, the chart volume element 1/(1 - x^2 - y^2 - z^2)^2, bounded,
     where naive sampling has infinite variance and a meaningless standard
-    error.  Points on or outside the unit sphere count as rejected and
-    contribute 0.  Deterministic for a fixed (seed, samples).
+    error.  Each sample is a ray from a cusp, integrated in closed form: it
+    is accepted, carved when it crosses a neighbour ball (the crossing's
+    share is taken off), or rejected, contributing 0, when its far end lies
+    on or outside the unit sphere.  Deterministic for a fixed (seed,
+    samples).
 
     No ball reaches nearer the origin than the carve-free radius
     max(0, min_v s_v), s_v = (1 - h_v^2) / (1 + h_v^2) the type of ball v: a
@@ -662,18 +775,22 @@ def monte_carlo_volume(
     order-12 rule is booked as its error.  Every sample goes to the shell,
     t0^3 <= t^3 <= 1, along rays from the cusps (``_shell_pieces``): the
     shell of each fan tetrahedron is cut into one region per face corner,
-    fanned from the corner, and every ray skips the corner's own ball
-    exactly and weighs the point by the share of the ray it stands for.
-    The neighbour balls are still tested on each piece's points, and the
-    pieces are stratified on a grid (``_stratum``).  The weighted samples
-    not carved stand for the shell less the balls, whose chart volume
-    (1 - t0^3) H - ``chart`` is known exactly from the hull's H.  This is
+    fanned from the corner, and a sample is a point of a region's face that
+    stands for the whole ray from the corner through it.  The ray's shares
+    of the volume element's integral and of the chart volume outside the
+    corner's own ball and the neighbour balls have closed forms
+    (``_ray_block``), so only the face points are drawn, stratified on a
+    grid (``_stratum``).  The rays' shares stand for the shell less the
+    balls, whose chart volume (1 - t0^3) H - ``chart`` is known exactly
+    from the hull's H.  This is
     the limit of Neyman allocation in which the core, whose variance is
     nil, gets no samples, and it needs no pilot run.  The estimate is
     ``exact`` plus the core's integral plus the shell's chart volume times
     its ratio estimate, with standard error^2 = V^2 var(R) + (Q16 - Q12)^2.
-    The balls add no variance and the grid cells remove most of it within
-    the shell.
+    The balls and the position along each ray add no variance, and the
+    grid cells remove most of the rest.  The rays that lie wholly in their
+    own ball within a region (tau_e >= 1) carry nothing and still take
+    their share of the samples; giving those samples back is left open.
 
     GeometryError unless ``samples`` is an integer >= ``MIN_SAMPLES`` and
     ``seed`` a non-negative integer.

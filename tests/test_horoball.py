@@ -11,6 +11,7 @@ from horosphere_reference import (
     horoball_at,
     horospheric_chord_length,
 )
+from membership import in_balls
 from quadrature import sector_volume_quadrature
 
 from horopack import volume
@@ -262,11 +263,11 @@ def _ball_predicate(hb):
 
 
 def _in_cusps(cell, pts):
-    """The sampler's membership test of the oracle's cusp balls on the
-    (n, 3) array ``pts``."""
+    """Membership of the (n, 3) array ``pts`` in the oracle's cusp balls,
+    by the sampler's ball table."""
     chart = np.array([v.chart() for v in cell.vertices])
     balls, _ = volume._carve_balls(chart, cusp_levels(cell))
-    return volume._in_balls(pts.T, 1.0, 1.0 - np.einsum("ij,ij->i", pts, pts), balls)
+    return in_balls(pts.T, 1.0, 1.0 - np.einsum("ij,ij->i", pts, pts), balls)
 
 
 @pytest.mark.parametrize("symbol", [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)])
@@ -311,9 +312,9 @@ def test_chart_sector_equal_on_origin_centred_cells(symbol):
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_chart_sectors_match_carved_share(symbol, monkeypatch):
-    # the sampler skips each piece's own ball along its rays (piece volume
-    # times the mean of the clamped tau_e^3) and carves the neighbour balls
-    # it tests; its estimate of the shell's chart volume outside the balls,
+    # the sampler integrates each ray outside the piece's own ball and the
+    # neighbour balls it tests (x = 1 - tau_e^3 less t2^3 - t1^3 where the
+    # ray crosses a neighbour); its estimate of the shell's chart volume outside the balls,
     # sum W_c xbar_c of the shell (the core meets no ball), leaves the balls'
     # chart volume, which must match the quadrature of their sectors
     cell = build_cell(symbol)
@@ -409,46 +410,49 @@ def _pieces_of(cell, monkeypatch):
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
-    # every block the sampler tests holds the rays of one fan tetrahedron's
-    # pieces; testing each point against every ball of the cell but its own,
-    # by the same arithmetic, must not change a single answer: the
-    # prefilter drops no ball that holds a point.  A point lies in its own
-    # ball only at the end tau = 1 of a ray that lies wholly in it, where
-    # the point carries weight 0
+    # every block the sampler integrates holds the rays of one fan
+    # tetrahedron's pieces; testing each ray against every ball of the cell
+    # but its own, by the same arithmetic, must not change a single bit of
+    # its (y, x) nor a count: the prefilter drops no ball that a ray of the
+    # piece crosses.  The own ball needs no test, as each ray is integrated
+    # only from where it leaves that ball
     cell = build_cell(symbol)
     chart = np.array([v.chart() for v in cell.vertices])
     balls, _ = volume._carve_balls(chart, cusp_levels(cell))
     everywhere = (*balls[:3], np.full(len(chart), -np.inf))  # every half-space reaches
     tables = {}
-    stratum = volume._stratum
+    ray_tables = volume._ray_tables
 
-    def collect(rng, pieces, weights, n):
-        for apexes, steps, _, h2, near in pieces:
-            corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
-            own = np.array([int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes])
-            scaled = (apexes / np.sqrt(h2))[:, None, :]
-            own_ball = (apexes[:, None, :], np.zeros((len(apexes), 1, 1)), scaled, None)
-            tables[id(near)] = volume._near_balls(everywhere, corners, own), own_ball
-        return stratum(rng, pieces, weights, n)
+    def collect(apexes, steps, h2, near):
+        kept = ray_tables(apexes, steps, h2, near)
+        corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
+        own = np.array([int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes])
+        others = volume._near_balls(everywhere, corners, own)
+        assert len(others[1][0]) == len(chart) - 1
+        tables[id(kept)] = ray_tables(apexes, steps, h2, others)
+        return kept
 
-    in_balls = volume._in_balls
+    ray_block = volume._ray_block
     blocks = []
 
-    def checked(e, tau, gap, near):
-        got = in_balls(e, tau, gap, near)
-        others, own_ball = tables[id(near)]
-        in_own = in_balls(e, tau, gap, own_ball)
-        same = np.array_equal(got, in_balls(e, tau, gap, others))
-        blocks.append((int(got.sum()), same and bool((tau[:, 0][in_own] == 1.0).all())))
-        return got
+    def checked(r, kept, drawn, work, flags):
+        fresh = r.copy()
+        yx, accepted, carved = ray_block(r, kept, drawn, work, flags)
+        n_pieces, _, m = yx.shape
+        again = ray_block(
+            fresh, tables[id(kept)], drawn, np.empty(8 * n_pieces * m), np.empty_like(flags)
+        )
+        blocks.append((carved, np.array_equal(yx, again[0]) and (accepted, carved) == again[1:]))
+        return yx, accepted, carved
 
-    monkeypatch.setattr(volume, "_stratum", collect)
-    monkeypatch.setattr(volume, "_in_balls", checked)
-    cell_volume_oracle(cell, 200_000, 5)
+    monkeypatch.setattr(volume, "_ray_tables", collect)
+    monkeypatch.setattr(volume, "_ray_block", checked)
+    res = cell_volume_oracle(cell, 200_000, 5)
     assert len(blocks) >= sum(len(f) - 2 for f in cell.faces)  # one per tetrahedron
     assert all(same for _, same in blocks)
-    # on (3,4,4) no neighbour ball holds a sample (carved == 0)
-    assert sum(hits for hits, _ in blocks) > 0 or symbol == (3, 4, 4)
+    # on (3,4,4) no ray crosses a neighbour ball (carved == 0)
+    assert res.carved == sum(carved for carved, _ in blocks)
+    assert res.carved > 0 or symbol == (3, 4, 4)
     # a point just inside a ball's point nearest the origin lies in the
     # ball, and a point just outside it does not
     monkeypatch.undo()
@@ -460,7 +464,7 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
 
 @pytest.mark.parametrize("symbol", ALL_CELLS)
 def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, monkeypatch):
-    # a piece's points are tested against a ball when its half-space
+    # a piece's rays are tested against a ball when its half-space
     # reaches one of the piece's four corners, its own ball (at its apex)
     # excluded; on every cell that leaves 0 or 1 ball per piece, and the
     # own and kept balls of a fan tetrahedron's pieces are the 3 balls at
@@ -485,17 +489,30 @@ def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, mon
             assert kept[p] == [v for v in np.flatnonzero(reaches) if v != own[p]]
             assert len(kept[p]) <= 1
         assert set(own) | {v for row in kept for v in row} == set(triangle)
-    # and the sampler tests every block on at most one ball per piece
-    in_balls = volume._in_balls
-    sizes = set()
+        # the pieces that keep a ball lead, so a block tests a prefix of them
+        assert [len(row) for row in kept] == sorted((len(row) for row in kept), reverse=True)
+    # and the sampler tests every block on at most one ball per piece: one
+    # _crossings call per block, on exactly the pieces that keep a ball,
+    # each against the depth of its kept ball
+    ray_block, crossings = volume._ray_block, volume._crossings
+    calls = []
 
-    def spy(e, tau, gap, near):
-        sizes.add(near[0].shape[1])
-        return in_balls(e, tau, gap, near)
+    def block_spy(r, tables, drawn, work, flags):
+        calls.append((len(tables[2]), []))
+        return ray_block(r, tables, drawn, work, flags)
 
-    monkeypatch.setattr(volume, "_in_balls", spy)
+    def crossings_spy(d, ee, beta, alpha, *scratch):
+        calls[-1][1].append(alpha.copy())
+        return crossings(d, ee, beta, alpha, *scratch)
+
+    monkeypatch.setattr(volume, "_ray_block", block_spy)
+    monkeypatch.setattr(volume, "_crossings", crossings_spy)
     cell_volume_oracle(cell, 20_000, 1)
-    assert sizes == {1}
+    columns = [near[1][:, 0, 0] for *_, near in pieces if near is not None]
+    depths = {tuple(depth[np.isfinite(depth)]) for depth in columns}
+    assert len(calls) >= len(triangles)
+    assert all(len(tested) == columns <= 1 for columns, tested in calls)
+    assert {tuple(tested[0][:, 0]) for _, tested in calls if tested} == depths
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -35,6 +35,7 @@ from horopack.volume import (
     lobachevsky,
     orthoscheme_volume,
 )
+from membership import in_balls
 
 # closed-form volumes of the four characteristic orthoschemes
 ORTHOSCHEME_VOLUMES = {
@@ -434,24 +435,23 @@ def per_cell(count, pieces=1):
     """Fewest samples a cell gets in a tetrahedron with ``count`` samples
     over ``pieces`` pieces."""
     each = count // pieces
-    slices, face_bits = _grid_shape(each, pieces)
-    return each // (slices << face_bits)
+    return each >> _grid_shape(each, pieces)
 
 
 def test_grid_cells_hold_two_samples_and_tile_the_square():
+    # every grid bit goes to the face: 2^face_bits cells, the most that
+    # leave 2 samples in each
     for count in range(2, 5000):
-        slices, face_bits = _grid_shape(count, 1)
-        cells = slices << face_bits
+        cells = 1 << _grid_shape(count, 1)
         assert per_cell(count) >= 2
         assert cells > count // 4
-        assert 8 <= slices < 16 or face_bits == 0
-    cap = 1 << volume._MC_GRID_BITS
-    assert cap <= volume._MC_CHUNK
-    assert _grid_shape(10**9, 1)[0] << _grid_shape(10**9, 1)[1] == cap
-    # the cells of all 18 pieces of a split tetrahedron fit one block
-    slices, face_bits = _grid_shape(10**9, 18)
-    assert cap // 36 < slices << face_bits <= cap // 18
-    for face_bits in range(volume._MC_GRID_BITS + 1):
+    # the cells of all the pieces of a tetrahedron fit one block: 1, the 6
+    # of a split tetrahedron without a core and the 18 of one with a core
+    cap = volume._MC_CHUNK
+    for pieces in (1, 6, 18):
+        cells = 1 << _grid_shape(10**9, pieces)
+        assert cap // (2 * pieces) < cells <= cap // pieces
+    for face_bits in range(_grid_shape(10**9, 1) + 1):
         side, corners = _face_grid(face_bits)
         assert np.prod(side) == 0.5**face_bits
         # the second half repeats the first, which holds every cell once
@@ -558,7 +558,7 @@ def test_shell_pieces_tile_each_fan_tetrahedron(symbol, core):
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
 def test_piece_tables_test_rays_as_the_pencil_form(symbol):
     # a piece's table holds each ball's depth (1 - a.c) / h at the piece's
-    # apex a, so the ray form of _in_balls answers for p = a + tau e what the
+    # apex a, so the ray form of the membership oracle answers for p = a + tau e what the
     # pencil form (1 - p.c)^2 <= h^2 (1 - |p|^2) answers; here every ball of
     # the cell is kept, the piece's own ball included (no vertex is number -1)
     pts, levels, _, _, pieces = _cell_shell(symbol)
@@ -574,11 +574,136 @@ def test_piece_tables_test_rays_as_the_pencil_form(symbol):
         p = apexes[:, :, None] + tau * e
         gap = 1.0 - np.einsum("pjm,pjm->pm", p, p)
         near = volume._near_balls(everywhere, corners, np.full(len(apexes), -1))
-        got = volume._in_balls(e, tau, gap, near)
+        got = in_balls(e, tau, gap, near)
         pencil = (1.0 - pts @ p) ** 2 - h * h * gap[:, None, :]  # (pieces, balls, points)
         sure = (np.abs(pencil) > 1e-12).all(axis=1)
         assert np.array_equal(got[sure], (pencil <= 0.0).any(axis=1)[sure])
         assert 0.0 < got.mean() < 1.0
+
+
+def test_crossings_solve_each_case():
+    # a ray meets a ball where q(tau) = A tau^2 - B tau + alpha^2 <= 0, A =
+    # beta^2 + |e|^2 and B = 2 alpha beta + d; rays built from the roots of
+    # q: through the ball within the piece, ending in it, meeting it only
+    # past the face (tau > 1), only behind the apex (tau < 0), and never
+    alpha, beta = 0.5, 0.2
+    roots = [(0.3, 0.6), (0.4, 1.7), (1.2, 1.5), (-0.6, -0.3)]
+    a = np.array([alpha**2 / (r1 * r2) for r1, r2 in roots] + [0.5])
+    b = np.array([k * (r1 + r2) for k, (r1, r2) in zip(a, roots)] + [0.5])  # last: 0.5 +- 0.5i
+    assert (a > beta * beta).all()
+    d, ee = (b - 2.0 * alpha * beta)[None], (a - beta * beta)[None]
+    scratch = [np.empty((1, len(a))) for _ in range(2)]
+    flags = [np.empty((1, len(a)), dtype=bool) for _ in range(2)]
+    rays, t1, t2 = volume._crossings(
+        d, ee, np.full((1, len(a)), beta), np.array([[alpha]]), *scratch, *flags
+    )
+    assert rays.tolist() == [0, 1]
+    assert t1 == pytest.approx([0.3, 0.4], rel=1e-14)
+    assert t2 == pytest.approx([0.6, 1.7], rel=1e-14)
+
+
+def _gauss_legendre(f, lo, hi, order=64):
+    """Integral of ``f`` (vectorised over rows) over [lo, hi] per row."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    return half * (f(half[:, None] * (x + 1.0) + lo[:, None]) @ w)
+
+
+@pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
+def test_ray_integrals_match_quadrature(symbol, monkeypatch):
+    # a sample is a face point standing for its whole ray p = a + tau e
+    # from the piece's apex: its x and y must be the integrals of 3 tau^2
+    # and 3 tau^2 / (1 - |p|^2)^2 over the part of [0, 1] outside every
+    # ball, here by an order-64 Gauss-Legendre rule on each interval; the
+    # membership oracle must flip within 1e-9 of each end of an interval
+    # and nowhere else along the ray
+    pts, levels, _, _, pieces = _cell_shell(symbol)
+    balls, _ = volume._carve_balls(pts, levels)
+    found = []
+    crossings = volume._crossings
+
+    def spy(*args):
+        rays, t1, t2 = crossings(*args)
+        found.append((rays, t1.copy(), t2.copy()))
+        return rays, t1, t2
+
+    monkeypatch.setattr(volume, "_crossings", spy)
+    rng = np.random.default_rng(9)
+    m, grid = 40, np.linspace(0.0, 1.0, 101)[1:]
+    crossed = missed = 0
+    for apexes, steps, _, h2, near in pieces:
+        n_pieces = len(apexes)
+        r = rng.random((2, n_pieces, m))
+        found.clear()
+        yx, accepted, carved = volume._ray_block(
+            r.copy(),
+            volume._ray_tables(apexes, steps, h2, near),
+            n_pieces,
+            np.empty(8 * n_pieces * m),
+            np.empty(3 * n_pieces * m, dtype=bool),
+        )
+        y, x = yx[:, 0].ravel(), yx[:, 1].ravel()
+        assert len(found) <= 1 and accepted + carved == n_pieces * m
+        lo, mid = np.sort(r, axis=0)
+        e = steps @ np.stack((lo, mid, np.ones_like(lo)), axis=1)
+        e = e.transpose(0, 2, 1).reshape(-1, 3)
+        a = np.repeat(apexes, m, axis=0)
+
+        def points(tau):
+            return a[:, :, None] + tau[:, None, :] * e[:, :, None]  # (rays, 3, taus)
+
+        def gap(tau):
+            p = points(tau)
+            return 1.0 - np.einsum("rjt,rjt->rt", p, p)
+
+        def member(tau):
+            p = points(np.broadcast_to(tau, (len(a), np.shape(tau)[-1])))
+            flat = p.transpose(1, 0, 2).reshape(3, -1)
+            inside = in_balls(flat, 1.0, 1.0 - np.einsum("jk,jk->k", flat, flat), balls)
+            return inside.reshape(len(a), -1)
+
+        # the own ball ends at tau_e; a neighbour ball holds [t1, t2]
+        dd, ee = -2.0 * np.einsum("rj,rj->r", a, e), np.einsum("rj,rj->r", e, e)
+        own_end = dd / (dd * dd / (4.0 * np.repeat(h2[:, 0], m)) + ee)
+        t1, t2 = np.full(len(a), 2.0), np.full(len(a), 2.0)
+        for rays, low, high in found:
+            t1[rays], t2[rays] = low, high
+        cross = t1 < 1.0
+        assert carved == cross.sum()
+        crossed, missed = crossed + cross.sum(), missed + (~cross).sum()
+        step = np.array([-1e-9, 1e-9])
+        ends = own_end < 1.0
+        assert (member(own_end[:, None] + step)[ends] == [True, False]).all()
+        if cross.any():
+            hit = member(t1[:, None] + step)[cross]
+            assert (hit == [False, True]).all()
+            leaves = cross & (t2 < 1.0)
+            assert (member(t2[:, None] + step)[leaves] == [True, False]).all()
+            assert member(np.ones((1, 1)))[cross & ~leaves].all()
+        # nowhere else does the oracle flip
+        expect = (grid <= own_end[:, None]) | ((t1[:, None] <= grid) & (grid <= t2[:, None]))
+        near_end = np.minimum.reduce(
+            [np.abs(grid - t[:, None]) for t in (own_end, t1, t2)]
+        ) < 1e-9
+        assert (member(grid[None, :]) == expect)[~near_end].all()
+        # the integrals between the ends
+        start = np.minimum(own_end, 1.0)
+        low, high = np.clip(t1, start, 1.0), np.clip(t2, start, 1.0)
+
+        def volume_element(tau):
+            return 3.0 * tau * tau / gap(tau) ** 2
+
+        def chart(tau):
+            return 3.0 * tau * tau
+
+        one = np.ones(len(a))
+        for f, got in ((volume_element, y), (chart, x)):
+            want = _gauss_legendre(f, start, one) - _gauss_legendre(f, low, high)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+    # both kinds of ray are pinned: (3,4,4) has no ray that crosses a
+    # neighbour ball
+    assert missed > 0
+    assert crossed > 0 or symbol == (3, 4, 4)
 
 
 def test_series_constant_against_trigamma():
