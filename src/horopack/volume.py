@@ -176,10 +176,9 @@ def orthoscheme_volume(symbol) -> float:
 
 # Most points per block of one fan tetrahedron, which holds a whole number
 # of rounds of its cell grid, and most cells of that grid over all of the
-# tetrahedron's pieces.  A block's 7 arrays of doubles stay in cache: with
-# the 18 pieces of a fan tetrahedron and 1024 cells each, a block of one
-# round takes 1 MB.
-_MC_CHUNK = 3 << 13
+# tetrahedron's pieces: one round of 1024 cells on each of the 18 pieces of
+# a fan tetrahedron.  A block's 7 arrays of doubles stay in cache (1 MB).
+_MC_CHUNK = 18 << 10
 MIN_SAMPLES = 10_000  # fewest samples for which a standard error is reported
 # order of the core rule whose difference from ``_core_integral``'s order 16
 # is booked as the core's error
@@ -596,19 +595,6 @@ def _ray_block(r, tables, drawn: int, work: np.ndarray, flags: np.ndarray) -> tu
     return slot[4:6].transpose(1, 0, 2), accepted - carved, carved
 
 
-def _plan(count: int, n_pieces: int) -> tuple:
-    """(each, extra, face_bits, block) of a tetrahedron with ``count``
-    samples over ``n_pieces`` pieces: each piece draws ``each`` samples, the
-    first ``extra`` one more, on a grid of 2^face_bits cells
-    (``_grid_shape``), and a block holds at most ``block`` samples per
-    piece, whole rounds of the grid within _MC_CHUNK points but no more
-    than a piece draws."""
-    each, extra = divmod(count, n_pieces)
-    face_bits = _grid_shape(each, n_pieces)
-    per_block = _MC_CHUNK // n_pieces >> face_bits << face_bits
-    return each, extra, face_bits, min(each + (extra > 0), per_block)
-
-
 def _stratum(rng, pieces, weights, n: int):
     """Draw ``n`` rays in the shell of the fan, in the ``pieces`` of
     ``_shell_pieces``, and estimate the mean chart volume element over the
@@ -645,28 +631,25 @@ def _stratum(rng, pieces, weights, n: int):
     within the piece (tau_e >= 1) carry y = x = 0 and count as accepted.
     """
     accepted = carved = 0
-    least = np.array([2 * len(piece[0]) for piece in pieces])
-    counts = _allocate(n, weights, least)
-    plans = [_plan(count, len(piece[0])) for piece, count in zip(pieces, counts)]
-    # a block's arrays are views of these allocations, sized for the largest
-    # block, which every block reuses: allocated anew per block, their
-    # memory went back to the system when freed and took minor page faults
-    # again in the next block (the tetrahedron's sums of y and x per cell,
-    # then the block's 7 arrays)
-    sums_size = max(2 * len(piece[0]) << plan[2] for piece, plan in zip(pieces, plans))
-    block_size = max(len(piece[0]) * plan[3] for piece, plan in zip(pieces, plans))
-    work = np.empty(sums_size + 7 * block_size)
-    sums, blocks = work[:sums_size], work[sums_size:]
-    flags = np.empty(3 * block_size, dtype=bool)
+    # a block's arrays are views of these allocations, which every block
+    # reuses: allocated anew per block, their memory went back to the system
+    # when freed and took minor page faults again in the next block
+    # (past the block's 7 arrays, a tetrahedron's sums of y and x per cell)
+    work = np.empty(9 * _MC_CHUNK)
+    blocks, sums = work[: 7 * _MC_CHUNK], work[7 * _MC_CHUNK :]
+    flags = np.empty(3 * _MC_CHUNK, dtype=bool)
     # sums over the cells of W_c ybar_c, W_c xbar_c and the variance terms
     # of y^2, x y and x^2
     totals = np.zeros(5)
-    for (apexes, steps, shares, h2, near), weight, (each, extra, face_bits, block) in zip(
-        pieces, weights, plans
+    least = np.array([2 * len(piece[0]) for piece in pieces])
+    for (apexes, steps, shares, h2, near), weight, count in zip(
+        pieces, weights, _allocate(n, weights, least)
     ):
         tables = _ray_tables(apexes, steps, h2, near)
         n_pieces = len(apexes)
+        each, extra = divmod(count, n_pieces)  # pieces below extra draw each + 1
         slots = each + (extra > 0)
+        face_bits = _grid_shape(each, n_pieces)
         cells = 1 << face_bits
         # column j of a round is face cell j, the cells taken in visit order
         # from a random start
@@ -674,6 +657,8 @@ def _stratum(rng, pieces, weights, n: int):
         start = int(rng.integers(cells))
         offset = corners[:, None, start : start + cells]
         scale = side[:, :, None]
+        # the most samples per piece a block holds, in whole rounds
+        block = min(slots, _MC_CHUNK // n_pieces // cells * cells)
         per_cell = sums[: 2 * n_pieces * cells].reshape(2, n_pieces, cells)
         per_cell.fill(0.0)
         # the pieces that draw one sample more and the rest, each with its

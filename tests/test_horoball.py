@@ -440,7 +440,7 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
         yx, accepted, carved = ray_block(r, kept, drawn, work, flags)
         n_pieces, _, m = yx.shape
         again = ray_block(
-            fresh, tables[id(kept)], drawn, np.empty(8 * n_pieces * m), np.empty_like(flags)
+            fresh, tables[id(kept)], drawn, np.empty(7 * n_pieces * m), np.empty_like(flags)
         )
         blocks.append((carved, np.array_equal(yx, again[0]) and (accepted, carved) == again[1:]))
         return yx, accepted, carved

@@ -558,9 +558,10 @@ def test_shell_pieces_tile_each_fan_tetrahedron(symbol, core):
 @pytest.mark.parametrize("symbol", FULLY_ASYMPTOTIC_TILINGS)
 def test_piece_tables_test_rays_as_the_pencil_form(symbol):
     # a piece's table holds each ball's depth (1 - a.c) / h at the piece's
-    # apex a, so the ray form of the membership oracle answers for p = a + tau e what the
-    # pencil form (1 - p.c)^2 <= h^2 (1 - |p|^2) answers; here every ball of
-    # the cell is kept, the piece's own ball included (no vertex is number -1)
+    # apex a, so the ray form of the membership oracle answers for p = a +
+    # tau e what the pencil form (1 - p.c)^2 <= h^2 (1 - |p|^2) answers; here
+    # every ball of the cell is kept, the piece's own ball included (no
+    # vertex is number -1)
     pts, levels, _, _, pieces = _cell_shell(symbol)
     balls, _ = volume._carve_balls(pts, levels)
     everywhere = (*balls[:3], np.full(len(pts), -np.inf))
@@ -639,7 +640,7 @@ def test_ray_integrals_match_quadrature(symbol, monkeypatch):
             r.copy(),
             volume._ray_tables(apexes, steps, h2, near),
             n_pieces,
-            np.empty(8 * n_pieces * m),
+            np.empty(7 * n_pieces * m),
             np.empty(3 * n_pieces * m, dtype=bool),
         )
         y, x = yx[:, 0].ravel(), yx[:, 1].ravel()
