@@ -367,11 +367,11 @@ def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
     linear function is largest over a tetrahedron at a corner, so a ball
     left out holds no point of it.
 
-    The table has the layout of ``_carve_balls``'s with a leading piece
-    axis, its second column the depth (1 - a.c) / h at the piece's apex a,
-    the first corner, for ``_ray_tables``; each piece's kept balls come
-    first, and it is padded to the most balls a piece keeps by balls that
-    hold no point (at depth inf)."""
+    The table holds, with a leading piece axis, the depth (1 - a.c) / h at
+    the piece's apex a, the first corner, and the scaled centre c / h of
+    each kept ball, for ``_ray_tables``; each piece's kept balls come first,
+    and it is padded to the most balls a piece keeps by balls that hold no
+    point (at depth inf)."""
     centres, inv_h, scaled, reach = balls
     near = (centres @ corners).max(axis=-1) >= reach
     near &= np.arange(len(centres)) != own[:, None]
@@ -380,12 +380,7 @@ def _near_balls(balls, corners: np.ndarray, own: np.ndarray):
     kept = np.take_along_axis(near, order, axis=1)[:, :, None]
     # summed per ball, so that a ball's depth has the same bits in any table
     at_apex = inv_h[order] - (scaled[order] * corners[:, None, :, 0]).sum(axis=2, keepdims=True)
-    return (
-        np.where(kept, centres[order], 0.0),
-        np.where(kept, at_apex, np.inf),
-        np.where(kept, scaled[order], 0.0),
-        np.where(kept[:, :, 0], reach[order], np.inf),
-    )
+    return np.where(kept, at_apex, np.inf), np.where(kept, scaled[order], 0.0)
 
 
 def _carve_balls(centres: np.ndarray, h: np.ndarray) -> tuple:
@@ -450,7 +445,7 @@ def _shell_pieces(apex, triangles, t0: float, balls) -> list:
     ball = triangles[:, _PIECE_ROWS[:, 0]]
     h2 = inv_h[ball] ** -2.0
     near = _near_balls(balls, np.swapaxes(rows, 2, 3).reshape(-1, 3, 4), ball.ravel())
-    reached = np.isfinite(near[1][:, :, 0]).sum(axis=1).reshape(len(triangles), -1)
+    reached = np.isfinite(near[0][:, :, 0]).sum(axis=1).reshape(len(triangles), -1)
     pieces = []
     for k in range(len(triangles)):
         keep = np.flatnonzero(volumes[k] > 0.0)
@@ -459,7 +454,7 @@ def _shell_pieces(apex, triangles, t0: float, balls) -> list:
         shares = volumes[k, keep] / volumes[k, keep].sum()
         pieces.append((
             rows[k, keep, 0], steps[k, keep], shares, h2[k, keep, None],
-            kept if np.isfinite(kept[1]).any() else None,
+            kept if np.isfinite(kept[0]).any() else None,
         ))
     return pieces
 
@@ -488,7 +483,7 @@ def _ray_tables(apexes, steps, h2, near) -> tuple:
     )
     columns = []
     if near is not None:
-        _, at_apex, scaled, _ = near
+        at_apex, scaled = near
         for j in range(at_apex.shape[1]):
             n = int(np.isfinite(at_apex[:, j, 0]).sum())
             beta = (scaled[:n, j, :, None] * flipped[:n]).sum(axis=1, keepdims=True)

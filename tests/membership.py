@@ -10,10 +10,12 @@ import numpy as np
 
 def in_balls(e: np.ndarray, tau, gap: np.ndarray, balls) -> np.ndarray:
     """Membership of the chart points p = a + tau e, with 1 - |p|^2 =
-    ``gap``, in any of the ``balls``: for the (3, m) points e (tau = 1) and
-    the table of ``volume._carve_balls``, whose a is the origin, or for the
-    (pieces, 3, m) ray directions of a block, their (pieces, 1, m) tau and
-    the per-piece table of ``volume._near_balls``, whose a is each piece's
+    ``gap``, in any of the ``balls``, a table (alpha, c / h) of each ball's
+    depth alpha = (1 - a.c) / h at a and its scaled centre: for the (3, m)
+    points e (tau = 1) and the columns ``balls[1:3]`` of
+    ``volume._carve_balls``, whose a is the origin, or for the (pieces, 3,
+    m) ray directions of a block, their (pieces, 1, m) tau and the
+    per-piece table of ``volume._near_balls``, whose a is each piece's
     apex.
 
     A point p of the open unit ball lies in the ball with ideal centre c and
@@ -23,7 +25,7 @@ def in_balls(e: np.ndarray, tau, gap: np.ndarray, balls) -> np.ndarray:
     them all.  Points on or outside the unit sphere (gap <= 0) are in no
     ball.
     """
-    _, at_apex, scaled, _ = balls
+    at_apex, scaled = balls
     depth = scaled @ e
     depth *= tau
     np.subtract(at_apex, depth, out=depth)

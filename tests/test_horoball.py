@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
+from cusp_cones import ball_volume
 from horosphere_reference import (
     HorosphericTriangle,
     heron_area,
@@ -12,7 +13,6 @@ from horosphere_reference import (
     horospheric_chord_length,
 )
 from membership import in_balls
-from quadrature import sector_volume_quadrature
 
 from horopack import volume
 from horopack.coxeter import build_cell
@@ -101,7 +101,7 @@ def test_busemann_level_on_surface():
 
 
 def test_cartesian_form():
-    # the quadrature oracle slices the canonical horoball as the ellipsoid
+    # the canonical horoball is the ellipsoid
     # x^2 + y^2 = (1 - s)/2 (1 - ((z - (1 + s)/2) / ((1 - s)/2))^2), s <= z <= 1;
     # the pencil form Q vanishes on every slice rim
     for h in (0.4, 0.9, 1.3):
@@ -186,8 +186,11 @@ def test_vertex_sector_volume_against_quadrature(symbol, vertex, h, frozen):
     cell = build_cell(symbol)
     value = vertex_sector_volume(cell, vertex, h)
     assert value == pytest.approx(frozen, rel=1e-12)
-    oracle = sector_volume_quadrature(cell, vertex, h)
-    assert value == pytest.approx(oracle, rel=5e-7)
+    # the cusp-cone kernel integrates the ball in the cell ray by ray, with
+    # no sector table and no Heron area
+    kernel = ball_volume(cell, vertex, h)
+    assert frozen == pytest.approx(kernel, rel=1e-14)
+    assert value == pytest.approx(kernel, rel=1e-14)
 
 
 def test_vertex_sector_volume_validation():
@@ -267,7 +270,7 @@ def _in_cusps(cell, pts):
     by the sampler's ball table."""
     chart = np.array([v.chart() for v in cell.vertices])
     balls, _ = volume._carve_balls(chart, cusp_levels(cell))
-    return in_balls(pts.T, 1.0, 1.0 - np.einsum("ij,ij->i", pts, pts), balls)
+    return in_balls(pts.T, 1.0, 1.0 - np.einsum("ij,ij->i", pts, pts), balls[1:3])
 
 
 @pytest.mark.parametrize("symbol", [(3, 3, 6), (3, 4, 4), (4, 3, 6), (5, 3, 6)])
@@ -428,7 +431,7 @@ def test_union_prefilter_keeps_every_block_bit_for_bit(symbol, monkeypatch):
         corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
         own = np.array([int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes])
         others = volume._near_balls(everywhere, corners, own)
-        assert len(others[1][0]) == len(chart) - 1
+        assert len(others[0][0]) == len(chart) - 1
         tables[id(kept)] = ray_tables(apexes, steps, h2, others)
         return kept
 
@@ -472,7 +475,7 @@ def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, mon
     cell = build_cell(symbol)
     chart = np.array([v.chart() for v in cell.vertices])
     balls, _ = volume._carve_balls(chart, cusp_levels(cell))
-    centres, _, _, reach = balls
+    centres, _, scaled, reach = balls
     triangles = [(f[0], f[k], f[k + 1]) for f in cell.faces for k in range(1, len(f) - 1)]
     pieces = _pieces_of(cell, monkeypatch)
     assert len(pieces) == len(triangles)
@@ -480,9 +483,10 @@ def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, mon
         assert h2 is not None and len(apexes) == 18
         own = [int(np.flatnonzero((chart == a).all(axis=1))[0]) for a in apexes]
         corners = np.dstack((apexes, apexes[:, :, None] + np.cumsum(steps[:, :, ::-1], 2)))
+        # a kept ball is named by its scaled centre c / h
         kept = [[] for _ in apexes] if near is None else [
-            sorted(int(np.flatnonzero((chart == c).all(axis=1))[0]) for c in row[np.isfinite(depth[:, 0])])
-            for row, depth in zip(near[0], near[1])
+            sorted(int(np.flatnonzero((scaled == c).all(axis=1))[0]) for c in row[np.isfinite(depth[:, 0])])
+            for depth, row in zip(*near)
         ]
         for p in range(len(apexes)):
             reaches = (centres @ corners[p]).max(axis=1) >= reach
@@ -508,7 +512,7 @@ def test_prefilter_keeps_the_three_corner_balls_of_every_tetrahedron(symbol, mon
     monkeypatch.setattr(volume, "_ray_block", block_spy)
     monkeypatch.setattr(volume, "_crossings", crossings_spy)
     cell_volume_oracle(cell, 20_000, 1)
-    columns = [near[1][:, 0, 0] for *_, near in pieces if near is not None]
+    columns = [near[0][:, 0, 0] for *_, near in pieces if near is not None]
     depths = {tuple(depth[np.isfinite(depth)]) for depth in columns}
     assert len(calls) >= len(triangles)
     assert all(len(tested) == columns <= 1 for columns, tested in calls)

@@ -14,18 +14,24 @@ The object-based sector path (``ray_crossing`` on ProjectivePoints,
 ``horosphere_reference``, fanned from the first crossing) agrees to 1e-12
 relative from 0.1 H_v up; below that its chords cancel in cosh d - 1.
 ``ray_crossing`` itself is pinned to the object-based crossing exactly.
+The cusp-cone kernel of ``cusp_cones``, which shares no horopack code, gives
+the ball in its cell ray by ray at any level: C_v h^2 matches it within
+1e-14 up to H_v, and falls short of it just past H_v.
 """
 
 from __future__ import annotations
 
+import ast
 import decimal
 import itertools
 import math
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from cusp_cones import ball_volume, ray_term
 from horosphere_reference import reference_crossing, reference_fan, reference_sector
 
 from horopack import coxeter, horoball
@@ -279,6 +285,69 @@ def test_sectors_match_the_digit_oracle(tiling):
                 exact = coefficient * Decimal(h) * Decimal(h)
             assert relative_error(vertex_sector_volume(cell, v, h), exact) <= 2e-14
             assert relative_error(heron_sector(cell, v, h), exact) <= 2e-14
+
+
+# ---------------------------------------------------------------------------
+# the law out of rays from the cusp
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_cusp_cones_pin_every_coefficient_and_face_bound(tiling):
+    # the cusp-cone kernel gives the ball in its cell at any level, so C_v
+    # h^2 has to come out of it up to the face bound H_v, where orders 24
+    # and 32 agree (the kernel's own error); just past H_v the ball leaves
+    # the cell and falls short of the law
+    cell = build_cell(tiling)
+    for v in range(cell.n_vertices):
+        bound = float(cell.face_bounds[v])
+        for h in (0.5 * bound, bound):
+            kernel = ball_volume(cell, v, h)
+            assert kernel == pytest.approx(vertex_sector_volume(cell, v, h), rel=1e-14)
+            assert kernel == pytest.approx(ball_volume(cell, v, h, order=32), rel=1e-14)
+        h = 1.01 * bound
+        assert ball_volume(cell, v, h) < (1.0 - 1e-5) * law(cell, v, h)
+
+
+def test_ray_algebra_gives_the_law_in_h_squared():
+    # on the ray p = a + tau e from the cusp a (|a| = 1), e = q - a and d =
+    # 2 (1 - a.q), the ball of level h ends at tau_e = d / (d^2 / (4 h^2) +
+    # |e|^2), on its pencil form (1 - p.a)^2 = h^2 (1 - |p|^2), and the ray
+    # carries tau_e / (d (d - tau_e |e|^2)) = 4 h^2 / d^3 of it
+    # the rays end at |q| <= 0.9 and h <= 2: nearer the sphere d - tau_e |e|^2
+    # cancels in floats
+    rng = np.random.default_rng(3603)
+    a, q = rng.standard_normal((2, 1000, 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    q *= 0.9 * rng.random((1000, 1)) ** (1.0 / 3.0) / np.linalg.norm(q, axis=1, keepdims=True)
+    h, e = rng.uniform(0.1, 2.0, 1000), q - a
+    d, ee = 2.0 * (1.0 - np.einsum("ij,ij->i", a, q)), np.einsum("ij,ij->i", e, e)
+    tau_e = d / (d * d / (4.0 * h * h) + ee)
+    p = a + tau_e[:, None] * e
+    assert np.abs((1.0 - (p * a).sum(1)) ** 2 - h * h * (1.0 - (p * p).sum(1))).max() <= 1e-13
+    law_term = 4.0 * h * h / d**3
+    assert np.abs(tau_e / (d * (d - tau_e * ee)) / law_term - 1.0).max() <= 1e-13
+    inside = tau_e <= 1.0
+    assert 0.2 < inside.mean() < 0.8
+    assert np.abs(ray_term(d, ee, h)[inside] / law_term[inside] - 1.0).max() <= 1e-13
+
+
+def test_cusp_cones_share_no_code_with_the_sector_tables():
+    # the kernel imports only math, numpy and build_cell, and reads only
+    # the cell's chart vertices and faces, so no horopack function behind
+    # C_v or H_v is on its path
+    tree = ast.parse((Path(__file__).parent / "cusp_cones.py").read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cell":
+            read.add(node.attr)
+        assert not (isinstance(node, ast.Name) and node.id == "__import__")
+    assert "numpy" in imported
+    assert imported <= {"math", "numpy", "horopack.coxeter.build_cell"}
+    assert read == {"vertices", "faces"}
 
 
 @pytest.mark.parametrize("tiling", TILINGS)

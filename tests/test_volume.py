@@ -660,7 +660,7 @@ def test_ray_integrals_match_quadrature(symbol, monkeypatch):
         def member(tau):
             p = points(np.broadcast_to(tau, (len(a), np.shape(tau)[-1])))
             flat = p.transpose(1, 0, 2).reshape(3, -1)
-            inside = in_balls(flat, 1.0, 1.0 - np.einsum("jk,jk->k", flat, flat), balls)
+            inside = in_balls(flat, 1.0, 1.0 - np.einsum("jk,jk->k", flat, flat), balls[1:3])
             return inside.reshape(len(a), -1)
 
         # the own ball ends at tau_e; a neighbour ball holds [t1, t2]
