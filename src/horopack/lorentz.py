@@ -51,7 +51,7 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectivePoint:
     """Homogeneous coordinate 4-vector, defined up to a nonzero real factor;
     GeometryError unless its coordinates are finite and not all zero."""
@@ -92,7 +92,7 @@ class ProjectivePoint:
         return f"ProjectivePoint({tuple(self.coords)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane:
     """Projective plane {x : <normal, x> = 0}.
 

@@ -128,8 +128,9 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
 
     log(kappa / (2 h_i h_j)) with kappa = -<c_i, c_j>: zero at tangency,
     negative when the balls overlap.  Defined for any two distinct vertices,
-    not just cell edges; GeometryError names a pair outside the cell or a
-    level that is not positive and finite (a NaN level gives NaN).
+    not just cell edges; GeometryError names a pair outside the cell, a
+    level count other than one per vertex, or a level that is not a real
+    number or not positive and finite (a NaN level gives NaN).
     """
     n = cell.n_vertices
     i, j = _integer(i, "vertex index"), _integer(j, "vertex index")
@@ -137,7 +138,10 @@ def ball_gap(cell: Cell, levels, i: int, j: int) -> float:
         raise GeometryError(
             f"vertex pair {i},{j} is not two distinct vertices of {cell.tiling}"
         )
-    return _pair_gap(float(cell.gram[i, j]), levels, i, j)
+    if len(levels) != n:
+        raise GeometryError(f"{cell.tiling} needs {n} levels, got {len(levels)}")
+    pair = {v: _real(levels[v]) for v in (i, j)}
+    return _pair_gap(float(cell.gram[i, j]), pair, i, j)
 
 
 def _pair_gap(kappa: float, levels, i: int, j: int) -> float:
@@ -556,9 +560,15 @@ def catalog(tiling) -> list[PackingConfiguration]:
 def certify_optimum(tiling) -> list[DensityReport]:
     """Maximal-density arrangement set among the catalog states.
 
-    Every family endpoint has the levels of a catalog state, so the catalog
-    is the whole candidate set; reports within 1e-6 of the maximum are
-    returned as joint optima, in catalog order.
+    Along every family, each vertex's log level is affine in the anchor's
+    log level between corners (two: s = 0 on (3,4,4) main and on (4,3,6)
+    polar).  On each such segment the density, a positive sum of terms
+    C_v h_v^2 = C_v exp(2 log h_v) over the fixed cell volume, is a sum of
+    exponentials of affine functions of one parameter, so it is convex and
+    peaks at an end of the segment.  Every end, a family endpoint or a
+    corner, has the levels of a catalog state, so the catalog is the whole
+    candidate set; reports within 1e-6 of the maximum are returned as joint
+    optima, in catalog order.
     """
     configs = catalog(tiling)
     cell = configs[0].cell

@@ -172,6 +172,16 @@ def test_hyperplane_normalization_and_incidence():
     assert not t.is_spacelike()
 
 
+def test_points_and_planes_compare_by_identity():
+    # equal coordinates are not the same point: a point is equal only to
+    # itself, and hashes, so it can sit in a set or be found in a list
+    point, plane = ProjectivePoint((1.0, 0.0, 0.0, 2.0)), Hyperplane((1.0, 0.0, 0.0, 2.0))
+    for x, twin in ((point, ProjectivePoint(point.coords)), (plane, Hyperplane(plane.normal))):
+        assert x == x and x != twin
+        assert x in [twin, x] and twin not in [x]
+        assert len({x, x}) == 1 and len({x, twin}) == 2
+
+
 def test_polar_planes():
     # the polar plane {y : <x, y> = 0} of a point x is Hyperplane(x)
     outer = (1.0, 0.0, 0.0, 2.0)

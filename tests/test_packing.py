@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from horosphere_reference import reference_sector
+from cusp_cones import chart_points, cone_coefficient
 
 from horopack.cli import main
 from horopack.coxeter import build_cell
@@ -213,6 +213,8 @@ def test_tangency_bookkeeping():
             i, j = t.pair
             assert abs(pencil_value(config.horoball(i), t.contact.coords)) < 1e-9
             assert abs(pencil_value(config.horoball(j), t.contact.coords)) < 1e-9
+            # a tangency compares through its pair and its contact point
+            assert t in config.tangencies and t == t
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
@@ -258,6 +260,15 @@ def test_ball_gap_rejects_pairs_and_levels_it_cannot_price():
         with pytest.raises(GeometryError, match=f"level {bad!r} at vertex 1"):
             ball_gap(cell, (0.5, bad, 0.5, 1.0), 0, 1)
     assert math.isnan(ball_gap(cell, (0.5, math.nan, 0.5, 1.0), 0, 1))
+    # one real level per vertex, as PackingConfiguration reads them
+    for count in (2, 3, 5):
+        with pytest.raises(GeometryError, match=rf"\(3, 3, 6\) needs 4 levels, got {count}"):
+            ball_gap(cell, (0.5,) * count, 0, 1)
+    for bad in ("0.5", None, [0.5], 0.5j):
+        with pytest.raises(GeometryError, match="real number"):
+            ball_gap(cell, (0.5, bad, 0.5, 1.0), 0, 1)
+    assert ball_gap(cell, np.array(levels), 0, 3) == ball_gap(cell, levels, 0, 3)
+    assert ball_gap(cell, (Fraction(1, 2), 0.5, 0.5, 1), 0, 3) == ball_gap(cell, levels, 0, 3)
 
 
 def test_validate_packing_face_violation():
@@ -337,20 +348,18 @@ def _coefficient_path_states(symbol):
 
 @pytest.mark.parametrize("symbol", SUPPORTED)
 def test_coefficient_path_matches_heron(symbol):
-    # density's C_v h_v^2 against the object-based Heron fan of the vertex
-    # cone at the same level (ray crossings on ProjectivePoints, intrinsic
-    # chords), which shares no code with the sector kernel; below 0.1 H_v
-    # that fan's chords cancel, so smaller balls are not compared
-    compared = 0
+    # density's C_v h_v^2 against the cusp-cone integral of the vertex cone
+    # times h_v^2, which shares no code with the sector kernel, at every
+    # level the catalog and the families reach
+    cell = build_cell(symbol)
+    chart = chart_points(cell)
+    cones = [
+        cone_coefficient(chart[v], chart[list(ring)]) for v, ring in enumerate(cell.neighbors)
+    ]
     for config in _coefficient_path_states(symbol):
         report = density(config)
-        cell = config.cell
-        for v, volume in enumerate(report.sector_volumes):
-            h = config.levels[v]
-            if h >= 0.1 * cell.face_bounds[v]:
-                assert volume == pytest.approx(reference_sector(cell, v, h), rel=1e-12)
-                compared += 1
-    assert compared >= 2 * build_cell(symbol).n_vertices
+        for volume, cone, h in zip(report.sector_volumes, cones, config.levels, strict=True):
+            assert volume == pytest.approx(cone * h * h, rel=1e-14, abs=0)
 
 
 def test_sector_coefficients():
@@ -630,6 +639,34 @@ def test_family_endpoints_are_catalog_states(symbol):
     for fam in families(symbol):
         for levels in fam.level_matrix(fam.s_range).tolist():
             assert tuple(round(h, 12) for h in levels) in states, (fam.name, levels)
+
+
+# the corners of the families: (tiling, family name) -> s of each corner
+FAMILY_CORNERS = {((3, 4, 4), "main"): (0.0,), ((4, 3, 6), "polar"): (0.0,)}
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_LEVELS))
+def test_family_is_log_linear_between_catalog_corners(key):
+    # each vertex's log level is affine in the anchor's log level, except
+    # at the listed corners, where a slope turns by exactly 2; so the
+    # density sum C_v h_v^2 is convex on every segment and peaks at an end,
+    # and every end (endpoint or corner) has the levels of a catalog state
+    fam = family(*key)
+    s = np.linspace(*fam.s_range, 2001)
+    logs = np.log(fam.level_matrix(s))
+    anchor = logs[:, fam.anchors[0]]
+    slopes = np.diff(logs, axis=0) / np.diff(anchor)[:, None]
+    turns = np.abs(np.diff(slopes, axis=0))
+    corners = [int(np.flatnonzero(s == c)[0]) for c in FAMILY_CORNERS.get(key, ())]
+    for k, turn in enumerate(turns, start=1):
+        if k in corners:
+            bent = turn > 1e-10
+            assert bent.any() and np.abs(turn[bent] - 2.0).max() <= 1e-10
+        else:
+            assert turn.max() <= 1e-10, (s[k], turn.max())
+    states = np.array([c.levels for c in catalog(key[0])])
+    for k in (0, *corners, len(s) - 1):
+        assert np.isclose(states, np.exp(logs[k]), rtol=1e-12, atol=0).all(axis=1).any()
 
 
 @pytest.mark.parametrize("symbol", SUPPORTED)

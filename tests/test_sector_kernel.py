@@ -1,4 +1,5 @@
-"""The sector law C_v h^2 and the level-free Heron kernel behind C_v.
+"""The sector law C_v h^2, the level-free Heron kernel behind C_v, and the
+one oracle for both: the cusp-cone integral of ``cusp_cones``.
 
 ``vertex_sector_volume`` and ``volume_function`` price a ball in its cell as
 C_v h^2, the product ``packing.evaluate`` forms, so they are pinned to that
@@ -7,32 +8,31 @@ product exactly (``==``); the per-edge table ``Cell.edge_law`` behind
 Heron kernel ``_sector_coefficient`` runs only in ``cone_sector_volume``; it
 reads the level-1 chords off the Lorentz form, with no horosphere crossing.
 On a cell's rounded chart it stays within 4 ulp of the stored C_v, which
-``build_cell`` reads off the 40-digit Gram table instead.  A 40-digit
-``decimal`` oracle built from the float chart checks both at every level.
-The object-based sector path (``ray_crossing`` on ProjectivePoints,
-``horospheric_chord_length`` and ``heron_area`` from
-``horosphere_reference``, fanned from the first crossing) agrees to 1e-12
-relative from 0.1 H_v up; below that its chords cancel in cosh d - 1.
-``ray_crossing`` itself is pinned to the object-based crossing exactly.
-The cusp-cone kernel of ``cusp_cones``, which shares no horopack code, gives
-the ball in its cell ray by ray at any level: C_v h^2 matches it within
-1e-14 up to H_v, and falls short of it just past H_v.
+``build_cell`` reads off the 40-digit Gram table instead.
+``ray_crossing`` is pinned to the object-based crossing of
+``horosphere_reference`` exactly.
+
+``cusp_cones`` shares no horopack code.  A ray from the cusp carries
+4 h^2 / d^3 of its cone, so ``cone_coefficient`` prices any cone with ideal
+or interior targets: every C_v, the law and the cone path match it within
+1e-14 at every level from 1e-3 H_v to H_v, and so do the cones of
+characteristic simplices with interior targets.  ``ball_volume`` cuts each
+ray at the cell's faces, so it gives the ball in its cell at any level:
+C_v h^2 matches it up to H_v and falls short of it just past H_v.
 """
 
 from __future__ import annotations
 
 import ast
-import decimal
 import itertools
 import math
 import re
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from cusp_cones import ball_volume, ray_term
-from horosphere_reference import reference_crossing, reference_fan, reference_sector
+from cusp_cones import ball_volume, chart_points, cone_coefficient, ray_term
+from horosphere_reference import reference_crossing
 
 from horopack import coxeter, horoball
 from horopack.coxeter import build_cell
@@ -78,6 +78,13 @@ def heron_sector(cell, vertex: int, h: float) -> float:
     return cone_sector_volume(hb, [cell.vertices[j] for j in cell.neighbors[vertex]])
 
 
+def vertex_cone(cell, vertex: int, order: int = 24) -> float:
+    """C of the cone from the vertex over its ring of neighbours, by the
+    cusp-cone integral."""
+    chart = chart_points(cell)
+    return cone_coefficient(chart[vertex], chart[list(cell.neighbors[vertex])], order)
+
+
 def reference_balanced_levels(cell, edge) -> tuple[float, float]:
     """2 h_i h_j = K_ij with C_i h_i^2 = C_j h_j^2, in closed form from the
     cell's arrays (not from ``Cell.edge_law``)."""
@@ -101,44 +108,7 @@ def reference_volume_function(cell, edge, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the 40-digit oracle
-
-DIGITS = decimal.Context(prec=40)
-
-
-def exact_gram(cell, a: int, b: int) -> Decimal:
-    """K_ab = -<E_a, E_b>, exact from the float vertex coordinates."""
-    p, q = ([Decimal(x) for x in cell.vertices[k].coords.tolist()] for k in (a, b))
-    with decimal.localcontext(DIGITS):
-        return p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3]
-
-
-def oracle_coefficient(cell, v: int) -> Decimal:
-    """C_v as half the Heron fan of the level-1 horospheric chords
-    sqrt(2 K_ab / (K_va K_vb)) between the crossings toward neighbours a, b."""
-    ring = cell.neighbors[v]
-    with decimal.localcontext(DIGITS):
-
-        def chord(a, b):
-            spokes = exact_gram(cell, v, a) * exact_gram(cell, v, b)
-            return (2 * exact_gram(cell, a, b) / spokes).sqrt()
-
-        total = Decimal(0)
-        for t in range(1, len(ring) - 1):
-            a, b = chord(ring[0], ring[t]), chord(ring[t], ring[t + 1])
-            c = chord(ring[0], ring[t + 1])
-            p = (a + b + c) / 2
-            total += (p * (p - a) * (p - b) * (p - c)).sqrt()
-        return total / 2
-
-
-def relative_error(value: float, exact: Decimal) -> float:
-    with decimal.localcontext(DIGITS):
-        return float(abs(Decimal(value) - exact) / exact)
-
-
-# ---------------------------------------------------------------------------
-# pins against the law, the oracle and the object-based fan
+# pins against the law and the cusp-cone integral
 
 
 def _states(tiling):
@@ -150,27 +120,21 @@ def _states(tiling):
     return configs
 
 
-def assert_sector_accuracy(cell, v: int, h: float, coefficient: Decimal) -> None:
+def assert_sector_accuracy(cell, v: int, h: float, coefficient: float) -> None:
     """The float kernel on the rounded chart within 4 ulp of the stored C_v,
-    and the cone path at level h within 2e-14 of the 40-digit oracle and,
-    from 0.1 H_v up, within 1e-12 of the object-based fan."""
+    and the cone path at level h within 1e-14 of the cusp-cone C h^2."""
     stored = cell.sector_coefficients[v]
     ring = np.stack([cell.vertices[j].coords for j in cell.neighbors[v]])
     kernel = horoball._sector_coefficient(cell.vertices[v].coords, ring)
     assert abs(kernel - stored) <= 4 * np.spacing(stored)
-    sector = heron_sector(cell, v, h)
-    with decimal.localcontext(DIGITS):
-        exact = coefficient * Decimal(h) * Decimal(h)
-    assert relative_error(sector, exact) <= 2e-14
-    if h >= 0.1 * cell.face_bounds[v]:
-        assert sector == pytest.approx(reference_sector(cell, v, h), rel=1e-12)
+    assert heron_sector(cell, v, h) == pytest.approx(coefficient * h * h, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_states_match_reference(tiling):
     rng = np.random.default_rng(61)
     cell = build_cell(tiling)
-    coefficients = [oracle_coefficient(cell, v) for v in range(cell.n_vertices)]
+    coefficients = [vertex_cone(cell, v) for v in range(cell.n_vertices)]
     for config in _states(tiling):
         for v in range(cell.n_vertices):
             h = config.levels[v]
@@ -190,7 +154,7 @@ def test_states_match_reference(tiling):
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_random_levels_match_reference(tiling):
     cell = build_cell(tiling)
-    coefficients = [oracle_coefficient(cell, v) for v in range(cell.n_vertices)]
+    coefficients = [vertex_cone(cell, v) for v in range(cell.n_vertices)]
     rng = np.random.default_rng(20240816)
     for _ in range(200):
         v = int(rng.integers(cell.n_vertices))
@@ -240,14 +204,15 @@ def test_edge_law_is_the_closed_form(tiling):
 
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_sector_coefficients_match_reference(tiling):
-    # every C_v within 2e-15 of the 40-digit oracle, and within 1e-12 of the
-    # object-based fan at half the same-type level
+    # every C_v within 1e-14 of the cusp-cone integral over its vertex cone
+    # at orders 24 and 32 (the rounding of C_v itself is pinned by
+    # test_coxeter's closed forms)
     cell = build_cell(tiling)
     for v in range(cell.n_vertices):
-        coefficient = cell.sector_coefficients[v]
-        assert relative_error(coefficient, oracle_coefficient(cell, v)) <= 2e-15
-        h = 0.5 * min(math.sqrt(0.5 * cell.gram[v, j]) for j in cell.neighbors[v])
-        assert coefficient == pytest.approx(reference_sector(cell, v, h) / (h * h), rel=1e-12)
+        for order in (24, 32):
+            assert cell.sector_coefficients[v] == pytest.approx(
+                vertex_cone(cell, v, order), rel=1e-14, abs=0
+            )
 
 
 def test_cone_sectors_match_reference():
@@ -262,11 +227,12 @@ def test_cone_sectors_match_reference():
         (horoball_level(equator, 1.0 / (2.0 * math.sqrt(2.0))), [mid, center, apex], 1 / 32),
     ]
     # interior targets: the exact volumes of the octahedral characteristic
-    # simplex, and the object-based fan
+    # simplex, and the cusp-cone integral over the same cone
     for hb, rays, exact in cases:
         sector = cone_sector_volume(hb, rays)
         assert sector == pytest.approx(exact, rel=2e-15)
-        assert sector == pytest.approx(reference_fan(hb, rays), rel=1e-12)
+        coefficient = cone_coefficient(hb.center.chart(), [ray.chart() for ray in rays])
+        assert sector == pytest.approx(coefficient * hb.h * hb.h, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +240,17 @@ def test_cone_sectors_match_reference():
 
 @pytest.mark.parametrize("tiling", TILINGS)
 def test_sectors_match_the_digit_oracle(tiling):
-    # the law and the cone path carry C_v's accuracy to every level
+    # the law and the cone path carry C_v's accuracy to every level: both
+    # within 1e-14 of the cusp-cone C h^2 from 1e-3 H_v to H_v
     cell = build_cell(tiling)
     rng = np.random.default_rng(1801)
     for v in range(cell.n_vertices):
-        coefficient = oracle_coefficient(cell, v)
+        coefficient = vertex_cone(cell, v)
         for f in [1e-3, 1e-2, 0.1, 0.5, 1.0, *rng.uniform(1e-3, 1.0, 8).tolist()]:
             h = float(f * cell.face_bounds[v])
-            with decimal.localcontext(DIGITS):
-                exact = coefficient * Decimal(h) * Decimal(h)
-            assert relative_error(vertex_sector_volume(cell, v, h), exact) <= 2e-14
-            assert relative_error(heron_sector(cell, v, h), exact) <= 2e-14
+            exact = coefficient * h * h
+            assert vertex_sector_volume(cell, v, h) == pytest.approx(exact, rel=1e-14, abs=0)
+            assert heron_sector(cell, v, h) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +268,8 @@ def test_cusp_cones_pin_every_coefficient_and_face_bound(tiling):
         bound = float(cell.face_bounds[v])
         for h in (0.5 * bound, bound):
             kernel = ball_volume(cell, v, h)
-            assert kernel == pytest.approx(vertex_sector_volume(cell, v, h), rel=1e-14)
-            assert kernel == pytest.approx(ball_volume(cell, v, h, order=32), rel=1e-14)
+            assert kernel == pytest.approx(vertex_sector_volume(cell, v, h), rel=1e-14, abs=0)
+            assert kernel == pytest.approx(ball_volume(cell, v, h, order=32), rel=1e-14, abs=0)
         h = 1.01 * bound
         assert ball_volume(cell, v, h) < (1.0 - 1e-5) * law(cell, v, h)
 

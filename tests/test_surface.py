@@ -121,3 +121,32 @@ def test_every_record_field_is_read():
         and not re.search(rf"\.{re.escape(field.target.id)}\b", corpus)
     )
     assert unread == []
+
+
+def _dataclass_keywords(node: ast.ClassDef) -> dict | None:
+    """The keywords of a ``@dataclass`` decorator, or None if there is none."""
+    for d in node.decorator_list:
+        func = d.func if isinstance(d, ast.Call) else d
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return {k.arg: ast.literal_eval(k.value) for k in getattr(d, "keywords", [])}
+    return None
+
+
+def test_records_over_arrays_compare_by_identity():
+    # the generated __eq__ compares fields as a tuple, and two arrays in a
+    # tuple compare by ``bool(a == b)``, which raises; __hash__ hashes an
+    # array, which raises too.  So every dataclass with an array field
+    # passes eq=False and compares by identity
+    compares = sorted(
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and (keywords := _dataclass_keywords(node)) is not None
+        and keywords.get("eq", True)
+        and any(
+            isinstance(field, ast.AnnAssign) and "np.ndarray" in ast.unparse(field.annotation)
+            for field in node.body
+        )
+    )
+    assert compares == []
